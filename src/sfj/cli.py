@@ -76,10 +76,12 @@ def _fail(code: int, message: str) -> int:
 def _load(path):
     try:
         return load_graph(path), None
-    except FileNotFoundError:
-        return None, _fail(EXIT_PARSE, f"cannot read {path}: no such file")
+    except OSError as exc:  # missing file, a directory, no permission
+        return None, _fail(EXIT_PARSE, f"cannot read {path}: {exc.strerror}")
     except (GraphFormatError, GraphValidationError) as exc:
         return None, _fail(EXIT_PARSE, str(exc))
+    except ValueError as exc:  # includes UnicodeDecodeError for non-UTF-8 files
+        return None, _fail(EXIT_PARSE, f"cannot parse {path}: {exc}")
 
 
 def _config_from(args) -> RunConfig:

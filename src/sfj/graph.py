@@ -9,6 +9,7 @@ of dst, and its weight lands in row dst of the weight matrix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -58,11 +59,18 @@ class SignedDigraph:
         for b in self.beta:
             if not 0.0 <= b <= 1.0:
                 raise GraphValidationError(f"stubbornness {b} outside [0, 1]")
+        for i, v in enumerate(self.x0, start=1):
+            if not math.isfinite(v):
+                raise GraphValidationError(f"agent {i} has non-finite x0 {v}")
         seen = set()
         for src, dst, w in self.edges:
             if not (1 <= src <= self.n and 1 <= dst <= self.n):
                 raise GraphValidationError(
                     f"edge ({src}, {dst}) references an agent outside 1..{self.n}"
+                )
+            if not math.isfinite(w):
+                raise GraphValidationError(
+                    f"edge ({src}, {dst}) has non-finite weight {w}"
                 )
             if w == 0.0:
                 raise GraphValidationError(f"edge ({src}, {dst}) has zero weight")
@@ -212,21 +220,31 @@ def graph_from_dict(data: dict) -> SignedDigraph:
     if not isinstance(data, dict):
         raise GraphFormatError(f"expected a JSON object, got {type(data).__name__}")
     try:
-        n = int(data["n"])
+        n = data["n"]
         agents = data["agents"]
         raw_edges = data["edges"]
     except KeyError as exc:
         raise GraphFormatError(f"missing required field {exc}") from exc
+    try:
+        n = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphFormatError(f"'n' must be an integer, got {n!r}") from exc
     if not isinstance(agents, list) or not isinstance(raw_edges, list):
         raise GraphFormatError("'agents' and 'edges' must be arrays")
+    # Checked before allocating n slots, so a huge n costs nothing. With
+    # n <= len(agents), the id checks below leave no slot unfilled.
+    if n > len(agents):
+        raise GraphFormatError(
+            f"agents missing from file: n={n} but only {len(agents)} agent entries"
+        )
 
     beta = [None] * n
     x0 = [None] * n
     for entry in agents:
         try:
             i = int(entry["id"])
-        except (TypeError, KeyError) as exc:
-            raise GraphFormatError(f"agent entry {entry!r} lacks an id") from exc
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise GraphFormatError(f"agent entry {entry!r} has no integer id") from exc
         if not 1 <= i <= n:
             raise GraphFormatError(f"agent id {i} outside 1..{n}")
         if beta[i - 1] is not None:
@@ -234,11 +252,8 @@ def graph_from_dict(data: dict) -> SignedDigraph:
         try:
             beta[i - 1] = float(entry["beta"])
             x0[i - 1] = float(entry["x0"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"agent {i}: bad beta/x0: {exc}") from exc
-    missing = [i + 1 for i, b in enumerate(beta) if b is None]
-    if missing:
-        raise GraphFormatError(f"agents missing from file: {missing}")
 
     edges = []
     for entry in raw_edges:
@@ -246,7 +261,7 @@ def graph_from_dict(data: dict) -> SignedDigraph:
             edges.append(
                 Edge(int(entry["from"]), int(entry["to"]), float(entry["w"]))
             )
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"bad edge entry {entry!r}: {exc}") from exc
     return SignedDigraph(n=n, edges=tuple(edges), beta=tuple(beta), x0=tuple(x0))
 

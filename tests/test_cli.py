@@ -62,6 +62,11 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
         assert code == EXIT_PARSE
 
+    def test_directory_path_exits_parse(self, capsys, tmp_path):
+        code, _, err = run(capsys, "analyze", str(tmp_path))
+        assert code == EXIT_PARSE
+        assert "cannot read" in err
+
     def test_unreachable_graph_exits_conditions(self, capsys, tmp_path):
         g = SignedDigraph(
             4,
@@ -74,6 +79,43 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_CONDITIONS
         assert "unreachable" in err
+
+    @pytest.mark.parametrize(
+        "weight, x0",
+        [(float("nan"), 0.0), (1.0, float("inf")), (1.0, float("nan"))],
+        ids=["nan-weight", "inf-x0", "nan-x0"],
+    )
+    def test_non_finite_numbers_exit_parse(self, capsys, tmp_path, weight, x0):
+        data = {
+            "n": 2,
+            "agents": [
+                {"id": 1, "beta": 0.5, "x0": 0.0},
+                {"id": 2, "beta": 0.0, "x0": x0},
+            ],
+            "edges": [{"from": 1, "to": 2, "w": weight}],
+        }
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_PARSE
+        assert "non-finite" in err and out == ""
+
+    def test_non_utf8_file_exits_parse(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "name": "\xe9"}')
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_PARSE
+        assert "utf-8" in err
+
+    @pytest.mark.parametrize("n", ['"x"', str(10**12)], ids=["string", "huge"])
+    def test_bad_agent_count_exits_parse(self, capsys, tmp_path, n):
+        path = tmp_path / "count.json"
+        path.write_text(
+            '{"n": %s, "agents": [{"id": 1, "beta": 0.5, "x0": 0.0}], "edges": []}' % n
+        )
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_PARSE
+        assert "Traceback" not in err
 
     def test_usage_error_exits_one(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE

@@ -155,6 +155,15 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="length"):
             SignedDigraph(2, (), (0.5,), (0.0, 0.0))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(GraphValidationError, match="non-finite weight"):
+            make(2, [Edge(1, 2, float("nan"))])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_x0_rejected(self, bad):
+        with pytest.raises(GraphValidationError, match="non-finite x0"):
+            make(2, [Edge(1, 2, 1.0)], x0=[0.0, bad])
+
 
 class TestJsonIO:
     def test_round_trip(self, tmp_path, g2):
@@ -181,6 +190,32 @@ class TestJsonIO:
             graph_from_dict(
                 {"n": 2, "agents": [{"id": 1, "beta": 0.5, "x0": 0.0}], "edges": []}
             )
+
+    @pytest.mark.parametrize("n", ["x", None, [2]])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(GraphFormatError, match="'n' must be an integer"):
+            graph_from_dict({"n": n, "agents": [], "edges": []})
+
+    @pytest.mark.parametrize(
+        "entry, key, value",
+        [
+            ("agent", "id", "x"),
+            ("agent", "id", float("inf")),
+            ("agent", "x0", 10**400),
+            ("edge", "from", float("inf")),
+        ],
+    )
+    def test_unconvertible_numbers_are_format_errors(self, entry, key, value):
+        agent = {"id": 1, "beta": 0.5, "x0": 0.0}
+        edge = {"from": 1, "to": 1, "w": 1.0}
+        {"agent": agent, "edge": edge}[entry][key] = value
+        with pytest.raises(GraphFormatError):
+            graph_from_dict({"n": 1, "agents": [agent], "edges": [edge]})
+
+    def test_huge_n_rejected_before_allocation(self):
+        data = {"n": 10**12, "agents": [{"id": 1, "beta": 0.5, "x0": 0.0}], "edges": []}
+        with pytest.raises(GraphFormatError, match="missing from file"):
+            graph_from_dict(data)
 
     def test_semantic_errors_still_validated(self):
         data = {

@@ -13,6 +13,7 @@ from sfj import (
     detect_ltp_agents,
     predict_clusters,
 )
+from sfj.generator import random_multiconsensus_graph
 from sfj.graph import Edge, SignedDigraph
 from sfj.ltp import VIRTUAL_ROOT
 
@@ -56,6 +57,67 @@ class TestDominatorTree:
         with pytest.raises(UnreachableNodes) as err:
             build_dominator_tree(g)
         assert err.value.nodes == {3, 4}
+
+
+class TestDominatorOracle:
+    """Immediate dominators against networkx (a test-only dependency) on
+    networks far beyond the brute-force oracle's reach."""
+
+    @staticmethod
+    def networkx_idom(g):
+        nx = pytest.importorskip("networkx")
+        search = nx.DiGraph()
+        search.add_nodes_from(range(g.n + 1))
+        search.add_edges_from((e.src, e.dst) for e in g.edges)
+        search.add_edges_from((VIRTUAL_ROOT, s) for s in g.stubborn)
+        idom = nx.immediate_dominators(search, VIRTUAL_ROOT)
+        idom.pop(VIRTUAL_ROOT, None)  # some networkx versions map start to itself
+        return idom
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_generated_networks_match_networkx(self, n):
+        g = random_multiconsensus_graph(n, n // 20, seed=n)
+        assert dict(build_dominator_tree(g).idom) == self.networkx_idom(g)
+
+    def test_sparse_cyclic_network_matches_networkx(self):
+        g = random_reachable_graph(
+            np.random.default_rng(7), n=1000, density=0.002, m=4
+        )
+        tree = build_dominator_tree(g)
+        assert dict(tree.idom) == self.networkx_idom(g)
+        assert any(d != VIRTUAL_ROOT for d in tree.idom.values())
+
+    def test_irreducible_loop_entered_from_two_stubborn_agents(self):
+        # Cycle 3 -> 4 -> 5 -> 3, entered at 3 from stubborn 1 and at 5 from
+        # stubborn 2, with 6 hanging off 4. The first reverse-postorder sweep
+        # sees only 1 among the settled predecessors of 3 and sets idom(3) = 1;
+        # a second sweep must correct it to the root.
+        edges = [
+            Edge(1, 3, 1.0), Edge(2, 5, 1.0), Edge(3, 4, 1.0),
+            Edge(4, 5, 1.0), Edge(5, 3, 1.0), Edge(4, 6, 1.0),
+        ]
+        g = make(6, edges, stubborn=(1, 2))
+        tree = build_dominator_tree(g)
+        assert dict(tree.idom) == {
+            1: VIRTUAL_ROOT, 2: VIRTUAL_ROOT, 3: VIRTUAL_ROOT,
+            4: 3, 5: VIRTUAL_ROOT, 6: 4,
+        }
+        cert = detect_ltp_agents(g, tree)
+        assert cert.ltp_agents == (3,)
+        assert cert.persuaded[3] == {4, 6}
+        assert cert.same_detection(brute_force_ltp_oracle(g))
+
+    def test_long_chain_neither_recurses_nor_goes_quadratic(self):
+        # A set-based fixed point would hold n^2 / 2 = 2e8 dominator entries
+        # here, and a recursive DFS would exceed Python's recursion limit.
+        n = 20_000
+        g = make(n, [Edge(i, i + 1, 1.0) for i in range(1, n)], stubborn=(1,))
+        tree = build_dominator_tree(g)
+        assert tree.idom[1] == VIRTUAL_ROOT
+        assert all(tree.idom[v] == v - 1 for v in range(2, n + 1))
+        cert = detect_ltp_agents(g, tree)
+        assert cert.ltp_agents == (1,)
+        assert cert.persuaded[1] == frozenset(range(2, n + 1))
 
 
 class TestDetection:
