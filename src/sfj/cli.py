@@ -184,10 +184,13 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_CONDITIONS, str(exc))
     _emit(robustness_report_to_dict(report))
     if not report.all_passed:
+        trial = report.first_failure.trial
         return _fail(
             EXIT_CONDITIONS,
             f"{report.trials - report.passes} of {report.trials} trials "
-            "did not reproduce the predicted partition",
+            f"did not reproduce the predicted partition; the first was trial "
+            f"{trial} of seed {report.seed} (rerun it last with "
+            f"--seed {report.seed} --trials {trial + 1})",
         )
     return EXIT_OK
 

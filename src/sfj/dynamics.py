@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     HypothesisViolated,
     NotConverged,
-    PowerIterationStalled,
     SingularBlock,
     SingularSystem,
     UnreachableNodes,
@@ -27,9 +26,6 @@ from .graph import SignedDigraph, check_reachability, normalize
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
-
-_EIG_CUTOFF = 64  # below this, dense eigenvalues beat power iteration
-_POWER_SEED = 20240817  # fixed so spectral_radius is reproducible
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,64 +160,55 @@ def simulate(
     raise NotConverged(trace, f"no convergence after {max_iter} iterations")
 
 
-def spectral_radius(M, tol: float = 1e-10, max_iter: int = 20_000) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
+def spectral_radius(M, tol: Optional[float] = None) -> float:
+    """Largest eigenvalue magnitude of a square matrix, from dense eigenvalues.
 
-    Small matrices go straight to the dense eigensolver. Larger ones run a
-    deterministically seeded power iteration; if that stalls (rotating
-    dominant pair), the error reports the entrywise-absolute-value bound,
-    which always dominates the true radius.
+    influence_matrix does not call this: it gates on stubborn-reachability
+    instead. The callers are the block gate of reduce_steady_state and the
+    neumann_terms_for test oracle. tol is accepted for callers of the former
+    iterative solver and ignored: the dense solver has no stopping rule.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if n <= _EIG_CUTOFF:
-        return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    stable = 0
-    for _ in range(max_iter):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0  # nilpotent direction collapsed; radius is 0
-        new_estimate = norm
-        v = w / norm
-        if abs(new_estimate - estimate) <= tol * max(1.0, new_estimate):
-            stable += 1
-            if stable >= 3:
-                return float(new_estimate)
-        else:
-            stable = 0
-        estimate = new_estimate
-    bound = float(np.max(np.abs(np.linalg.eigvals(np.abs(M)))))
-    raise PowerIterationStalled(
-        f"power iteration did not settle in {max_iter} steps; "
-        f"absolute-value bound gives radius <= {bound:.6g}"
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def influence_matrix(g: SignedDigraph) -> np.ndarray:
     """Map from initial to final opinions: V = (I - (I-B)W)^{-1} B.
 
-    Computed by one LU-factorized multi-right-hand-side solve, never an
-    explicit inverse. Columns of non-stubborn agents are zero: only stubborn
-    agents' initial opinions leave a trace in the limit.
+    The limit, and with it the solve, exists when the update matrix
+    M = (I-B)W has spectral radius below one. Stubborn-reachability
+    certifies that in O(n + edges): abs(M) is row-substochastic, its rows
+    of stubborn agents sum to less than one, and every other row reaches
+    such a row along reversed edges, so rho(M) <= rho(abs(M)) < 1 (the
+    substochastic argument for Friedkin-Johnsen dynamics; Parsegov,
+    Proskurnikov, Tempo & Friedkin, IEEE TAC 2017). Raises SingularSystem
+    when there is no stubborn agent or some agent is unreached, since then
+    nothing certifies the solve.
+
+    Columns of non-stubborn agents are exactly zero: only stubborn agents'
+    initial opinions leave a trace in the limit. So one LU factorization
+    solves for the m stubborn columns alone, never an explicit inverse, and
+    they are scattered into the n x n result.
     """
-    sysm = normalize(g)
-    update = sysm.update_matrix()
-    rho = spectral_radius(update)
-    if rho >= 1.0:
+    if g.m == 0:
+        raise SingularSystem("network has no stubborn agent to anchor the solve")
+    report = check_reachability(g)
+    if not report.ok:
         raise SingularSystem(
-            f"update matrix has spectral radius {rho:.6g} >= 1; "
-            "check stubborn-reachability"
+            f"agents {sorted(report.unreachable)} have no path from a stubborn "
+            "agent, so the solve is not certified"
         )
+    sysm = normalize(g)
     n = g.n
-    return np.linalg.solve(np.eye(n) - update, np.diag(sysm.beta))
+    stubborn = np.array(g.stubborn) - 1
+    rhs = np.zeros((n, stubborn.size))
+    rhs[stubborn, np.arange(stubborn.size)] = sysm.beta[stubborn]
+    V = np.zeros((n, n))
+    V[:, stubborn] = np.linalg.solve(np.eye(n) - sysm.update_matrix(), rhs)
+    return V
 
 
 def neumann_influence(g: SignedDigraph, terms: int) -> np.ndarray:
@@ -413,9 +400,3 @@ def write_trace_csv(trace: OpinionTrace, fh) -> None:
     for k, row in enumerate(trace.states):
         writer.writerow([k] + [repr(float(v)) for v in row])
 
-
-def write_matrix_csv(M, fh) -> None:
-    """Write a dense matrix as bare CSV rows."""
-    writer = csv.writer(fh)
-    for row in np.asarray(M):
-        writer.writerow([repr(float(v)) for v in row])

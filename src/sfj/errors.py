@@ -45,12 +45,8 @@ class NotConverged(SFJError):
 
 
 class SingularSystem(SFJError):
-    """The steady-state system is not solvable (spectral radius >= 1)."""
-
-
-class PowerIterationStalled(SFJError):
-    """Spectral-radius power iteration failed to settle; message carries the
-    entrywise-absolute-value upper bound."""
+    """The steady-state system is not solvable or not certified: no stubborn
+    agent, an agent no stubborn agent reaches, or spectral radius >= 1."""
 
 
 class SingularBlock(SFJError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -78,18 +79,15 @@ class SignedDigraph:
                 raise GraphValidationError(f"duplicate edge ({src}, {dst})")
             seen.add((src, dst))
 
+    @cached_property
+    def stubborn(self) -> tuple[int, ...]:
+        """Ids of stubborn agents, ascending; computed once per graph."""
+        return tuple(i + 1 for i, b in enumerate(self.beta) if b > 0.0)
+
     @property
     def m(self) -> int:
         """Number of stubborn agents."""
-        return sum(1 for b in self.beta if b > 0.0)
-
-    @property
-    def stubborn(self) -> tuple[int, ...]:
-        """Ids of stubborn agents, ascending."""
-        return tuple(i + 1 for i, b in enumerate(self.beta) if b > 0.0)
-
-    def in_edges(self, node: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node]
+        return len(self.stubborn)
 
     def out_neighbours(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}

@@ -97,9 +97,8 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     Raises UnreachableNodes if any non-stubborn agent has no path from a
     stubborn agent, and NoStubbornAgents when there is nothing to root at.
     """
-    report = check_reachability(g)  # raises NoStubbornAgents on m = 0
-    if not report.ok:
-        raise UnreachableNodes(report.unreachable)
+    if g.m == 0:
+        raise NoStubbornAgents("network has no stubborn agent")
 
     preds: list[list[int]] = [[] for _ in range(g.n + 1)]
     succs: list[list[int]] = [[] for _ in range(g.n + 1)]
@@ -126,6 +125,11 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
         else:
             order.append(node)
             stack.pop()
+    # Every stubborn agent hangs off the root, so the unseen are exactly the
+    # unreachable non-stubborn agents, as check_reachability would report.
+    unreachable = [v for v in range(1, g.n + 1) if not seen[v]]
+    if unreachable:
+        raise UnreachableNodes(unreachable)
     rpo = order[::-1]
     rpo_num = [0] * (g.n + 1)
     for i, v in enumerate(rpo):
@@ -156,8 +160,8 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
                 idom[v] = new
                 changed = True
 
-    # Stubborn agents are reachable by construction and the check above
-    # rules out unreachable ones, so rpo covers every agent.
+    # The check after the DFS rules out unreachable agents, so rpo covers
+    # every agent.
     return DominatorTree(
         virtual_root=VIRTUAL_ROOT, idom={v: idom[v] for v in rpo[1:]}
     )

@@ -12,6 +12,7 @@ promises when C1 and C2 hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +37,18 @@ class ClusterReport:
 
 
 @dataclass(frozen=True)
+class TrialFailure:
+    """A reweighting trial whose influence clusters differ from the prediction.
+
+    trial is the 0-based index into the seed's sequence of draws, so rerunning
+    the harness with the same seed and trial + 1 trials ends on this draw.
+    """
+
+    trial: int
+    observed: tuple[frozenset[int], ...]
+
+
+@dataclass(frozen=True)
 class RobustnessReport:
     trials: int
     passes: int
@@ -43,6 +56,7 @@ class RobustnessReport:
     predicted: tuple[frozenset[int], ...]
     tau: float
     seed: int
+    first_failure: Optional[TrialFailure] = None
 
     @property
     def all_passed(self) -> bool:
@@ -66,16 +80,41 @@ class _UnionFind:
 
 
 def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
-    """Transitive closure of pairwise max-norm closeness; 1-based ids."""
+    """Transitive closure of pairwise max-norm closeness; 1-based ids.
+
+    Sort-and-sweep: a pair's max-norm distance is at least its gap in any one
+    column, so after sorting on the column with the widest range each row
+    need only be tested against the rows that follow it within thresh in
+    that column. The exact test is the same elementwise arithmetic as a test
+    of every pair, so the groups are the same.
+    """
     count = rows.shape[0]
+    widest = int(np.argmax(np.ptp(rows, axis=0)))
+    # Ties on the widest column are broken by the other columns, so
+    # identical rows sit next to each other.
+    order = np.lexsort(np.vstack([rows.T, rows[:, widest]]))
+    ordered = rows[order]
+    keys = ordered[:, widest]
+    # Rounding can put a close pair's key gap a few ulps above thresh; the
+    # slack keeps every such pair inside the window, where the exact test
+    # sees it.
+    slack = 8 * np.finfo(float).eps * (np.max(np.abs(keys)) + thresh)
+    ends = np.searchsorted(keys, keys + thresh + slack, side="right").tolist()
+    # A row identical to the next (distance 0, close unless thresh < 0) is
+    # close to exactly the rows the next one is, so joining the two leaves
+    # the rest to the next row's sweep.
+    same = (np.all(ordered[1:] == ordered[:-1], axis=1) & (thresh >= 0)).tolist()
     uf = _UnionFind(count)
-    for i in range(count):
-        for j in range(i + 1, count):
-            if np.max(np.abs(rows[i] - rows[j])) <= thresh:
-                uf.union(i, j)
+    for a in range(count - 1):
+        if same[a]:
+            uf.union(a, a + 1)
+        elif ends[a] > a + 1:
+            gaps = np.max(np.abs(ordered[a + 1:ends[a]] - ordered[a]), axis=1)
+            for b in (np.flatnonzero(gaps <= thresh) + (a + 1)).tolist():
+                uf.union(a, b)
     groups: dict[int, set[int]] = {}
-    for i in range(count):
-        groups.setdefault(uf.find(i), set()).add(i + 1)
+    for a, i in enumerate(order.tolist()):
+        groups.setdefault(uf.find(a), set()).add(i + 1)
     return tuple(
         frozenset(members) for members in sorted(groups.values(), key=min)
     )
@@ -86,11 +125,14 @@ def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int]
 
     tau is relative to the largest entry magnitude of V. Closeness is not
     transitive, so borderline rows can chain into one group; cluster_spread
-    exposes the resulting diameters.
+    exposes the resulting diameters. Only V's nonzero columns are compared:
+    the rest are zero in every row and add nothing to any distance.
     """
     V = np.asarray(V, dtype=float)
     scale = float(np.max(np.abs(V)))
-    return _group_rows(V, tau * scale if scale > 0 else tau)
+    nonzero = np.flatnonzero(V.any(axis=0))
+    rows = V[:, nonzero] if nonzero.size else V[:, :1]  # all zero: keep one
+    return _group_rows(rows, tau * scale if scale > 0 else tau)
 
 
 def clusters_from_trace(
@@ -106,14 +148,17 @@ def clusters_from_trace(
 
 
 def cluster_spread(V, clusters) -> float:
-    """Largest max-norm diameter of V's rows over the given clusters."""
+    """Largest max-norm diameter of V's rows over the given clusters.
+
+    Within a cluster the widest pair in any column is that column's maximum
+    and minimum, so the diameter is the largest column range, exactly.
+    """
     V = np.asarray(V, dtype=float)
     worst = 0.0
     for cluster in clusters:
-        idx = sorted(v - 1 for v in cluster)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                worst = max(worst, float(np.max(np.abs(V[idx[a]] - V[idx[b]]))))
+        if len(cluster) > 1:
+            rows = V[sorted(v - 1 for v in cluster)]
+            worst = max(worst, float(np.max(rows.max(axis=0) - rows.min(axis=0))))
     return worst
 
 
@@ -162,8 +207,9 @@ def robustness_harness(
 
     passes = 0
     worst = 0.0
+    first_failure = None
     predicted_key = set(predicted)
-    for _ in range(trials):
+    for trial in range(trials):
         weights = signs * rng.uniform(lo, hi, size=len(g.edges))
         beta = np.zeros(g.n)
         beta[stubborn_rows] = 1.0 - rng.uniform(0.0, 1.0, size=len(stubborn_rows))
@@ -174,6 +220,8 @@ def robustness_harness(
         worst = max(worst, spread)
         if set(observed) == predicted_key:
             passes += 1
+        elif first_failure is None:
+            first_failure = TrialFailure(trial, observed)
     return RobustnessReport(
         trials=trials,
         passes=passes,
@@ -181,13 +229,19 @@ def robustness_harness(
         predicted=predicted,
         tau=tau,
         seed=seed,
+        first_failure=first_failure,
     )
 
 
 def robustness_report_to_dict(report: RobustnessReport) -> dict:
+    failure = report.first_failure
     return {
         "trials": report.trials,
         "passes": report.passes,
         "worst_spread": report.worst_spread,
         "predicted": [sorted(c) for c in report.predicted],
+        "first_failure": None if failure is None else {
+            "trial": failure.trial,
+            "observed": [sorted(c) for c in failure.observed],
+        },
     }

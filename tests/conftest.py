@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sfj import check_reachability, networks
+from sfj import check_reachability, clusters_from_influence, networks
 from sfj.graph import Edge, SignedDigraph
+from sfj.verification import DEFAULT_TAU
 
 
 @pytest.fixture
@@ -68,3 +69,12 @@ def brute_force_reachable(g):
         if not any(closure[s, q - 1] for s in stub_rows):
             unreachable.add(q)
     return unreachable
+
+
+def merge_when_agent_7_leads_agent_1(V, tau=DEFAULT_TAU):
+    """Clusters of V, merged into one whenever agent 7's weight in agent 1's
+    limit exceeds 0.3: a failure that depends on the trial's draw alone.
+    On g2 with seed 3 that happens first at trial 4 (0.343; trial 3 reads
+    0.256)."""
+    clusters = clusters_from_influence(V, tau)
+    return (frozenset().union(*clusters),) if V[0, 6] > 0.3 else clusters

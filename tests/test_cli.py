@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sfj import load_graph, networks, save_graph
+from sfj import load_graph, networks, save_graph, verification
 from sfj.cli import (
     EXIT_CONDITIONS,
     EXIT_NOT_CONVERGED,
@@ -13,6 +13,8 @@ from sfj.cli import (
     main,
 )
 from sfj.graph import Edge, SignedDigraph
+
+from conftest import merge_when_agent_7_leads_agent_1
 
 FIXTURES = Path(__file__).resolve().parent.parent / "networks"
 
@@ -217,6 +219,26 @@ class TestVerify:
         data = json.loads(out)
         assert data["passes"] == data["trials"] == 25
         assert data["worst_spread"] <= 1e-8
+        assert data["first_failure"] is None
+
+    def test_generated_n200_all_trials_pass(self, capsys, tmp_path):
+        path = tmp_path / "gen.json"
+        assert main(["generate", "200", "10", "--out", str(path)]) == EXIT_OK
+        code, out, _ = run(capsys, "verify", str(path), "--trials", "5")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["passes"] == data["trials"] == 5
+
+    def test_failed_trial_named_with_seed(self, capsys, monkeypatch, g2_path):
+        monkeypatch.setattr(
+            verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
+        )
+        code, out, err = run(capsys, "verify", g2_path, "--trials", "12", "--seed", "3")
+        assert code == EXIT_CONDITIONS
+        data = json.loads(out)
+        assert data["schema"] == 1 and data["passes"] == 7
+        assert data["first_failure"] == {"trial": 4, "observed": [list(range(1, 13))]}
+        assert "trial 4 of seed 3" in err and "--seed 3 --trials 5" in err
 
     def test_unsatisfied_conditions_exit_conditions(self, capsys, g1_path):
         code, _, _ = run(capsys, "verify", g1_path, "--trials", "5")

@@ -16,12 +16,12 @@ from sfj import (
     neumann_tail_bound,
     neumann_terms_for,
     normalize,
+    random_multiconsensus_graph,
     reduce_steady_state,
     schur_complement,
     sfj_step,
     simulate,
     spectral_radius,
-    write_matrix_csv,
     write_trace_csv,
 )
 from sfj.graph import Edge, SignedDigraph
@@ -158,6 +158,22 @@ class TestInfluenceMatrix:
         g = make(2, [Edge(1, 2, 1.0), Edge(2, 1, 1.0)], beta=[0.0, 0.0])
         with pytest.raises(SingularSystem):
             influence_matrix(g)
+
+    def test_unreached_agent_is_singular(self):
+        # Agent 3 has no in-edge, so no stubborn agent anchors it.
+        g = make(3, [Edge(1, 2, 1.0)], beta=[0.5, 0.0, 0.0])
+        with pytest.raises(SingularSystem, match=r"\[3\]"):
+            influence_matrix(g)
+
+    @pytest.mark.parametrize("n", [100, 200, 500])
+    def test_generated_networks_above_the_old_eig_cutoff(self, n):
+        g = random_multiconsensus_graph(n, n // 20, seed=n)
+        sysm = normalize(g)
+        v = influence_matrix(g)
+        residual = (np.eye(n) - sysm.update_matrix()) @ v - np.diag(sysm.beta)
+        assert np.max(np.abs(residual)) <= 1e-10
+        open_minded = [i for i in range(n) if g.beta[i] == 0.0]
+        assert not v[:, open_minded].any()
 
 
 class TestNeumannSeries:
@@ -322,13 +338,3 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert [float(v) for v in first[1:]] == list(g1.x0)
-
-    def test_matrix_csv_round_trips(self, g2):
-        v = influence_matrix(g2)
-        buf = io.StringIO()
-        write_matrix_csv(v, buf)
-        rows = [
-            [float(cell) for cell in line.split(",")]
-            for line in buf.getvalue().strip().splitlines()
-        ]
-        assert np.array_equal(np.array(rows), v)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfj import (
     ConditionsNotMet,
@@ -11,12 +13,68 @@ from sfj import (
     clusters_from_trace,
     influence_matrix,
     predict_clusters,
+    random_multiconsensus_graph,
     refines,
     robustness_harness,
     simulate,
+    verification,
 )
 from sfj.dynamics import OpinionTrace
 from sfj.graph import Edge, SignedDigraph
+from sfj.verification import _group_rows, _UnionFind
+
+from conftest import merge_when_agent_7_leads_agent_1
+
+
+def pairwise_group_rows(rows, thresh):
+    """Reference grouping: test every pair, then take the transitive closure."""
+    count = rows.shape[0]
+    uf = _UnionFind(count)
+    for i in range(count):
+        for j in range(i + 1, count):
+            if np.max(np.abs(rows[i] - rows[j])) <= thresh:
+                uf.union(i, j)
+    groups = {}
+    for i in range(count):
+        groups.setdefault(uf.find(i), set()).add(i + 1)
+    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+
+
+def pairwise_cluster_spread(V, clusters):
+    """Reference spread: the largest max-norm distance over every pair."""
+    worst = 0.0
+    for cluster in clusters:
+        idx = sorted(v - 1 for v in cluster)
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                worst = max(worst, float(np.max(np.abs(V[idx[a]] - V[idx[b]]))))
+    return worst
+
+
+THRESHOLDS = (-0.1, 0.0, 1e-8, 0.1, 0.3, 0.7)  # below 0, no two rows are close
+
+
+@st.composite
+def row_sets(draw):
+    """Rows built from a few base rows plus offsets of 0, thresh or a few ulps.
+
+    That gives exact ties, duplicate rows and gaps that sit exactly at, or
+    round to either side of, the threshold. Single rows and one-column input
+    are drawn too.
+    """
+    thresh = draw(st.sampled_from(THRESHOLDS))
+    count = draw(st.integers(1, 25))
+    width = draw(st.integers(1, 4))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    bases = draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                          min_size=1, max_size=4))
+    offsets = st.sampled_from((0.0, thresh, -thresh, 2 * thresh, thresh * (1 + 1e-16),
+                               1e-15, 1e-9))
+    rows = [
+        [b + draw(offsets) for b in draw(st.sampled_from(bases))]
+        for _ in range(count)
+    ]
+    return np.array(rows, dtype=float), thresh
 
 
 class TestInfluenceClusters:
@@ -43,6 +101,39 @@ class TestInfluenceClusters:
         clusters = clusters_from_influence(v, tau=1e-8)
         assert clusters == (frozenset({1, 2, 3}),)
         assert cluster_spread(v, clusters) == pytest.approx(1.8e-8)
+
+
+class TestSortAndSweepGrouping:
+    @settings(max_examples=400, deadline=None)
+    @given(row_sets())
+    def test_equals_the_pairwise_closure(self, case):
+        rows, thresh = case
+        assert _group_rows(rows, thresh) == pairwise_group_rows(rows, thresh)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_sets())
+    def test_spread_equals_the_pairwise_maximum_exactly(self, case):
+        rows, thresh = case
+        clusters = pairwise_group_rows(rows, thresh + 0.5)
+        assert cluster_spread(rows, clusters) == pairwise_cluster_spread(rows, clusters)
+
+    def test_gap_that_rounds_to_thresh_still_joins(self):
+        # 0.7 below the second key lies one ulp above first + 0.7, yet the
+        # computed gap is exactly 0.7, so the pair is close.
+        rows = np.array([[-0.8065009344595016], [-0.10650093445950157]])
+        assert rows[1, 0] > rows[0, 0] + 0.7
+        assert rows[1, 0] - rows[0, 0] <= 0.7
+        assert _group_rows(rows, 0.7) == (frozenset({1, 2}),)
+
+    def test_zero_columns_are_ignored(self):
+        v = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0]])
+        assert clusters_from_influence(v) == (frozenset({1, 2}), frozenset({3}))
+        assert clusters_from_influence(np.zeros((3, 3))) == (frozenset({1, 2, 3}),)
+
+    def test_influence_clusters_match_the_oracle_on_a_generated_network(self):
+        v = influence_matrix(random_multiconsensus_graph(300, 15, seed=4))
+        thresh = 1e-8 * float(np.max(np.abs(v)))
+        assert clusters_from_influence(v) == pairwise_group_rows(v, thresh)
 
 
 class TestTraceClusters:
@@ -110,6 +201,7 @@ class TestRobustnessHarness:
     def test_g2_passes_every_trial(self, g2):
         report = robustness_harness(g2, trials=50, seed=5)
         assert report.passes == report.trials == 50
+        assert report.first_failure is None
         assert report.worst_spread <= 1e-8
         assert set(report.predicted) == {
             frozenset({1, 2, 3}),
@@ -122,6 +214,20 @@ class TestRobustnessHarness:
         a = robustness_harness(g2, trials=5, seed=1)
         b = robustness_harness(g2, trials=5, seed=99)
         assert a.predicted == b.predicted
+
+    def test_first_failure_names_the_trial_and_reruns(self, g2, monkeypatch):
+        monkeypatch.setattr(
+            verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
+        )
+        report = robustness_harness(g2, trials=12, seed=3)
+        assert report.passes == 7
+        failure = report.first_failure
+        assert failure.trial == 4
+        assert failure.observed == (frozenset(range(1, 13)),)
+        # The same seed with trial + 1 trials ends on the same draw.
+        rerun = robustness_harness(g2, trials=failure.trial + 1, seed=3)
+        assert rerun.passes == failure.trial
+        assert rerun.first_failure == failure
 
     def test_broken_cooperativity_refused(self, g1):
         flipped = g1.reweighted(
