@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -50,6 +51,9 @@ class RunConfig:
     def __post_init__(self):
         if min(self.tolerance, self.tau) <= 0 or min(self.max_iter, self.trials) <= 0:
             raise ValueError("tolerance, tau, max-iter and trials must be positive")
+        # min() lets NaN through, so finiteness is checked on its own.
+        if not (math.isfinite(self.tolerance) and math.isfinite(self.tau)):
+            raise ValueError("tolerance and tau must be finite")
         if self.mode not in ("strict", "relaxed"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -137,19 +141,24 @@ def cmd_simulate(args) -> int:
         return err
     config = _config_from(args)
 
-    trace = None
+    failure = None
     try:
-        trace = dynamics.simulate(g, tol=config.tolerance, max_iter=config.max_iter)
-    except NotConverged as exc:
-        trace = exc.trace
+        # Opened before simulating, so an unwritable path costs no iterations.
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            try:
+                trace = dynamics.simulate(
+                    g, tol=config.tolerance, max_iter=config.max_iter
+                )
+            except NotConverged as exc:
+                trace, failure = exc.trace, exc
             dynamics.write_trace_csv(trace, fh)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {args.out}: {exc.strerror}")
+    if failure is not None:
         return _fail(
             EXIT_NOT_CONVERGED,
-            f"{exc}; partial trace written to {args.out}",
+            f"{failure}; partial trace written to {args.out}",
         )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        dynamics.write_trace_csv(trace, fh)
 
     observed = verification.clusters_from_trace(trace, tau=config.tau)
     payload = {
@@ -209,7 +218,10 @@ def cmd_generate(args) -> int:
 
         _emit(graph_to_dict(g))
     else:
-        save_graph(g, args.out)
+        try:
+            save_graph(g, args.out)
+        except OSError as exc:
+            return _fail(EXIT_USAGE, f"cannot write {args.out}: {exc.strerror}")
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ agent i sits at row i-1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -133,18 +132,24 @@ def simulate(
     bound, so on convergence the last iterate is within tol of the true
     fixed point, not merely tol away from its predecessor. Raises
     NotConverged (carrying the partial trace) when max_iter is exhausted.
+
+    Each step touches only the nonzeros of the update matrix, one per edge,
+    rather than all n^2 entries; the certificate still uses the dense matrix.
     """
     sysm = normalize(g)
     update = sysm.update_matrix()
     kappa = _contraction_certificate(np.abs(update))
     step_tol = tol if kappa is None else tol / kappa
 
+    rows, cols = np.nonzero(update)
+    vals = update[rows, cols]
     x0 = np.array(g.x0)
+    anchor = sysm.beta * x0
     x = x0.copy()
     states = [x0.copy()]
     residual = np.inf
     for k in range(1, max_iter + 1):
-        x_next = update @ x + sysm.beta * x0
+        x_next = np.bincount(rows, weights=vals * x[cols], minlength=g.n) + anchor
         residual = float(np.max(np.abs(x_next - x)))
         states.append(x_next)
         x = x_next
@@ -160,13 +165,12 @@ def simulate(
     raise NotConverged(trace, f"no convergence after {max_iter} iterations")
 
 
-def spectral_radius(M, tol: Optional[float] = None) -> float:
+def spectral_radius(M) -> float:
     """Largest eigenvalue magnitude of a square matrix, from dense eigenvalues.
 
     influence_matrix does not call this: it gates on stubborn-reachability
     instead. The callers are the block gate of reduce_steady_state and the
-    neumann_terms_for test oracle. tol is accepted for callers of the former
-    iterative solver and ignored: the dense solver has no stopping rule.
+    neumann_terms_for test oracle.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -393,10 +397,22 @@ def reduce_steady_state(
 
 
 def write_trace_csv(trace: OpinionTrace, fh) -> None:
-    """Write a trace as rows k, x_1, ..., x_n."""
-    n = trace.states.shape[1]
-    writer = csv.writer(fh)
-    writer.writerow(["k"] + [f"x_{i}" for i in range(1, n + 1)])
-    for k, row in enumerate(trace.states):
-        writer.writerow([k] + [repr(float(v)) for v in row])
+    """Write a trace as rows k, x_1, ..., x_n.
 
+    The header is k,x_1,...,x_n and the row after it for each k is k and
+    then x(k). Each value is the shortest round-trip repr of its float
+    (0.1, -0.0, 1e-300, inf, nan), fields are comma-separated and never
+    quoted, and every line ends in CRLF ("\\r\\n"): byte for byte what
+    csv.writer writes. Converged agents repeat their value bit for bit from
+    row to row, so each distinct bit pattern is formatted once and the rows
+    are assembled from those strings; comparing bits keeps 0.0 and -0.0
+    apart.
+    """
+    states = np.ascontiguousarray(trace.states, dtype=np.float64)
+    n = states.shape[1]
+    bits, inverse = np.unique(states.reshape(-1).view(np.int64), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    text = np.array(["," + repr(v) for v in values], dtype=object)
+    fh.write("k" + "".join(f",x_{i}" for i in range(1, n + 1)) + "\r\n")
+    for k, idx in enumerate(inverse.reshape(states.shape)):
+        fh.write(f"{k}{''.join(text.take(idx).tolist())}\r\n")

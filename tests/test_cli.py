@@ -128,6 +128,19 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "positive" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--tol", "--tau"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_non_finite_config_exits_usage(
+        self, capsys, g2_path, tmp_path, command, flag, value
+    ):
+        out_csv = tmp_path / "trace.csv"
+        extra = ["--out", str(out_csv)] if command == "simulate" else []
+        code, out, err = run(capsys, command, g2_path, flag, value, *extra)
+        assert code == EXIT_USAGE
+        assert "finite" in err and out == ""
+        assert not out_csv.exists()
+
 
 class TestPredict:
     def test_strict_on_g2(self, capsys, g2_path):
@@ -211,6 +224,14 @@ class TestSimulate:
         assert "partial trace" in err
         assert len(Path(out_csv).read_text().strip().splitlines()) == 42
 
+    @pytest.mark.parametrize("target", ["missing/t.csv", "."])
+    def test_unwritable_out_exits_usage(self, capsys, g2_path, tmp_path, target):
+        out_csv = str(tmp_path / target)
+        code, out, err = run(capsys, "simulate", g2_path, "--out", out_csv)
+        assert code == EXIT_USAGE
+        assert f"cannot write {out_csv}" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestVerify:
     def test_g2_all_trials_pass(self, capsys, g2_path):
@@ -272,6 +293,12 @@ class TestGenerate:
     def test_infeasible_parameters_exit_usage(self, capsys):
         assert run(capsys, "generate", "3", "2")[0] == EXIT_USAGE
         assert run(capsys, "generate", "6", "1")[0] == EXIT_USAGE
+
+    def test_unwritable_out_exits_usage(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "gen.json")
+        code, _, err = run(capsys, "generate", "12", "4", "--out", out)
+        assert code == EXIT_USAGE
+        assert f"cannot write {out}" in err and "Traceback" not in err
 
 
 class TestSeedPlumbing:
