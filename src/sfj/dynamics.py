@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
     UnreachableNodes,
 )
-from .graph import SignedDigraph, check_reachability, normalize
+from .graph import NormalizedSystem, SignedDigraph, check_reachability, normalize
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -205,9 +205,12 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
             f"agents {sorted(report.unreachable)} have no path from a stubborn "
             "agent, so the solve is not certified"
         )
-    sysm = normalize(g)
-    n = g.n
-    stubborn = np.array(g.stubborn) - 1
+    return _influence_solve(normalize(g), np.array(g.stubborn) - 1)
+
+
+def _influence_solve(sysm: NormalizedSystem, stubborn: np.ndarray) -> np.ndarray:
+    """influence_matrix's solve, past its gate; stubborn holds 0-based rows."""
+    n = sysm.n
     rhs = np.zeros((n, stubborn.size))
     rhs[stubborn, np.arange(stubborn.size)] = sysm.beta[stubborn]
     V = np.zeros((n, n))

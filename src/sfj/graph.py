@@ -89,6 +89,12 @@ class SignedDigraph:
         """Number of stubborn agents."""
         return len(self.stubborn)
 
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (src, dst) index arrays in .edges order; built on first use."""
+        src, dst, _ = zip(*self.edges) if self.edges else ((), (), ())
+        return np.array(src, dtype=np.intp) - 1, np.array(dst, dtype=np.intp) - 1
+
     def out_neighbours(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
         for src, dst, _ in self.edges:
@@ -103,9 +109,9 @@ class SignedDigraph:
 
     def adjacency(self) -> np.ndarray:
         """Dense signed adjacency; entry (i-1, j-1) is the weight of edge j -> i."""
+        src, dst = self.edge_index
         a = np.zeros((self.n, self.n))
-        for src, dst, w in self.edges:
-            a[dst - 1, src - 1] = w
+        a[dst, src] = [w for _, _, w in self.edges]
         return a
 
     def reweighted(self, weights: Iterable[float], beta=None) -> "SignedDigraph":
@@ -153,7 +159,6 @@ class ReachabilityReport:
 
     ok: bool
     unreachable: frozenset[int]
-    stubborn_count: int
 
 
 def normalize(g: SignedDigraph) -> NormalizedSystem:
@@ -163,14 +168,18 @@ def normalize(g: SignedDigraph) -> NormalizedSystem:
     with no in-edges gets w_ii = 1 and zeros elsewhere, so it simply holds its
     current opinion.
     """
-    a = g.adjacency()
+    return _normalize_adjacency(g.adjacency(), np.array(g.beta))
+
+
+def _normalize_adjacency(a: np.ndarray, beta: np.ndarray) -> NormalizedSystem:
+    """normalize's arithmetic on a dense adjacency a and a stubbornness vector."""
     totals = np.abs(a).sum(axis=1)
     w = np.zeros_like(a)
     has_in = totals > 0.0
     w[has_in] = a[has_in] / totals[has_in, None]
-    for i in np.flatnonzero(~has_in):
-        w[i, i] = 1.0
-    return NormalizedSystem(W=w, beta=np.array(g.beta))
+    no_in = np.flatnonzero(~has_in)
+    w[no_in, no_in] = 1.0
+    return NormalizedSystem(W=w, beta=beta)
 
 
 def check_reachability(g: SignedDigraph) -> ReachabilityReport:
@@ -194,9 +203,7 @@ def check_reachability(g: SignedDigraph) -> ReachabilityReport:
     unreachable = frozenset(
         i for i in range(1, g.n + 1) if g.beta[i - 1] == 0.0 and i not in seen
     )
-    return ReachabilityReport(
-        ok=not unreachable, unreachable=unreachable, stubborn_count=g.m
-    )
+    return ReachabilityReport(ok=not unreachable, unreachable=unreachable)
 
 
 def abs_matrix(m) -> np.ndarray:

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import OpinionTrace, influence_matrix
+from .dynamics import OpinionTrace, _influence_solve
 from .errors import ConditionsNotMet, NotConverged
-from .graph import SignedDigraph
+from .graph import SignedDigraph, _normalize_adjacency
 from .ltp import analyze, predict_clusters
 
 DEFAULT_TAU = 1e-8
@@ -191,8 +191,11 @@ def robustness_harness(
     (0, 1] for the stubborn agents, recomputes the influence matrix, and
     compares its clusters with the prediction. Requires C1 and C2 up front;
     on inputs violating them nothing is asserted either way, because the
-    conditions are sufficient, not necessary.
+    conditions are sufficient, not necessary. Raises ValueError when trials
+    is below one.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     cert = analyze(g)
     if not (cert.covered and cert.cooperative):
         raise ConditionsNotMet(
@@ -203,18 +206,26 @@ def robustness_harness(
     rng = np.random.default_rng(seed)
     lo, hi = WEIGHT_RANGE
     signs = np.sign([w for _, _, w in g.edges])
-    stubborn_rows = [i - 1 for i in g.stubborn]
+    src, dst = g.edge_index
+    stubborn = np.array(g.stubborn) - 1
 
     passes = 0
     worst = 0.0
     first_failure = None
     predicted_key = set(predicted)
+    # analyze(g) above certified the topology: its dominator tree raises
+    # NoStubbornAgents or UnreachableNodes wherever check_reachability would
+    # fail. Every trial keeps the edge set, and 1 - U[0, 1) lies in (0, 1],
+    # so it keeps the stubborn set too. The certificate therefore holds for
+    # every draw, and each trial builds its system straight from the edge
+    # arrays, with influence_matrix's arithmetic but without its gate.
     for trial in range(trials):
         weights = signs * rng.uniform(lo, hi, size=len(g.edges))
         beta = np.zeros(g.n)
-        beta[stubborn_rows] = 1.0 - rng.uniform(0.0, 1.0, size=len(stubborn_rows))
-        trial_graph = g.reweighted(weights, beta=beta)
-        V = influence_matrix(trial_graph)
+        beta[stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
+        a = np.zeros((g.n, g.n))
+        a[dst, src] = weights
+        V = _influence_solve(_normalize_adjacency(a, beta), stubborn)
         observed = clusters_from_influence(V, tau)
         spread = cluster_spread(V, predicted)
         worst = max(worst, spread)

@@ -29,7 +29,55 @@ def make(n, edges, stubborn=(1,), x0=None):
     return SignedDigraph(n, tuple(edges), tuple(beta), tuple(x0 or [0.0] * n))
 
 
+def loop_adjacency(g):
+    """Reference adjacency: one assignment per edge."""
+    a = np.zeros((g.n, g.n))
+    for src, dst, w in g.edges:
+        a[dst - 1, src - 1] = w
+    return a
+
+
+def loop_normalized_weights(g):
+    """Reference W: normalize's arithmetic with the self-loop fallback per agent."""
+    a = loop_adjacency(g)
+    totals = np.abs(a).sum(axis=1)
+    w = np.zeros_like(a)
+    has_in = totals > 0.0
+    w[has_in] = a[has_in] / totals[has_in, None]
+    for i in np.flatnonzero(~has_in):
+        w[i, i] = 1.0
+    return w
+
+
+@st.composite
+def signed_digraphs(draw):
+    """Small graphs with self-loops, signed weights of any magnitude and, often,
+    agents without in-edges."""
+    n = draw(st.integers(1, 8))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = draw(st.lists(ends, unique=True, max_size=2 * n))
+    weight = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda w: w != 0.0)
+    edges = tuple(Edge(s, d, draw(weight)) for s, d in pairs)
+    beta = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return SignedDigraph(n, edges, tuple(beta), (0.0,) * n)
+
+
 class TestNormalize:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_digraphs())
+    def test_array_build_is_bit_identical_to_the_edge_loop(self, g):
+        assert g.adjacency().tobytes() == loop_adjacency(g).tobytes()
+        sysm = normalize(g)
+        assert sysm.W.tobytes() == loop_normalized_weights(g).tobytes()
+        assert sysm.beta.tobytes() == np.array(g.beta).tobytes()
+
+    def test_edge_index_is_zero_based_in_edge_order(self):
+        g = make(3, [Edge(3, 1, 2.0), Edge(2, 2, -1.0), Edge(1, 3, 0.5)])
+        src, dst = g.edge_index
+        assert src.tolist() == [2, 1, 0] and dst.tolist() == [0, 1, 2]
+        src, dst = make(2, []).edge_index
+        assert src.size == dst.size == 0
+
     def test_opposite_signs_split_evenly(self):
         g = make(3, [Edge(2, 1, 2.0), Edge(3, 1, -2.0)])
         w = normalize(g).W
@@ -77,7 +125,7 @@ class TestReachability:
     def test_chain_reaches_everything(self):
         g = make(3, [Edge(1, 2, 1.0), Edge(2, 3, 1.0)])
         report = check_reachability(g)
-        assert report.ok and report.stubborn_count == 1
+        assert report.ok and g.m == 1
 
     def test_stubborn_free_component_reported(self):
         g = make(4, [Edge(1, 2, 1.0), Edge(3, 4, 1.0)])

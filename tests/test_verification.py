@@ -51,6 +51,32 @@ def pairwise_cluster_spread(V, clusters):
     return worst
 
 
+def loop_harness(g, trials, seed, tau=verification.DEFAULT_TAU):
+    """Reference harness: every trial reweights the graph and runs the gated
+    influence_matrix on it, drawing in the same order as robustness_harness."""
+    predicted = predict_clusters(analyze(g), mode="strict").clusters
+    rng = np.random.default_rng(seed)
+    lo, hi = verification.WEIGHT_RANGE
+    signs = np.sign([w for _, _, w in g.edges])
+    stubborn_rows = [i - 1 for i in g.stubborn]
+    passes, worst, first_failure = 0, 0.0, None
+    for trial in range(trials):
+        weights = signs * rng.uniform(lo, hi, size=len(g.edges))
+        beta = np.zeros(g.n)
+        beta[stubborn_rows] = 1.0 - rng.uniform(0.0, 1.0, size=len(stubborn_rows))
+        V = influence_matrix(g.reweighted(weights, beta=beta))
+        observed = verification.clusters_from_influence(V, tau)
+        worst = max(worst, cluster_spread(V, predicted))
+        if set(observed) == set(predicted):
+            passes += 1
+        elif first_failure is None:
+            first_failure = verification.TrialFailure(trial, observed)
+    return verification.RobustnessReport(
+        trials=trials, passes=passes, worst_spread=worst, predicted=predicted,
+        tau=tau, seed=seed, first_failure=first_failure,
+    )
+
+
 THRESHOLDS = (-0.1, 0.0, 1e-8, 0.1, 0.3, 0.7)  # below 0, no two rows are close
 
 
@@ -229,6 +255,11 @@ class TestRobustnessHarness:
         assert rerun.passes == failure.trial
         assert rerun.first_failure == failure
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_rejected(self, g2, trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            robustness_harness(g2, trials=trials)
+
     def test_broken_cooperativity_refused(self, g1):
         flipped = g1.reweighted(
             [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
@@ -251,6 +282,33 @@ class TestRobustnessHarness:
         assert cert.cooperative is False
         clusters = clusters_from_influence(influence_matrix(flipped))
         assert sum(len(c) for c in clusters) == flipped.n
+
+
+class TestHarnessMatchesTheLoop:
+    """The harness certifies the topology once and builds each trial from edge
+    arrays; its report must equal, bit for bit, that of a loop that reweights
+    the graph and runs the gated solve on every trial."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_g2(self, g2, seed):
+        report = robustness_harness(g2, trials=20, seed=seed)
+        assert report == loop_harness(g2, trials=20, seed=seed)
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_generated_network(self, n):
+        g = random_multiconsensus_graph(n, n // 20, seed=n)
+        report = robustness_harness(g, trials=10, seed=n)
+        expected = loop_harness(g, trials=10, seed=n)
+        assert report == expected
+        assert report.worst_spread == expected.worst_spread > 0.0
+
+    def test_first_failure_matches(self, g2, monkeypatch):
+        monkeypatch.setattr(
+            verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
+        )
+        report = robustness_harness(g2, trials=12, seed=3)
+        assert report.first_failure is not None
+        assert report == loop_harness(g2, trials=12, seed=3)
 
 
 class TestWeightStubbornnessInvariance:
