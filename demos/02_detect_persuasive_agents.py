@@ -3,13 +3,12 @@
 An agent p is locally topologically persuasive when some non-stubborn agent
 only hears from the stubborn part of the network through p. Detection is a
 dominator computation on the digraph with a virtual root wired to every
-stubborn agent; a slow path-enumeration oracle cross-checks it here.
+stubborn agent.
 Run as: python demos/02_detect_persuasive_agents.py
 """
 
 from sfj import (
     analyze,
-    brute_force_ltp_oracle,
     build_dominator_tree,
     certificate_to_dict,
     networks,
@@ -36,11 +35,6 @@ for v in cert.violations:
 relaxed = predict_clusters(cert, mode="relaxed")
 print("\nrelaxed clusters:", [sorted(c) for c in relaxed.clusters])
 print("flagged singletons:", sorted(relaxed.flagged_singletons))
-
-# The exponential oracle re-derives the same certificate straight from the
-# definition: enumerate every simple path from every stubborn agent.
-oracle = brute_force_ltp_oracle(g1)
-print("\noracle agrees with dominator detection:", cert.same_detection(oracle))
 
 # The larger bundled network satisfies both conditions outright.
 g2 = networks.g2()

@@ -18,7 +18,6 @@ from .errors import (
     SFJError,
     SingularBlock,
     SingularSystem,
-    SizeLimit,
     UnreachableNodes,
 )
 from .graph import (
@@ -26,7 +25,6 @@ from .graph import (
     NormalizedSystem,
     ReachabilityReport,
     SignedDigraph,
-    abs_matrix,
     check_reachability,
     graph_from_dict,
     graph_to_dict,
@@ -40,7 +38,6 @@ from .ltp import (
     LTPCertificate,
     Violation,
     analyze,
-    brute_force_ltp_oracle,
     build_dominator_tree,
     certificate_to_dict,
     check_conditions,
@@ -53,21 +50,14 @@ from .dynamics import (
     SteadyStateSystem,
     build_steady_state,
     influence_matrix,
-    neumann_influence,
-    neumann_tail_bound,
-    neumann_terms_for,
     reduce_steady_state,
     schur_complement,
-    sfj_step,
     simulate,
-    spectral_radius,
     write_trace_csv,
 )
 from .verification import (
-    ClusterReport,
     RobustnessReport,
     TrialFailure,
-    cluster_report,
     cluster_spread,
     clusters_from_influence,
     clusters_from_trace,
@@ -81,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterPrediction",
-    "ClusterReport",
     "ConditionsNotMet",
     "DominatorTree",
     "Edge",
@@ -101,20 +90,16 @@ __all__ = [
     "SignedDigraph",
     "SingularBlock",
     "SingularSystem",
-    "SizeLimit",
     "SteadyStateSystem",
     "TrialFailure",
     "UnreachableNodes",
     "Violation",
-    "abs_matrix",
     "analyze",
-    "brute_force_ltp_oracle",
     "build_dominator_tree",
     "build_steady_state",
     "certificate_to_dict",
     "check_conditions",
     "check_reachability",
-    "cluster_report",
     "cluster_spread",
     "clusters_from_influence",
     "clusters_from_trace",
@@ -124,9 +109,6 @@ __all__ = [
     "influence_matrix",
     "load_graph",
     "networks",
-    "neumann_influence",
-    "neumann_tail_bound",
-    "neumann_terms_for",
     "normalize",
     "predict_clusters",
     "random_multiconsensus_graph",
@@ -135,8 +117,6 @@ __all__ = [
     "robustness_harness",
     "save_graph",
     "schur_complement",
-    "sfj_step",
     "simulate",
-    "spectral_radius",
     "write_trace_csv",
 ]

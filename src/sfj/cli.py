@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import dynamics, verification
 from .errors import (
@@ -37,25 +36,6 @@ EXIT_CONDITIONS = 3
 EXIT_NOT_CONVERGED = 4
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = dynamics.DEFAULT_TOL
-    max_iter: int = dynamics.DEFAULT_MAX_ITER
-    tau: float = verification.DEFAULT_TAU
-    trials: int = 200
-    seed: int = 0
-    mode: str = "strict"
-
-    def __post_init__(self):
-        if min(self.tolerance, self.tau) <= 0 or min(self.max_iter, self.trials) <= 0:
-            raise ValueError("tolerance, tau, max-iter and trials must be positive")
-        # min() lets NaN through, so finiteness is checked on its own.
-        if not (math.isfinite(self.tolerance) and math.isfinite(self.tau)):
-            raise ValueError("tolerance and tau must be finite")
-        if self.mode not in ("strict", "relaxed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,19 +68,10 @@ def _load(path):
         return None, _fail(EXIT_PARSE, f"cannot parse {path}: {exc}")
 
 
-def _config_from(args) -> RunConfig:
-    seed = args.seed
+def _seed(args) -> int:
+    """--seed, unless the environment variable SFJ_SEED overrides it."""
     env_seed = os.environ.get("SFJ_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    return RunConfig(
-        tolerance=args.tol,
-        max_iter=args.max_iter,
-        tau=args.tau,
-        trials=args.trials,
-        seed=seed,
-        mode=args.mode,
-    )
+    return args.seed if env_seed is None else int(env_seed)
 
 
 def cmd_analyze(args) -> int:
@@ -119,15 +90,14 @@ def cmd_predict(args) -> int:
     g, err = _load(args.graph)
     if err is not None:
         return err
-    config = _config_from(args)
     try:
         cert = analyze(g)
-        prediction = predict_clusters(cert, mode=config.mode)
+        prediction = predict_clusters(cert, mode=args.mode)
     except (NoStubbornAgents, UnreachableNodes, ConditionsNotMet) as exc:
         return _fail(EXIT_CONDITIONS, str(exc))
     _emit(
         {
-            "mode": config.mode,
+            "mode": args.mode,
             "clusters": [sorted(c) for c in prediction.clusters],
             "flagged_singletons": sorted(prediction.flagged_singletons),
         }
@@ -139,16 +109,13 @@ def cmd_simulate(args) -> int:
     g, err = _load(args.graph)
     if err is not None:
         return err
-    config = _config_from(args)
 
     failure = None
     try:
         # Opened before simulating, so an unwritable path costs no iterations.
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             try:
-                trace = dynamics.simulate(
-                    g, tol=config.tolerance, max_iter=config.max_iter
-                )
+                trace = dynamics.simulate(g, tol=args.tol, max_iter=args.max_iter)
             except NotConverged as exc:
                 trace, failure = exc.trace, exc
             dynamics.write_trace_csv(trace, fh)
@@ -160,7 +127,7 @@ def cmd_simulate(args) -> int:
             f"{failure}; partial trace written to {args.out}",
         )
 
-    observed = verification.clusters_from_trace(trace, tau=config.tau)
+    observed = verification.clusters_from_trace(trace, tau=args.tau)
     payload = {
         "converged": trace.converged,
         "iterations": trace.iterations,
@@ -184,10 +151,9 @@ def cmd_verify(args) -> int:
     g, err = _load(args.graph)
     if err is not None:
         return err
-    config = _config_from(args)
     try:
         report = verification.robustness_harness(
-            g, trials=config.trials, seed=config.seed, tau=config.tau
+            g, trials=args.trials, seed=_seed(args), tau=args.tau
         )
     except (NoStubbornAgents, UnreachableNodes, ConditionsNotMet, SingularSystem) as exc:
         return _fail(EXIT_CONDITIONS, str(exc))
@@ -205,12 +171,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("SFJ_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     try:
-        g = random_multiconsensus_graph(args.n, args.z, seed=seed)
+        g = random_multiconsensus_graph(args.n, args.z, seed=_seed(args))
     except InfeasibleParameters as exc:
         return _fail(EXIT_USAGE, str(exc))
     if args.out == "-":
@@ -225,16 +187,37 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=dynamics.DEFAULT_TOL,
-                        help="convergence tolerance (infinity norm)")
-    parser.add_argument("--max-iter", type=int, default=dynamics.DEFAULT_MAX_ITER)
-    parser.add_argument("--tau", type=float, default=verification.DEFAULT_TAU,
-                        help="cluster-equality tolerance, relative")
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed; env var SFJ_SEED overrides")
-    parser.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
+def _positive(kind):
+    """An argparse type: a number of the given kind that is positive and finite."""
+
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < math.inf:  # false for NaN as well
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+# Each subcommand takes only the flags it reads.
+_FLAGS = {
+    "--tol": dict(type=_positive(float), default=dynamics.DEFAULT_TOL,
+                  help="convergence tolerance (infinity norm)"),
+    "--max-iter": dict(type=_positive(int), default=dynamics.DEFAULT_MAX_ITER),
+    "--tau": dict(type=_positive(float), default=verification.DEFAULT_TAU,
+                  help="cluster-equality tolerance, relative"),
+    "--trials": dict(type=_positive(int), default=200),
+    "--seed": dict(type=int, default=0, help="RNG seed; env var SFJ_SEED overrides"),
+    "--mode": dict(choices=("strict", "relaxed"), default="strict"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,30 +229,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="detect persuasive agents")
     p.add_argument("graph")
-    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("predict", help="predicted opinion clusters")
     p.add_argument("graph")
-    _add_common(p)
+    _add_flags(p, "--mode")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="iterate the dynamics, write a CSV trace")
     p.add_argument("graph")
     p.add_argument("--out", default="trace.csv", help="trace CSV destination")
-    _add_common(p)
+    _add_flags(p, "--tol", "--max-iter", "--tau")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="randomized reweighting robustness check")
     p.add_argument("graph")
-    _add_common(p)
+    _add_flags(p, "--trials", "--seed", "--tau")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="emit a random two-condition network")
     p.add_argument("n", type=int)
     p.add_argument("z", type=int)
     p.add_argument("--out", default="-", help="output file, '-' for stdout")
-    _add_common(p)
+    _add_flags(p, "--seed")
     p.set_defaults(func=cmd_generate)
 
     return parser

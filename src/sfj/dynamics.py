@@ -21,7 +21,13 @@ from .errors import (
     SingularSystem,
     UnreachableNodes,
 )
-from .graph import NormalizedSystem, SignedDigraph, check_reachability, normalize
+from .graph import (
+    NormalizedSystem,
+    SignedDigraph,
+    _unreached,
+    check_reachability,
+    normalize,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -87,29 +93,15 @@ class ReducedRowRelation:
         )
 
 
-def sfj_step(W, beta, x, x0) -> np.ndarray:
-    """One opinion update: (I - diag(beta)) W x + diag(beta) x0."""
-    W = np.asarray(W, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    n = W.shape[0]
-    if W.shape != (n, n) or beta.shape != (n,) or x.shape != (n,) or x0.shape != (n,):
-        raise ValueError(
-            f"dimension mismatch: W {W.shape}, beta {beta.shape}, "
-            f"x {x.shape}, x0 {x0.shape}"
-        )
-    if np.any(beta < 0) or np.any(beta > 1):
-        raise ValueError("beta entries must lie in [0, 1]")
-    return (1.0 - beta) * (W @ x) + beta * x0
-
-
 def _contraction_certificate(update_abs: np.ndarray) -> Optional[float]:
     """Bound ||(I - M)^{-1}||_inf by the row sums of (I - abs(M))^{-1}.
 
     The bound converts a step difference into a guaranteed distance from the
-    fixed point. Returns None when abs(M) is not contracting (the solve
-    fails), in which case callers fall back to the plain step criterion.
+    fixed point. Call it only under stubborn-reachability, which makes abs(M)
+    contracting: on a non-contracting abs(M) the solve need not fail and can
+    return rounding garbage. Returns None when the solve still fails or
+    yields a non-finite or negative row sum, in which case callers fall back
+    to the plain step criterion.
     """
     n = update_abs.shape[0]
     try:
@@ -130,15 +122,18 @@ def simulate(
 
     The stop rule scales the step difference by a certified contraction
     bound, so on convergence the last iterate is within tol of the true
-    fixed point, not merely tol away from its predecessor. Raises
-    NotConverged (carrying the partial trace) when max_iter is exhausted.
+    fixed point, not merely tol away from its predecessor. The bound exists
+    only under stubborn-reachability; without it the plain step criterion
+    applies. Raises NotConverged (carrying the partial trace) when max_iter
+    is exhausted.
 
     Each step touches only the nonzeros of the update matrix, one per edge,
     rather than all n^2 entries; the certificate still uses the dense matrix.
     """
     sysm = normalize(g)
     update = sysm.update_matrix()
-    kappa = _contraction_certificate(np.abs(update))
+    certified = g.m > 0 and check_reachability(g).ok
+    kappa = _contraction_certificate(np.abs(update)) if certified else None
     step_tol = tol if kappa is None else tol / kappa
 
     rows, cols = np.nonzero(update)
@@ -163,20 +158,6 @@ def simulate(
         residual=residual,
     )
     raise NotConverged(trace, f"no convergence after {max_iter} iterations")
-
-
-def spectral_radius(M) -> float:
-    """Largest eigenvalue magnitude of a square matrix, from dense eigenvalues.
-
-    influence_matrix does not call this: it gates on stubborn-reachability
-    instead. The callers are the block gate of reduce_steady_state and the
-    neumann_terms_for test oracle.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def influence_matrix(g: SignedDigraph) -> np.ndarray:
@@ -216,73 +197,6 @@ def _influence_solve(sysm: NormalizedSystem, stubborn: np.ndarray) -> np.ndarray
     V = np.zeros((n, n))
     V[:, stubborn] = np.linalg.solve(np.eye(n) - sysm.update_matrix(), rhs)
     return V
-
-
-def neumann_influence(g: SignedDigraph, terms: int) -> np.ndarray:
-    """Truncated series sum_{k=0}^{terms} ((I-B)W)^k B.
-
-    Independent slow route to the influence matrix, kept solely as a test
-    oracle for the direct solve. terms = 0 returns B itself.
-    """
-    if terms < 0:
-        raise ValueError(f"terms must be >= 0, got {terms}")
-    sysm = normalize(g)
-    update = sysm.update_matrix()
-    acc = np.diag(sysm.beta)
-    term = acc.copy()
-    for _ in range(terms):
-        term = update @ term
-        acc += term
-    return acc
-
-
-def neumann_tail_bound(g: SignedDigraph, terms: int) -> np.ndarray:
-    """Entrywise certificate for the series remainder after `terms` terms.
-
-    Every power of the update matrix is dominated entrywise by the same
-    power of its absolute value, so the dropped tail is at most
-    abs(M)^{terms+1} (I - abs(M))^{-1} B entry by entry.
-    """
-    sysm = normalize(g)
-    update_abs = np.abs(sysm.update_matrix())
-    n = g.n
-    try:
-        tail_gain = np.linalg.solve(np.eye(n) - update_abs, np.diag(sysm.beta))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            "absolute update matrix is not contracting; no tail bound exists"
-        ) from exc
-    return np.linalg.matrix_power(update_abs, terms + 1) @ tail_gain
-
-
-def neumann_terms_for(g: SignedDigraph, target: float) -> int:
-    """Smallest certified truncation depth within target of the exact solve.
-
-    Starts from the geometric estimate rho_abs^{K+1} / (1 - rho_abs) and
-    then walks the exact entrywise tail certificate forward until it clears
-    the target; the estimate alone can undershoot when the update matrix has
-    a non-normal transient.
-    """
-    sysm = normalize(g)
-    update_abs = np.abs(sysm.update_matrix())
-    rho_abs = spectral_radius(update_abs)
-    if rho_abs >= 1.0:
-        raise SingularSystem(
-            f"absolute update matrix has spectral radius {rho_abs:.6g} >= 1"
-        )
-    scale = float(np.max(sysm.beta))
-    if rho_abs == 0.0 or scale == 0.0:
-        return 1
-    k = max(
-        1, int(np.ceil(np.log(target * (1.0 - rho_abs) / scale) / np.log(rho_abs)))
-    )
-    n = g.n
-    tail_gain = np.linalg.solve(np.eye(n) - update_abs, np.diag(sysm.beta))
-    power = np.linalg.matrix_power(update_abs, k + 1)
-    while np.max(power @ tail_gain) > target:
-        power = update_abs @ power
-        k += 1
-    return k
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
@@ -340,14 +254,19 @@ def reduce_steady_state(
     """Eliminate the rest of p's persuaded set and inspect q's remaining row.
 
     With alpha-complement = persuaded \\ {q}, the eliminated block is
-    I - W restricted to those agents; it is invertible whenever the
-    restricted weights contract, which stubborn-reachability guarantees.
+    I - (I-B)W restricted to those agents. Once every in-edge of the
+    persuaded set is positive, W restricted to the block is nonnegative with
+    rows summing to at most one, and its spectral radius is below one
+    exactly when every eliminated agent is reached from outside the block
+    along edges inside it (graph._unreached); then the block is invertible.
+    p dominates its persuaded set, so for a detected set this always holds.
     Returns (reduced matrix, ReducedRowRelation). The relation also records
     how far the eliminated coordinates, reconstructed from the kept ones,
     drift from the full solution.
 
     Raises HypothesisViolated if any persuaded agent has a negative in-edge
-    and SingularBlock if the eliminated block fails the contraction test.
+    and SingularBlock if some eliminated agent is unreached, i.e. the
+    restricted weights have spectral radius one.
     """
     members = frozenset(persuaded)
     if q not in members:
@@ -361,13 +280,14 @@ def reduce_steady_state(
     if bad:
         raise HypothesisViolated(bad)
 
-    elim = sorted(v - 1 for v in members - {q})
-    if elim:
-        rho = spectral_radius(sysm.W[np.ix_(elim, elim)])
-        if rho >= 1.0:
-            raise SingularBlock(
-                f"restricted weight block has spectral radius {rho:.6g} >= 1"
-            )
+    rest = members - {q}
+    closed = _unreached(g, rest)
+    if closed:
+        raise SingularBlock(
+            f"agents {sorted(closed)} have no path from outside the eliminated "
+            "block, so its restricted weights have spectral radius 1"
+        )
+    elim = sorted(v - 1 for v in rest)
     elim_set = set(elim)
     keep = [i for i in range(sysm.R.shape[0]) if i not in elim_set]
     reduced = schur_complement(sysm.R, keep)

@@ -28,10 +28,6 @@ class UnreachableNodes(SFJError):
         )
 
 
-class SizeLimit(SFJError):
-    """Input exceeds the size bound of an exhaustive-enumeration routine."""
-
-
 class ConditionsNotMet(SFJError):
     """The coverage (C1) or cooperativity (C2) condition does not hold."""
 
@@ -45,8 +41,8 @@ class NotConverged(SFJError):
 
 
 class SingularSystem(SFJError):
-    """The steady-state system is not solvable or not certified: no stubborn
-    agent, an agent no stubborn agent reaches, or spectral radius >= 1."""
+    """The steady-state solve is not certified: there is no stubborn agent,
+    or some agent no stubborn agent reaches."""
 
 
 class SingularBlock(SFJError):

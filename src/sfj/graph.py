@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,18 +114,6 @@ class SignedDigraph:
         a[dst, src] = [w for _, _, w in self.edges]
         return a
 
-    def reweighted(self, weights: Iterable[float], beta=None) -> "SignedDigraph":
-        """Copy with new edge weights (same order as .edges) and optional beta."""
-        ws = list(weights)
-        if len(ws) != len(self.edges):
-            raise GraphValidationError(
-                f"expected {len(self.edges)} weights, got {len(ws)}"
-            )
-        edges = tuple(Edge(e.src, e.dst, w) for e, w in zip(self.edges, ws))
-        return SignedDigraph(
-            self.n, edges, self.beta if beta is None else tuple(beta), self.x0
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class NormalizedSystem:
@@ -191,24 +179,35 @@ def check_reachability(g: SignedDigraph) -> ReachabilityReport:
     """
     if g.m == 0:
         raise NoStubbornAgents("network has no stubborn agent")
-    out = g.out_neighbours()
-    seen = set(g.stubborn)
-    stack = list(g.stubborn)
-    while stack:
-        v = stack.pop()
-        for u in out[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    unreachable = frozenset(
-        i for i in range(1, g.n + 1) if g.beta[i - 1] == 0.0 and i not in seen
+    # A path from a stubborn agent runs among non-stubborn agents after the
+    # last stubborn one on it, so this is the restricted search on that block.
+    unreachable = _unreached(
+        g, (i for i in range(1, g.n + 1) if g.beta[i - 1] == 0.0)
     )
     return ReachabilityReport(ok=not unreachable, unreachable=unreachable)
 
 
-def abs_matrix(m) -> np.ndarray:
-    """Entrywise absolute value."""
-    return np.abs(np.asarray(m, dtype=float))
+def _unreached(g: SignedDigraph, block) -> frozenset[int]:
+    """Agents of block that no path from outside block, running inside it, reaches.
+
+    This is the package's one contraction argument. Let A be abs(W)
+    restricted to block; W's rows are normalized over all in-edges, so A's
+    rows sum to at most one, and a row falls short exactly when its agent has
+    an in-edge from outside block (a self-loop is not one). rho(A) < 1 iff
+    every agent of block is reached from such an agent along edges inside
+    block: an unreached set is a closed class whose rows sum to one, so then
+    rho(A) = 1. O(n + edges).
+    """
+    inside = set(block)
+    out = g.out_neighbours()
+    stack = [dst for src, dst, _ in g.edges if dst in inside and src not in inside]
+    seen = set(stack)
+    while stack:
+        for u in out[stack.pop()]:
+            if u in inside and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return frozenset(inside - seen)
 
 
 def graph_to_dict(g: SignedDigraph) -> dict:

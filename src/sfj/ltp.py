@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import ConditionsNotMet, NoStubbornAgents, SizeLimit, UnreachableNodes
-from .graph import SignedDigraph, check_reachability
+from .errors import ConditionsNotMet, NoStubbornAgents, UnreachableNodes
+from .graph import SignedDigraph
 
 VIRTUAL_ROOT = 0  # agents are 1..n, so 0 is free for the synthetic root
 
@@ -204,63 +204,6 @@ def _check_internal_consistency(g, stubborn, persuaded):
             assert first == p, f"persuaded sets of {first},{p} overlap"
             outside = set(inn[q]) - members - {p}
             assert not outside, f"in-neighbours {outside} of {q} escape cluster of {p}"
-
-
-def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
-    """Literal restatement of the persuasive-agent conditions by path enumeration.
-
-    Enumerates every simple path from every stubborn agent to every other
-    agent and intersects the node sets. Exponential; refuses n > max_n.
-    Exists purely as an independent check of detect_ltp_agents.
-    """
-    if g.n > max_n:
-        raise SizeLimit(f"path enumeration limited to n <= {max_n}, got {g.n}")
-    report = check_reachability(g)
-    if not report.ok:
-        raise UnreachableNodes(report.unreachable)
-
-    out = g.out_neighbours()
-    stubborn = frozenset(g.stubborn)
-
-    # gate[q] = agents on every stubborn-to-q path (q excluded); None if no path.
-    gate: dict[int, Optional[set[int]]] = {q: None for q in range(1, g.n + 1)}
-
-    def walk(node, on_path):
-        common = gate[node]
-        if common is None:
-            gate[node] = set(on_path) - {node}
-        else:
-            common &= on_path
-        for nxt in out[node]:
-            if nxt not in on_path:
-                on_path.add(nxt)
-                walk(nxt, on_path)
-                on_path.remove(nxt)
-
-    for s in stubborn:
-        walk(s, {s})
-
-    ltp = []
-    persuaded = {}
-    for p in range(1, g.n + 1):
-        if p not in stubborn and gate[p]:
-            continue  # a gatekeeper cuts p off: not persuasive
-        if p not in stubborn and gate[p] is None:
-            continue  # unreachable stubborn-free island (cannot happen here)
-        members = frozenset(
-            q
-            for q in range(1, g.n + 1)
-            if q not in stubborn and gate[q] is not None and p in gate[q]
-        )
-        if members:
-            ltp.append(p)
-            persuaded[p] = members
-    return LTPCertificate(
-        n=g.n,
-        stubborn=stubborn,
-        ltp_agents=tuple(sorted(ltp)),
-        persuaded=persuaded,
-    )
 
 
 def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:

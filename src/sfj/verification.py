@@ -26,17 +26,6 @@ WEIGHT_RANGE = (0.1, 10.0)  # re-draw window; keeps edges away from zero
 
 
 @dataclass(frozen=True)
-class ClusterReport:
-    """Predicted vs. observed partition, with the worst within-cluster spread."""
-
-    predicted: tuple[frozenset[int], ...]
-    observed: tuple[frozenset[int], ...]
-    match: bool
-    max_within_cluster_spread: float
-    tolerance: float
-
-
-@dataclass(frozen=True)
 class TrialFailure:
     """A reweighting trial whose influence clusters differ from the prediction.
 
@@ -165,17 +154,6 @@ def cluster_spread(V, clusters) -> float:
 def refines(finer, coarser) -> bool:
     """True when every set of `finer` is contained in some set of `coarser`."""
     return all(any(f <= c for c in coarser) for f in finer)
-
-
-def cluster_report(predicted, V, tau: float = DEFAULT_TAU) -> ClusterReport:
-    observed = clusters_from_influence(V, tau)
-    return ClusterReport(
-        predicted=tuple(frozenset(c) for c in predicted),
-        observed=observed,
-        match=refines(predicted, observed),
-        max_within_cluster_spread=cluster_spread(V, predicted),
-        tolerance=tau,
-    )
 
 
 def robustness_harness(

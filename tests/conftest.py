@@ -78,3 +78,27 @@ def merge_when_agent_7_leads_agent_1(V, tau=DEFAULT_TAU):
     0.256)."""
     clusters = clusters_from_influence(V, tau)
     return (frozenset().union(*clusters),) if V[0, 6] > 0.3 else clusters
+
+
+def unreached_positive_class():
+    """Agent 1 (stubborn) feeds only agent 2; agents 3..7 form a positive
+    class that nothing outside reaches. abs(M) is then not contracting, yet
+    the dense solve behind the contraction bound does not fail: it returns a
+    bound near 6e16, which would stall the stop rule."""
+    edges = (
+        (1, 2, 1.0),
+        (3, 4, 9.990356235006981),
+        (4, 5, 2.695253282280896),
+        (5, 6, 8.505540766406794),
+        (6, 7, 6.096263171691472),
+        (7, 3, 8.079753504518525),
+        (6, 5, 7.631808967376477),
+        (7, 4, 4.523448222171074),
+        (4, 7, 1.3634447963110894),
+    )
+    return SignedDigraph(
+        7,
+        tuple(Edge(*e) for e in edges),
+        (0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (2.6, 3.0, 8.1, 0.9, 6.0, 7.3, 1.9),
+    )

@@ -1,0 +1,215 @@
+"""Slow, independent reference implementations that the tests compare against.
+
+None of this is part of the sfj package: each routine restates a result the
+package computes another way (by path enumeration, by a truncated series, by
+dense eigenvalues or by one explicit step) so a test can check one route
+against the other.
+"""
+
+from typing import Iterable, Optional
+
+import numpy as np
+
+from sfj import (
+    Edge,
+    GraphValidationError,
+    LTPCertificate,
+    SFJError,
+    SignedDigraph,
+    SingularSystem,
+    UnreachableNodes,
+    check_reachability,
+    normalize,
+)
+
+
+class SizeLimit(SFJError):
+    """Input exceeds the size bound of an exhaustive-enumeration routine."""
+
+
+def reweighted(g: SignedDigraph, weights: Iterable[float], beta=None) -> SignedDigraph:
+    """Copy of g with new edge weights (same order as .edges) and optional beta."""
+    ws = list(weights)
+    if len(ws) != len(g.edges):
+        raise GraphValidationError(f"expected {len(g.edges)} weights, got {len(ws)}")
+    edges = tuple(Edge(e.src, e.dst, w) for e, w in zip(g.edges, ws))
+    return SignedDigraph(g.n, edges, g.beta if beta is None else tuple(beta), g.x0)
+
+
+def unreached_by_closure(g: SignedDigraph, block) -> frozenset[int]:
+    """Agents of block that no path from outside block, inside block, reaches.
+
+    Boolean transitive closure of the adjacency restricted to block, seeded
+    by the block agents that have an in-edge from outside it.
+    """
+    inside = sorted(block)
+    pos = {v: i for i, v in enumerate(inside)}
+    adj = np.zeros((len(inside), len(inside)), dtype=bool)
+    entered = np.zeros(len(inside), dtype=bool)
+    for src, dst, _ in g.edges:
+        if dst in pos:
+            if src in pos:
+                adj[pos[src], pos[dst]] = True
+            else:
+                entered[pos[dst]] = True
+    closure = adj | np.eye(len(inside), dtype=bool)
+    for _ in range(len(inside)):
+        closure = closure | (closure @ adj)
+    reached = entered @ closure
+    return frozenset(v for v, hit in zip(inside, reached) if not hit)
+
+
+def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
+    """Literal restatement of the persuasive-agent conditions by path enumeration.
+
+    Enumerates every simple path from every stubborn agent to every other
+    agent and intersects the node sets. Exponential; refuses n > max_n.
+    Exists purely as an independent check of detect_ltp_agents.
+    """
+    if g.n > max_n:
+        raise SizeLimit(f"path enumeration limited to n <= {max_n}, got {g.n}")
+    report = check_reachability(g)
+    if not report.ok:
+        raise UnreachableNodes(report.unreachable)
+
+    out = g.out_neighbours()
+    stubborn = frozenset(g.stubborn)
+
+    # gate[q] = agents on every stubborn-to-q path (q excluded); None if no path.
+    gate: dict[int, Optional[set[int]]] = {q: None for q in range(1, g.n + 1)}
+
+    def walk(node, on_path):
+        common = gate[node]
+        if common is None:
+            gate[node] = set(on_path) - {node}
+        else:
+            common &= on_path
+        for nxt in out[node]:
+            if nxt not in on_path:
+                on_path.add(nxt)
+                walk(nxt, on_path)
+                on_path.remove(nxt)
+
+    for s in stubborn:
+        walk(s, {s})
+
+    ltp = []
+    persuaded = {}
+    for p in range(1, g.n + 1):
+        if p not in stubborn and gate[p]:
+            continue  # a gatekeeper cuts p off: not persuasive
+        if p not in stubborn and gate[p] is None:
+            continue  # unreachable stubborn-free island (cannot happen here)
+        members = frozenset(
+            q
+            for q in range(1, g.n + 1)
+            if q not in stubborn and gate[q] is not None and p in gate[q]
+        )
+        if members:
+            ltp.append(p)
+            persuaded[p] = members
+    return LTPCertificate(
+        n=g.n,
+        stubborn=stubborn,
+        ltp_agents=tuple(sorted(ltp)),
+        persuaded=persuaded,
+    )
+
+
+def sfj_step(W, beta, x, x0) -> np.ndarray:
+    """One opinion update: (I - diag(beta)) W x + diag(beta) x0."""
+    W = np.asarray(W, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    n = W.shape[0]
+    if W.shape != (n, n) or beta.shape != (n,) or x.shape != (n,) or x0.shape != (n,):
+        raise ValueError(
+            f"dimension mismatch: W {W.shape}, beta {beta.shape}, "
+            f"x {x.shape}, x0 {x0.shape}"
+        )
+    if np.any(beta < 0) or np.any(beta > 1):
+        raise ValueError("beta entries must lie in [0, 1]")
+    return (1.0 - beta) * (W @ x) + beta * x0
+
+
+def spectral_radius(M) -> float:
+    """Largest eigenvalue magnitude of a square matrix, from dense eigenvalues.
+
+    The package certifies contraction by stubborn-reachability instead; this
+    is the numerical check the tests hold that certificate against.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+def neumann_influence(g: SignedDigraph, terms: int) -> np.ndarray:
+    """Truncated series sum_{k=0}^{terms} ((I-B)W)^k B.
+
+    Independent slow route to the influence matrix, kept solely as a test
+    oracle for the direct solve. terms = 0 returns B itself.
+    """
+    if terms < 0:
+        raise ValueError(f"terms must be >= 0, got {terms}")
+    sysm = normalize(g)
+    update = sysm.update_matrix()
+    acc = np.diag(sysm.beta)
+    term = acc.copy()
+    for _ in range(terms):
+        term = update @ term
+        acc += term
+    return acc
+
+
+def neumann_tail_bound(g: SignedDigraph, terms: int) -> np.ndarray:
+    """Entrywise certificate for the series remainder after `terms` terms.
+
+    Every power of the update matrix is dominated entrywise by the same
+    power of its absolute value, so the dropped tail is at most
+    abs(M)^{terms+1} (I - abs(M))^{-1} B entry by entry.
+    """
+    sysm = normalize(g)
+    update_abs = np.abs(sysm.update_matrix())
+    n = g.n
+    try:
+        tail_gain = np.linalg.solve(np.eye(n) - update_abs, np.diag(sysm.beta))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            "absolute update matrix is not contracting; no tail bound exists"
+        ) from exc
+    return np.linalg.matrix_power(update_abs, terms + 1) @ tail_gain
+
+
+def neumann_terms_for(g: SignedDigraph, target: float) -> int:
+    """Smallest certified truncation depth within target of the exact solve.
+
+    Starts from the geometric estimate rho_abs^{K+1} / (1 - rho_abs) and
+    then walks the exact entrywise tail certificate forward until it clears
+    the target; the estimate alone can undershoot when the update matrix has
+    a non-normal transient.
+    """
+    sysm = normalize(g)
+    update_abs = np.abs(sysm.update_matrix())
+    rho_abs = spectral_radius(update_abs)
+    if rho_abs >= 1.0:
+        raise SingularSystem(
+            f"absolute update matrix has spectral radius {rho_abs:.6g} >= 1"
+        )
+    scale = float(np.max(sysm.beta))
+    if rho_abs == 0.0 or scale == 0.0:
+        return 1
+    k = max(
+        1, int(np.ceil(np.log(target * (1.0 - rho_abs) / scale) / np.log(rho_abs)))
+    )
+    n = g.n
+    tail_gain = np.linalg.solve(np.eye(n) - update_abs, np.diag(sysm.beta))
+    power = np.linalg.matrix_power(update_abs, k + 1)
+    while np.max(power @ tail_gain) > target:
+        power = update_abs @ power
+        k += 1
+    return k
+
+

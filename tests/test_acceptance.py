@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from numpy import abs as abs_matrix
 from sfj import (
     SignedDigraph,
-    abs_matrix,
     analyze,
-    brute_force_ltp_oracle,
     build_dominator_tree,
     build_steady_state,
     clusters_from_trace,
@@ -23,20 +22,23 @@ from sfj import (
     influence_matrix,
     load_graph,
     networks,
-    neumann_influence,
-    neumann_terms_for,
     normalize,
     predict_clusters,
     random_multiconsensus_graph,
     reduce_steady_state,
     robustness_harness,
     simulate,
-    spectral_radius,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "networks"
 
 from conftest import random_reachable_graph
+from oracles import (
+    brute_force_ltp_oracle,
+    neumann_influence,
+    neumann_terms_for,
+    spectral_radius,
+)
 
 
 def report(line):

@@ -1,0 +1,33 @@
+import pytest
+
+import sfj
+
+# Test oracles live in tests/oracles.py; abs_matrix and cluster_report were
+# deleted outright (np.abs, and clusters_from_influence with cluster_spread).
+NOT_EXPORTED = (
+    "ClusterReport",
+    "SizeLimit",
+    "abs_matrix",
+    "brute_force_ltp_oracle",
+    "cluster_report",
+    "neumann_influence",
+    "neumann_tail_bound",
+    "neumann_terms_for",
+    "sfj_step",
+    "spectral_radius",
+)
+
+
+@pytest.mark.parametrize("name", sfj.__all__)
+def test_exported_name_resolves(name):
+    assert getattr(sfj, name) is not None
+
+
+@pytest.mark.parametrize("name", NOT_EXPORTED)
+def test_test_only_name_is_not_exported(name):
+    assert name not in sfj.__all__
+    assert not hasattr(sfj, name)
+
+
+def test_reweighting_is_not_a_graph_method():
+    assert not hasattr(sfj.SignedDigraph, "reweighted")

@@ -14,7 +14,7 @@ from sfj.cli import (
 )
 from sfj.graph import Edge, SignedDigraph
 
-from conftest import merge_when_agent_7_leads_agent_1
+from conftest import merge_when_agent_7_leads_agent_1, unreached_positive_class
 
 FIXTURES = Path(__file__).resolve().parent.parent / "networks"
 
@@ -129,8 +129,9 @@ class TestAnalyze:
         assert "positive" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("flag", ["--tol", "--tau"])
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "command, flag", [("simulate", "--tol"), ("simulate", "--tau"), ("verify", "--tau")]
+    )
     def test_non_finite_config_exits_usage(
         self, capsys, g2_path, tmp_path, command, flag, value
     ):
@@ -140,6 +141,25 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "finite" in err and out == ""
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("analyze", "--trials", "5"),
+            ("analyze", "--seed", "1"),
+            ("predict", "--tol", "1e-6"),
+            ("simulate", "--mode", "relaxed"),
+            ("simulate", "--seed", "1"),
+            ("verify", "--max-iter", "10"),
+            ("verify", "--mode", "strict"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_usage(
+        self, capsys, g2_path, command, flag, value
+    ):
+        code, out, err = run(capsys, command, g2_path, flag, value)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in err and out == ""
 
 
 class TestPredict:
@@ -223,6 +243,17 @@ class TestSimulate:
         assert code == EXIT_NOT_CONVERGED
         assert "partial trace" in err
         assert len(Path(out_csv).read_text().strip().splitlines()) == 42
+
+    def test_unreached_class_converges_by_the_plain_step_rule(self, capsys, tmp_path):
+        path = tmp_path / "closed.json"
+        save_graph(unreached_positive_class(), path)
+        out_csv = str(tmp_path / "trace.csv")
+        code, out, _ = run(capsys, "simulate", str(path), "--out", out_csv,
+                           "--max-iter", "100000")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["converged"] is True and data["iterations"] <= 100
+        assert data["predicted"] is None  # agents 3..7 are unreached
 
     @pytest.mark.parametrize("target", ["missing/t.csv", "."])
     def test_unwritable_out_exits_usage(self, capsys, g2_path, tmp_path, target):

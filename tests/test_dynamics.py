@@ -12,25 +12,29 @@ from sfj import (
     NotConverged,
     SingularBlock,
     SingularSystem,
-    abs_matrix,
     build_steady_state,
+    check_reachability,
     influence_matrix,
-    neumann_influence,
-    neumann_tail_bound,
-    neumann_terms_for,
     normalize,
     random_multiconsensus_graph,
     reduce_steady_state,
     schur_complement,
-    sfj_step,
     simulate,
-    spectral_radius,
     write_trace_csv,
 )
 from sfj.dynamics import OpinionTrace
 from sfj.graph import Edge, SignedDigraph
 
-from conftest import random_reachable_graph
+from conftest import random_reachable_graph, unreached_positive_class
+from oracles import (
+    neumann_influence,
+    neumann_tail_bound,
+    neumann_terms_for,
+    reweighted,
+    sfj_step,
+    spectral_radius,
+    unreached_by_closure,
+)
 
 
 def make(n, edges, beta, x0=None):
@@ -105,6 +109,14 @@ class TestSimulate:
         assert not trace.converged
         assert trace.states.shape == (101, 3)
 
+    def test_unreached_class_falls_back_to_the_plain_step_rule(self):
+        # Without stubborn-reachability no contraction bound applies; the
+        # plain rule stops once the class settles into its own consensus.
+        trace = simulate(unreached_positive_class(), max_iter=100_000)
+        assert trace.converged and trace.iterations <= 100
+        assert trace.residual < 1e-10
+        assert np.ptp(trace.final[2:]) <= 1e-8
+
     def test_converged_residual_below_tolerance(self, g2):
         trace = simulate(g2, tol=1e-8)
         assert trace.residual <= 1e-8
@@ -135,7 +147,7 @@ class TestSpectralRadius:
         for _ in range(200):
             n = int(rng.integers(2, 12))
             m = rng.standard_normal((n, n))
-            assert spectral_radius(m) <= spectral_radius(abs_matrix(m)) + 1e-12
+            assert spectral_radius(m) <= spectral_radius(np.abs(m)) + 1e-12
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -157,7 +169,7 @@ class TestInfluenceMatrix:
         rng = np.random.default_rng(43)
         for _ in range(50):
             g = random_reachable_graph(rng)
-            g = g.reweighted([abs(w) for _, _, w in g.edges])
+            g = reweighted(g, [abs(w) for _, _, w in g.edges])
             v = influence_matrix(g)
             assert np.max(np.abs(v.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -228,7 +240,7 @@ class TestSteadyStateSystem:
     def test_all_cooperative_rows_sum_to_zero(self):
         rng = np.random.default_rng(53)
         g = random_reachable_graph(rng)
-        g = g.reweighted([abs(w) for _, _, w in g.edges])
+        g = reweighted(g, [abs(w) for _, _, w in g.edges])
         sysm = build_steady_state(g)
         ones = np.ones(sysm.R.shape[0])
         assert np.max(np.abs(sysm.R @ ones)) <= 1e-12
@@ -321,8 +333,8 @@ class TestReduction:
                 assert relation.solve_mismatch <= 1e-9
 
     def test_negative_in_edge_at_persuaded_agent_rejected(self, g1):
-        flipped = g1.reweighted(
-            [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
+        flipped = reweighted(
+            g1, [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
         )
         sysm = build_steady_state(flipped)
         with pytest.raises(HypothesisViolated):
@@ -332,6 +344,69 @@ class TestReduction:
         sysm = build_steady_state(g1)
         with pytest.raises(ValueError, match="not in the persuaded set"):
             reduce_steady_state(sysm, 2, 6, {3, 4})
+
+
+@st.composite
+def cooperative_blocks(draw):
+    """A positive-weight graph with a persuader p and a block {q} | rest.
+
+    Edges are drawn freely, self-loops included, so closed cycles and agents
+    with no in-edge (the self-loop fallback w_ii = 1) are common. Agents no
+    stubborn agent reaches are made stubborn, so the steady state exists; the
+    block may contain stubborn agents, and it is often closed.
+    """
+    n = draw(st.integers(2, 7))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = draw(st.lists(ends, unique=True, max_size=2 * n))
+    edges = tuple(Edge(s, d, draw(st.floats(0.1, 10.0))) for s, d in pairs)
+    stubborn = draw(st.sets(st.integers(1, n), min_size=1))
+    g = make(n, edges, beta=[0.5 if i in stubborn else 0.0 for i in range(1, n + 1)])
+    stubborn |= check_reachability(g).unreachable
+    g = make(n, edges, beta=[0.5 if i in stubborn else 0.0 for i in range(1, n + 1)])
+    p = draw(st.integers(1, n))
+    members = draw(st.sets(st.sampled_from([v for v in range(1, n + 1) if v != p]),
+                           min_size=1))
+    q = draw(st.sampled_from(sorted(members)))
+    return g, p, q, members
+
+
+# Agent 1 is stubborn and hears only from its own self-loop, so the block {1}
+# is closed although the edge (1, 1) points at it.
+SELF_LOOP_BLOCK = (
+    make(3, [Edge(1, 1, 2.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0)], beta=[0.5, 0.0, 0.0]),
+    3, 2, {1, 2},
+)
+
+
+class TestReductionGate:
+    @settings(max_examples=400, deadline=None)
+    @given(cooperative_blocks())
+    @example(SELF_LOOP_BLOCK)
+    def test_singular_exactly_when_the_block_is_closed(self, case):
+        g, p, q, members = case
+        sysm = build_steady_state(g)
+        block = members - {q}
+        elim = sorted(v - 1 for v in block)
+        rho = spectral_radius(sysm.W[np.ix_(elim, elim)]) if elim else 0.0
+        try:
+            reduce_steady_state(sysm, p, q, members)
+            raised = False
+        except SingularBlock:
+            raised = True
+        assert raised == bool(unreached_by_closure(g, block))
+        if rho < 1.0 - 1e-9:
+            assert not raised
+
+    def test_closed_cycle_is_singular(self):
+        # 1 <-> 2 is a cycle with no other in-edge: W restricted to {1, 2} is
+        # [[0, 1], [1, 0]], radius 1. The block {1, 3} is entered from 2.
+        g = make(4, [Edge(1, 2, 1.0), Edge(2, 1, 3.0), Edge(2, 3, 1.0),
+                     Edge(3, 4, 1.0)], beta=[0.5, 0.0, 0.0, 0.0])
+        sysm = build_steady_state(g)
+        with pytest.raises(SingularBlock, match=r"\[1, 2\]"):
+            reduce_steady_state(sysm, 4, 3, {1, 2, 3})
+        _, relation = reduce_steady_state(sysm, 4, 2, {1, 2, 3})
+        assert relation.solve_mismatch <= 1e-9
 
 
 class TestCsvExport:

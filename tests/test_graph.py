@@ -9,7 +9,6 @@ from sfj import (
     GraphFormatError,
     GraphValidationError,
     NoStubbornAgents,
-    abs_matrix,
     check_reachability,
     graph_from_dict,
     graph_to_dict,
@@ -20,6 +19,7 @@ from sfj import (
 from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph
 
 from conftest import brute_force_reachable, random_reachable_graph
+from oracles import reweighted
 
 
 def make(n, edges, stubborn=(1,), x0=None):
@@ -102,7 +102,7 @@ class TestNormalize:
         for _ in range(25):
             g = random_reachable_graph(rng)
             scales = {i: rng.uniform(0.1, 50.0) for i in range(1, g.n + 1)}
-            rescaled = g.reweighted([e.weight * scales[e.dst] for e in g.edges])
+            rescaled = reweighted(g, [e.weight * scales[e.dst] for e in g.edges])
             assert np.max(np.abs(normalize(g).W - normalize(rescaled).W)) <= ROW_SUM_TOL
 
     def test_sign_and_support_match_edges(self):
@@ -158,28 +158,6 @@ class TestReachability:
             beta[stub - 1] = 1.0
             g = SignedDigraph(n, tuple(edges), tuple(beta), tuple(np.zeros(n)))
             assert set(check_reachability(g).unreachable) == brute_force_reachable(g)
-
-
-class TestAbsMatrix:
-    def test_entrywise(self):
-        out = abs_matrix([[-0.5, 0.5], [1.0, 0.0]])
-        assert np.array_equal(out, [[0.5, 0.5], [1.0, 0.0]])
-
-    @given(
-        st.lists(
-            st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_nonnegative_fixed_point_and_idempotence(self, rows):
-        m = np.array(rows)
-        once = abs_matrix(m)
-        assert np.all(once >= 0)
-        assert np.array_equal(abs_matrix(once), once)
-        if np.all(m >= 0):
-            assert np.array_equal(once, m)
 
 
 class TestValidation:

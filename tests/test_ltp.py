@@ -3,10 +3,8 @@ import pytest
 
 from sfj import (
     ConditionsNotMet,
-    SizeLimit,
     UnreachableNodes,
     analyze,
-    brute_force_ltp_oracle,
     build_dominator_tree,
     certificate_to_dict,
     check_conditions,
@@ -18,6 +16,7 @@ from sfj.graph import Edge, SignedDigraph
 from sfj.ltp import VIRTUAL_ROOT
 
 from conftest import random_reachable_graph
+from oracles import SizeLimit, brute_force_ltp_oracle, reweighted
 
 
 def make(n, edges, stubborn, x0=None):
@@ -216,7 +215,7 @@ class TestCertificateProperties:
             weights = rng.uniform(0.1, 10.0, len(g.edges)) * rng.choice(
                 [-1.0, 1.0], len(g.edges)
             )
-            scrambled = g.reweighted(weights)
+            scrambled = reweighted(g, weights)
             redo = detect_ltp_agents(scrambled, build_dominator_tree(scrambled))
             assert base.same_detection(redo)
 
@@ -227,8 +226,8 @@ class TestConditions:
         assert cert.cooperative is True
 
     def test_negative_edge_into_persuaded_agent_flags_c2(self, g1):
-        flipped = g1.reweighted(
-            [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
+        flipped = reweighted(
+            g1, [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
         )
         cert = analyze(flipped)
         assert cert.cooperative is False

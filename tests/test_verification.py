@@ -7,7 +7,6 @@ from sfj import (
     ConditionsNotMet,
     NotConverged,
     analyze,
-    cluster_report,
     cluster_spread,
     clusters_from_influence,
     clusters_from_trace,
@@ -24,6 +23,7 @@ from sfj.graph import Edge, SignedDigraph
 from sfj.verification import _group_rows, _UnionFind
 
 from conftest import merge_when_agent_7_leads_agent_1
+from oracles import reweighted
 
 
 def pairwise_group_rows(rows, thresh):
@@ -64,7 +64,7 @@ def loop_harness(g, trials, seed, tau=verification.DEFAULT_TAU):
         weights = signs * rng.uniform(lo, hi, size=len(g.edges))
         beta = np.zeros(g.n)
         beta[stubborn_rows] = 1.0 - rng.uniform(0.0, 1.0, size=len(stubborn_rows))
-        V = influence_matrix(g.reweighted(weights, beta=beta))
+        V = influence_matrix(reweighted(g, weights, beta=beta))
         observed = verification.clusters_from_influence(V, tau)
         worst = max(worst, cluster_spread(V, predicted))
         if set(observed) == set(predicted):
@@ -212,14 +212,15 @@ class TestRefines:
 class TestClusterReport:
     def test_g2_report_matches(self, g2):
         predicted = predict_clusters(analyze(g2)).clusters
-        report = cluster_report(predicted, influence_matrix(g2))
-        assert report.match is True
-        assert report.max_within_cluster_spread <= 1e-10
-        assert set(report.observed) == set(predicted)
+        V = influence_matrix(g2)
+        observed = clusters_from_influence(V)
+        assert refines(predicted, observed)
+        assert cluster_spread(V, predicted) <= 1e-10
+        assert set(observed) == set(predicted)
 
     def test_observed_partitions_all_agents(self, g2):
-        report = cluster_report((), influence_matrix(g2))
-        seen = sorted(v for c in report.observed for v in c)
+        observed = clusters_from_influence(influence_matrix(g2))
+        seen = sorted(v for c in observed for v in c)
         assert seen == list(range(1, g2.n + 1))
 
 
@@ -261,8 +262,8 @@ class TestRobustnessHarness:
             robustness_harness(g2, trials=trials)
 
     def test_broken_cooperativity_refused(self, g1):
-        flipped = g1.reweighted(
-            [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
+        flipped = reweighted(
+            g1, [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
         )
         with pytest.raises(ConditionsNotMet):
             robustness_harness(flipped, trials=5, seed=0)
@@ -275,8 +276,8 @@ class TestRobustnessHarness:
         # Violating C2 voids the guarantee but must not be treated as a
         # disproof: clustering may or may not survive, so the only contract
         # is that analysis still runs and reports.
-        flipped = g1.reweighted(
-            [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
+        flipped = reweighted(
+            g1, [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
         )
         cert = analyze(flipped)
         assert cert.cooperative is False
@@ -324,6 +325,6 @@ class TestWeightStubbornnessInvariance:
             beta = np.zeros(g2_like.n)
             for s in g2_like.stubborn:
                 beta[s - 1] = 1.0 - rng.uniform(0.0, 1.0)
-            redrawn = g2_like.reweighted(weights, beta=beta)
+            redrawn = reweighted(g2_like, weights, beta=beta)
             observed = set(clusters_from_influence(influence_matrix(redrawn)))
             assert observed == predicted
