@@ -173,10 +173,9 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     when there is no stubborn agent or some agent is unreached, since then
     nothing certifies the solve.
 
-    Columns of non-stubborn agents are exactly zero: only stubborn agents'
-    initial opinions leave a trace in the limit. So one LU factorization
-    solves for the m stubborn columns alone, never an explicit inverse, and
-    they are scattered into the n x n result.
+    Columns of non-stubborn agents are exactly zero, so _influence_solve's
+    one LU factorization yields the m stubborn columns alone, never an
+    explicit inverse, and they are scattered into the n x n result.
     """
     if g.m == 0:
         raise SingularSystem("network has no stubborn agent to anchor the solve")
@@ -186,17 +185,18 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
             f"agents {sorted(report.unreachable)} have no path from a stubborn "
             "agent, so the solve is not certified"
         )
-    return _influence_solve(normalize(g), np.array(g.stubborn) - 1)
+    stubborn = np.array(g.stubborn) - 1
+    V = np.zeros((g.n, g.n))
+    V[:, stubborn] = _influence_solve(normalize(g), stubborn)
+    return V
 
 
 def _influence_solve(sysm: NormalizedSystem, stubborn: np.ndarray) -> np.ndarray:
-    """influence_matrix's solve, past its gate; stubborn holds 0-based rows."""
+    """influence_matrix's solve past its gate: V's columns at stubborn (0-based)."""
     n = sysm.n
     rhs = np.zeros((n, stubborn.size))
     rhs[stubborn, np.arange(stubborn.size)] = sysm.beta[stubborn]
-    V = np.zeros((n, n))
-    V[:, stubborn] = np.linalg.solve(np.eye(n) - sysm.update_matrix(), rhs)
-    return V
+    return np.linalg.solve(np.eye(n) - sysm.update_matrix(), rhs)
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
@@ -213,16 +213,16 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
         raise UnreachableNodes(report.unreachable)
     sysm = normalize(g)
     n = g.n
-    stubborn = g.stubborn
-    m = len(stubborn)
+    rows = np.array(g.stubborn) - 1
+    m = rows.size
     R = np.zeros((n + m, n + m))
     R[:n, :n] = np.eye(n) - sysm.update_matrix()
-    for k, agent in enumerate(stubborn):
-        R[agent - 1, n + k] = -sysm.beta[agent - 1]
-    xstar = influence_matrix(g) @ np.array(g.x0)
-    y = np.concatenate([xstar, np.array(g.x0)[[a - 1 for a in stubborn]]])
+    R[rows, n + np.arange(m)] = -sysm.beta[rows]
+    # The gate above is influence_matrix's: solve on the system just built.
+    x0_stubborn = np.array(g.x0)[rows]
+    y = np.concatenate([_influence_solve(sysm, rows) @ x0_stubborn, x0_stubborn])
     return SteadyStateSystem(
-        R=R, y=y, stubborn_index=stubborn, graph=g, W=sysm.W
+        R=R, y=y, stubborn_index=g.stubborn, graph=g, W=sysm.W
     )
 
 

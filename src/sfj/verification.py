@@ -109,6 +109,12 @@ def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
     )
 
 
+def _threshold(values, tau: float) -> float:
+    """tau relative to the largest magnitude in values, or tau if all are 0."""
+    scale = float(np.max(np.abs(values)))
+    return tau * scale if scale > 0 else tau
+
+
 def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int], ...]:
     """Group agents whose influence-matrix rows agree entrywise within tau.
 
@@ -118,10 +124,9 @@ def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int]
     the rest are zero in every row and add nothing to any distance.
     """
     V = np.asarray(V, dtype=float)
-    scale = float(np.max(np.abs(V)))
     nonzero = np.flatnonzero(V.any(axis=0))
     rows = V[:, nonzero] if nonzero.size else V[:, :1]  # all zero: keep one
-    return _group_rows(rows, tau * scale if scale > 0 else tau)
+    return _group_rows(rows, _threshold(V, tau))
 
 
 def clusters_from_trace(
@@ -132,8 +137,19 @@ def clusters_from_trace(
     if not trace.converged:
         raise NotConverged(trace, "cannot cluster an unconverged trace")
     final = trace.final
-    scale = float(np.max(np.abs(final)))
-    return _group_rows(final[:, None], tau * scale if scale > 0 else tau)
+    return _group_rows(final[:, None], _threshold(final, tau))
+
+
+def _cluster_layout(clusters) -> tuple[np.ndarray, np.ndarray]:
+    """0-based rows of the nonempty clusters, one after another, and each start."""
+    members = [sorted(c) for c in clusters if c]
+    starts = np.cumsum([0] + [len(c) for c in members])[:-1]
+    return np.array([v - 1 for c in members for v in c], dtype=int), starts
+
+
+def _cluster_boxes(V: np.ndarray, order: np.ndarray, starts: np.ndarray):
+    """Per-cluster column minima and maxima of V's rows, for _cluster_layout."""
+    return np.minimum.reduceat(V[order], starts), np.maximum.reduceat(V[order], starts)
 
 
 def cluster_spread(V, clusters) -> float:
@@ -142,13 +158,28 @@ def cluster_spread(V, clusters) -> float:
     Within a cluster the widest pair in any column is that column's maximum
     and minimum, so the diameter is the largest column range, exactly.
     """
-    V = np.asarray(V, dtype=float)
-    worst = 0.0
-    for cluster in clusters:
-        if len(cluster) > 1:
-            rows = V[sorted(v - 1 for v in cluster)]
-            worst = max(worst, float(np.max(rows.max(axis=0) - rows.min(axis=0))))
-    return worst
+    lo, hi = _cluster_boxes(np.asarray(V, dtype=float), *_cluster_layout(clusters))
+    return float((hi - lo).max(initial=0.0))
+
+
+def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: float) -> bool:
+    """When True, _group_rows(rows, thresh) is exactly the partition of rows
+    whose per-cluster column minima and maxima are lo and hi; False decides
+    nothing. Rounded subtraction is monotone: a range at most thresh makes a
+    cluster a clique, and boxes over thresh apart in a column share no close pair."""
+    if not (hi - lo).max() <= thresh:
+        return False
+    # Sort-and-sweep with _group_rows's slack: boxes outside a window separate.
+    widest = int((hi.max(axis=0) - lo.min(axis=0)).argmax())
+    order = lo[:, widest].argsort()
+    keys, reach = lo[order, widest], hi[order, widest]
+    slack = 8 * np.finfo(float).eps * (max(reach.max(), -keys[0]) + thresh)
+    ends = keys.searchsorted(reach + thresh + slack, side="right")
+    counts = ends - np.arange(1, keys.size + 1)  # later boxes in each window
+    first = order[np.repeat(np.arange(keys.size), counts)]
+    second = order[np.arange(counts.sum()) + np.repeat(ends - counts.cumsum(), counts)]
+    gaps = np.maximum(lo[second] - hi[first], lo[first] - hi[second])
+    return bool((gaps > thresh).any(axis=1).all())
 
 
 def refines(finer, coarser) -> bool:
@@ -166,11 +197,12 @@ def robustness_harness(
 
     Each trial keeps the topology and every edge sign, draws fresh weight
     magnitudes uniformly from WEIGHT_RANGE and fresh stubbornness levels in
-    (0, 1] for the stubborn agents, recomputes the influence matrix, and
-    compares its clusters with the prediction. Requires C1 and C2 up front;
-    on inputs violating them nothing is asserted either way, because the
-    conditions are sufficient, not necessary. Raises ValueError when trials
-    is below one.
+    (0, 1] for the stubborn agents, and solves for V's m stubborn columns
+    (the rest are zero). Their per-cluster boxes give the spread and, via
+    _partition_holds, the verdict; a trial they cannot settle scatters V to
+    n x n for clusters_from_influence. Requires C1 and C2 up front; on
+    inputs violating them nothing is asserted either way, because the
+    conditions are sufficient, not necessary. Raises ValueError when trials < 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -187,30 +219,33 @@ def robustness_harness(
     src, dst = g.edge_index
     stubborn = np.array(g.stubborn) - 1
 
+    order, starts = _cluster_layout(predicted)
+    # Boxes settle trials only for a prediction that partitions every agent.
+    partition = np.array_equal(np.sort(order), np.arange(g.n))
     passes = 0
     worst = 0.0
     first_failure = None
-    predicted_key = set(predicted)
-    # analyze(g) above certified the topology: its dominator tree raises
-    # NoStubbornAgents or UnreachableNodes wherever check_reachability would
-    # fail. Every trial keeps the edge set, and 1 - U[0, 1) lies in (0, 1],
-    # so it keeps the stubborn set too. The certificate therefore holds for
-    # every draw, and each trial builds its system straight from the edge
-    # arrays, with influence_matrix's arithmetic but without its gate.
+    # analyze(g) certified the topology: its dominator tree raises wherever
+    # check_reachability would fail. Every trial keeps the edge set and, as
+    # 1 - U[0, 1) lies in (0, 1], the stubborn set, so it builds its system
+    # from the edge arrays with influence_matrix's arithmetic but no gate.
     for trial in range(trials):
         weights = signs * rng.uniform(lo, hi, size=len(g.edges))
         beta = np.zeros(g.n)
         beta[stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
         a = np.zeros((g.n, g.n))
         a[dst, src] = weights
-        V = _influence_solve(_normalize_adjacency(a, beta), stubborn)
-        observed = clusters_from_influence(V, tau)
-        spread = cluster_spread(V, predicted)
-        worst = max(worst, spread)
-        if set(observed) == predicted_key:
-            passes += 1
-        elif first_failure is None:
-            first_failure = TrialFailure(trial, observed)
+        block = _influence_solve(_normalize_adjacency(a, beta), stubborn)
+        mins, maxs = _cluster_boxes(block, order, starts)
+        worst = max(worst, float((maxs - mins).max()))
+        if not (partition and _partition_holds(mins, maxs, _threshold(block, tau))):
+            V = np.zeros((g.n, g.n))
+            V[:, stubborn] = block
+            observed = clusters_from_influence(V, tau)
+            if set(observed) != set(predicted):
+                first_failure = first_failure or TrialFailure(trial, observed)
+                continue
+        passes += 1
     return RobustnessReport(
         trials=trials,
         passes=passes,

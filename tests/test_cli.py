@@ -285,6 +285,7 @@ class TestVerify:
         monkeypatch.setattr(
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
+        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
         code, out, err = run(capsys, "verify", g2_path, "--trials", "12", "--seed", "3")
         assert code == EXIT_CONDITIONS
         data = json.loads(out)

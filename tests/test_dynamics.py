@@ -22,6 +22,7 @@ from sfj import (
     simulate,
     write_trace_csv,
 )
+from sfj import dynamics
 from sfj.dynamics import OpinionTrace
 from sfj.graph import Edge, SignedDigraph
 
@@ -268,6 +269,20 @@ class TestSteadyStateSystem:
         g = make(2, [Edge(1, 2, 1.0)], beta=[0.0, 0.0])
         with pytest.raises(NoStubbornAgents):
             build_steady_state(g)
+
+    def test_gates_and_normalizes_once(self, g2, monkeypatch):
+        # The limit comes from the system already built and certified, not
+        # from influence_matrix, which would run both calls again.
+        calls = []
+
+        def counted(name):
+            real = getattr(dynamics, name)
+            return lambda g: calls.append(name) or real(g)
+
+        for name in ("normalize", "check_reachability"):
+            monkeypatch.setattr(dynamics, name, counted(name))
+        build_steady_state(g2)
+        assert sorted(calls) == ["check_reachability", "normalize"]
 
 
 class TestSchurComplement:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,13 @@ from sfj import (
 )
 from sfj.dynamics import OpinionTrace
 from sfj.graph import Edge, SignedDigraph
-from sfj.verification import _group_rows, _UnionFind
+from sfj.verification import (
+    _cluster_boxes,
+    _cluster_layout,
+    _group_rows,
+    _partition_holds,
+    _UnionFind,
+)
 
 from conftest import merge_when_agent_7_leads_agent_1
 from oracles import reweighted
@@ -162,6 +170,88 @@ class TestSortAndSweepGrouping:
         assert clusters_from_influence(v) == pairwise_group_rows(v, thresh)
 
 
+def box_certificate(rows, partition, thresh):
+    """The harness's fast verdict on a partition of rows' 1-based ids."""
+    lo, hi = _cluster_boxes(rows, *_cluster_layout(partition))
+    return _partition_holds(lo, hi, thresh)
+
+
+@st.composite
+def rows_and_partition(draw):
+    """A row_sets case with the true grouping, a merge of two of its groups,
+    a split of one, or a random partition."""
+    rows, thresh = draw(row_sets())
+    parts = [sorted(c) for c in _group_rows(rows, thresh)]
+    kind = draw(st.sampled_from(("true", "merge", "split", "random")))
+    if kind == "merge" and len(parts) > 1:
+        i, j = draw(st.lists(st.integers(0, len(parts) - 1), min_size=2,
+                             max_size=2, unique=True))
+        parts = [c for k, c in enumerate(parts) if k not in (i, j)] + [parts[i] + parts[j]]
+    elif kind == "split" and any(len(c) > 1 for c in parts):
+        k = draw(st.sampled_from([k for k, c in enumerate(parts) if len(c) > 1]))
+        members = draw(st.permutations(parts.pop(k)))
+        cut = draw(st.integers(1, len(members) - 1))
+        parts += [members[:cut], members[cut:]]
+    elif kind == "random":
+        labels = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+        parts = [[i + 1 for i, x in enumerate(labels) if x == label]
+                 for label in set(labels)]
+    return rows, thresh, tuple(frozenset(c) for c in parts)
+
+
+class TestBoxCertificate:
+    @settings(max_examples=600, deadline=None)
+    @given(rows_and_partition())
+    def test_a_certified_partition_is_the_grouping(self, case):
+        rows, thresh, partition = case
+        if box_certificate(rows, partition, thresh):
+            assert set(_group_rows(rows, thresh)) == set(partition)
+
+    def test_range_and_gap_at_thresh_are_certified(self):
+        # {1, 2} spans exactly 0.7 and sits 0.8 below agent 3.
+        rows = np.array([[0.0, 5.0], [0.7, 5.0], [1.5, 5.0]])
+        assert box_certificate(rows, (frozenset({1, 2}), frozenset({3})), 0.7)
+        assert box_certificate(rows[:2], (frozenset({1, 2}),), 0.7)
+
+    def test_overlapping_boxes_are_not_separated(self):
+        # Agent 3 is within 0.6 of agent 2, though 1.1 from agent 1.
+        rows = np.array([[0.0], [0.5], [1.1]])
+        assert not box_certificate(rows, (frozenset({1, 2}), frozenset({3})), 0.7)
+        assert box_certificate(rows, (frozenset({1, 2, 3}),), 1.1)
+
+    def test_gap_that_rounds_to_thresh_is_not_a_separation(self):
+        # The computed gap is exactly 0.7 (see the sort-and-sweep test), though
+        # the second key lies one ulp above first + 0.7.
+        rows = np.array([[-0.8065009344595016], [-0.10650093445950157]])
+        assert not box_certificate(rows, (frozenset({1}), frozenset({2})), 0.7)
+
+    def test_negative_thresh_certifies_nothing(self):
+        rows = np.array([[0.0], [1.0]])
+        assert not box_certificate(rows, (frozenset({1}), frozenset({2})), -0.1)
+
+    @pytest.mark.parametrize("n, trials", [(64, 20), (200, 20), (1000, 5)])
+    def test_passing_trials_never_regroup(self, n, trials, monkeypatch):
+        def regroup(V, tau=verification.DEFAULT_TAU):
+            raise AssertionError("the boxes did not settle a passing trial")
+
+        monkeypatch.setattr(verification, "clusters_from_influence", regroup)
+        g = random_multiconsensus_graph(n, n // 20, seed=n)
+        report = robustness_harness(g, trials=trials, seed=n)
+        assert report.passes == report.trials == trials
+
+    def test_prediction_missing_an_agent_is_regrouped(self, g2, monkeypatch):
+        # Every box check would pass on the first three clusters, yet the
+        # agents of the fourth form a group of their own in every trial.
+        def without_last(cert, mode):
+            full = predict_clusters(cert, mode)
+            return dataclasses.replace(full, clusters=full.clusters[:-1])
+
+        monkeypatch.setattr(verification, "predict_clusters", without_last)
+        report = robustness_harness(g2, trials=5, seed=0)
+        assert report.passes == 0
+        assert len(report.first_failure.observed) == 4
+
+
 class TestTraceClusters:
     def test_fully_stubborn_clusters_are_level_sets_of_x0(self):
         g = SignedDigraph(
@@ -246,6 +336,7 @@ class TestRobustnessHarness:
         monkeypatch.setattr(
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
+        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
         report = robustness_harness(g2, trials=12, seed=3)
         assert report.passes == 7
         failure = report.first_failure
@@ -307,6 +398,7 @@ class TestHarnessMatchesTheLoop:
         monkeypatch.setattr(
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
+        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
         report = robustness_harness(g2, trials=12, seed=3)
         assert report.first_failure is not None
         assert report == loop_harness(g2, trials=12, seed=3)
