@@ -64,7 +64,7 @@ def _load(path):
         return None, _fail(EXIT_PARSE, f"cannot read {path}: {exc.strerror}")
     except (GraphFormatError, GraphValidationError) as exc:
         return None, _fail(EXIT_PARSE, str(exc))
-    except ValueError as exc:  # includes UnicodeDecodeError for non-UTF-8 files
+    except (ValueError, RecursionError) as exc:  # non-UTF-8; JSON nested too deep
         return None, _fail(EXIT_PARSE, f"cannot parse {path}: {exc}")
 
 

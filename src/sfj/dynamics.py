@@ -274,9 +274,8 @@ def reduce_steady_state(
     if p in members:
         raise ValueError(f"persuader {p} cannot be in its own persuaded set")
     g = sysm.graph
-    bad = [
-        (src, dst) for src, dst, w in g.edges if dst in members and w < 0
-    ]
+    negative = np.isin(g.dst, list(members)) & (g.w < 0)
+    bad = list(zip(g.src[negative].tolist(), g.dst[negative].tolist()))
     if bad:
         raise HypothesisViolated(bad)
 

@@ -9,7 +9,6 @@ of dst, and its weight lands in row dst of the weight matrix.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -27,57 +26,70 @@ class Edge(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
 class SignedDigraph:
     """Immutable signed, weighted digraph with stubbornness and initial opinions.
 
     Attributes:
         n: number of agents, ids 1..n.
-        edges: directed edges (src, dst, weight), weight nonzero, signed.
+        src, dst, w: the edges as read-only columns in edge order: edge k
+            runs from agent src[k] to agent dst[k] (int64, 1-based) with
+            signed, nonzero weight w[k] (float64).
         beta: per-agent stubbornness in [0, 1]; agent i is stubborn iff
             beta[i-1] > 0.
         x0: per-agent initial opinion.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    beta: tuple[float, ...]
-    x0: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple(Edge(int(s), int(d), float(w)) for s, d, w in self.edges)
-        )
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        if self.n < 1:
-            raise GraphValidationError(f"need at least one agent, got n={self.n}")
-        if len(self.beta) != self.n or len(self.x0) != self.n:
+    def __init__(self, n: int, edges, beta, x0):
+        """Validate once, with array checks. edges holds (src, dst, weight)
+        triples, or is an array with one such row per edge. A failure names
+        the first offending agent (in id order) or edge (in edge order)."""
+        e = np.array(edges, dtype=float).reshape(-1, 3)
+        b, x = np.asarray(beta, dtype=float), np.asarray(x0, dtype=float)
+        self.n, self.beta, self.x0 = n, tuple(b.tolist()), tuple(x.tolist())
+        if n < 1:
+            raise GraphValidationError(f"need at least one agent, got n={n}")
+        if b.shape != (n,) or x.shape != (n,):
             raise GraphValidationError(
-                f"beta and x0 must have length n={self.n}, "
-                f"got {len(self.beta)} and {len(self.x0)}"
+                f"beta and x0 must have length n={n}, got {b.size} and {x.size}"
             )
-        for b in self.beta:
-            if not 0.0 <= b <= 1.0:
-                raise GraphValidationError(f"stubbornness {b} outside [0, 1]")
-        for i, v in enumerate(self.x0, start=1):
-            if not math.isfinite(v):
-                raise GraphValidationError(f"agent {i} has non-finite x0 {v}")
-        seen = set()
-        for src, dst, w in self.edges:
-            if not (1 <= src <= self.n and 1 <= dst <= self.n):
-                raise GraphValidationError(
-                    f"edge ({src}, {dst}) references an agent outside 1..{self.n}"
-                )
-            if not math.isfinite(w):
-                raise GraphValidationError(
-                    f"edge ({src}, {dst}) has non-finite weight {w}"
-                )
-            if w == 0.0:
-                raise GraphValidationError(f"edge ({src}, {dst}) has zero weight")
-            if (src, dst) in seen:
-                raise GraphValidationError(f"duplicate edge ({src}, {dst})")
-            seen.add((src, dst))
+        bad = ~((b >= 0.0) & (b <= 1.0))
+        if bad.any():
+            raise GraphValidationError(
+                f"stubbornness {self.beta[bad.argmax()]} outside [0, 1]"
+            )
+        bad = ~np.isfinite(x)
+        if bad.any():
+            i = int(bad.argmax())
+            raise GraphValidationError(f"agent {i + 1} has non-finite x0 {self.x0[i]}")
+        inside = np.all((e[:, :2] >= 1) & (e[:, :2] <= n), axis=1)
+        s, d, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2].copy()
+        # Out-of-range edges get distinct negative keys, so a repeat is always
+        # a second copy of an in-range pair.
+        key = np.where(inside, s * (n + 1) + d, -1 - np.arange(w.size))
+        repeat = np.ones(w.size, dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        bad = ~inside | ~np.isfinite(w) | (w == 0.0) | repeat
+        if bad.any():
+            k = int(bad.argmax())
+            edge = f"edge ({int(e[k, 0])}, {int(e[k, 1])})"
+            raise GraphValidationError(
+                f"{edge} references an agent outside 1..{n}" if not inside[k]
+                else f"{edge} has non-finite weight {w[k]}" if not np.isfinite(w[k])
+                else f"{edge} has zero weight" if w[k] == 0.0
+                else f"duplicate {edge}"
+            )
+        for column in (s, d, w):
+            column.setflags(write=False)
+        self.src, self.dst, self.w = s, d, w
+
+    def __eq__(self, other):
+        key = lambda g: (g.n, g.edges, g.beta, g.x0)
+        return isinstance(other, SignedDigraph) and key(self) == key(other)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (src, dst, weight) tuples: a view built on first use."""
+        return tuple(map(Edge, self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
     @cached_property
     def stubborn(self) -> tuple[int, ...]:
@@ -91,28 +103,23 @@ class SignedDigraph:
 
     @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based (src, dst) index arrays in .edges order; built on first use."""
-        src, dst, _ = zip(*self.edges) if self.edges else ((), (), ())
-        return np.array(src, dtype=np.intp) - 1, np.array(dst, dtype=np.intp) - 1
-
-    def out_neighbours(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for src, dst, _ in self.edges:
-            out[src].append(dst)
-        return out
-
-    def in_neighbours(self) -> dict[int, list[int]]:
-        inn: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for src, dst, _ in self.edges:
-            inn[dst].append(src)
-        return inn
+        """0-based (src, dst) index arrays in edge order; built on first use."""
+        return self.src - 1, self.dst - 1
 
     def adjacency(self) -> np.ndarray:
         """Dense signed adjacency; entry (i-1, j-1) is the weight of edge j -> i."""
         src, dst = self.edge_index
         a = np.zeros((self.n, self.n))
-        a[dst, src] = [w for _, _, w in self.edges]
+        a[dst, src] = self.w
         return a
+
+
+def _grouped(keys: np.ndarray, vals: np.ndarray, n: int) -> list[list[int]]:
+    """vals grouped by keys in 0..n: n + 1 Python lists, each sorted ascending."""
+    order = np.argsort(keys * (n + 1) + vals)
+    bounds = np.searchsorted(keys[order], np.arange(n + 2)).tolist()
+    flat = vals[order].tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +188,7 @@ def check_reachability(g: SignedDigraph) -> ReachabilityReport:
         raise NoStubbornAgents("network has no stubborn agent")
     # A path from a stubborn agent runs among non-stubborn agents after the
     # last stubborn one on it, so this is the restricted search on that block.
-    unreachable = _unreached(
-        g, (i for i in range(1, g.n + 1) if g.beta[i - 1] == 0.0)
-    )
+    unreachable = _unreached(g, np.flatnonzero(np.array(g.beta) == 0.0) + 1)
     return ReachabilityReport(ok=not unreachable, unreachable=unreachable)
 
 
@@ -198,16 +203,18 @@ def _unreached(g: SignedDigraph, block) -> frozenset[int]:
     block: an unreached set is a closed class whose rows sum to one, so then
     rho(A) = 1. O(n + edges).
     """
-    inside = set(block)
-    out = g.out_neighbours()
-    stack = [dst for src, dst, _ in g.edges if dst in inside and src not in inside]
+    inside = np.zeros(g.n + 1, dtype=bool)
+    inside[np.fromiter(block, dtype=np.int64)] = True
+    src_in, dst_in = inside[g.src], inside[g.dst]
+    out = _grouped(g.src[src_in & dst_in], g.dst[src_in & dst_in], g.n)
+    stack = g.dst[dst_in & ~src_in].tolist()
     seen = set(stack)
     while stack:
         for u in out[stack.pop()]:
-            if u in inside and u not in seen:
+            if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return frozenset(inside - seen)
+    return frozenset(np.flatnonzero(inside).tolist()) - seen
 
 
 def graph_to_dict(g: SignedDigraph) -> dict:
@@ -216,11 +223,17 @@ def graph_to_dict(g: SignedDigraph) -> dict:
         "agents": [
             {"id": i + 1, "beta": g.beta[i], "x0": g.x0[i]} for i in range(g.n)
         ],
-        "edges": [{"from": s, "to": d, "w": w} for s, d, w in g.edges],
+        "edges": [
+            {"from": s, "to": d, "w": w}
+            for s, d, w in zip(g.src.tolist(), g.dst.tolist(), g.w.tolist())
+        ],
     }
 
 
 def graph_from_dict(data: dict) -> SignedDigraph:
+    """Build a graph from graph_to_dict's schema, validating every entry once.
+    n and the ids must be integers (2.0 counts, a bool or a value beyond 2**53
+    does not) and beta, x0 and w numbers; strings are neither."""
     if not isinstance(data, dict):
         raise GraphFormatError(f"expected a JSON object, got {type(data).__name__}")
     try:
@@ -230,44 +243,70 @@ def graph_from_dict(data: dict) -> SignedDigraph:
     except KeyError as exc:
         raise GraphFormatError(f"missing required field {exc}") from exc
     try:
-        n = int(n)
-    except (TypeError, ValueError, OverflowError) as exc:
+        n = _number(n, True)
+    except ValueError as exc:
         raise GraphFormatError(f"'n' must be an integer, got {n!r}") from exc
     if not isinstance(agents, list) or not isinstance(raw_edges, list):
         raise GraphFormatError("'agents' and 'edges' must be arrays")
-    # Checked before allocating n slots, so a huge n costs nothing. With
-    # n <= len(agents), the id checks below leave no slot unfilled.
+    # Checked first, so a huge n costs nothing. With n <= len(agents), the
+    # ids fill every slot 1..n unless one is out of range or listed twice.
     if n > len(agents):
         raise GraphFormatError(
             f"agents missing from file: n={n} but only {len(agents)} agent entries"
         )
+    try:
+        raw = [[e[k] for e in agents] for k in ("id", "beta", "x0")]
+        raw += [[e[k] for e in raw_edges] for k in ("from", "to", "w")]
+        ids, beta, x0, src, dst, w = (np.array(c, dtype=float) for c in raw)
+        ends = np.concatenate((src, dst))
+        well_formed = (
+            all(set(map(type, column)) <= {int, float} for column in raw)
+            and ids.size == max(n, 0)
+            and np.array_equal(np.sort(ids), np.arange(1, ids.size + 1))
+            and np.all((np.abs(ends) <= 2**53) & (ends == np.floor(ends)))
+        )
+    except (TypeError, KeyError, ValueError, OverflowError):
+        well_formed = False
+    if not well_formed:
+        _raise_format_error(n, agents, raw_edges)
+    by_id = np.empty((2, ids.size))
+    by_id[:, ids.astype(np.int64) - 1] = beta, x0
+    return SignedDigraph(n, np.column_stack((src, dst, w)), *by_id)
 
-    beta = [None] * n
-    x0 = [None] * n
+
+def _raise_format_error(n: int, agents: list, raw_edges: list):
+    """Raise GraphFormatError for the first malformed entry, in file order."""
+    seen = set()
     for entry in agents:
         try:
-            i = int(entry["id"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            i = _number(entry["id"], True)
+        except (TypeError, KeyError, ValueError) as exc:
             raise GraphFormatError(f"agent entry {entry!r} has no integer id") from exc
         if not 1 <= i <= n:
             raise GraphFormatError(f"agent id {i} outside 1..{n}")
-        if beta[i - 1] is not None:
+        if i in seen:
             raise GraphFormatError(f"agent {i} listed twice")
+        seen.add(i)
         try:
-            beta[i - 1] = float(entry["beta"])
-            x0[i - 1] = float(entry["x0"])
+            _number(entry["beta"]), _number(entry["x0"])
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"agent {i}: bad beta/x0: {exc}") from exc
-
-    edges = []
     for entry in raw_edges:
         try:
-            edges.append(
-                Edge(int(entry["from"]), int(entry["to"]), float(entry["w"]))
-            )
+            _number(entry["from"], True), _number(entry["to"], True)
+            _number(entry["w"])
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"bad edge entry {entry!r}: {exc}") from exc
-    return SignedDigraph(n=n, edges=tuple(edges), beta=tuple(beta), x0=tuple(x0))
+    raise AssertionError("graph_from_dict rejected a file with no malformed entry")
+
+
+def _number(v, integral: bool = False):
+    """float(v), or int(v) if integral; a bool, a string or an id beyond 2**53 fails."""
+    if type(v) in (int, float) and not integral:
+        return float(v)
+    if type(v) in (int, float) and abs(v) <= 2**53 and v == int(v):
+        return int(v)
+    raise ValueError(f"expected {'an integer' if integral else 'a number'}, got {v!r}")
 
 
 def load_graph(path) -> SignedDigraph:

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Optional
 
+import numpy as np
+
 from .errors import ConditionsNotMet, NoStubbornAgents, UnreachableNodes
-from .graph import SignedDigraph
+from .graph import SignedDigraph, _grouped
 
 VIRTUAL_ROOT = 0  # agents are 1..n, so 0 is free for the synthetic root
 
@@ -100,27 +102,25 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     if g.m == 0:
         raise NoStubbornAgents("network has no stubborn agent")
 
-    preds: list[list[int]] = [[] for _ in range(g.n + 1)]
-    succs: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for src, dst, _ in g.edges:
-        if src != dst:  # a self-loop never changes who dominates whom
-            preds[dst].append(src)
-            succs[src].append(dst)
+    loop = g.src == g.dst  # a self-loop never changes who dominates whom
+    src, dst = g.src[~loop], g.dst[~loop]
+    preds = _grouped(dst, src, g.n)
+    succs = _grouped(src, dst, g.n)  # ascending, so the DFS order is fixed
+    succs[VIRTUAL_ROOT] = list(g.stubborn)
     for s in g.stubborn:
         preds[s].append(VIRTUAL_ROOT)
-        succs[VIRTUAL_ROOT].append(s)
 
     # Reverse postorder of the reachable subgraph (iterative DFS).
     order: list[int] = []
     seen = [False] * (g.n + 1)
     seen[VIRTUAL_ROOT] = True
-    stack = [(VIRTUAL_ROOT, iter(sorted(succs[VIRTUAL_ROOT])))]
+    stack = [(VIRTUAL_ROOT, iter(succs[VIRTUAL_ROOT]))]
     while stack:
         node, it = stack[-1]
         for nxt in it:
             if not seen[nxt]:
                 seen[nxt] = True
-                stack.append((nxt, iter(sorted(succs[nxt]))))
+                stack.append((nxt, iter(succs[nxt])))
                 break
         else:
             order.append(node)
@@ -194,16 +194,16 @@ def _check_internal_consistency(g, stubborn, persuaded):
     # Persuaded sets are pairwise disjoint, non-stubborn only, and closed
     # under in-neighbours up to the persuader. Violations here would mean the
     # dominator computation is broken, never bad input.
-    owner: dict[int, int] = {}
-    inn = g.in_neighbours()
+    owner = np.zeros(g.n + 1, dtype=np.int64)  # 0: in no persuaded set
     for p, members in persuaded.items():
         assert members, f"empty persuaded set recorded for {p}"
         assert not (members & stubborn), f"stubborn agent persuaded by {p}"
-        for q in members:
-            first = owner.setdefault(q, p)
-            assert first == p, f"persuaded sets of {first},{p} overlap"
-            outside = set(inn[q]) - members - {p}
-            assert not outside, f"in-neighbours {outside} of {q} escape cluster of {p}"
+        idx = np.fromiter(members, dtype=np.int64, count=len(members))
+        assert not owner[idx].any(), f"persuaded sets of {owner[idx].max()},{p} overlap"
+        owner[idx] = p
+    into = owner[g.dst]
+    escape = (into != 0) & (g.src != into) & (owner[g.src] != into)
+    assert not escape.any(), f"edges {np.flatnonzero(escape)} escape a persuaded set"
 
 
 def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:
@@ -220,14 +220,14 @@ def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:
         violations.append(Violation(node, "not covered by any persuasive cluster"))
     covered = len(covered_set) == g.n
 
-    cooperative = True
-    persuaded_all = frozenset().union(*cert.persuaded.values()) if cert.persuaded else frozenset()
-    for src, dst, w in g.edges:
-        if dst in persuaded_all and w < 0:
-            cooperative = False
-            violations.append(
-                Violation(dst, f"negative in-edge from {src} at persuaded agent")
-            )
+    persuaded = np.zeros(g.n + 1, dtype=bool)
+    persuaded[[q for members in cert.persuaded.values() for q in members]] = True
+    negative = persuaded[g.dst] & (g.w < 0)
+    cooperative = not negative.any()
+    violations += [
+        Violation(dst, f"negative in-edge from {src} at persuaded agent")
+        for src, dst in zip(g.src[negative].tolist(), g.dst[negative].tolist())
+    ]
     return replace(
         cert,
         covered=covered,

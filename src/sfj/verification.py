@@ -215,7 +215,7 @@ def robustness_harness(
 
     rng = np.random.default_rng(seed)
     lo, hi = WEIGHT_RANGE
-    signs = np.sign([w for _, _, w in g.edges])
+    signs = np.sign(g.w)
     src, dst = g.edge_index
     stubborn = np.array(g.stubborn) - 1
 
@@ -230,7 +230,7 @@ def robustness_harness(
     # 1 - U[0, 1) lies in (0, 1], the stubborn set, so it builds its system
     # from the edge arrays with influence_matrix's arithmetic but no gate.
     for trial in range(trials):
-        weights = signs * rng.uniform(lo, hi, size=len(g.edges))
+        weights = signs * rng.uniform(lo, hi, size=signs.size)
         beta = np.zeros(g.n)
         beta[stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
         a = np.zeros((g.n, g.n))

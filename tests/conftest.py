@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sfj import check_reachability, clusters_from_influence, networks
 from sfj.graph import Edge, SignedDigraph
@@ -102,3 +103,51 @@ def unreached_positive_class():
         (0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         (2.6, 3.0, 8.1, 0.9, 6.0, 7.3, 1.9),
     )
+
+
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from(
+        ["3", "x", 1.5, 2.0, -1, 0, 99, 2**53 + 2, 10**400, -0.0,
+         float("nan"), float("inf"), float("-inf")]
+    ),
+)
+
+
+@st.composite
+def graph_dicts(draw):
+    """Graph files, often with one or several entries broken: duplicate
+    edges, zero or non-finite weights, out-of-range or non-integral ids,
+    bools, strings, missing keys."""
+    n = draw(st.integers(1, 5))
+    weight = st.one_of(
+        st.floats(-5.0, 5.0), st.sampled_from([0.0, float("inf"), float("nan")])
+    )
+    rarely = st.integers(0, 9).map(lambda k: k == 0)
+    agents = [
+        {
+            "id": i,
+            "beta": 1.5 if draw(rarely) else draw(st.sampled_from([0.0, 0.5, 1.0])),
+            "x0": float("inf") if draw(rarely) else draw(st.floats(-10.0, 10.0)),
+        }
+        for i in draw(st.permutations(range(1, n + 1)))
+    ]
+    end = st.sampled_from(list(range(1, n + 1)) * 5 + [0, n + 1])
+    pairs = draw(st.lists(st.tuples(end, end), max_size=8))
+    edges = [{"from": s, "to": d, "w": draw(weight)} for s, d in pairs]
+    data = {"n": n, "agents": agents, "edges": edges}
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(["n"] + ["agent", "edge"] * 5 + ["extra agent"]))
+        if target == "n":
+            data["n"] = draw(BAD_VALUES)
+        elif target == "extra agent":
+            agents.append({"id": draw(BAD_VALUES), "beta": 0.5, "x0": 0.0})
+        elif target == "agent" or edges:
+            entry = draw(st.sampled_from(agents if target == "agent" else edges))
+            key = draw(st.sampled_from(sorted(entry)))
+            if draw(st.booleans()):
+                entry[key] = draw(BAD_VALUES)
+            else:
+                del entry[key]
+    return data

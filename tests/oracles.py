@@ -6,12 +6,14 @@ dense eigenvalues or by one explicit step) so a test can check one route
 against the other.
 """
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
 
 from sfj import (
     Edge,
+    GraphFormatError,
     GraphValidationError,
     LTPCertificate,
     SFJError,
@@ -34,6 +36,111 @@ def reweighted(g: SignedDigraph, weights: Iterable[float], beta=None) -> SignedD
         raise GraphValidationError(f"expected {len(g.edges)} weights, got {len(ws)}")
     edges = tuple(Edge(e.src, e.dst, w) for e, w in zip(g.edges, ws))
     return SignedDigraph(g.n, edges, g.beta if beta is None else tuple(beta), g.x0)
+
+
+def out_neighbours(g: SignedDigraph) -> dict[int, list[int]]:
+    """Each agent's out-neighbours, in edge order."""
+    out: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
+    for src, dst, _ in g.edges:
+        out[src].append(dst)
+    return out
+
+
+def in_neighbours(g: SignedDigraph) -> dict[int, list[int]]:
+    """Each agent's in-neighbours, in edge order."""
+    inn: dict[int, list[int]] = {i: [] for i in range(1, g.n + 1)}
+    for src, dst, _ in g.edges:
+        inn[dst].append(src)
+    return inn
+
+
+def _loop_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected an integer, got {v!r}")
+    if math.isnan(v) or abs(v) > 2**53 or int(v) != v:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _loop_float(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _loop_validate(n, edges, beta, x0) -> None:
+    """SignedDigraph's checks, one agent and one edge at a time."""
+    if n < 1:
+        raise GraphValidationError(f"need at least one agent, got n={n}")
+    if len(beta) != n or len(x0) != n:
+        raise GraphValidationError(
+            f"beta and x0 must have length n={n}, got {len(beta)} and {len(x0)}"
+        )
+    for b in beta:
+        if not 0.0 <= b <= 1.0:
+            raise GraphValidationError(f"stubbornness {b} outside [0, 1]")
+    for i, v in enumerate(x0, start=1):
+        if not math.isfinite(v):
+            raise GraphValidationError(f"agent {i} has non-finite x0 {v}")
+    seen = set()
+    for src, dst, w in edges:
+        if not (1 <= src <= n and 1 <= dst <= n):
+            raise GraphValidationError(
+                f"edge ({src}, {dst}) references an agent outside 1..{n}"
+            )
+        if not math.isfinite(w):
+            raise GraphValidationError(f"edge ({src}, {dst}) has non-finite weight {w}")
+        if w == 0.0:
+            raise GraphValidationError(f"edge ({src}, {dst}) has zero weight")
+        if (src, dst) in seen:
+            raise GraphValidationError(f"duplicate edge ({src}, {dst})")
+        seen.add((src, dst))
+
+
+def loop_graph_from_dict(data) -> SignedDigraph:
+    """graph_from_dict one entry at a time: convert and check each agent and
+    edge in file order, then run SignedDigraph's checks in a loop."""
+    if not isinstance(data, dict):
+        raise GraphFormatError(f"expected a JSON object, got {type(data).__name__}")
+    try:
+        n, agents, raw_edges = data["n"], data["agents"], data["edges"]
+    except KeyError as exc:
+        raise GraphFormatError(f"missing required field {exc}") from exc
+    try:
+        n = _loop_int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphFormatError(f"'n' must be an integer, got {n!r}") from exc
+    if not isinstance(agents, list) or not isinstance(raw_edges, list):
+        raise GraphFormatError("'agents' and 'edges' must be arrays")
+    if n > len(agents):
+        raise GraphFormatError(
+            f"agents missing from file: n={n} but only {len(agents)} agent entries"
+        )
+    beta = [None] * n
+    x0 = [None] * n
+    for entry in agents:
+        try:
+            i = _loop_int(entry["id"])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise GraphFormatError(f"agent entry {entry!r} has no integer id") from exc
+        if not 1 <= i <= n:
+            raise GraphFormatError(f"agent id {i} outside 1..{n}")
+        if beta[i - 1] is not None:
+            raise GraphFormatError(f"agent {i} listed twice")
+        try:
+            beta[i - 1] = _loop_float(entry["beta"])
+            x0[i - 1] = _loop_float(entry["x0"])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise GraphFormatError(f"agent {i}: bad beta/x0: {exc}") from exc
+    edges = []
+    for entry in raw_edges:
+        try:
+            src, dst = _loop_int(entry["from"]), _loop_int(entry["to"])
+            edges.append(Edge(src, dst, _loop_float(entry["w"])))
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise GraphFormatError(f"bad edge entry {entry!r}: {exc}") from exc
+    _loop_validate(n, edges, beta, x0)
+    return SignedDigraph(n, tuple(edges), tuple(beta), tuple(x0))
 
 
 def unreached_by_closure(g: SignedDigraph, block) -> frozenset[int]:
@@ -72,7 +179,7 @@ def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
     if not report.ok:
         raise UnreachableNodes(report.unreachable)
 
-    out = g.out_neighbours()
+    out = out_neighbours(g)
     stubborn = frozenset(g.stubborn)
 
     # gate[q] = agents on every stubborn-to-q path (q excluded); None if no path.

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfj import load_graph, networks, save_graph, verification
 from sfj.cli import (
@@ -14,7 +18,7 @@ from sfj.cli import (
 )
 from sfj.graph import Edge, SignedDigraph
 
-from conftest import merge_when_agent_7_leads_agent_1, unreached_positive_class
+from conftest import graph_dicts, merge_when_agent_7_leads_agent_1, unreached_positive_class
 
 FIXTURES = Path(__file__).resolve().parent.parent / "networks"
 
@@ -118,6 +122,41 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_PARSE
         assert "Traceback" not in err
+
+    def test_truncating_ids_exit_parse(self, capsys, tmp_path):
+        path = tmp_path / "truncating.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 2.7,
+                    "agents": [
+                        {"id": 1.9, "beta": 0.5, "x0": 0.0},
+                        {"id": 2, "beta": 0.0, "x0": 0.0},
+                    ],
+                    "edges": [{"from": 1.5, "to": 2, "w": True}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_PARSE
+        assert "must be an integer" in err and out == ""
+
+    def test_deeply_nested_json_exits_parse(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_PARSE and out == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(graph_dicts().map(lambda d: json.dumps(d).encode()), st.binary()))
+    def test_fuzzed_files_end_in_a_documented_exit_code(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "g.json"
+        path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path)])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_CONDITIONS)
+        assert "Traceback" not in err.getvalue()
 
     def test_usage_error_exits_one(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE

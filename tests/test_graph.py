@@ -18,8 +18,8 @@ from sfj import (
 )
 from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph
 
-from conftest import brute_force_reachable, random_reachable_graph
-from oracles import reweighted
+from conftest import brute_force_reachable, graph_dicts, random_reachable_graph
+from oracles import loop_graph_from_dict, reweighted
 
 
 def make(n, edges, stubborn=(1,), x0=None):
@@ -242,6 +242,57 @@ class TestJsonIO:
         data = {"n": 10**12, "agents": [{"id": 1, "beta": 0.5, "x0": 0.0}], "edges": []}
         with pytest.raises(GraphFormatError, match="missing from file"):
             graph_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "entry, key, value",
+        [
+            ("graph", "n", 2.7),
+            ("graph", "n", True),
+            ("agent", "id", 1.9),
+            ("agent", "id", True),
+            ("edge", "from", 1.5),
+            ("edge", "to", True),
+            ("agent", "beta", True),
+            ("agent", "x0", False),
+            ("edge", "w", True),
+        ],
+    )
+    def test_bools_and_non_integral_ids_are_format_errors(self, entry, key, value):
+        agent = {"id": 1, "beta": 0.5, "x0": 0.0}
+        edge = {"from": 1, "to": 1, "w": 1.0}
+        data = {"n": 1, "agents": [agent], "edges": [edge]}
+        {"graph": data, "agent": agent, "edge": edge}[entry][key] = value
+        with pytest.raises(GraphFormatError):
+            graph_from_dict(data)
+
+    def test_integral_floats_count_as_ids(self, g1):
+        data = graph_to_dict(g1)
+        data["n"] = float(data["n"])
+        for entry in data["agents"]:
+            entry["id"] = float(entry["id"])
+        for entry in data["edges"]:
+            entry["from"], entry["to"] = float(entry["from"]), float(entry["to"])
+        assert graph_from_dict(data) == g1
+
+    def test_columns_are_read_only_and_edges_is_their_view(self, g2):
+        for column in (g2.src, g2.dst, g2.w):
+            assert not column.flags.writeable
+        assert g2.src.dtype == g2.dst.dtype == np.int64 and g2.w.dtype == np.float64
+        assert g2.edges == tuple(
+            Edge(int(s), int(d), float(w)) for s, d, w in zip(g2.src, g2.dst, g2.w)
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(graph_dicts())
+    def test_matches_the_per_entry_loader(self, data):
+        try:
+            expected = loop_graph_from_dict(data)
+        except (GraphFormatError, GraphValidationError) as exc:
+            with pytest.raises(type(exc)) as got:
+                graph_from_dict(data)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            assert graph_from_dict(data) == expected
 
     def test_semantic_errors_still_validated(self):
         data = {

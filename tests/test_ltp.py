@@ -16,7 +16,7 @@ from sfj.graph import Edge, SignedDigraph
 from sfj.ltp import VIRTUAL_ROOT
 
 from conftest import random_reachable_graph
-from oracles import SizeLimit, brute_force_ltp_oracle, reweighted
+from oracles import SizeLimit, brute_force_ltp_oracle, in_neighbours, reweighted
 
 
 def make(n, edges, stubborn, x0=None):
@@ -197,7 +197,7 @@ class TestCertificateProperties:
             g = random_reachable_graph(rng)
             cert = detect_ltp_agents(g, build_dominator_tree(g))
             seen = set()
-            inn = g.in_neighbours()
+            inn = in_neighbours(g)
             for p in cert.ltp_agents:
                 members = cert.persuaded[p]
                 assert members, "persuasive agent with empty persuaded set"
