@@ -21,11 +21,10 @@ from .errors import (
     InfeasibleParameters,
     NoStubbornAgents,
     NotConverged,
-    SingularSystem,
     UnreachableNodes,
 )
 from .generator import random_multiconsensus_graph
-from .graph import load_graph, save_graph
+from .graph import graph_to_dict, load_graph, save_graph
 from .ltp import analyze, certificate_to_dict, predict_clusters
 from .verification import robustness_report_to_dict
 
@@ -58,14 +57,13 @@ def _fail(code: int, message: str) -> int:
 
 
 def _load(path):
+    """load_graph, with every way of failing to read path as a GraphFormatError."""
     try:
-        return load_graph(path), None
+        return load_graph(path)
     except OSError as exc:  # missing file, a directory, no permission
-        return None, _fail(EXIT_PARSE, f"cannot read {path}: {exc.strerror}")
-    except (GraphFormatError, GraphValidationError) as exc:
-        return None, _fail(EXIT_PARSE, str(exc))
+        raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # non-UTF-8; JSON nested too deep
-        return None, _fail(EXIT_PARSE, f"cannot parse {path}: {exc}")
+        raise GraphFormatError(f"cannot parse {path}: {exc}") from exc
 
 
 def _seed(args) -> int:
@@ -75,26 +73,12 @@ def _seed(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g, err = _load(args.graph)
-    if err is not None:
-        return err
-    try:
-        cert = analyze(g)
-    except (NoStubbornAgents, UnreachableNodes) as exc:
-        return _fail(EXIT_CONDITIONS, str(exc))
-    _emit(certificate_to_dict(cert))
+    _emit(certificate_to_dict(analyze(_load(args.graph))))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    g, err = _load(args.graph)
-    if err is not None:
-        return err
-    try:
-        cert = analyze(g)
-        prediction = predict_clusters(cert, mode=args.mode)
-    except (NoStubbornAgents, UnreachableNodes, ConditionsNotMet) as exc:
-        return _fail(EXIT_CONDITIONS, str(exc))
+    prediction = predict_clusters(analyze(_load(args.graph)), mode=args.mode)
     _emit(
         {
             "mode": args.mode,
@@ -106,26 +90,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g, err = _load(args.graph)
-    if err is not None:
-        return err
-
-    failure = None
-    try:
-        # Opened before simulating, so an unwritable path costs no iterations.
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            try:
-                trace = dynamics.simulate(g, tol=args.tol, max_iter=args.max_iter)
-            except NotConverged as exc:
-                trace, failure = exc.trace, exc
-            dynamics.write_trace_csv(trace, fh)
-    except OSError as exc:
-        return _fail(EXIT_USAGE, f"cannot write {args.out}: {exc.strerror}")
-    if failure is not None:
-        return _fail(
-            EXIT_NOT_CONVERGED,
-            f"{failure}; partial trace written to {args.out}",
-        )
+    g = _load(args.graph)
+    # Opened before simulating, so an unwritable path costs no iterations.
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            trace = dynamics.simulate(g, tol=args.tol, max_iter=args.max_iter)
+        except NotConverged as exc:
+            dynamics.write_trace_csv(exc.trace, fh)
+            raise NotConverged(
+                exc.trace, f"{exc}; partial trace written to {args.out}"
+            ) from exc
+        dynamics.write_trace_csv(trace, fh)
 
     observed = verification.clusters_from_trace(trace, tau=args.tau)
     payload = {
@@ -148,15 +123,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, err = _load(args.graph)
-    if err is not None:
-        return err
-    try:
-        report = verification.robustness_harness(
-            g, trials=args.trials, seed=_seed(args), tau=args.tau
-        )
-    except (NoStubbornAgents, UnreachableNodes, ConditionsNotMet, SingularSystem) as exc:
-        return _fail(EXIT_CONDITIONS, str(exc))
+    report = verification.robustness_harness(
+        _load(args.graph), trials=args.trials, seed=_seed(args), tau=args.tau
+    )
     _emit(robustness_report_to_dict(report))
     if not report.all_passed:
         trial = report.first_failure.trial
@@ -171,19 +140,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        g = random_multiconsensus_graph(args.n, args.z, seed=_seed(args))
-    except InfeasibleParameters as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    g = random_multiconsensus_graph(args.n, args.z, seed=_seed(args))
     if args.out == "-":
-        from .graph import graph_to_dict
-
         _emit(graph_to_dict(g))
     else:
-        try:
-            save_graph(g, args.out)
-        except OSError as exc:
-            return _fail(EXIT_USAGE, f"cannot write {args.out}: {exc.strerror}")
+        save_graph(g, args.out)
     return EXIT_OK
 
 
@@ -258,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. The only place an exception becomes an exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -265,7 +227,16 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (GraphFormatError, GraphValidationError) as exc:
+        return _fail(EXIT_PARSE, str(exc))
+    except (NoStubbornAgents, UnreachableNodes, ConditionsNotMet) as exc:
+        return _fail(EXIT_CONDITIONS, str(exc))
+    except NotConverged as exc:
+        return _fail(EXIT_NOT_CONVERGED, str(exc))
+    except OSError as exc:  # _load turned read errors into GraphFormatError
+        out = getattr(args, "out", "-")  # "-" is stdout, as for generate
+        return _fail(EXIT_USAGE, f"cannot write {out}: {exc.strerror}")
+    except (InfeasibleParameters, ValueError) as exc:
         return _fail(EXIT_USAGE, str(exc))
 
 

@@ -47,7 +47,8 @@ def random_multiconsensus_graph(n: int, z: int, seed: int = 0) -> SignedDigraph:
 
     stub_count = int(rng.integers(2, z + 1))
     stub_roots = sorted(rng.choice(roots, size=stub_count, replace=False).tolist())
-    nonstub_roots = [r for r in roots if r not in stub_roots]
+    stub_set = set(stub_roots)
+    nonstub_roots = [r for r in roots if r not in stub_set]
     cluster_of = {r: c for r, c in zip(roots, clusters)}
 
     def magnitude():
@@ -63,12 +64,12 @@ def random_multiconsensus_graph(n: int, z: int, seed: int = 0) -> SignedDigraph:
         members = cluster[1:]
         # Positive arborescence: members only hear from inside the cluster.
         for j, member in enumerate(members):
-            parent = root if j == 0 else int(rng.choice([root] + members[:j]))
+            parent = root if j == 0 else cluster[int(rng.integers(j + 1))]
             add(parent, member, magnitude())
         # Optional extra positive intra-cluster edges into members.
         for member in members:
             if rng.random() < 0.25:
-                src = int(rng.choice(cluster))
+                src = cluster[int(rng.integers(len(cluster)))]
                 add(src, member, magnitude())
         # Occasional feedback into the root; sign-free since roots are exempt
         # from the cooperativity condition.

@@ -41,11 +41,13 @@ class SignedDigraph:
 
     def __init__(self, n: int, edges, beta, x0):
         """Validate once, with array checks. edges holds (src, dst, weight)
-        triples, or is an array with one such row per edge. A failure names
-        the first offending agent (in id order) or edge (in edge order)."""
+        triples, or is an array with one such row per edge; n and the ends are
+        integers. A failure names the first bad agent or edge, in id or edge order."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise GraphValidationError(f"n must be an integer, got {n!r}")
         e = np.array(edges, dtype=float).reshape(-1, 3)
         b, x = np.asarray(beta, dtype=float), np.asarray(x0, dtype=float)
-        self.n, self.beta, self.x0 = n, tuple(b.tolist()), tuple(x.tolist())
+        self.n, self.beta, self.x0 = int(n), tuple(b.tolist()), tuple(x.tolist())
         if n < 1:
             raise GraphValidationError(f"need at least one agent, got n={n}")
         if b.shape != (n,) or x.shape != (n,):
@@ -61,8 +63,11 @@ class SignedDigraph:
         if bad.any():
             i = int(bad.argmax())
             raise GraphValidationError(f"agent {i + 1} has non-finite x0 {self.x0[i]}")
-        inside = np.all((e[:, :2] >= 1) & (e[:, :2] <= n), axis=1)
-        s, d, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2].copy()
+        ends = e[:, :2]
+        integral = np.all(np.isfinite(ends) & (ends == np.floor(ends)), axis=1)
+        inside = integral & np.all((ends >= 1) & (ends <= n), axis=1)
+        s, d = (np.where(inside, c, 0).astype(np.int64) for c in ends.T)
+        w = e[:, 2].copy()
         # Out-of-range edges get distinct negative keys, so a repeat is always
         # a second copy of an in-range pair.
         key = np.where(inside, s * (n + 1) + d, -1 - np.arange(w.size))
@@ -71,9 +76,11 @@ class SignedDigraph:
         bad = ~inside | ~np.isfinite(w) | (w == 0.0) | repeat
         if bad.any():
             k = int(bad.argmax())
-            edge = f"edge ({int(e[k, 0])}, {int(e[k, 1])})"
+            u, v = (int(c) if c.is_integer() else c for c in ends[k].tolist())
+            edge = f"edge ({u}, {v})"
             raise GraphValidationError(
-                f"{edge} references an agent outside 1..{n}" if not inside[k]
+                f"{edge} has an end that is not an integer" if not integral[k]
+                else f"{edge} references an agent outside 1..{n}" if not inside[k]
                 else f"{edge} has non-finite weight {w[k]}" if not np.isfinite(w[k])
                 else f"{edge} has zero weight" if w[k] == 0.0
                 else f"duplicate {edge}"

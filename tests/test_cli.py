@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfj import load_graph, networks, save_graph, verification
+from sfj import cli, dynamics, load_graph, networks, save_graph, verification
 from sfj.cli import (
     EXIT_CONDITIONS,
     EXIT_NOT_CONVERGED,
@@ -15,6 +16,15 @@ from sfj.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     main,
+)
+from sfj.errors import (
+    ConditionsNotMet,
+    GraphFormatError,
+    GraphValidationError,
+    InfeasibleParameters,
+    NoStubbornAgents,
+    NotConverged,
+    UnreachableNodes,
 )
 from sfj.graph import Edge, SignedDigraph
 
@@ -382,3 +392,72 @@ class TestSeedPlumbing:
         run(capsys, "generate", "10", "3", "--seed", "2", "--out", str(c))
         assert load_graph(b) == load_graph(c)
         assert load_graph(a) != load_graph(b)
+
+
+def _not_converged():
+    """A real NotConverged from the 3-agent oscillator, partial trace and all."""
+    g = SignedDigraph(3, ((2, 3, 1.0), (3, 2, 1.0)), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0))
+    with pytest.raises(NotConverged) as info:
+        dynamics.simulate(g, max_iter=3)
+    return info.value
+
+
+class TestExitCodeTable:
+    # Each subcommand: the module and name of the library call behind it.
+    COMMANDS = {
+        "analyze": (cli, "analyze"),
+        "predict": (cli, "predict_clusters"),
+        "simulate": (dynamics, "simulate"),
+        "verify": (verification, "robustness_harness"),
+        "generate": (cli, "random_multiconsensus_graph"),
+    }
+    RAISED = {
+        "format": (lambda: GraphFormatError("bad file"), EXIT_PARSE),
+        "validation": (lambda: GraphValidationError("bad graph"), EXIT_PARSE),
+        "no-stubborn": (lambda: NoStubbornAgents("no stubborn agent"), EXIT_CONDITIONS),
+        "unreachable": (lambda: UnreachableNodes({3}), EXIT_CONDITIONS),
+        "conditions": (lambda: ConditionsNotMet("C1 fails"), EXIT_CONDITIONS),
+        "not-converged": (_not_converged, EXIT_NOT_CONVERGED),
+        "infeasible": (lambda: InfeasibleParameters("no such network"), EXIT_USAGE),
+        "value": (lambda: ValueError("bad value"), EXIT_USAGE),
+    }
+
+    def run_raising(self, capsys, monkeypatch, tmp_path, g2_path, command, exc):
+        def raise_it(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(*self.COMMANDS[command], raise_it)
+        out_path = str(tmp_path / "out")
+        argv = [command, *(["12", "4"] if command == "generate" else [g2_path])]
+        if command in ("simulate", "generate"):
+            argv += ["--out", out_path]
+        code, out, err = run(capsys, *argv)
+        assert out == "" and "Traceback" not in err
+        return code, err, out_path
+
+    @pytest.mark.parametrize("kind", RAISED)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_exception_maps_to_its_code(
+        self, capsys, monkeypatch, tmp_path, g2_path, command, kind
+    ):
+        make, expected = self.RAISED[kind]
+        exc = make()
+        code, err, out_path = self.run_raising(
+            capsys, monkeypatch, tmp_path, g2_path, command, exc
+        )
+        message = str(exc)
+        if command == "simulate" and kind == "not-converged":
+            message += f"; partial trace written to {out_path}"
+        assert code == expected
+        assert err == f"sfj: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "generate"])
+    def test_os_error_names_the_out_path(
+        self, capsys, monkeypatch, tmp_path, g2_path, command
+    ):
+        exc = OSError(errno.ENOSPC, "No space left on device")
+        code, err, out_path = self.run_raising(
+            capsys, monkeypatch, tmp_path, g2_path, command, exc
+        )
+        assert code == EXIT_USAGE
+        assert err == f"sfj: error: cannot write {out_path}: No space left on device\n"

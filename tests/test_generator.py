@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from sfj import (
     InfeasibleParameters,
     analyze,
+    graph_to_dict,
     predict_clusters,
     random_multiconsensus_graph,
     robustness_harness,
@@ -56,3 +60,16 @@ class TestPostconditions:
         c = random_multiconsensus_graph(12, 4, seed=6)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize(
+        "n, z, seed, digest",
+        [
+            (12, 4, 3, "cbfc88042f2a5c8a8c36f4c938a304838739430e4f32fa030657e3748c4fef38"),
+            (1000, 50, 7, "1dbe62ed40fd7fc728a1704c4f1171482d4f4581cde581a4bdad249913ea3ecf"),
+        ],
+    )
+    def test_output_is_pinned_for_fixed_seeds(self, n, z, seed, digest):
+        # Any change to the draws, their order or the construction shows here.
+        g = random_multiconsensus_graph(n, z, seed=seed)
+        text = json.dumps(graph_to_dict(g), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -185,6 +185,26 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="non-finite weight"):
             make(2, [Edge(1, 2, float("nan"))])
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(1.5, 2, 1.0)], r"edge \(1\.5, 2\) has an end that is not an integer"),
+            (3, [(1, 2, 1.0), (1, 2.5, 1.0)], r"edge \(1, 2\.5\) has an end that is not"),
+            (3, [(float("nan"), 2, 1.0)], r"edge \(nan, 2\) has an end that is not"),
+            (2.0, [(1, 2, 1.0)], "n must be an integer, got 2.0"),
+        ],
+        ids=["fractional-end", "fractional-next-to-integral", "nan-end", "float-n"],
+    )
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from casting a NaN
+    def test_non_integral_agent_count_and_edge_ends_rejected(self, n, edges, message):
+        with pytest.raises(GraphValidationError, match=message):
+            SignedDigraph(n, edges, (0.5, 0.0, 0.0)[: int(n)], (0.0,) * int(n))
+
+    def test_numpy_integer_n_is_stored_as_int(self):
+        g = SignedDigraph(np.int64(2), [(1, 2, 1.0)], (0.5, 0.0), (0.0, 0.0))
+        assert type(g.n) is int
+        assert json.loads(json.dumps(graph_to_dict(g)))["n"] == 2
+
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_x0_rejected(self, bad):
         with pytest.raises(GraphValidationError, match="non-finite x0"):
