@@ -69,7 +69,12 @@ def _load(path):
 def _seed(args) -> int:
     """--seed, unless the environment variable SFJ_SEED overrides it."""
     env_seed = os.environ.get("SFJ_SEED")
-    return args.seed if env_seed is None else int(env_seed)
+    if env_seed is None:
+        return args.seed
+    try:
+        return int(env_seed)
+    except ValueError:
+        raise ValueError(f"SFJ_SEED must be an integer, got {env_seed!r}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -91,16 +96,17 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load(args.graph)
-    # Opened before simulating, so an unwritable path costs no iterations.
+    # Opened before simulating, so an unwritable path costs no iterations;
+    # simulate streams the trace into it and keeps only the final state.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         try:
-            trace = dynamics.simulate(g, tol=args.tol, max_iter=args.max_iter)
+            trace = dynamics.simulate(
+                g, tol=args.tol, max_iter=args.max_iter, out=fh
+            )
         except NotConverged as exc:
-            dynamics.write_trace_csv(exc.trace, fh)
             raise NotConverged(
                 exc.trace, f"{exc}; partial trace written to {args.out}"
             ) from exc
-        dynamics.write_trace_csv(trace, fh)
 
     observed = verification.clusters_from_trace(trace, tau=args.tau)
     payload = {

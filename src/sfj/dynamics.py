@@ -35,7 +35,11 @@ DEFAULT_MAX_ITER = 1_000_000
 
 @dataclass(frozen=True, eq=False)
 class OpinionTrace:
-    """Recorded opinion iterates; states[k] is x(k), states[0] the initial state."""
+    """Recorded opinion iterates; states[k] is x(k), states[0] the initial state.
+
+    When simulate streamed the trace to a file, states holds the final state
+    alone.
+    """
 
     states: np.ndarray
     converged: bool
@@ -93,30 +97,128 @@ class ReducedRowRelation:
         )
 
 
-def _contraction_certificate(update_abs: np.ndarray) -> Optional[float]:
-    """Bound ||(I - M)^{-1}||_inf by the row sums of (I - abs(M))^{-1}.
+def _update_entries(g: SignedDigraph):
+    """Nonzeros (rows, cols, vals) of M = (I - B)W, 0-based, straight from the edges.
 
-    The bound converts a step difference into a guaranteed distance from the
-    fixed point. Call it only under stubborn-reachability, which makes abs(M)
-    contracting: on a non-contracting abs(M) the solve need not fail and can
-    return rounding garbage. Returns None when the solve still fails or
-    yields a non-finite or negative row sum, in which case callers fall back
+    The entries are normalize(g).update_matrix()'s, sorted by row and then
+    column as np.nonzero lists them: an in-edge weight over its agent's total
+    in-weight magnitude, and 1 on the diagonal for an agent with no in-edge,
+    each scaled by 1 - beta. Only the in-weight totals are summed in another
+    order, so an entry can differ from the dense one in its last bit.
+    O(n + edges); nothing of size n x n.
+    """
+    src, dst = g.edge_index
+    beta = np.array(g.beta)
+    totals = np.bincount(dst, weights=np.abs(g.w), minlength=g.n)
+    lone = np.flatnonzero(totals == 0.0)
+    rows, cols = np.concatenate((dst, lone)), np.concatenate((src, lone))
+    vals = (1.0 - beta[rows]) * np.concatenate((g.w / totals[dst], np.ones(lone.size)))
+    order = np.lexsort((cols, rows))
+    order = order[vals[order] != 0.0]  # rows of fully stubborn agents vanish
+    return rows[order], cols[order], vals[order]
+
+
+def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
+    """Strongly connected components of the graph v -> succ[bounds[v]:bounds[v+1]].
+
+    Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack: each
+    component comes after every component it reaches.
+    """
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack, components, counter = [], [], 0
+    for root in range(n):
+        work = [] if index[root] >= 0 else [(root, bounds[root])]
+        while work:
+            v, k = work.pop()
+            if index[v] < 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            else:  # back from the tree edge k - 1
+                low[v] = min(low[v], low[succ[k - 1]])
+            for k in range(k, bounds[v + 1]):
+                u = succ[k]
+                if index[u] < 0:
+                    work += [(v, k + 1), (u, bounds[u])]
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], index[u])
+            else:
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        on_stack[component[-1]] = False
+                    components.append(component)
+    return components
+
+
+def _contraction_certificate(n: int, rows, cols, vals) -> Optional[float]:
+    """Bound ||(I - M)^{-1}||_inf by kappa = max (I - abs(M))^{-1} 1.
+
+    M is given by its nonzeros, sorted by row (_update_entries). The bound
+    converts a step difference into a guaranteed distance from the fixed
+    point. I - abs(M) is block triangular over the strongly connected
+    components of M's in-lists, so z = (I - abs(M))^{-1} 1 follows by
+    forward substitution in the order _components yields them (Duff & Reid,
+    ACM TOMS 1978): a single agent v takes
+    z_v = (1 + sum_u abs(M_vu) z_u) / (1 - abs(M_vv)), a larger component
+    one small dense solve. O(n + edges) plus those solves.
+
+    Call it only under stubborn-reachability, which makes abs(M)
+    contracting: on a non-contracting abs(M) a solve need not fail and can
+    return rounding garbage. Returns None on a singular block, a zero
+    divisor or a non-finite or negative z, in which case callers fall back
     to the plain step criterion.
     """
-    n = update_abs.shape[0]
-    try:
-        z = np.linalg.solve(np.eye(n) - update_abs, np.ones(n))
-    except np.linalg.LinAlgError:
-        return None
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ, mag = cols.tolist(), np.abs(vals).tolist()
+    z = [0.0] * n
+    for component in _components(n, bounds, succ):
+        if len(component) == 1:
+            v = component[0]
+            total, divisor = 1.0, 1.0
+            for k in range(bounds[v], bounds[v + 1]):
+                if succ[k] == v:
+                    divisor -= mag[k]
+                else:
+                    total += mag[k] * z[succ[k]]
+            if divisor == 0.0:
+                return None
+            z[v] = total / divisor
+            continue
+        local = {v: i for i, v in enumerate(component)}
+        block, rhs = np.eye(len(component)), np.ones(len(component))
+        for i, v in enumerate(component):
+            for k in range(bounds[v], bounds[v + 1]):
+                j = local.get(succ[k])
+                if j is None:
+                    rhs[i] += mag[k] * z[succ[k]]
+                else:
+                    block[i, j] -= mag[k]
+        try:
+            solved = np.linalg.solve(block, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        for v, value in zip(component, solved.tolist()):
+            z[v] = value
+    z = np.array(z)
     if not np.all(np.isfinite(z)) or np.any(z < 0):
         return None
     return float(z.max())
+
+
+# A streamed trace is written in blocks of at most this many values (at
+# least one row each), so memory stays bounded whatever the iteration count.
+_TRACE_BLOCK = 2**16
 
 
 def simulate(
     g: SignedDigraph,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    out=None,
 ) -> OpinionTrace:
     """Iterate the opinion update until the limit is pinned down to tol.
 
@@ -124,40 +226,58 @@ def simulate(
     bound, so on convergence the last iterate is within tol of the true
     fixed point, not merely tol away from its predecessor. The bound exists
     only under stubborn-reachability; without it the plain step criterion
-    applies. Raises NotConverged (carrying the partial trace) when max_iter
-    is exhausted.
+    applies. Raises NotConverged (carrying the trace) when max_iter is
+    exhausted.
 
-    Each step touches only the nonzeros of the update matrix, one per edge,
-    rather than all n^2 entries; the certificate still uses the dense matrix.
+    With a text file out, the trace goes there as write_trace_csv would
+    write it, in blocks of _TRACE_BLOCK values, the rest written on
+    return or before NotConverged is raised, and the returned or carried
+    trace holds the final state alone. Without out, it holds every state.
+
+    Each step, and the certificate, use only the nonzeros of the update
+    matrix, one per edge: memory is O(n + edges), plus one block of rows
+    when streaming.
     """
-    sysm = normalize(g)
-    update = sysm.update_matrix()
+    rows, cols, vals = _update_entries(g)
     certified = g.m > 0 and check_reachability(g).ok
-    kappa = _contraction_certificate(np.abs(update)) if certified else None
+    kappa = _contraction_certificate(g.n, rows, cols, vals) if certified else None
     step_tol = tol if kappa is None else tol / kappa
 
-    rows, cols = np.nonzero(update)
-    vals = update[rows, cols]
     x0 = np.array(g.x0)
-    anchor = sysm.beta * x0
-    x = x0.copy()
-    states = [x0.copy()]
-    residual = np.inf
+    anchor = np.array(g.beta) * x0
+    per_block = max(1, _TRACE_BLOCK // g.n)
+    kept, first = [], 0  # full blocks when not streaming; the k of block[0]
+    block = np.empty((per_block, g.n))
+    block[0] = x = x0
+    j, residual, converged = 1, np.inf, False
+    if out is not None:
+        _write_header(out, g.n)
     for k in range(1, max_iter + 1):
+        if j == per_block:
+            if out is None:
+                kept.append(block)
+            else:
+                _write_rows(out, first, block)
+            first, block, j = first + per_block, np.empty((per_block, g.n)), 0
         x_next = np.bincount(rows, weights=vals * x[cols], minlength=g.n) + anchor
-        residual = float(np.max(np.abs(x_next - x)))
-        states.append(x_next)
-        x = x_next
+        residual = float(np.abs(x_next - x).max())
+        block[j] = x = x_next
+        j += 1
         if residual < step_tol:
-            return OpinionTrace(
-                states=np.array(states), converged=True, iterations=k,
-                residual=residual,
-            )
+            converged = True
+            break
+    if out is None:
+        states = np.concatenate(kept + [block[:j]])
+    else:
+        _write_rows(out, first, block[:j])
+        states = x[None, :]
     trace = OpinionTrace(
-        states=np.array(states), converged=False, iterations=max_iter,
-        residual=residual,
+        states=states, converged=converged,
+        iterations=k if converged else max_iter, residual=residual,
     )
-    raise NotConverged(trace, f"no convergence after {max_iter} iterations")
+    if not converged:
+        raise NotConverged(trace, f"no convergence after {max_iter} iterations")
+    return trace
 
 
 def influence_matrix(g: SignedDigraph) -> np.ndarray:
@@ -325,16 +445,26 @@ def write_trace_csv(trace: OpinionTrace, fh) -> None:
     then x(k). Each value is the shortest round-trip repr of its float
     (0.1, -0.0, 1e-300, inf, nan), fields are comma-separated and never
     quoted, and every line ends in CRLF ("\\r\\n"): byte for byte what
-    csv.writer writes. Converged agents repeat their value bit for bit from
-    row to row, so each distinct bit pattern is formatted once and the rows
-    are assembled from those strings; comparing bits keeps 0.0 and -0.0
-    apart.
+    csv.writer writes. simulate(g, out=fh) streams the same bytes.
     """
-    states = np.ascontiguousarray(trace.states, dtype=np.float64)
-    n = states.shape[1]
-    bits, inverse = np.unique(states.reshape(-1).view(np.int64), return_inverse=True)
-    values = bits.view(np.float64).tolist()
-    text = np.array(["," + repr(v) for v in values], dtype=object)
+    states = np.asarray(trace.states, dtype=np.float64)
+    _write_header(fh, states.shape[1])
+    _write_rows(fh, 0, states)
+
+
+def _write_header(fh, n: int) -> None:
     fh.write("k" + "".join(f",x_{i}" for i in range(1, n + 1)) + "\r\n")
-    for k, idx in enumerate(inverse.reshape(states.shape)):
+
+
+def _write_rows(fh, start: int, states: np.ndarray) -> None:
+    """write_trace_csv's rows for states, the first numbered start.
+
+    Converged agents repeat their value bit for bit from row to row, so each
+    distinct bit pattern is formatted once and the rows are assembled from
+    those strings; comparing bits keeps 0.0 and -0.0 apart.
+    """
+    states = np.ascontiguousarray(states, dtype=np.float64)
+    bits, inverse = np.unique(states.reshape(-1).view(np.int64), return_inverse=True)
+    text = np.array(["," + repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    for k, idx in enumerate(inverse.reshape(states.shape), start):
         fh.write(f"{k}{''.join(text.take(idx).tolist())}\r\n")

@@ -253,6 +253,23 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
+def dense_contraction_certificate(g: SignedDigraph) -> Optional[float]:
+    """max (I - abs(M))^{-1} 1 by one dense solve on normalize(g)'s update matrix.
+
+    The route simulate took before its certificate moved to forward
+    substitution over strongly connected components. None where the solve
+    fails or gives a non-finite or negative entry.
+    """
+    update_abs = np.abs(normalize(g).update_matrix())
+    try:
+        z = np.linalg.solve(np.eye(g.n) - update_abs, np.ones(g.n))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(z)) or np.any(z < 0):
+        return None
+    return float(z.max())
+
+
 def neumann_influence(g: SignedDigraph, terms: int) -> np.ndarray:
     """Truncated series sum_{k=0}^{terms} ((I-B)W)^k B.
 

@@ -2,13 +2,22 @@ import contextlib
 import errno
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfj import cli, dynamics, load_graph, networks, save_graph, verification
+from sfj import (
+    cli,
+    dynamics,
+    load_graph,
+    networks,
+    random_multiconsensus_graph,
+    save_graph,
+    verification,
+)
 from sfj.cli import (
     EXIT_CONDITIONS,
     EXIT_NOT_CONVERGED,
@@ -313,6 +322,89 @@ class TestSimulate:
         assert out == ""
 
 
+def oscillator():
+    """Agents 2 and 3 swap opinions forever; agent 1 is stubborn but feeds nobody."""
+    return SignedDigraph(3, ((2, 3, 1.0), (3, 2, 1.0)), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0))
+
+
+# Each case with its --max-iter; the oscillator stops at it unconverged.
+STREAMED_CASES = {
+    "g1": (networks.g1, dynamics.DEFAULT_MAX_ITER),
+    "g2": (networks.g2, dynamics.DEFAULT_MAX_ITER),
+    "generated-500": (lambda: random_multiconsensus_graph(500, 25, seed=500),
+                      dynamics.DEFAULT_MAX_ITER),
+    "oscillator": (oscillator, 40),
+}
+
+
+def in_memory_csv(g, max_iter) -> str:
+    """write_trace_csv over the trace simulate keeps when it streams nothing."""
+    try:
+        trace = dynamics.simulate(g, max_iter=max_iter)
+    except NotConverged as exc:
+        trace = exc.trace
+    buf = io.StringIO(newline="")
+    dynamics.write_trace_csv(trace, buf)
+    return buf.getvalue()
+
+
+class TestStreamedTrace:
+    @pytest.mark.parametrize("block", ["one value", "half the trace", "default"])
+    @pytest.mark.parametrize("case", STREAMED_CASES)
+    def test_cli_bytes_equal_the_in_memory_writer(
+        self, capsys, monkeypatch, tmp_path, case, block
+    ):
+        make_graph, max_iter = STREAMED_CASES[case]
+        g = make_graph()
+        expected = in_memory_csv(g, max_iter)
+        rows = expected.count("\r\n") - 1
+        values = {"one value": 1, "half the trace": g.n * (rows // 2) + 1,
+                  "default": dynamics._TRACE_BLOCK}[block]
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", values)
+        path, out_csv = tmp_path / "g.json", tmp_path / "trace.csv"
+        save_graph(g, path)
+        code, _, _ = run(capsys, "simulate", str(path), "--out", str(out_csv),
+                         "--max-iter", str(max_iter))
+        assert code == (EXIT_NOT_CONVERGED if case == "oscillator" else EXIT_OK)
+        assert out_csv.read_bytes() == expected.encode()
+        assert in_memory_csv(g, max_iter) == expected  # kept in several blocks
+
+    @pytest.mark.parametrize("iterations", [2_000, 200_000])
+    def test_unconverged_memory_does_not_grow_with_max_iter(
+        self, capsys, tmp_path, iterations
+    ):
+        # Keeping every state would take 24 bytes per iteration here, and
+        # more than that again in per-row objects: about 30 MB at 200,000.
+        path, out_csv = tmp_path / "osc.json", tmp_path / "partial.csv"
+        save_graph(oscillator(), path)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "simulate", str(path), "--out", str(out_csv),
+                               "--max-iter", str(iterations))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_NOT_CONVERGED and "partial trace" in err
+        with open(out_csv, "rb") as fh:
+            assert sum(1 for _ in fh) == iterations + 2
+        assert peak < 5 * 2**20
+
+    def test_no_n_by_n_array(self, capsys, tmp_path):
+        # At n = 2000 one dense n x n float array is 32 MB.
+        n = 2000
+        path = tmp_path / "g.json"
+        save_graph(random_multiconsensus_graph(n, 100, seed=1), path)
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "simulate", str(path),
+                               "--out", str(tmp_path / "trace.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and json.loads(out)["match"] is True
+        assert peak < 8 * n * n / 4
+
+
 class TestVerify:
     def test_g2_all_trials_pass(self, capsys, g2_path):
         code, out, _ = run(capsys, "verify", g2_path, "--trials", "25")
@@ -392,6 +484,12 @@ class TestSeedPlumbing:
         run(capsys, "generate", "10", "3", "--seed", "2", "--out", str(c))
         assert load_graph(b) == load_graph(c)
         assert load_graph(a) != load_graph(b)
+
+    def test_non_integer_env_seed_names_the_variable(self, capsys, monkeypatch, g2_path):
+        monkeypatch.setenv("SFJ_SEED", "abc")
+        code, out, err = run(capsys, "verify", g2_path, "--trials", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "sfj: error: SFJ_SEED must be an integer, got 'abc'\n"
 
 
 def _not_converged():

@@ -22,12 +22,13 @@ from sfj import (
     simulate,
     write_trace_csv,
 )
-from sfj import dynamics
-from sfj.dynamics import OpinionTrace
+from sfj import dynamics, graph, networks
+from sfj.dynamics import OpinionTrace, _contraction_certificate, _update_entries
 from sfj.graph import Edge, SignedDigraph
 
 from conftest import random_reachable_graph, unreached_positive_class
 from oracles import (
+    dense_contraction_certificate,
     neumann_influence,
     neumann_tail_bound,
     neumann_terms_for,
@@ -130,6 +131,101 @@ class TestSimulate:
         limit = influence_matrix(g) @ np.array(g.x0)
         assert trace.converged
         assert np.max(np.abs(trace.final - limit)) <= 10 * tol
+
+
+@st.composite
+def one_big_component(draw):
+    """Stubborn-reachable graphs whose agents 2..n form one cycle, with extra
+    signed edges, self-loops and stubborn agents that have no in-edge.
+
+    Agent 1 is stubborn and feeds agent 2. Only stubborn agents lose their
+    in-edges, so walking the cycle backwards from any other agent meets a
+    stubborn one: the graph stays stubborn-reachable.
+    """
+    n = draw(st.integers(3, 14))
+    magnitude = st.floats(0.1, 10.0)
+    sign = st.sampled_from([-1.0, 1.0])
+    beta = [draw(st.sampled_from([0.05, 0.5, 1.0]))] + [
+        draw(st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.5, 1.0])) for _ in range(n - 1)
+    ]
+    pairs = {(1, 2)} | {(v, (v - 1) % (n - 1) + 2) for v in range(2, n + 1)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                               max_size=3 * n)))
+    cut = {v for v in range(1, n + 1) if beta[v - 1] > 0 and draw(st.booleans())}
+    edges = [(u, v, draw(magnitude) * draw(sign)) for u, v in sorted(pairs)
+             if v not in cut]
+    return SignedDigraph(n, edges, beta, [0.0] * n)
+
+
+def dense_entries(g):
+    update = normalize(g).update_matrix()
+    rows, cols = np.nonzero(update)
+    return rows, cols, update[rows, cols]
+
+
+EDGE_ARRAY_CASES = {
+    "g1": networks.g1,
+    "g2": networks.g2,
+    "generated-200": lambda: random_multiconsensus_graph(200, 10, seed=200),
+    "generated-1000": lambda: random_multiconsensus_graph(1000, 50, seed=1000),
+}
+
+
+class TestEdgeArrayUpdate:
+    """simulate's update and certificate, read off the edge arrays, against
+    the dense normalize and the dense solve."""
+
+    @staticmethod
+    def assert_entries_match(g):
+        rows, cols, vals = _update_entries(g)
+        d_rows, d_cols, d_vals = dense_entries(g)
+        assert np.array_equal(rows, d_rows) and np.array_equal(cols, d_cols)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(vals - d_vals) <= 2 * eps * np.abs(d_vals))
+
+    @staticmethod
+    def assert_certificate_matches(g):
+        assert check_reachability(g).ok
+        kappa = _contraction_certificate(g.n, *_update_entries(g))
+        dense = dense_contraction_certificate(g)
+        assert kappa is not None and dense is not None
+        assert abs(kappa - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
+    def test_entries_match_the_dense_update_matrix(self, case):
+        self.assert_entries_match(EDGE_ARRAY_CASES[case]())
+
+    @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
+    def test_certificate_matches_the_dense_solve(self, case):
+        self.assert_certificate_matches(EDGE_ARRAY_CASES[case]())
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_big_component())
+    def test_one_big_component_matches_the_dense_solve(self, g):
+        self.assert_entries_match(g)
+        self.assert_certificate_matches(g)
+
+    def test_fully_stubborn_rows_and_lone_agents(self):
+        # Agent 1 has no in-edge and beta 0.5: diagonal 0.5. Agent 3 is fully
+        # stubborn, so its row vanishes, self-loop and all.
+        g = make(3, [Edge(1, 2, 2.0), Edge(3, 2, -2.0), Edge(3, 3, 1.0),
+                     Edge(2, 3, 1.0)], beta=[0.5, 0.0, 1.0])
+        rows, cols, vals = _update_entries(g)
+        assert rows.tolist() == [0, 1, 1] and cols.tolist() == [0, 0, 2]
+        assert vals.tolist() == [0.5, 0.5, -0.5]
+        self.assert_entries_match(g)
+
+    def test_simulate_never_calls_the_dense_normalize(self, g2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate built the dense normalized system")
+
+        monkeypatch.setattr(dynamics, "normalize", refuse)
+        monkeypatch.setattr(graph, "normalize", refuse)
+        for g in (g2, unreached_positive_class()):
+            assert simulate(g).converged
+        with pytest.raises(NotConverged):
+            simulate(make(3, [Edge(2, 3, 1.0), Edge(3, 2, 1.0)],
+                          beta=[1.0, 0.0, 0.0], x0=[0.0, 1.0, -1.0]), max_iter=10)
 
 
 class TestSpectralRadius:
