@@ -25,6 +25,7 @@ from .graph import (
     NormalizedSystem,
     SignedDigraph,
     _unreached,
+    _weight_entries,
     check_reachability,
     normalize,
 )
@@ -100,19 +101,12 @@ class ReducedRowRelation:
 def _update_entries(g: SignedDigraph):
     """Nonzeros (rows, cols, vals) of M = (I - B)W, 0-based, straight from the edges.
 
-    The entries are normalize(g).update_matrix()'s, sorted by row and then
-    column as np.nonzero lists them: an in-edge weight over its agent's total
-    in-weight magnitude, and 1 on the diagonal for an agent with no in-edge,
-    each scaled by 1 - beta. Only the in-weight totals are summed in another
-    order, so an entry can differ from the dense one in its last bit.
-    O(n + edges); nothing of size n x n.
+    The entries are normalize(g).update_matrix()'s, bit for bit, sorted by
+    row and then column as np.nonzero lists them: graph._weight_entries's,
+    each scaled by 1 - beta. O(n + edges); nothing of size n x n.
     """
-    src, dst = g.edge_index
-    beta = np.array(g.beta)
-    totals = np.bincount(dst, weights=np.abs(g.w), minlength=g.n)
-    lone = np.flatnonzero(totals == 0.0)
-    rows, cols = np.concatenate((dst, lone)), np.concatenate((src, lone))
-    vals = (1.0 - beta[rows]) * np.concatenate((g.w / totals[dst], np.ones(lone.size)))
+    rows, cols, vals = _weight_entries(g.n, *g.edge_index, g.w)
+    vals = (1.0 - np.array(g.beta)[rows]) * vals
     order = np.lexsort((cols, rows))
     order = order[vals[order] != 0.0]  # rows of fully stubborn agents vanish
     return rows[order], cols[order], vals[order]

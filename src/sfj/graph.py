@@ -90,8 +90,12 @@ class SignedDigraph:
         self.src, self.dst, self.w = s, d, w
 
     def __eq__(self, other):
-        key = lambda g: (g.n, g.edges, g.beta, g.x0)
-        return isinstance(other, SignedDigraph) and key(self) == key(other)
+        return (
+            isinstance(other, SignedDigraph)
+            and (self.n, self.beta, self.x0) == (other.n, other.beta, other.x0)
+            and all(map(np.array_equal, (self.src, self.dst, self.w),
+                        (other.src, other.dst, other.w)))
+        )
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -112,13 +116,6 @@ class SignedDigraph:
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based (src, dst) index arrays in edge order; built on first use."""
         return self.src - 1, self.dst - 1
-
-    def adjacency(self) -> np.ndarray:
-        """Dense signed adjacency; entry (i-1, j-1) is the weight of edge j -> i."""
-        src, dst = self.edge_index
-        a = np.zeros((self.n, self.n))
-        a[dst, src] = self.w
-        return a
 
 
 def _grouped(keys: np.ndarray, vals: np.ndarray, n: int) -> list[list[int]]:
@@ -170,18 +167,27 @@ def normalize(g: SignedDigraph) -> NormalizedSystem:
     with no in-edges gets w_ii = 1 and zeros elsewhere, so it simply holds its
     current opinion.
     """
-    return _normalize_adjacency(g.adjacency(), np.array(g.beta))
+    return _normalized(g.n, *g.edge_index, g.w, np.array(g.beta))
 
 
-def _normalize_adjacency(a: np.ndarray, beta: np.ndarray) -> NormalizedSystem:
-    """normalize's arithmetic on a dense adjacency a and a stubbornness vector."""
-    totals = np.abs(a).sum(axis=1)
-    w = np.zeros_like(a)
-    has_in = totals > 0.0
-    w[has_in] = a[has_in] / totals[has_in, None]
-    no_in = np.flatnonzero(~has_in)
-    w[no_in, no_in] = 1.0
-    return NormalizedSystem(W=w, beta=beta)
+def _normalized(n: int, src, dst, w, beta: np.ndarray) -> NormalizedSystem:
+    """normalize's system for n agents, 0-based edges src -> dst of weights w."""
+    rows, cols, vals = _weight_entries(n, src, dst, w)
+    W = np.zeros((n, n))
+    W[rows, cols] = vals
+    return NormalizedSystem(W=W, beta=beta)
+
+
+def _weight_entries(n: int, src, dst, w):
+    """W's nonzeros (rows, cols, vals), 0-based, in edge order and then the
+    lone agents: each in-edge weight over its agent's in-weight magnitude
+    total, summed in edge order, and 1 on the diagonal for each agent with no
+    in-edge. The package's one copy of the normalization. O(n + edges).
+    """
+    totals = np.bincount(dst, weights=np.abs(w), minlength=n)
+    lone = np.flatnonzero(totals == 0.0)
+    rows, cols = np.concatenate((dst, lone)), np.concatenate((src, lone))
+    return rows, cols, np.concatenate((w / totals[dst], np.ones(lone.size)))
 
 
 def check_reachability(g: SignedDigraph) -> ReachabilityReport:

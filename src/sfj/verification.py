@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import OpinionTrace, _influence_solve
 from .errors import ConditionsNotMet, NotConverged
-from .graph import SignedDigraph, _normalize_adjacency
+from .graph import SignedDigraph, _normalized
 from .ltp import analyze, predict_clusters
 
 DEFAULT_TAU = 1e-8
@@ -228,14 +228,12 @@ def robustness_harness(
     # analyze(g) certified the topology: its dominator tree raises wherever
     # check_reachability would fail. Every trial keeps the edge set and, as
     # 1 - U[0, 1) lies in (0, 1], the stubborn set, so it builds its system
-    # from the edge arrays with influence_matrix's arithmetic but no gate.
+    # as normalize does and solves as influence_matrix does, with no gate.
     for trial in range(trials):
         weights = signs * rng.uniform(lo, hi, size=signs.size)
         beta = np.zeros(g.n)
         beta[stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
-        a = np.zeros((g.n, g.n))
-        a[dst, src] = weights
-        block = _influence_solve(_normalize_adjacency(a, beta), stubborn)
+        block = _influence_solve(_normalized(g.n, src, dst, weights, beta), stubborn)
         mins, maxs = _cluster_boxes(block, order, starts)
         worst = max(worst, float((maxs - mins).max()))
         if not (partition and _partition_holds(mins, maxs, _threshold(block, tau))):

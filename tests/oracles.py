@@ -57,7 +57,8 @@ def in_neighbours(g: SignedDigraph) -> dict[int, list[int]]:
 def _loop_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected an integer, got {v!r}")
-    if math.isnan(v) or abs(v) > 2**53 or int(v) != v:
+    # The bound comes first: math.isnan cannot take an int beyond float range.
+    if abs(v) > 2**53 or math.isnan(v) or int(v) != v:
         raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
 

@@ -31,3 +31,4 @@ def test_test_only_name_is_not_exported(name):
 
 def test_reweighting_is_not_a_graph_method():
     assert not hasattr(sfj.SignedDigraph, "reweighted")
+    assert not hasattr(sfj.SignedDigraph, "adjacency")

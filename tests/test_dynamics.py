@@ -180,8 +180,7 @@ class TestEdgeArrayUpdate:
         rows, cols, vals = _update_entries(g)
         d_rows, d_cols, d_vals = dense_entries(g)
         assert np.array_equal(rows, d_rows) and np.array_equal(cols, d_cols)
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(vals - d_vals) <= 2 * eps * np.abs(d_vals))
+        assert np.array_equal(vals, d_vals)
 
     @staticmethod
     def assert_certificate_matches(g):

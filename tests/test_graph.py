@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfj import (
@@ -38,7 +38,24 @@ def loop_adjacency(g):
 
 
 def loop_normalized_weights(g):
-    """Reference W: normalize's arithmetic with the self-loop fallback per agent."""
+    """Reference W: each in-weight total added up one edge at a time, in edge
+    order, then each in-edge weight over its total; the self-loop fallback
+    for each agent with no in-edge."""
+    totals = [0.0] * g.n
+    for _, dst, w in g.edges:
+        totals[dst - 1] += abs(w)
+    w = np.zeros((g.n, g.n))
+    for src, dst, weight in g.edges:
+        w[dst - 1, src - 1] = weight / totals[dst - 1]
+    for i in range(g.n):
+        if totals[i] == 0.0:
+            w[i, i] = 1.0
+    return w
+
+
+def row_sum_normalized_weights(g):
+    """W with each in-weight total taken as a row sum of the dense adjacency,
+    which numpy adds up in its own order."""
     a = loop_adjacency(g)
     totals = np.abs(a).sum(axis=1)
     w = np.zeros_like(a)
@@ -66,10 +83,10 @@ class TestNormalize:
     @settings(max_examples=300, deadline=None)
     @given(signed_digraphs())
     def test_array_build_is_bit_identical_to_the_edge_loop(self, g):
-        assert g.adjacency().tobytes() == loop_adjacency(g).tobytes()
         sysm = normalize(g)
         assert sysm.W.tobytes() == loop_normalized_weights(g).tobytes()
         assert sysm.beta.tobytes() == np.array(g.beta).tobytes()
+        assert np.max(np.abs(sysm.W - row_sum_normalized_weights(g))) <= ROW_SUM_TOL
 
     def test_edge_index_is_zero_based_in_edge_order(self):
         g = make(3, [Edge(3, 1, 2.0), Edge(2, 2, -1.0), Edge(1, 3, 0.5)])
@@ -302,8 +319,17 @@ class TestJsonIO:
             Edge(int(s), int(d), float(w)) for s, d, w in zip(g2.src, g2.dst, g2.w)
         )
 
+    def test_equality_compares_the_columns(self, g2):
+        edges = [(s, d, w) for s, d, w in zip(g2.src, g2.dst, g2.w)]
+        same = SignedDigraph(g2.n, edges, g2.beta, g2.x0)
+        shuffled = SignedDigraph(g2.n, edges[::-1], g2.beta, g2.x0)
+        assert same == g2 and shuffled != g2
+        assert all("edges" not in g.__dict__ for g in (g2, same, shuffled))
+
     @settings(max_examples=400, deadline=None)
     @given(graph_dicts())
+    @example({"n": 1, "agents": [{"id": 1, "beta": 0.5, "x0": 0.0}],
+              "edges": [{"from": 10**400, "to": 1, "w": 0.0}]})
     def test_matches_the_per_entry_loader(self, data):
         try:
             expected = loop_graph_from_dict(data)
