@@ -17,7 +17,6 @@ from .errors import (
     NotConverged,
     SFJError,
     SingularBlock,
-    SingularSystem,
     UnreachableNodes,
 )
 from .graph import (
@@ -89,7 +88,6 @@ __all__ = [
     "SFJError",
     "SignedDigraph",
     "SingularBlock",
-    "SingularSystem",
     "SteadyStateSystem",
     "TrialFailure",
     "UnreachableNodes",

@@ -19,9 +19,7 @@ from .errors import (
     GraphFormatError,
     GraphValidationError,
     InfeasibleParameters,
-    NoStubbornAgents,
     NotConverged,
-    UnreachableNodes,
 )
 from .generator import random_multiconsensus_graph
 from .graph import graph_to_dict, load_graph, save_graph
@@ -121,7 +119,7 @@ def cmd_simulate(args) -> int:
         prediction = predict_clusters(cert, mode="relaxed")
         payload["predicted"] = [sorted(c) for c in prediction.clusters]
         payload["match"] = verification.refines(prediction.clusters, observed)
-    except (NoStubbornAgents, UnreachableNodes, ConditionsNotMet):
+    except ConditionsNotMet:
         payload["predicted"] = None
         payload["match"] = None
     _emit(payload)
@@ -135,12 +133,11 @@ def cmd_verify(args) -> int:
     _emit(robustness_report_to_dict(report))
     if not report.all_passed:
         trial = report.first_failure.trial
-        return _fail(
-            EXIT_CONDITIONS,
+        raise ConditionsNotMet(
             f"{report.trials - report.passes} of {report.trials} trials "
             f"did not reproduce the predicted partition; the first was trial "
             f"{trial} of seed {report.seed} (rerun it last with "
-            f"--seed {report.seed} --trials {trial + 1})",
+            f"--seed {report.seed} --trials {trial + 1})"
         )
     return EXIT_OK
 
@@ -235,7 +232,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphFormatError, GraphValidationError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    except (NoStubbornAgents, UnreachableNodes, ConditionsNotMet) as exc:
+    except ConditionsNotMet as exc:
         return _fail(EXIT_CONDITIONS, str(exc))
     except NotConverged as exc:
         return _fail(EXIT_NOT_CONVERGED, str(exc))

@@ -18,7 +18,6 @@ from .errors import (
     HypothesisViolated,
     NotConverged,
     SingularBlock,
-    SingularSystem,
     UnreachableNodes,
 )
 from .graph import (
@@ -283,22 +282,17 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     of stubborn agents sum to less than one, and every other row reaches
     such a row along reversed edges, so rho(M) <= rho(abs(M)) < 1 (the
     substochastic argument for Friedkin-Johnsen dynamics; Parsegov,
-    Proskurnikov, Tempo & Friedkin, IEEE TAC 2017). Raises SingularSystem
-    when there is no stubborn agent or some agent is unreached, since then
-    nothing certifies the solve.
+    Proskurnikov, Tempo & Friedkin, IEEE TAC 2017). Raises NoStubbornAgents
+    / UnreachableNodes when there is no stubborn agent or some agent is
+    unreached, since then nothing certifies the solve.
 
     Columns of non-stubborn agents are exactly zero, so _influence_solve's
     one LU factorization yields the m stubborn columns alone, never an
     explicit inverse, and they are scattered into the n x n result.
     """
-    if g.m == 0:
-        raise SingularSystem("network has no stubborn agent to anchor the solve")
     report = check_reachability(g)
     if not report.ok:
-        raise SingularSystem(
-            f"agents {sorted(report.unreachable)} have no path from a stubborn "
-            "agent, so the solve is not certified"
-        )
+        raise UnreachableNodes(report.unreachable)
     stubborn = np.array(g.stubborn) - 1
     V = np.zeros((g.n, g.n))
     V[:, stubborn] = _influence_solve(normalize(g), stubborn)

@@ -13,11 +13,15 @@ class GraphValidationError(SFJError):
     """A structurally valid graph violates a model invariant."""
 
 
-class NoStubbornAgents(SFJError):
+class ConditionsNotMet(SFJError):
+    """A hypothesis of the multiconsensus guarantee fails (CLI exit 3)."""
+
+
+class NoStubbornAgents(ConditionsNotMet):
     """The network has no stubborn agent; none of the analyses apply."""
 
 
-class UnreachableNodes(SFJError):
+class UnreachableNodes(ConditionsNotMet):
     """Some non-stubborn agents have no path from any stubborn agent."""
 
     def __init__(self, nodes):
@@ -28,8 +32,13 @@ class UnreachableNodes(SFJError):
         )
 
 
-class ConditionsNotMet(SFJError):
-    """The coverage (C1) or cooperativity (C2) condition does not hold."""
+class HypothesisViolated(ConditionsNotMet):
+    """A persuaded agent has a negative in-edge (C2 fails at one persuaded set)."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        detail = ", ".join(f"{src}->{dst}" for src, dst in self.violations)
+        super().__init__(f"negative in-edges at persuaded agents: {detail}")
 
 
 class NotConverged(SFJError):
@@ -40,22 +49,8 @@ class NotConverged(SFJError):
         super().__init__(message)
 
 
-class SingularSystem(SFJError):
-    """The steady-state solve is not certified: there is no stubborn agent,
-    or some agent no stubborn agent reaches."""
-
-
 class SingularBlock(SFJError):
     """The block to be eliminated in a Schur complement is not invertible."""
-
-
-class HypothesisViolated(SFJError):
-    """A persuaded agent has a negative in-edge, voiding the cluster guarantee."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        detail = ", ".join(f"{src}->{dst}" for src, dst in self.violations)
-        super().__init__(f"negative in-edges at persuaded agents: {detail}")
 
 
 class InfeasibleParameters(SFJError):

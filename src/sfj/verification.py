@@ -199,8 +199,8 @@ def robustness_harness(
     magnitudes uniformly from WEIGHT_RANGE and fresh stubbornness levels in
     (0, 1] for the stubborn agents, and solves for V's m stubborn columns
     (the rest are zero). Their per-cluster boxes give the spread and, via
-    _partition_holds, the verdict; a trial they cannot settle scatters V to
-    n x n for clusters_from_influence. Requires C1 and C2 up front; on
+    _partition_holds, the verdict; a trial they cannot settle goes to
+    clusters_from_influence on the same block. Requires C1 and C2 up front; on
     inputs violating them nothing is asserted either way, because the
     conditions are sufficient, not necessary. Raises ValueError when trials < 1.
     """
@@ -237,9 +237,7 @@ def robustness_harness(
         mins, maxs = _cluster_boxes(block, order, starts)
         worst = max(worst, float((maxs - mins).max()))
         if not (partition and _partition_holds(mins, maxs, _threshold(block, tau))):
-            V = np.zeros((g.n, g.n))
-            V[:, stubborn] = block
-            observed = clusters_from_influence(V, tau)
+            observed = clusters_from_influence(block, tau)
             if set(observed) != set(predicted):
                 first_failure = first_failure or TrialFailure(trial, observed)
                 continue

@@ -18,7 +18,6 @@ from sfj import (
     LTPCertificate,
     SFJError,
     SignedDigraph,
-    SingularSystem,
     UnreachableNodes,
     check_reachability,
     normalize,
@@ -302,7 +301,7 @@ def neumann_tail_bound(g: SignedDigraph, terms: int) -> np.ndarray:
     try:
         tail_gain = np.linalg.solve(np.eye(n) - update_abs, np.diag(sysm.beta))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
+        raise ValueError(
             "absolute update matrix is not contracting; no tail bound exists"
         ) from exc
     return np.linalg.matrix_power(update_abs, terms + 1) @ tail_gain
@@ -320,7 +319,7 @@ def neumann_terms_for(g: SignedDigraph, target: float) -> int:
     update_abs = np.abs(sysm.update_matrix())
     rho_abs = spectral_radius(update_abs)
     if rho_abs >= 1.0:
-        raise SingularSystem(
+        raise ValueError(
             f"absolute update matrix has spectral radius {rho_abs:.6g} >= 1"
         )
     scale = float(np.max(sysm.beta))

@@ -6,6 +6,7 @@ import sfj
 # deleted outright (np.abs, and clusters_from_influence with cluster_spread).
 NOT_EXPORTED = (
     "ClusterReport",
+    "SingularSystem",
     "SizeLimit",
     "abs_matrix",
     "brute_force_ltp_oracle",
@@ -32,3 +33,30 @@ def test_test_only_name_is_not_exported(name):
 def test_reweighting_is_not_a_graph_method():
     assert not hasattr(sfj.SignedDigraph, "reweighted")
     assert not hasattr(sfj.SignedDigraph, "adjacency")
+
+
+# Two graphs the guarantee does not cover: one with no stubborn agent, and
+# one whose agent 3 has no in-edge.
+FAILED_HYPOTHESES = {
+    "no-stubborn": (
+        sfj.SignedDigraph(2, ((1, 2, 1.0),), (0.0, 0.0), (0.0, 1.0)),
+        sfj.NoStubbornAgents,
+    ),
+    "unreached": (
+        sfj.SignedDigraph(3, ((1, 2, 1.0),), (0.5, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        sfj.UnreachableNodes,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [sfj.influence_matrix, sfj.build_steady_state, sfj.analyze, sfj.robustness_harness],
+    ids=lambda call: call.__name__,
+)
+@pytest.mark.parametrize("kind", FAILED_HYPOTHESES)
+def test_failed_hypothesis_is_conditions_not_met(kind, call):
+    g, expected = FAILED_HYPOTHESES[kind]
+    with pytest.raises(expected) as info:
+        call(g)
+    assert isinstance(info.value, sfj.ConditionsNotMet)

@@ -30,9 +30,12 @@ from sfj.errors import (
     ConditionsNotMet,
     GraphFormatError,
     GraphValidationError,
+    HypothesisViolated,
     InfeasibleParameters,
     NoStubbornAgents,
     NotConverged,
+    SFJError,
+    SingularBlock,
     UnreachableNodes,
 )
 from sfj.graph import Edge, SignedDigraph
@@ -515,10 +518,13 @@ class TestExitCodeTable:
         "no-stubborn": (lambda: NoStubbornAgents("no stubborn agent"), EXIT_CONDITIONS),
         "unreachable": (lambda: UnreachableNodes({3}), EXIT_CONDITIONS),
         "conditions": (lambda: ConditionsNotMet("C1 fails"), EXIT_CONDITIONS),
+        "hypothesis": (lambda: HypothesisViolated([(2, 3)]), EXIT_CONDITIONS),
         "not-converged": (_not_converged, EXIT_NOT_CONVERGED),
         "infeasible": (lambda: InfeasibleParameters("no such network"), EXIT_USAGE),
         "value": (lambda: ValueError("bad value"), EXIT_USAGE),
     }
+    # Package errors that no subcommand can raise, so main maps them to nothing.
+    LIBRARY_ONLY = {SingularBlock}
 
     def run_raising(self, capsys, monkeypatch, tmp_path, g2_path, command, exc):
         def raise_it(*args, **kwargs):
@@ -548,6 +554,18 @@ class TestExitCodeTable:
             message += f"; partial trace written to {out_path}"
         assert code == expected
         assert err == f"sfj: error: {message}\n"
+
+    def test_every_package_error_is_in_the_table(self):
+        def walk(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from walk(sub)
+
+        # Subclasses the tests define themselves (oracles.SizeLimit) are not
+        # the package's.
+        package = {c for c in walk(SFJError) if c.__module__.startswith("sfj.")}
+        raised = {type(make()) for make, _ in self.RAISED.values()}
+        assert package - self.LIBRARY_ONLY <= raised
 
     @pytest.mark.parametrize("command", ["simulate", "generate"])
     def test_os_error_names_the_out_path(

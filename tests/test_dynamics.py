@@ -11,7 +11,7 @@ from sfj import (
     NoStubbornAgents,
     NotConverged,
     SingularBlock,
-    SingularSystem,
+    UnreachableNodes,
     build_steady_state,
     check_reachability,
     influence_matrix,
@@ -271,13 +271,13 @@ class TestInfluenceMatrix:
 
     def test_unanchored_cycle_is_singular(self):
         g = make(2, [Edge(1, 2, 1.0), Edge(2, 1, 1.0)], beta=[0.0, 0.0])
-        with pytest.raises(SingularSystem):
+        with pytest.raises(NoStubbornAgents):
             influence_matrix(g)
 
     def test_unreached_agent_is_singular(self):
         # Agent 3 has no in-edge, so no stubborn agent anchors it.
         g = make(3, [Edge(1, 2, 1.0)], beta=[0.5, 0.0, 0.0])
-        with pytest.raises(SingularSystem, match=r"\[3\]"):
+        with pytest.raises(UnreachableNodes, match=r"\[3\]"):
             influence_matrix(g)
 
     @pytest.mark.parametrize("n", [100, 200, 500])
