@@ -23,8 +23,8 @@ from .errors import (
 from .graph import (
     NormalizedSystem,
     SignedDigraph,
+    _normalized,
     _unreached,
-    _weight_entries,
     check_reachability,
     normalize,
 )
@@ -97,20 +97,6 @@ class ReducedRowRelation:
         )
 
 
-def _update_entries(g: SignedDigraph):
-    """Nonzeros (rows, cols, vals) of M = (I - B)W, 0-based, straight from the edges.
-
-    The entries are normalize(g).update_matrix()'s, bit for bit, sorted by
-    row and then column as np.nonzero lists them: graph._weight_entries's,
-    each scaled by 1 - beta. O(n + edges); nothing of size n x n.
-    """
-    rows, cols, vals = _weight_entries(g.n, *g.edge_index, g.w)
-    vals = (1.0 - np.array(g.beta)[rows]) * vals
-    order = np.lexsort((cols, rows))
-    order = order[vals[order] != 0.0]  # rows of fully stubborn agents vanish
-    return rows[order], cols[order], vals[order]
-
-
 def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
     """Strongly connected components of the graph v -> succ[bounds[v]:bounds[v+1]].
 
@@ -147,10 +133,10 @@ def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
     return components
 
 
-def _contraction_certificate(n: int, rows, cols, vals) -> Optional[float]:
+def _contraction_certificate(n: int, rows, cols, vals, beta) -> Optional[float]:
     """Bound ||(I - M)^{-1}||_inf by kappa = max (I - abs(M))^{-1} 1.
 
-    M is given by its nonzeros, sorted by row (_update_entries). The bound
+    M is given by its nonzeros, sorted by row (update_entries). The bound
     converts a step difference into a guaranteed distance from the fixed
     point. I - abs(M) is block triangular over the strongly connected
     components of M's in-lists, so z = (I - abs(M))^{-1} 1 follows by
@@ -159,11 +145,11 @@ def _contraction_certificate(n: int, rows, cols, vals) -> Optional[float]:
     z_v = (1 + sum_u abs(M_vu) z_u) / (1 - abs(M_vv)), a larger component
     one small dense solve. O(n + edges) plus those solves.
 
-    Call it only under stubborn-reachability, which makes abs(M)
-    contracting: on a non-contracting abs(M) a solve need not fail and can
-    return rounding garbage. Returns None on a singular block, a zero
-    divisor or a non-finite or negative z, in which case callers fall back
-    to the plain step criterion.
+    The pass also checks stubborn-reachability, which makes abs(M)
+    contracting: influencers come first, so the first component of unreached
+    agents has no member with beta > 0 and no entry from outside, and yields
+    None (a lone agent has divisor 0), as do a singular block and a
+    non-finite or negative z. Callers then use the plain step criterion.
     """
     bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
     succ, mag = cols.tolist(), np.abs(vals).tolist()
@@ -183,13 +169,17 @@ def _contraction_certificate(n: int, rows, cols, vals) -> Optional[float]:
             continue
         local = {v: i for i, v in enumerate(component)}
         block, rhs = np.eye(len(component)), np.ones(len(component))
+        reached = bool(beta[component].any())
         for i, v in enumerate(component):
             for k in range(bounds[v], bounds[v + 1]):
                 j = local.get(succ[k])
                 if j is None:
                     rhs[i] += mag[k] * z[succ[k]]
+                    reached = True
                 else:
                     block[i, j] -= mag[k]
+        if not reached:
+            return None
         try:
             solved = np.linalg.solve(block, rhs)
         except np.linalg.LinAlgError:
@@ -231,13 +221,13 @@ def simulate(
     matrix, one per edge: memory is O(n + edges), plus one block of rows
     when streaming.
     """
-    rows, cols, vals = _update_entries(g)
-    certified = g.m > 0 and check_reachability(g).ok
-    kappa = _contraction_certificate(g.n, rows, cols, vals) if certified else None
+    beta = np.array(g.beta)
+    rows, cols, vals = _normalized(g.n, *g.edge_index, g.w, beta).update_entries()
+    kappa = _contraction_certificate(g.n, rows, cols, vals, beta)
     step_tol = tol if kappa is None else tol / kappa
 
     x0 = np.array(g.x0)
-    anchor = np.array(g.beta) * x0
+    anchor = beta * x0
     per_block = max(1, _TRACE_BLOCK // g.n)
     kept, first = [], 0  # full blocks when not streaming; the k of block[0]
     block = np.empty((per_block, g.n))
@@ -301,10 +291,9 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
 
 def _influence_solve(sysm: NormalizedSystem, stubborn: np.ndarray) -> np.ndarray:
     """influence_matrix's solve past its gate: V's columns at stubborn (0-based)."""
-    n = sysm.n
-    rhs = np.zeros((n, stubborn.size))
+    rhs = np.zeros((sysm.n, stubborn.size))
     rhs[stubborn, np.arange(stubborn.size)] = sysm.beta[stubborn]
-    return np.linalg.solve(np.eye(n) - sysm.update_matrix(), rhs)
+    return np.linalg.solve(sysm.system_matrix(), rhs)
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
@@ -324,7 +313,7 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     rows = np.array(g.stubborn) - 1
     m = rows.size
     R = np.zeros((n + m, n + m))
-    R[:n, :n] = np.eye(n) - sysm.update_matrix()
+    R[:n, :n] = sysm.system_matrix()
     R[rows, n + np.arange(m)] = -sysm.beta[rows]
     # The gate above is influence_matrix's: solve on the system just built.
     x0_stubborn = np.array(g.x0)[rows]

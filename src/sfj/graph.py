@@ -128,28 +128,49 @@ def _grouped(keys: np.ndarray, vals: np.ndarray, n: int) -> list[list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedSystem:
-    """Row-normalized signed weight matrix W paired with the stubbornness diagonal.
+    """Row-normalized signed weight matrix W, kept as its nonzeros, and beta.
 
-    Every row of abs(W) sums to 1: row i holds the in-edge weights of agent i
-    divided by their total magnitude, with a self-loop fallback w_ii = 1 for
-    agents that have no in-edges. beta is kept as a 1-D vector; the diagonal
-    matrix is implied.
+    Row i of W holds agent i's in-edge weights over their total magnitude,
+    or w_ii = 1 if it has none. rows, cols and vals are 0-based, in edge
+    order and then those agents; no (row, col) pair repeats. All are
+    read-only, as is the dense .W, built on first read.
     """
 
-    W: np.ndarray
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        self.W.setflags(write=False)
-        self.beta.setflags(write=False)
+        for a in (self.rows, self.cols, self.vals, self.beta):
+            a.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.W.shape[0]
+    @cached_property
+    def W(self) -> np.ndarray:
+        W = np.zeros((self.n, self.n))
+        W[self.rows, self.cols] = self.vals
+        W.setflags(write=False)
+        return W
 
     def update_matrix(self) -> np.ndarray:
-        """The opinion-update matrix (I - diag(beta)) W."""
+        """The opinion-update matrix M = (I - diag(beta)) W, dense."""
         return (1.0 - self.beta)[:, None] * self.W
+
+    def update_entries(self):
+        """M's nonzeros (rows, cols, vals), sorted by row and then column as
+        np.nonzero lists them, bit for bit update_matrix()'s. O(n + edges)."""
+        vals = (1.0 - self.beta[self.rows]) * self.vals
+        order = np.lexsort((self.cols, self.rows))
+        order = order[vals[order] != 0.0]  # rows of fully stubborn agents vanish
+        return self.rows[order], self.cols[order], vals[order]
+
+    def system_matrix(self) -> np.ndarray:
+        """I - M, the package's one dense n x n build of it: bit for bit
+        np.eye(n) - update_matrix(), as no (row, col) pair repeats."""
+        A = np.eye(self.n)
+        A[self.rows, self.cols] -= (1.0 - self.beta[self.rows]) * self.vals
+        return A
 
 
 @dataclass(frozen=True)
@@ -163,31 +184,21 @@ class ReachabilityReport:
 def normalize(g: SignedDigraph) -> NormalizedSystem:
     """Build the normalized system: each agent's in-weights scaled to unit magnitude.
 
-    Row i of W is a_ij / sum_j |a_ij| over the in-edges of agent i; an agent
-    with no in-edges gets w_ii = 1 and zeros elsewhere, so it simply holds its
-    current opinion.
+    Row i of W is a_ij / sum_j |a_ij| over agent i's in-edges, or w_ii = 1 if
+    it has none. O(n + edges): the dense W is built only when .W is read.
     """
     return _normalized(g.n, *g.edge_index, g.w, np.array(g.beta))
 
 
 def _normalized(n: int, src, dst, w, beta: np.ndarray) -> NormalizedSystem:
-    """normalize's system for n agents, 0-based edges src -> dst of weights w."""
-    rows, cols, vals = _weight_entries(n, src, dst, w)
-    W = np.zeros((n, n))
-    W[rows, cols] = vals
-    return NormalizedSystem(W=W, beta=beta)
-
-
-def _weight_entries(n: int, src, dst, w):
-    """W's nonzeros (rows, cols, vals), 0-based, in edge order and then the
-    lone agents: each in-edge weight over its agent's in-weight magnitude
-    total, summed in edge order, and 1 on the diagonal for each agent with no
-    in-edge. The package's one copy of the normalization. O(n + edges).
-    """
+    """normalize's system for n agents, 0-based edges src -> dst of weights w:
+    the package's one copy of the normalization, with each agent's in-weight
+    magnitude total summed in edge order. O(n + edges)."""
     totals = np.bincount(dst, weights=np.abs(w), minlength=n)
     lone = np.flatnonzero(totals == 0.0)
     rows, cols = np.concatenate((dst, lone)), np.concatenate((src, lone))
-    return rows, cols, np.concatenate((w / totals[dst], np.ones(lone.size)))
+    vals = np.concatenate((w / totals[dst], np.ones(lone.size)))
+    return NormalizedSystem(n, rows, cols, vals, beta)
 
 
 def check_reachability(g: SignedDigraph) -> ReachabilityReport:

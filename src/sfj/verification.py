@@ -133,11 +133,16 @@ def clusters_from_trace(
     trace: OpinionTrace, tau: float = DEFAULT_TAU
 ) -> tuple[frozenset[int], ...]:
     """Group agents by final opinion. Initial-condition dependent; two
-    predicted clusters can coincidentally merge here, never split."""
+    predicted clusters can coincidentally merge here, never split. Exactly
+    _group_rows on one column, as rounded subtraction is monotone: groups
+    end where a sorted gap exceeds the threshold."""
     if not trace.converged:
         raise NotConverged(trace, "cannot cluster an unconverged trace")
     final = trace.final
-    return _group_rows(final[:, None], _threshold(final, tau))
+    order = np.argsort(final)
+    cuts = np.flatnonzero(np.diff(final[order]) > _threshold(final, tau)) + 1
+    groups = (frozenset(c.tolist()) for c in np.split(order + 1, cuts))
+    return tuple(sorted(groups, key=min))
 
 
 def _cluster_layout(clusters) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from sfj import (
     write_trace_csv,
 )
 from sfj import dynamics, graph, networks
-from sfj.dynamics import OpinionTrace, _contraction_certificate, _update_entries
-from sfj.graph import Edge, SignedDigraph
+from sfj.dynamics import OpinionTrace, _contraction_certificate, _influence_solve
+from sfj.graph import Edge, SignedDigraph, _normalized
 
 from conftest import random_reachable_graph, unreached_positive_class
 from oracles import (
@@ -157,6 +158,24 @@ def one_big_component(draw):
     return SignedDigraph(n, edges, beta, [0.0] * n)
 
 
+@st.composite
+def small_graphs(draw):
+    """Graphs of up to 8 agents, often with unreached agents or none stubborn.
+
+    Magnitudes lie in [0.1, 10] and stubbornness in {0, 0.05, 0.5, 1}, so a
+    reached agent's divisor and every reached block stay well away from
+    singular: the certificate can then fail only on an unreached agent.
+    """
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          unique=True, max_size=2 * n))
+    sign = st.sampled_from([-1.0, 1.0])
+    edges = [(u, v, draw(st.floats(0.1, 10.0)) * draw(sign)) for u, v in pairs]
+    beta = draw(st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.5, 1.0]),
+                         min_size=n, max_size=n))
+    return SignedDigraph(n, edges, beta, [0.0] * n)
+
+
 def dense_entries(g):
     update = normalize(g).update_matrix()
     rows, cols = np.nonzero(update)
@@ -177,7 +196,7 @@ class TestEdgeArrayUpdate:
 
     @staticmethod
     def assert_entries_match(g):
-        rows, cols, vals = _update_entries(g)
+        rows, cols, vals = normalize(g).update_entries()
         d_rows, d_cols, d_vals = dense_entries(g)
         assert np.array_equal(rows, d_rows) and np.array_equal(cols, d_cols)
         assert np.array_equal(vals, d_vals)
@@ -185,14 +204,23 @@ class TestEdgeArrayUpdate:
     @staticmethod
     def assert_certificate_matches(g):
         assert check_reachability(g).ok
-        kappa = _contraction_certificate(g.n, *_update_entries(g))
+        sysm = normalize(g)
+        kappa = _contraction_certificate(g.n, *sysm.update_entries(), sysm.beta)
         dense = dense_contraction_certificate(g)
         assert kappa is not None and dense is not None
         assert abs(kappa - dense) <= 1e-12 * dense
 
+    @staticmethod
+    def assert_system_matrix_matches(g):
+        sysm = normalize(g)
+        dense = np.eye(g.n) - sysm.update_matrix()
+        assert sysm.system_matrix().tobytes() == dense.tobytes()
+
     @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
     def test_entries_match_the_dense_update_matrix(self, case):
-        self.assert_entries_match(EDGE_ARRAY_CASES[case]())
+        g = EDGE_ARRAY_CASES[case]()
+        self.assert_entries_match(g)
+        self.assert_system_matrix_matches(g)
 
     @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
     def test_certificate_matches_the_dense_solve(self, case):
@@ -203,16 +231,18 @@ class TestEdgeArrayUpdate:
     def test_one_big_component_matches_the_dense_solve(self, g):
         self.assert_entries_match(g)
         self.assert_certificate_matches(g)
+        self.assert_system_matrix_matches(g)
 
     def test_fully_stubborn_rows_and_lone_agents(self):
         # Agent 1 has no in-edge and beta 0.5: diagonal 0.5. Agent 3 is fully
         # stubborn, so its row vanishes, self-loop and all.
         g = make(3, [Edge(1, 2, 2.0), Edge(3, 2, -2.0), Edge(3, 3, 1.0),
                      Edge(2, 3, 1.0)], beta=[0.5, 0.0, 1.0])
-        rows, cols, vals = _update_entries(g)
+        rows, cols, vals = normalize(g).update_entries()
         assert rows.tolist() == [0, 1, 1] and cols.tolist() == [0, 0, 2]
         assert vals.tolist() == [0.5, 0.5, -0.5]
         self.assert_entries_match(g)
+        self.assert_system_matrix_matches(g)
 
     def test_simulate_never_calls_the_dense_normalize(self, g2, monkeypatch):
         def refuse(*args, **kwargs):
@@ -225,6 +255,52 @@ class TestEdgeArrayUpdate:
         with pytest.raises(NotConverged):
             simulate(make(3, [Edge(2, 3, 1.0), Edge(3, 2, 1.0)],
                           beta=[1.0, 0.0, 0.0], x0=[0.0, 1.0, -1.0]), max_iter=10)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(small_graphs())
+    def test_certificate_is_none_exactly_when_an_agent_is_unreached(self, g):
+        sysm = normalize(g)
+        kappa = _contraction_certificate(g.n, *sysm.update_entries(), sysm.beta)
+        reached = g.m > 0 and check_reachability(g).ok
+        assert (kappa is None) == (not reached)
+
+    def test_simulate_never_calls_check_reachability(self, g2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran a second reachability search")
+
+        monkeypatch.setattr(dynamics, "check_reachability", refuse)
+        monkeypatch.setattr(graph, "check_reachability", refuse)
+        for g in (g2, unreached_positive_class()):
+            assert simulate(g).converged
+        no_stubborn = make(2, [Edge(1, 2, 1.0)], beta=[0.0, 0.0], x0=[1.0, 0.0])
+        assert simulate(no_stubborn, max_iter=10).converged
+
+
+class TestDenseAllocations:
+    """At n = 1000 one n x n array is 8 MB; tracemalloc sees numpy's arrays
+    but not LAPACK's work space."""
+
+    @staticmethod
+    def peak_bytes(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_solve_builds_one_dense_matrix(self):
+        g = random_multiconsensus_graph(1000, 50, seed=1000)
+        src, dst = g.edge_index
+        stubborn = np.array(g.stubborn) - 1
+        peak = self.peak_bytes(lambda: _influence_solve(
+            _normalized(g.n, src, dst, g.w, np.array(g.beta)), stubborn))
+        assert peak < 2 * 8 * g.n**2
+
+    def test_normalize_builds_no_dense_matrix(self):
+        g = random_multiconsensus_graph(1000, 50, seed=1000)
+        g.edge_index
+        assert self.peak_bytes(lambda: normalize(g)) < 8 * g.n**2 / 4
 
 
 class TestSpectralRadius:

@@ -87,6 +87,18 @@ class TestNormalize:
         assert sysm.W.tobytes() == loop_normalized_weights(g).tobytes()
         assert sysm.beta.tobytes() == np.array(g.beta).tobytes()
         assert np.max(np.abs(sysm.W - row_sum_normalized_weights(g))) <= ROW_SUM_TOL
+        dense = np.eye(g.n) - sysm.update_matrix()
+        assert sysm.system_matrix().tobytes() == dense.tobytes()
+
+    def test_arrays_are_read_only_and_w_is_built_on_first_read(self, g2):
+        sysm = normalize(g2)
+        assert "W" not in vars(sysm)
+        sysm.system_matrix(), sysm.update_entries()
+        assert "W" not in vars(sysm)
+        for array in (sysm.W, sysm.rows, sysm.cols, sysm.vals, sysm.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert sysm.W is sysm.W
 
     def test_edge_index_is_zero_based_in_edge_order(self):
         g = make(3, [Edge(3, 1, 2.0), Edge(2, 2, -1.0), Edge(1, 3, 0.5)])

@@ -291,6 +291,46 @@ class TestTraceClusters:
             clusters_from_trace(trace)
 
 
+@st.composite
+def final_opinions(draw):
+    """One column of a row_sets case, with signed zeros and one-ulp neighbours
+    mixed in, and a tau that puts the threshold below zero, at zero, near
+    row_sets' threshold or near one of the sorted gaps."""
+    rows, thresh = draw(row_sets())
+    values = rows[:, 0].tolist()
+    for _ in range(draw(st.integers(0, 4))):
+        v = draw(st.sampled_from(values + [0.0, -0.0]))
+        values.append(draw(st.sampled_from((v, -v, np.nextafter(v, np.inf),
+                                            np.nextafter(v, -np.inf)))))
+    final = np.array(draw(st.permutations(values)))
+    scale = float(np.max(np.abs(final))) or 1.0
+    gaps = np.diff(np.sort(final)).tolist()
+    tau = draw(st.sampled_from([-1e-3, 0.0, thresh / scale] + [g / scale for g in gaps]))
+    return final, tau
+
+
+class TestSortAndSplitTraceClusters:
+    @settings(max_examples=600, deadline=None)
+    @given(final_opinions())
+    def test_equals_group_rows_on_one_column(self, case):
+        final, tau = case
+        trace = OpinionTrace(states=final[None, :], converged=True, iterations=0,
+                             residual=0.0)
+        thresh = verification._threshold(final, tau)
+        clusters = clusters_from_trace(trace, tau)
+        assert clusters == _group_rows(final[:, None], thresh)
+        assert clusters == pairwise_group_rows(final[:, None], thresh)
+        assert all(type(i) is int for c in clusters for i in c)
+
+    def test_never_builds_a_union_find(self, g2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("clusters_from_trace built a union-find")
+
+        monkeypatch.setattr(verification, "_UnionFind", refuse)
+        shifted = SignedDigraph(g2.n, g2.edges, g2.beta, tuple(range(g2.n)))
+        assert len(clusters_from_trace(simulate(shifted))) == 4
+
+
 class TestRefines:
     def test_refinement_direction(self):
         fine = [frozenset({1}), frozenset({2}), frozenset({3})]
