@@ -8,6 +8,7 @@ carry a "schema": 1 field. Exit codes are stable: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -184,7 +185,10 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; each parse_args call starts a fresh namespace.
+    set_defaults binds each subcommand's func at the first build."""
     parser = _Parser(
         prog="sfj",
         description="Multiconsensus analysis of signed directed influence networks",

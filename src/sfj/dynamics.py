@@ -21,7 +21,6 @@ from .errors import (
     UnreachableNodes,
 )
 from .graph import (
-    NormalizedSystem,
     SignedDigraph,
     _normalized,
     _unreached,
@@ -192,8 +191,8 @@ def _contraction_certificate(n: int, rows, cols, vals, beta) -> Optional[float]:
     return float(z.max())
 
 
-# A streamed trace is written in blocks of at most this many values (at
-# least one row each), so memory stays bounded whatever the iteration count.
+# Streamed traces and reweighting trials go in blocks of at most this many
+# values (at least one row or trial each), so memory stays bounded.
 _TRACE_BLOCK = 2**16
 
 
@@ -284,16 +283,18 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     if not report.ok:
         raise UnreachableNodes(report.unreachable)
     stubborn = np.array(g.stubborn) - 1
+    sysm = normalize(g)
     V = np.zeros((g.n, g.n))
-    V[:, stubborn] = _influence_solve(normalize(g), stubborn)
+    V[:, stubborn] = _influence_solve(sysm.system_matrix(), sysm.beta, stubborn)
     return V
 
 
-def _influence_solve(sysm: NormalizedSystem, stubborn: np.ndarray) -> np.ndarray:
-    """influence_matrix's solve past its gate: V's columns at stubborn (0-based)."""
-    rhs = np.zeros((sysm.n, stubborn.size))
-    rhs[stubborn, np.arange(stubborn.size)] = sysm.beta[stubborn]
-    return np.linalg.solve(sysm.system_matrix(), rhs)
+def _influence_solve(A: np.ndarray, beta: np.ndarray, stubborn: np.ndarray) -> np.ndarray:
+    """influence_matrix's solve past its gate: V's columns at stubborn (0-based)
+    from A = I - M; a stack A (..., n, n), beta (..., n) runs one gesv per system."""
+    rhs = np.zeros(beta.shape + (stubborn.size,))
+    rhs[..., stubborn, np.arange(stubborn.size)] = beta[..., stubborn]
+    return np.linalg.solve(A, rhs)
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
@@ -315,9 +316,10 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     R = np.zeros((n + m, n + m))
     R[:n, :n] = sysm.system_matrix()
     R[rows, n + np.arange(m)] = -sysm.beta[rows]
-    # The gate above is influence_matrix's: solve on the system just built.
+    # The gate above is influence_matrix's: solve on R's I - M block.
     x0_stubborn = np.array(g.x0)[rows]
-    y = np.concatenate([_influence_solve(sysm, rows) @ x0_stubborn, x0_stubborn])
+    V = _influence_solve(R[:n, :n], sysm.beta, rows)
+    y = np.concatenate([V @ x0_stubborn, x0_stubborn])
     return SteadyStateSystem(
         R=R, y=y, stubborn_index=g.stubborn, graph=g, W=sysm.W
     )

@@ -9,6 +9,7 @@ of dst, and its weight lands in row dst of the weight matrix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -133,7 +134,8 @@ class NormalizedSystem:
     Row i of W holds agent i's in-edge weights over their total magnitude,
     or w_ii = 1 if it has none. rows, cols and vals are 0-based, in edge
     order and then those agents; no (row, col) pair repeats. All are
-    read-only, as is the dense .W, built on first read.
+    read-only, as is the dense .W, built on first read. A leading trial axis
+    on vals and beta, one system per trial, carries into .W and system_matrix().
     """
 
     n: int
@@ -148,14 +150,14 @@ class NormalizedSystem:
 
     @cached_property
     def W(self) -> np.ndarray:
-        W = np.zeros((self.n, self.n))
-        W[self.rows, self.cols] = self.vals
+        W = np.zeros(self.beta.shape[:-1] + (self.n, self.n))
+        W[..., self.rows, self.cols] = self.vals
         W.setflags(write=False)
         return W
 
     def update_matrix(self) -> np.ndarray:
         """The opinion-update matrix M = (I - diag(beta)) W, dense."""
-        return (1.0 - self.beta)[:, None] * self.W
+        return (1.0 - self.beta)[..., None] * self.W
 
     def update_entries(self):
         """M's nonzeros (rows, cols, vals), sorted by row and then column as
@@ -166,10 +168,12 @@ class NormalizedSystem:
         return self.rows[order], self.cols[order], vals[order]
 
     def system_matrix(self) -> np.ndarray:
-        """I - M, the package's one dense n x n build of it: bit for bit
-        np.eye(n) - update_matrix(), as no (row, col) pair repeats."""
-        A = np.eye(self.n)
-        A[self.rows, self.cols] -= (1.0 - self.beta[self.rows]) * self.vals
+        """I - M, the package's one dense n x n build of it, per trial: bit
+        for bit np.eye(n) - update_matrix(), as no (row, col) pair repeats."""
+        A = np.zeros(self.beta.shape[:-1] + (self.n, self.n))
+        diagonal = np.arange(self.n)
+        A[..., diagonal, diagonal] = 1.0
+        A[..., self.rows, self.cols] -= (1.0 - self.beta[..., self.rows]) * self.vals
         return A
 
 
@@ -193,11 +197,15 @@ def normalize(g: SignedDigraph) -> NormalizedSystem:
 def _normalized(n: int, src, dst, w, beta: np.ndarray) -> NormalizedSystem:
     """normalize's system for n agents, 0-based edges src -> dst of weights w:
     the package's one copy of the normalization, with each agent's in-weight
-    magnitude total summed in edge order. O(n + edges)."""
-    totals = np.bincount(dst, weights=np.abs(w), minlength=n)
-    lone = np.flatnonzero(totals == 0.0)
+    magnitude total summed in edge order. w (T, edges) and beta (T, n) give
+    T systems on the same entries, from one bincount. O(T (n + edges))."""
+    lead = w.shape[:-1]
+    trial = np.arange(math.prod(lead))[:, None]  # agent i of trial t is bin i + n t
+    totals = np.bincount((dst + n * trial).ravel(), np.abs(w).ravel(), trial.size * n)
+    totals = totals.reshape(lead + (n,))
+    lone = np.flatnonzero(np.bincount(dst, minlength=n) == 0)  # no in-edge
     rows, cols = np.concatenate((dst, lone)), np.concatenate((src, lone))
-    vals = np.concatenate((w / totals[dst], np.ones(lone.size)))
+    vals = np.concatenate((w / totals[..., dst], np.ones(lead + lone.shape)), axis=-1)
     return NormalizedSystem(n, rows, cols, vals, beta)
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import OpinionTrace, _influence_solve
 from .errors import ConditionsNotMet, NotConverged
 from .graph import SignedDigraph, _normalized
@@ -109,10 +110,11 @@ def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
     )
 
 
-def _threshold(values, tau: float) -> float:
-    """tau relative to the largest magnitude in values, or tau if all are 0."""
-    scale = float(np.max(np.abs(values)))
-    return tau * scale if scale > 0 else tau
+def _threshold(values, tau: float, axis=None):
+    """tau relative to the largest magnitude in values, or tau if all are 0;
+    with axis, one threshold per slice left after reducing over it."""
+    scale = np.max(np.abs(values), axis=axis)
+    return np.where(scale > 0, tau * scale, tau)
 
 
 def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int], ...]:
@@ -153,8 +155,11 @@ def _cluster_layout(clusters) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cluster_boxes(V: np.ndarray, order: np.ndarray, starts: np.ndarray):
-    """Per-cluster column minima and maxima of V's rows, for _cluster_layout."""
-    return np.minimum.reduceat(V[order], starts), np.maximum.reduceat(V[order], starts)
+    """Per-cluster column minima and maxima of V's rows, for _cluster_layout;
+    V (..., n, m) gives boxes (..., k, m)."""
+    rows = V[..., order, :]
+    return (np.minimum.reduceat(rows, starts, axis=-2),
+            np.maximum.reduceat(rows, starts, axis=-2))
 
 
 def cluster_spread(V, clusters) -> float:
@@ -167,24 +172,26 @@ def cluster_spread(V, clusters) -> float:
     return float((hi - lo).max(initial=0.0))
 
 
-def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: float) -> bool:
-    """When True, _group_rows(rows, thresh) is exactly the partition of rows
-    whose per-cluster column minima and maxima are lo and hi; False decides
+def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Per trial t of boxes lo, hi (T, k, m) and thresholds (T,): when True,
+    _group_rows(rows, thresh[t]) is exactly the partition of rows whose
+    per-cluster column minima and maxima are lo[t] and hi[t]; False decides
     nothing. Rounded subtraction is monotone: a range at most thresh makes a
     cluster a clique, and boxes over thresh apart in a column share no close pair."""
-    if not (hi - lo).max() <= thresh:
-        return False
-    # Sort-and-sweep with _group_rows's slack: boxes outside a window separate.
-    widest = int((hi.max(axis=0) - lo.min(axis=0)).argmax())
-    order = lo[:, widest].argsort()
-    keys, reach = lo[order, widest], hi[order, widest]
-    slack = 8 * np.finfo(float).eps * (max(reach.max(), -keys[0]) + thresh)
-    ends = keys.searchsorted(reach + thresh + slack, side="right")
-    counts = ends - np.arange(1, keys.size + 1)  # later boxes in each window
-    first = order[np.repeat(np.arange(keys.size), counts)]
-    second = order[np.arange(counts.sum()) + np.repeat(ends - counts.cumsum(), counts)]
-    gaps = np.maximum(lo[second] - hi[first], lo[first] - hi[second])
-    return bool((gaps > thresh).any(axis=1).all())
+    holds = (hi - lo).max(axis=(1, 2)) <= thresh
+    # Boxes whose spans in the widest column lie over thresh apart, with
+    # _group_rows's slack, separate. Every other pair needs a gap over thresh
+    # in some column; holds keeps the bounds finite, so the largest gap decides.
+    stack = np.arange(lo.shape[0])
+    widest = (hi.max(axis=1) - lo.min(axis=1)).argmax(axis=1)
+    keys, reach = lo[stack, :, widest], hi[stack, :, widest]
+    top = np.maximum(reach.max(axis=1), -keys.min(axis=1))
+    slack = 8 * np.finfo(float).eps * (top + thresh)
+    near = keys[:, None, :] <= (reach + thresh[:, None] + slack[:, None])[:, :, None]
+    t, a, b = np.nonzero(np.triu(near & near.transpose(0, 2, 1), 1) & holds[:, None, None])
+    gaps = np.maximum(lo[t, b] - hi[t, a], lo[t, a] - hi[t, b]).max(axis=1)
+    holds[t[gaps <= thresh[t]]] = False
+    return holds
 
 
 def refines(finer, coarser) -> bool:
@@ -227,29 +234,36 @@ def robustness_harness(
     order, starts = _cluster_layout(predicted)
     # Boxes settle trials only for a prediction that partitions every agent.
     partition = np.array_equal(np.sort(order), np.arange(g.n))
-    passes = 0
+    per_block = max(1, dynamics._TRACE_BLOCK // g.n**2)
+    failures = 0
     worst = 0.0
     first_failure = None
     # analyze(g) certified the topology: its dominator tree raises wherever
     # check_reachability would fail. Every trial keeps the edge set and, as
-    # 1 - U[0, 1) lies in (0, 1], the stubborn set, so it builds its system
-    # as normalize does and solves as influence_matrix does, with no gate.
-    for trial in range(trials):
-        weights = signs * rng.uniform(lo, hi, size=signs.size)
-        beta = np.zeros(g.n)
-        beta[stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
-        block = _influence_solve(_normalized(g.n, src, dst, weights, beta), stubborn)
+    # 1 - U[0, 1) lies in (0, 1], the stubborn set, so each block of trials
+    # builds its systems as normalize does and solves as influence_matrix
+    # does, with no gate. Each trial draws in its own order, as if alone.
+    for done in range(0, trials, per_block):
+        count = min(per_block, trials - done)
+        draws, beta = np.empty((count, signs.size)), np.zeros((count, g.n))
+        for t in range(count):
+            draws[t] = rng.uniform(lo, hi, size=signs.size)
+            beta[t, stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
+        sysm = _normalized(g.n, src, dst, signs * draws, beta)
+        block = _influence_solve(sysm.system_matrix(), beta, stubborn)
         mins, maxs = _cluster_boxes(block, order, starts)
-        worst = max(worst, float((maxs - mins).max()))
-        if not (partition and _partition_holds(mins, maxs, _threshold(block, tau))):
-            observed = clusters_from_influence(block, tau)
+        worst = max(worst, *(maxs - mins).max(axis=(1, 2)).tolist())
+        settled = np.zeros(count, dtype=bool)
+        if partition:
+            settled[:] = _partition_holds(mins, maxs, _threshold(block, tau, axis=(1, 2)))
+        for t in np.flatnonzero(~settled).tolist():
+            observed = clusters_from_influence(block[t], tau)
             if set(observed) != set(predicted):
-                first_failure = first_failure or TrialFailure(trial, observed)
-                continue
-        passes += 1
+                failures += 1
+                first_failure = first_failure or TrialFailure(done + t, observed)
     return RobustnessReport(
         trials=trials,
-        passes=passes,
+        passes=trials - failures,
         worst_spread=worst,
         predicted=predicted,
         tau=tau,

@@ -495,6 +495,36 @@ class TestSeedPlumbing:
         assert err == "sfj: error: SFJ_SEED must be an integer, got 'abc'\n"
 
 
+class TestParserCache:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_print_what_fresh_calls_print(self, capsys, g2_path):
+        calls = [
+            ("verify", g2_path, "--trials", "3", "--seed", "5", "--tau", "1e-6"),
+            ("generate", "12", "4", "--seed", "7"),
+            ("verify", g2_path, "--trials", "3"),
+            ("generate", "12", "4"),
+            ("predict", g2_path, "--mode", "relaxed"),
+            ("predict", g2_path),
+            ("verify", g2_path, "--trials", "0"),
+            ("analyze", g2_path),
+            ("verify", g2_path, "--trials", "2", "--seed", "5"),
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [run(capsys, *argv) for argv in calls] == fresh
+        assert fresh[1] != fresh[3] and fresh[-1][0] == EXIT_OK
+
+    def test_omitted_seed_falls_back_to_zero(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["verify", "g.json", "--seed", "7"]).seed == 7
+        args = parser.parse_args(["verify", "g.json"])
+        assert (args.seed, args.trials, args.func) == (0, 200, cli.cmd_verify)
+
+
 def _not_converged():
     """A real NotConverged from the 3-agent oscillator, partial trace and all."""
     g = SignedDigraph(3, ((2, 3, 1.0), (3, 2, 1.0)), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0))

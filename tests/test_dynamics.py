@@ -293,8 +293,12 @@ class TestDenseAllocations:
         g = random_multiconsensus_graph(1000, 50, seed=1000)
         src, dst = g.edge_index
         stubborn = np.array(g.stubborn) - 1
-        peak = self.peak_bytes(lambda: _influence_solve(
-            _normalized(g.n, src, dst, g.w, np.array(g.beta)), stubborn))
+
+        def solve():
+            sysm = _normalized(g.n, src, dst, g.w, np.array(g.beta))
+            return _influence_solve(sysm.system_matrix(), sysm.beta, stubborn)
+
+        peak = self.peak_bytes(solve)
         assert peak < 2 * 8 * g.n**2
 
     def test_normalize_builds_no_dense_matrix(self):
@@ -454,6 +458,30 @@ class TestSteadyStateSystem:
             monkeypatch.setattr(dynamics, name, counted(name))
         build_steady_state(g2)
         assert sorted(calls) == ["check_reachability", "normalize"]
+
+    @pytest.mark.parametrize("n", [None, 200])
+    def test_solves_on_r_with_one_build_of_i_minus_m(self, g2, n, monkeypatch):
+        # The reference builds I - M for R and again for the solve, as
+        # separate arrays; R and y must not move by a bit.
+        g = g2 if n is None else random_multiconsensus_graph(n, n // 8, seed=1)
+        sysm = normalize(g)
+        rows, m = np.array(g.stubborn) - 1, g.m
+        R = np.zeros((g.n + m, g.n + m))
+        R[:g.n, :g.n] = sysm.system_matrix()
+        R[rows, g.n + np.arange(m)] = -sysm.beta[rows]
+        rhs = np.zeros((g.n, m))
+        rhs[rows, np.arange(m)] = sysm.beta[rows]
+        x0 = np.array(g.x0)[rows]
+        y = np.concatenate([np.linalg.solve(sysm.system_matrix(), rhs) @ x0, x0])
+
+        builds = []
+        real = graph.NormalizedSystem.system_matrix
+        monkeypatch.setattr(graph.NormalizedSystem, "system_matrix",
+                            lambda self: builds.append(1) or real(self))
+        steady = build_steady_state(g)
+        assert len(builds) == 1
+        assert steady.R.tobytes() == R.tobytes()
+        assert steady.y.tobytes() == y.tobytes()
 
 
 class TestSchurComplement:

@@ -16,7 +16,7 @@ from sfj import (
     normalize,
     save_graph,
 )
-from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph
+from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph, _normalized
 
 from conftest import brute_force_reachable, graph_dicts, random_reachable_graph
 from oracles import loop_graph_from_dict, reweighted
@@ -89,6 +89,23 @@ class TestNormalize:
         assert np.max(np.abs(sysm.W - row_sum_normalized_weights(g))) <= ROW_SUM_TOL
         dense = np.eye(g.n) - sysm.update_matrix()
         assert sysm.system_matrix().tobytes() == dense.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_digraphs(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_stacked_systems_equal_each_trial_alone(self, g, trials, seed):
+        rng = np.random.default_rng(seed)
+        src, dst = g.edge_index
+        w = np.vstack([g.w, np.sign(g.w) * rng.uniform(0.1, 10.0, (trials - 1, g.w.size))])
+        beta = np.vstack([g.beta, rng.uniform(0.0, 1.0, (trials - 1, g.n))])
+        stacked = _normalized(g.n, src, dst, w, beta)
+        for t in range(trials):
+            alone = _normalized(g.n, src, dst, w[t], beta[t])
+            assert np.array_equal(stacked.rows, alone.rows)
+            assert np.array_equal(stacked.cols, alone.cols)
+            for got, want in ((stacked.vals[t], alone.vals), (stacked.W[t], alone.W),
+                              (stacked.update_matrix()[t], alone.update_matrix()),
+                              (stacked.system_matrix()[t], alone.system_matrix())):
+                assert got.tobytes() == want.tobytes()
 
     def test_arrays_are_read_only_and_w_is_built_on_first_read(self, g2):
         sysm = normalize(g2)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sfj import (
     ConditionsNotMet,
+    dynamics,
     NotConverged,
     analyze,
     cluster_spread,
@@ -59,20 +61,44 @@ def pairwise_cluster_spread(V, clusters):
     return worst
 
 
-def loop_harness(g, trials, seed, tau=verification.DEFAULT_TAU):
-    """Reference harness: every trial reweights the graph and runs the gated
-    influence_matrix on it, drawing in the same order as robustness_harness."""
-    predicted = predict_clusters(analyze(g), mode="strict").clusters
+def sweep_partition_holds(lo, hi, thresh):
+    """Reference box verdict for one trial's boxes lo, hi (k, m): the
+    sort-and-sweep the stacked verdict must agree with."""
+    if not (hi - lo).max() <= thresh:
+        return False
+    widest = int((hi.max(axis=0) - lo.min(axis=0)).argmax())
+    order = lo[:, widest].argsort()
+    keys, reach = lo[order, widest], hi[order, widest]
+    slack = 8 * np.finfo(float).eps * (max(reach.max(), -keys[0]) + thresh)
+    ends = keys.searchsorted(reach + thresh + slack, side="right")
+    for i, end in enumerate(ends.tolist()):
+        for j in range(i + 1, end):
+            a, b = order[i], order[j]
+            gaps = np.maximum(lo[b] - hi[a], lo[a] - hi[b])
+            if not (gaps > thresh).any():
+                return False
+    return True
+
+
+def loop_influence(g, trials, seed):
+    """Each trial's influence matrix: the graph reweighted and run through the
+    gated influence_matrix, drawing in the same order as robustness_harness."""
     rng = np.random.default_rng(seed)
     lo, hi = verification.WEIGHT_RANGE
     signs = np.sign([w for _, _, w in g.edges])
     stubborn_rows = [i - 1 for i in g.stubborn]
-    passes, worst, first_failure = 0, 0.0, None
-    for trial in range(trials):
+    for _ in range(trials):
         weights = signs * rng.uniform(lo, hi, size=len(g.edges))
         beta = np.zeros(g.n)
         beta[stubborn_rows] = 1.0 - rng.uniform(0.0, 1.0, size=len(stubborn_rows))
-        V = influence_matrix(reweighted(g, weights, beta=beta))
+        yield influence_matrix(reweighted(g, weights, beta=beta))
+
+
+def loop_harness(g, trials, seed, tau=verification.DEFAULT_TAU):
+    """Reference harness: loop_influence's trials, each clustered in full."""
+    predicted = predict_clusters(analyze(g), mode="strict").clusters
+    passes, worst, first_failure = 0, 0.0, None
+    for trial, V in enumerate(loop_influence(g, trials, seed)):
         observed = verification.clusters_from_influence(V, tau)
         worst = max(worst, cluster_spread(V, predicted))
         if set(observed) == set(predicted):
@@ -173,7 +199,7 @@ class TestSortAndSweepGrouping:
 def box_certificate(rows, partition, thresh):
     """The harness's fast verdict on a partition of rows' 1-based ids."""
     lo, hi = _cluster_boxes(rows, *_cluster_layout(partition))
-    return _partition_holds(lo, hi, thresh)
+    return bool(_partition_holds(lo[None], hi[None], np.array([thresh]))[0])
 
 
 @st.composite
@@ -206,6 +232,32 @@ class TestBoxCertificate:
         rows, thresh, partition = case
         if box_certificate(rows, partition, thresh):
             assert set(_group_rows(rows, thresh)) == set(partition)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows_and_partition(), st.data())
+    def test_stacked_verdicts_equal_the_per_slice_calls(self, case, data):
+        # Each trial reorders the rows under the same layout and takes its
+        # own threshold, so boxes, windows and verdicts differ across the stack.
+        rows, thresh, partition = case
+        trials = data.draw(st.integers(1, 5))
+        stack = np.stack([rows] + [
+            rows[data.draw(st.permutations(range(len(rows))))] for _ in range(trials - 1)
+        ])
+        thresholds = np.array(
+            [thresh] + data.draw(st.lists(st.sampled_from(THRESHOLDS + (thresh,)),
+                                          min_size=trials - 1, max_size=trials - 1))
+        )
+        layout = _cluster_layout(partition)
+        lo, hi = _cluster_boxes(stack, *layout)
+        for t in range(trials):
+            assert [a.tobytes() for a in _cluster_boxes(stack[t], *layout)] == [
+                lo[t].tobytes(), hi[t].tobytes()]
+        stacked = _partition_holds(lo, hi, thresholds)
+        assert stacked.shape == (trials,) and stacked.dtype == bool
+        per_slice = [_partition_holds(lo[t:t + 1], hi[t:t + 1], thresholds[t:t + 1])[0]
+                     for t in range(trials)]
+        assert stacked.tolist() == per_slice == [
+            sweep_partition_holds(lo[t], hi[t], thresholds[t]) for t in range(trials)]
 
     def test_range_and_gap_at_thresh_are_certified(self):
         # {1, 2} spans exactly 0.7 and sits 0.8 below agent 3.
@@ -442,6 +494,95 @@ class TestHarnessMatchesTheLoop:
         report = robustness_harness(g2, trials=12, seed=3)
         assert report.first_failure is not None
         assert report == loop_harness(g2, trials=12, seed=3)
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    @pytest.mark.parametrize("n, trials", [(12, 20), (64, 10), (64, 23)])
+    def test_uneven_blocks(self, g2, n, trials, per_block, monkeypatch):
+        # g2 is the n = 12 case; 20 or 23 trials leave a short last block.
+        g = g2 if n == 12 else random_multiconsensus_graph(n, n // 20, seed=n)
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * n * n)
+        report = robustness_harness(g, trials=trials, seed=n)
+        assert report == loop_harness(g, trials=trials, seed=n)
+
+    @pytest.mark.parametrize("per_block", [2, 3, 5])
+    def test_failure_in_a_later_block_keeps_its_trial(self, g2, per_block, monkeypatch):
+        # The first failing draw is trial 4: in the third, second and first
+        # block of 2, 3 and 5 trials.
+        monkeypatch.setattr(
+            verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
+        )
+        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * g2.n**2)
+        report = robustness_harness(g2, trials=12, seed=3)
+        assert report.first_failure.trial == 4
+        assert report == loop_harness(g2, trials=12, seed=3)
+
+
+    @pytest.mark.parametrize("per_block", [3, 1000])
+    def test_tau_below_rounding_fails_trials_alike(self, g2, per_block, monkeypatch):
+        # At tau = 1e-17 rounding splits clusters, so the box verdict, each
+        # trial's own threshold and the fallback all decide real failures.
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * g2.n**2)
+        report = robustness_harness(g2, trials=12, seed=4, tau=1e-17)
+        assert 0 < report.passes < report.trials
+        assert report == loop_harness(g2, trials=12, seed=4, tau=1e-17)
+
+
+    @pytest.mark.parametrize("per_block", [4, 1000])
+    def test_each_trial_takes_its_own_threshold(self, per_block, monkeypatch):
+        # Here V's largest magnitude varies from trial to trial (on g2 it is
+        # always 1), and tau is one trial's spread over it: a threshold shared
+        # by a block of 4 settles three more trials than the loop passes.
+        g = random_multiconsensus_graph(16, 2, seed=16)
+        predicted = predict_clusters(analyze(g), mode="strict").clusters
+        ratios = sorted(cluster_spread(V, predicted) / np.abs(V).max()
+                        for V in loop_influence(g, 12, 2))
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * g.n**2)
+        report = robustness_harness(g, trials=12, seed=2, tau=ratios[4])
+        assert 0 < report.passes < report.trials
+        assert report == loop_harness(g, trials=12, seed=2, tau=ratios[4])
+
+
+class TestTrialBlocks:
+    """A block holds max(1, _TRACE_BLOCK // n**2) trials, so a block's stack
+    of I - M never exceeds _TRACE_BLOCK values unless one trial does."""
+
+    @pytest.mark.parametrize("n, trials, sizes", [
+        (12, 1000, [455, 455, 90]), (64, 20, [16, 4]), (256, 3, [1, 1, 1]),
+        (300, 2, [1, 1]),
+    ])
+    def test_block_sizes(self, g2, n, trials, sizes, monkeypatch):
+        g = g2 if n == 12 else random_multiconsensus_graph(n, n // 20, seed=n)
+        seen = []
+        real = verification._normalized
+
+        def record(n, src, dst, w, beta):
+            seen.append(w.shape[0])
+            return real(n, src, dst, w, beta)
+
+        monkeypatch.setattr(verification, "_normalized", record)
+        assert robustness_harness(g, trials=trials, seed=1).all_passed
+        assert seen == sizes
+
+    @staticmethod
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_large_n_peaks_as_one_trial(self):
+        g = random_multiconsensus_graph(1000, 50, seed=1000)
+        peak = self.peak_bytes(lambda: robustness_harness(g, trials=3, seed=1))
+        assert peak < 2 * 8 * g.n**2
+
+    @pytest.mark.parametrize("trials", [20, 200])
+    def test_small_n_stays_within_the_block_bound(self, trials):
+        g = random_multiconsensus_graph(64, 8, seed=64)
+        peak = self.peak_bytes(lambda: robustness_harness(g, trials=trials, seed=1))
+        assert peak < 2 * 8 * dynamics._TRACE_BLOCK
 
 
 class TestWeightStubbornnessInvariance:
