@@ -10,7 +10,7 @@ agent i sits at row i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -96,104 +96,18 @@ class ReducedRowRelation:
         )
 
 
-def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
-    """Strongly connected components of the graph v -> succ[bounds[v]:bounds[v+1]].
-
-    Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack: each
-    component comes after every component it reaches.
-    """
-    index, low, on_stack = [-1] * n, [0] * n, [False] * n
-    stack, components, counter = [], [], 0
-    for root in range(n):
-        work = [] if index[root] >= 0 else [(root, bounds[root])]
-        while work:
-            v, k = work.pop()
-            if index[v] < 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            else:  # back from the tree edge k - 1
-                low[v] = min(low[v], low[succ[k - 1]])
-            for k in range(k, bounds[v + 1]):
-                u = succ[k]
-                if index[u] < 0:
-                    work += [(v, k + 1), (u, bounds[u])]
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            else:
-                if low[v] == index[v]:
-                    component = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        on_stack[component[-1]] = False
-                    components.append(component)
-    return components
-
-
-def _contraction_certificate(n: int, rows, cols, vals, beta) -> Optional[float]:
-    """Bound ||(I - M)^{-1}||_inf by kappa = max (I - abs(M))^{-1} 1.
-
-    M is given by its nonzeros, sorted by row (update_entries). The bound
-    converts a step difference into a guaranteed distance from the fixed
-    point. I - abs(M) is block triangular over the strongly connected
-    components of M's in-lists, so z = (I - abs(M))^{-1} 1 follows by
-    forward substitution in the order _components yields them (Duff & Reid,
-    ACM TOMS 1978): a single agent v takes
-    z_v = (1 + sum_u abs(M_vu) z_u) / (1 - abs(M_vv)), a larger component
-    one small dense solve. O(n + edges) plus those solves.
-
-    The pass also checks stubborn-reachability, which makes abs(M)
-    contracting: influencers come first, so the first component of unreached
-    agents has no member with beta > 0 and no entry from outside, and yields
-    None (a lone agent has divisor 0), as do a singular block and a
-    non-finite or negative z. Callers then use the plain step criterion.
-    """
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    succ, mag = cols.tolist(), np.abs(vals).tolist()
-    z = [0.0] * n
-    for component in _components(n, bounds, succ):
-        if len(component) == 1:
-            v = component[0]
-            total, divisor = 1.0, 1.0
-            for k in range(bounds[v], bounds[v + 1]):
-                if succ[k] == v:
-                    divisor -= mag[k]
-                else:
-                    total += mag[k] * z[succ[k]]
-            if divisor == 0.0:
-                return None
-            z[v] = total / divisor
-            continue
-        local = {v: i for i, v in enumerate(component)}
-        block, rhs = np.eye(len(component)), np.ones(len(component))
-        reached = bool(beta[component].any())
-        for i, v in enumerate(component):
-            for k in range(bounds[v], bounds[v + 1]):
-                j = local.get(succ[k])
-                if j is None:
-                    rhs[i] += mag[k] * z[succ[k]]
-                    reached = True
-                else:
-                    block[i, j] -= mag[k]
-        if not reached:
-            return None
-        try:
-            solved = np.linalg.solve(block, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        for v, value in zip(component, solved.tolist()):
-            z[v] = value
-    z = np.array(z)
-    if not np.all(np.isfinite(z)) or np.any(z < 0):
-        return None
-    return float(z.max())
-
-
 # Streamed traces and reweighting trials go in blocks of at most this many
 # values (at least one row or trial each), so memory stays bounded.
 _TRACE_BLOCK = 2**16
+
+
+def _sweep_bound(z: np.ndarray, z_next: np.ndarray) -> float:
+    """max z / (1 - max s), s = z_next - z, for z_next = 1 + abs(M) z and z >= 1:
+    then (I - abs(M)) z = 1 - s, so once max s < 1 the comparison lemma for
+    nonnegative matrices (Berman & Plemmons 1994) gives rho(abs(M)) < 1 and
+    ||(I - M)^{-1}||_inf <= max (I - abs(M))^{-1} 1 <= this bound; inf before."""
+    slack = 1.0 - float((z_next - z).max())
+    return float(z.max()) / slack if slack > 0.0 else np.inf
 
 
 def simulate(
@@ -204,11 +118,14 @@ def simulate(
 ) -> OpinionTrace:
     """Iterate the opinion update until the limit is pinned down to tol.
 
-    The stop rule scales the step difference by a certified contraction
-    bound, so on convergence the last iterate is within tol of the true
-    fixed point, not merely tol away from its predecessor. The bound exists
-    only under stubborn-reachability; without it the plain step criterion
-    applies. Raises NotConverged (carrying the trace) when max_iter is
+    The stop rule scales the step difference by a certified bound on
+    ||(I - M)^{-1}||_inf, so on convergence the last iterate is within tol
+    of the true fixed point, not merely tol away from its predecessor. The
+    bound comes from the sweep z <- 1 + abs(M) z, run from z = 1 in the same
+    step as the opinions (_sweep_bound). It exists only when every agent is
+    reached from an agent whose 1 - beta rounds below one; otherwise the
+    plain step criterion applies. An exact fixed point (a zero step) always
+    stops. Raises NotConverged (carrying the trace) when max_iter is
     exhausted.
 
     With a text file out, the trace goes there as write_trace_csv would
@@ -216,43 +133,50 @@ def simulate(
     return or before NotConverged is raised, and the returned or carried
     trace holds the final state alone. Without out, it holds every state.
 
-    Each step, and the certificate, use only the nonzeros of the update
-    matrix, one per edge: memory is O(n + edges), plus one block of rows
-    when streaming.
+    Each step reads only the nonzeros of the update matrix, one per edge:
+    memory is O(n + edges), plus one block of rows when streaming.
     """
-    beta = np.array(g.beta)
-    rows, cols, vals = _normalized(g.n, *g.edge_index, g.w, beta).update_entries()
-    kappa = _contraction_certificate(g.n, rows, cols, vals, beta)
-    step_tol = tol if kappa is None else tol / kappa
+    n, beta = g.n, np.array(g.beta)
+    rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
+    # One bincount steps u = (x, z): x in bins 0..n-1, each summing the same
+    # weights in the same order as a step of x alone, and z in bins n..2n-1.
+    rows, cols = np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n))
+    vals = np.concatenate((vals, np.abs(vals)))
+    # An unreached agent leaves abs(M) a closed class of spectral radius one.
+    plain = bool(_unreached(g, np.flatnonzero(1.0 - beta == 1.0) + 1))
 
     x0 = np.array(g.x0)
-    anchor = beta * x0
-    per_block = max(1, _TRACE_BLOCK // g.n)
+    anchor = np.concatenate((beta * x0, np.ones(n)))
+    per_block = max(1, _TRACE_BLOCK // n)
     kept, first = [], 0  # full blocks when not streaming; the k of block[0]
-    block = np.empty((per_block, g.n))
-    block[0] = x = x0
+    block = np.empty((per_block, n))
+    block[0] = x0
+    u = np.concatenate((x0, np.ones(n)))
     j, residual, converged = 1, np.inf, False
     if out is not None:
-        _write_header(out, g.n)
+        _write_header(out, n)
     for k in range(1, max_iter + 1):
         if j == per_block:
             if out is None:
                 kept.append(block)
             else:
                 _write_rows(out, first, block)
-            first, block, j = first + per_block, np.empty((per_block, g.n)), 0
-        x_next = np.bincount(rows, weights=vals * x[cols], minlength=g.n) + anchor
-        residual = float(np.abs(x_next - x).max())
-        block[j] = x = x_next
+            first, block, j = first + per_block, np.empty((per_block, n)), 0
+        u_next = np.bincount(rows, weights=vals * u[cols], minlength=2 * n) + anchor
+        residual = float(np.abs(u_next[:n] - u[:n]).max())
+        u, z = u_next, u[n:]
+        block[j] = u[:n]
         j += 1
-        if residual < step_tol:
+        if residual < tol and (
+            plain or residual == 0.0 or residual * _sweep_bound(z, u[n:]) < tol
+        ):
             converged = True
             break
     if out is None:
         states = np.concatenate(kept + [block[:j]])
     else:
         _write_rows(out, first, block[:j])
-        states = x[None, :]
+        states = u[None, :n]
     trace = OpinionTrace(
         states=states, converged=converged,
         iterations=k if converged else max_iter, residual=residual,

@@ -161,7 +161,9 @@ class NormalizedSystem:
 
     def update_entries(self):
         """M's nonzeros (rows, cols, vals), sorted by row and then column as
-        np.nonzero lists them, bit for bit update_matrix()'s. O(n + edges)."""
+        np.nonzero lists them, bit for bit update_matrix()'s. The order is
+        the order in which simulate's bincount sums each agent's terms, so it
+        fixes the last bits of every iterate. O(n + edges)."""
         vals = (1.0 - self.beta[self.rows]) * self.vals
         order = np.lexsort((self.cols, self.rows))
         order = order[vals[order] != 0.0]  # rows of fully stubborn agents vanish

@@ -256,9 +256,9 @@ def spectral_radius(M) -> float:
 def dense_contraction_certificate(g: SignedDigraph) -> Optional[float]:
     """max (I - abs(M))^{-1} 1 by one dense solve on normalize(g)'s update matrix.
 
-    The route simulate took before its certificate moved to forward
-    substitution over strongly connected components. None where the solve
-    fails or gives a non-finite or negative entry.
+    The exact kappa that simulate's stop rule bounds from above, by the
+    sweep z <- 1 + abs(M) z (dynamics._sweep_bound), with no solve. None
+    where the solve fails or gives a non-finite or negative entry.
     """
     update_abs = np.abs(normalize(g).update_matrix())
     try:

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import tracemalloc
@@ -261,6 +262,30 @@ class TestSimulate:
         lines = Path(out_csv).read_text().strip().splitlines()
         assert lines[0] == "k," + ",".join(f"x_{i}" for i in range(1, 13))
         assert len(lines) == data["iterations"] + 2  # header + x(0)..x(k)
+
+    @pytest.mark.parametrize("graph, stdout_digest, csv_digest", [
+        ("g1", "f8c6d749b66fe7777167f5524f0dac7b04d5ce74663defa1f1284858c4c7f95e",
+         "7328eadf92861efd29d4737db4c8b0be631eeb78ef1b629806419e4f69440610"),
+        ("g2", "3094921ca8dec1893454f8c2c1aa9e65686807e6a9b7906c1c96faa68a774cbc",
+         "3f95a307851e3c1b71731c869d468a397d0500989d4a88c56bf9667768b77d90"),
+        ("generated-200",
+         "58aa7524cf5c29a2e39d6bf11a637d6dcdbcc9c917cdbe9fde49e8cb41f4da00",
+         "9b796a67a8d1c4b8ab9d71395685767034d2f357d04b46f7a37ff7734ef9b22d"),
+    ])
+    def test_output_is_pinned(self, capsys, tmp_path, monkeypatch, graph,
+                              stdout_digest, csv_digest):
+        # Any change to an iterate, the stop rule or the CSV format shows here.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SFJ_SEED", raising=False)
+        path = str(FIXTURES / f"{graph}.json")
+        if graph == "generated-200":
+            path = "g.json"
+            code, _, _ = run(capsys, "generate", "200", "10", "--seed", "1", "--out", path)
+            assert code == EXIT_OK
+        code, out, _ = run(capsys, "simulate", path, "--out", "t.csv")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(Path("t.csv").read_bytes()).hexdigest() == csv_digest
 
     def test_fully_stubborn_trace_is_one_step(self, capsys, tmp_path):
         g = SignedDigraph(2, (Edge(1, 2, 1.0),), (1.0, 1.0), (3.0, 4.0))

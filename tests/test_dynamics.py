@@ -24,7 +24,7 @@ from sfj import (
     write_trace_csv,
 )
 from sfj import dynamics, graph, networks
-from sfj.dynamics import OpinionTrace, _contraction_certificate, _influence_solve
+from sfj.dynamics import DEFAULT_TOL, OpinionTrace, _influence_solve, _sweep_bound
 from sfj.graph import Edge, SignedDigraph, _normalized
 
 from conftest import random_reachable_graph, unreached_positive_class
@@ -162,9 +162,9 @@ def one_big_component(draw):
 def small_graphs(draw):
     """Graphs of up to 8 agents, often with unreached agents or none stubborn.
 
-    Magnitudes lie in [0.1, 10] and stubbornness in {0, 0.05, 0.5, 1}, so a
-    reached agent's divisor and every reached block stay well away from
-    singular: the certificate can then fail only on an unreached agent.
+    Magnitudes lie in [0.1, 10], stubbornness in {0, 0.05, 0.5, 1} and
+    opinions in [-10, 10], so a reached agent's divisor and every reached
+    block stay well away from singular.
     """
     n = draw(st.integers(1, 8))
     pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
@@ -173,7 +173,8 @@ def small_graphs(draw):
     edges = [(u, v, draw(st.floats(0.1, 10.0)) * draw(sign)) for u, v in pairs]
     beta = draw(st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.5, 1.0]),
                          min_size=n, max_size=n))
-    return SignedDigraph(n, edges, beta, [0.0] * n)
+    x0 = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return SignedDigraph(n, edges, beta, x0)
 
 
 def dense_entries(g):
@@ -191,8 +192,8 @@ EDGE_ARRAY_CASES = {
 
 
 class TestEdgeArrayUpdate:
-    """simulate's update and certificate, read off the edge arrays, against
-    the dense normalize and the dense solve."""
+    """simulate's update, read off the edge arrays, and its stop rule,
+    against the dense normalize and the dense solve."""
 
     @staticmethod
     def assert_entries_match(g):
@@ -202,13 +203,32 @@ class TestEdgeArrayUpdate:
         assert np.array_equal(vals, d_vals)
 
     @staticmethod
-    def assert_certificate_matches(g):
+    def assert_sweep_brackets_the_dense_solve(g, max_sweeps=100_000):
+        """Every finite _sweep_bound along z <- 1 + abs(M) z is an upper
+        bound on the dense kappa, and once max s <= 2**-43 it is within
+        1e-12 of it."""
         assert check_reachability(g).ok
-        sysm = normalize(g)
-        kappa = _contraction_certificate(g.n, *sysm.update_entries(), sysm.beta)
         dense = dense_contraction_certificate(g)
-        assert kappa is not None and dense is not None
-        assert abs(kappa - dense) <= 1e-12 * dense
+        update_abs = np.abs(normalize(g).update_matrix())
+        z = np.ones(g.n)
+        for _ in range(max_sweeps):
+            z_next = 1.0 + update_abs @ z
+            bound = _sweep_bound(z, z_next)
+            assert bound == np.inf or bound >= dense * (1 - 1e-12)
+            if np.max(z_next - z) <= 2.0**-43:
+                assert abs(bound - dense) <= 1e-12 * dense
+                return
+            z = z_next
+        raise AssertionError(f"max s still above 2**-43 after {max_sweeps} sweeps")
+
+    @staticmethod
+    def assert_stop_is_certified(g, tol=DEFAULT_TOL):
+        trace = simulate(g, tol=tol)
+        kappa = dense_contraction_certificate(g)
+        assert trace.residual * kappa <= tol * (1 + 1e-12)
+        limit = influence_matrix(g) @ np.array(g.x0)
+        rounding = 2 * g.n * kappa * np.finfo(float).eps * np.abs(g.x0).max()
+        assert np.abs(trace.final - limit).max() <= tol + rounding
 
     @staticmethod
     def assert_system_matrix_matches(g):
@@ -224,13 +244,15 @@ class TestEdgeArrayUpdate:
 
     @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
     def test_certificate_matches_the_dense_solve(self, case):
-        self.assert_certificate_matches(EDGE_ARRAY_CASES[case]())
+        g = EDGE_ARRAY_CASES[case]()
+        self.assert_sweep_brackets_the_dense_solve(g)
+        self.assert_stop_is_certified(g)
 
     @settings(max_examples=300, deadline=None)
     @given(one_big_component())
     def test_one_big_component_matches_the_dense_solve(self, g):
         self.assert_entries_match(g)
-        self.assert_certificate_matches(g)
+        self.assert_sweep_brackets_the_dense_solve(g)
         self.assert_system_matrix_matches(g)
 
     def test_fully_stubborn_rows_and_lone_agents(self):
@@ -246,10 +268,11 @@ class TestEdgeArrayUpdate:
 
     def test_simulate_never_calls_the_dense_normalize(self, g2, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("simulate built the dense normalized system")
+            raise AssertionError("simulate built a dense system or solved one")
 
         monkeypatch.setattr(dynamics, "normalize", refuse)
         monkeypatch.setattr(graph, "normalize", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
         for g in (g2, unreached_positive_class()):
             assert simulate(g).converged
         with pytest.raises(NotConverged):
@@ -258,11 +281,37 @@ class TestEdgeArrayUpdate:
 
     @settings(max_examples=1000, deadline=None)
     @given(small_graphs())
-    def test_certificate_is_none_exactly_when_an_agent_is_unreached(self, g):
-        sysm = normalize(g)
-        kappa = _contraction_certificate(g.n, *sysm.update_entries(), sysm.beta)
-        reached = g.m > 0 and check_reachability(g).ok
-        assert (kappa is None) == (not reached)
+    def test_stop_is_certified_exactly_when_every_agent_is_reached(self, g):
+        if g.m > 0 and check_reachability(g).ok:
+            self.assert_stop_is_certified(g)
+            return
+        # The plain rule: stop at the first step below tol, if one comes.
+        try:
+            trace = simulate(g, max_iter=2000)
+        except NotConverged as exc:
+            trace = exc.trace
+        steps = np.abs(np.diff(trace.states, axis=0)).max(axis=1)
+        assert np.all(steps[:-1] >= DEFAULT_TOL)
+        assert (steps[-1] < DEFAULT_TOL) == trace.converged
+
+    @pytest.mark.parametrize("beta", [1e-17, 1e-300])
+    def test_stubbornness_lost_to_rounding_takes_the_plain_rule(self, g2, beta):
+        # 1 - beta rounds to 1: agent 7 anchors nothing in floating point, so
+        # its class is unreached and no bound exists; agent 10 still pulls
+        # the rest to a limit.
+        tiny = list(g2.beta)
+        tiny[6] = beta
+        g = SignedDigraph(g2.n, np.column_stack((g2.src, g2.dst, g2.w)), tiny, g2.x0)
+        trace = simulate(g)
+        assert trace.converged and trace.iterations == 51
+
+    def test_consensus_start_stops_after_one_step(self):
+        # The sweep certifies nothing after one step, but a zero step is an
+        # exact fixed point.
+        chain = make(4, [Edge(1, 2, 1.0), Edge(2, 3, 2.0), Edge(3, 4, 0.5)],
+                     beta=[0.5, 0.0, 0.0, 0.0], x0=[3.0] * 4)
+        trace = simulate(chain)
+        assert trace.converged and trace.iterations == 1 and trace.residual == 0.0
 
     def test_simulate_never_calls_check_reachability(self, g2, monkeypatch):
         def refuse(*args, **kwargs):
