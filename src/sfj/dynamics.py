@@ -10,7 +10,8 @@ agent i sits at row i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     UnreachableNodes,
 )
 from .graph import (
+    NormalizedSystem,
     SignedDigraph,
     _normalized,
     _unreached,
@@ -64,7 +66,6 @@ class SteadyStateSystem:
     y: np.ndarray
     stubborn_index: tuple[int, ...]
     graph: SignedDigraph
-    W: np.ndarray
 
     @property
     def n(self) -> int:
@@ -138,20 +139,22 @@ def simulate(
     """
     n, beta = g.n, np.array(g.beta)
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
-    # One bincount steps u = (x, z): x in bins 0..n-1, each summing the same
-    # weights in the same order as a step of x alone, and z in bins n..2n-1.
-    rows, cols = np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n))
-    vals = np.concatenate((vals, np.abs(vals)))
     # An unreached agent leaves abs(M) a closed class of spectral radius one.
     plain = bool(_unreached(g, np.flatnonzero(1.0 - beta == 1.0) + 1))
-
     x0 = np.array(g.x0)
-    anchor = np.concatenate((beta * x0, np.ones(n)))
+    anchor = beta * x0
+    if not plain:
+        # One bincount steps u = (x, z): x in bins 0..n-1, each summing the
+        # same weights in the same order as a step of x alone, and z in bins
+        # n..2n-1. The plain rule reads no bound and steps x alone.
+        rows, cols = np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n))
+        vals = np.concatenate((vals, np.abs(vals)))
+        anchor = np.concatenate((anchor, np.ones(n)))
     per_block = max(1, _TRACE_BLOCK // n)
     kept, first = [], 0  # full blocks when not streaming; the k of block[0]
     block = np.empty((per_block, n))
     block[0] = x0
-    u = np.concatenate((x0, np.ones(n)))
+    u = np.concatenate((x0, np.ones(anchor.size - n)))
     j, residual, converged = 1, np.inf, False
     if out is not None:
         _write_header(out, n)
@@ -162,7 +165,7 @@ def simulate(
             else:
                 _write_rows(out, first, block)
             first, block, j = first + per_block, np.empty((per_block, n)), 0
-        u_next = np.bincount(rows, weights=vals * u[cols], minlength=2 * n) + anchor
+        u_next = np.bincount(rows, weights=vals * u[cols], minlength=anchor.size) + anchor
         residual = float(np.abs(u_next[:n] - u[:n]).max())
         u, z = u_next, u[n:]
         block[j] = u[:n]
@@ -199,9 +202,9 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     / UnreachableNodes when there is no stubborn agent or some agent is
     unreached, since then nothing certifies the solve.
 
-    Columns of non-stubborn agents are exactly zero, so _influence_solve's
-    one LU factorization yields the m stubborn columns alone, never an
-    explicit inverse, and they are scattered into the n x n result.
+    Columns of non-stubborn agents are exactly zero, so _level_solve yields
+    the m stubborn columns alone, level by level, and they are scattered
+    into the n x n result.
     """
     report = check_reachability(g)
     if not report.ok:
@@ -209,16 +212,184 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     stubborn = np.array(g.stubborn) - 1
     sysm = normalize(g)
     V = np.zeros((g.n, g.n))
-    V[:, stubborn] = _influence_solve(sysm.system_matrix(), sysm.beta, stubborn)
+    V[:, stubborn] = _level_solve(_level_plan(sysm, stubborn), sysm)
     return V
 
 
-def _influence_solve(A: np.ndarray, beta: np.ndarray, stubborn: np.ndarray) -> np.ndarray:
-    """influence_matrix's solve past its gate: V's columns at stubborn (0-based)
-    from A = I - M; a stack A (..., n, n), beta (..., n) runs one gesv per system."""
-    rhs = np.zeros(beta.shape + (stubborn.size,))
-    rhs[..., stubborn, np.arange(stubborn.size)] = beta[..., stubborn]
-    return np.linalg.solve(A, rhs)
+def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
+    """Strongly connected components of the graph v -> succ[bounds[v]:bounds[v+1]].
+
+    Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack: each
+    component comes after every component it reaches.
+    """
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack, components, counter = [], [], 0
+    for root in range(n):
+        work = [] if index[root] >= 0 else [(root, bounds[root])]
+        while work:
+            v, k = work.pop()
+            if index[v] < 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            else:  # back from the tree edge k - 1
+                low[v] = min(low[v], low[succ[k - 1]])
+            for k in range(k, bounds[v + 1]):
+                u = succ[k]
+                if index[u] < 0:
+                    work += [(v, k + 1), (u, bounds[u])]
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], index[u])
+            else:
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        on_stack[component[-1]] = False
+                    components.append(component)
+    return components
+
+
+class _LevelPlan(NamedTuple):
+    """_level_solve's gather indices, from the nonzero pattern of M alone.
+
+    Agents sit at slots: by level, then by SCC size, each SCC contiguous;
+    agent i at slot_of[i], and stubborn[j]'s beta anchors V's column j.
+    ext lists M's entries between SCCs by the slot of their row, src the
+    slots of their columns. loops are (entries, slots) of the self-loops of
+    single-agent SCCs; blocks are (k, count, entries, flat): count SCCs of
+    k agents, whose entries of M land at flat in a (count, k, k) stack.
+    Each level is (start, stop, e0, e1, fed, heads, singles, spans): slots
+    start..stop-1, singles of them single-agent SCCs, hear through ext[e0:e1],
+    local slot fed[i]'s run starting at heads[i]; each span (k, c0, c1, at)
+    is blocks c0..c1-1 of size k's stack, from local slot at on.
+    """
+
+    n: int
+    slot_of: np.ndarray
+    stubborn: np.ndarray
+    ext: np.ndarray
+    src: np.ndarray
+    loops: tuple
+    blocks: list
+    levels: list
+    largest: int
+
+
+def _level_plan(sysm: NormalizedSystem, stubborn: np.ndarray) -> _LevelPlan:
+    """Plan the solve of (I - M) V = B_s over the SCCs of M's in-lists.
+
+    I - M is block lower triangular over those SCCs in Tarjan's order (the
+    block triangular form of Duff & Reid, ACM TOMS 1978). An SCC's level is
+    0 if it hears from no other SCC and one above the highest it hears from
+    otherwise, so each level needs only the levels below it. Reads only
+    sysm.rows and sysm.cols, so one plan serves every trial on the same
+    edges. O(n + edges) plus sorts.
+    """
+    n, rows, cols = sysm.n, sysm.rows, sysm.cols
+    by_row = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[by_row], np.arange(n + 1)).tolist()
+    components = _components(n, bounds, cols[by_row].tolist())
+    sizes = np.fromiter(map(len, components), np.int64, len(components))
+    comp = np.empty(n, dtype=np.int64)
+    comp[np.fromiter(chain.from_iterable(components), np.int64, n)] = np.repeat(
+        np.arange(sizes.size), sizes)
+    cross = comp[rows] != comp[cols]
+    later, earlier = comp[rows[cross]], comp[cols[cross]]
+    order = np.argsort(later, kind="stable")
+    level = [0] * sizes.size
+    # Each component comes after every one it reaches (earlier < later), so
+    # in ascending order of later every level[earlier] is final when read.
+    for u, v in zip(later[order].tolist(), earlier[order].tolist()):
+        level[u] = max(level[u], level[v] + 1)
+    level = np.array(level)
+
+    ranked = np.lexsort((sizes, level))  # by level, then size, then Tarjan order
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(sizes.size)
+    agents = np.argsort(rank[comp], kind="stable")
+    slot_of = np.empty(n, dtype=np.int64)
+    slot_of[agents] = np.arange(n)
+    first = np.empty_like(ranked)  # each component's first slot
+    first[ranked] = np.cumsum(sizes[ranked]) - sizes[ranked]
+    starts = np.searchsorted(level[comp[agents]], np.arange(level.max() + 2)).tolist()
+    singles = np.bincount(level[comp], sizes[comp] == 1).astype(int).tolist()
+
+    # Larger SCCs go in one stack per size, in rank order; a level's SCCs of
+    # one size are a run of their stack.
+    index = np.zeros_like(ranked)  # position in its size's stack
+    spans = [[] for _ in singles]
+    stacked: dict[int, int] = {}
+    for c in ranked[sizes[ranked] > 1].tolist():
+        k, lv = int(sizes[c]), int(level[c])
+        index[c] = i = stacked.get(k, 0)
+        stacked[k] = i + 1
+        if spans[lv] and spans[lv][-1][0] == k:
+            spans[lv][-1][2] += 1
+        else:
+            spans[lv].append([k, i, i + 1, int(first[c]) - starts[lv]])
+    owner = comp[rows]
+    inside = np.flatnonzero(~cross)
+    loops = inside[sizes[owner[inside]] == 1]
+    inside = inside[sizes[owner[inside]] > 1]
+    c = owner[inside]
+    k, base = sizes[c], first[c]
+    flat = (index[c] * k + slot_of[rows[inside]] - base) * k + slot_of[cols[inside]] - base
+    by_size = np.argsort(k, kind="stable")
+    ends = np.searchsorted(k[by_size], sorted(stacked), side="right").tolist()
+    blocks = [(size, stacked[size], inside[by_size[a:b]], flat[by_size[a:b]])
+              for size, a, b in zip(sorted(stacked), [0] + ends, ends)]
+
+    ext = np.flatnonzero(cross)
+    ext = ext[np.argsort(slot_of[rows[ext]], kind="stable")]
+    ext_slot = slot_of[rows[ext]]
+    new = np.ones(ext.size, dtype=bool)
+    new[1:] = ext_slot[1:] != ext_slot[:-1]
+    runs = np.flatnonzero(new)  # where each fed slot's entries begin
+    e = np.searchsorted(ext_slot, starts).tolist()
+    r = np.searchsorted(runs, e).tolist()
+    fed = ext_slot[runs]
+    levels = [
+        (s0, s1, e0, e1, fed[r0:r1] - s0, runs[r0:r1] - e0, one, [tuple(x) for x in span])
+        for s0, s1, e0, e1, r0, r1, one, span in zip(
+            starts, starts[1:], e, e[1:], r, r[1:], singles, spans)
+    ]
+    return _LevelPlan(n, slot_of, stubborn, ext, slot_of[cols[ext]],
+                      (loops, slot_of[rows[loops]]), blocks, levels, int(sizes.max()))
+
+
+def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
+    """V's columns at plan.stubborn from the system sysm, level by level: each
+    level gathers its terms from the levels below in one reduceat, divides on
+    its single-agent SCCs and solves its larger SCCs in one stack per size.
+    A leading trial axis on sysm gives V (T, n, m). Memory is
+    O(T (n m + m * edges + the SCC blocks)), never n x n."""
+    lead, m = sysm.beta.shape[:-1], plan.stubborn.size
+    mv = (1.0 - sysm.beta[..., sysm.rows]) * sysm.vals
+    V = np.zeros(lead + (plan.n, m))
+    V[..., plan.slot_of[plan.stubborn], np.arange(m)] = sysm.beta[..., plan.stubborn]
+    weights = mv[..., plan.ext, None]
+    divisor = np.ones(lead + (plan.n, 1))
+    divisor[..., plan.loops[1], 0] -= mv[..., plan.loops[0]]
+    stacks = {}
+    for k, count, entries, flat in plan.blocks:
+        A = stacks[k] = np.zeros(lead + (count, k, k))
+        A[..., np.arange(k), np.arange(k)] = 1.0
+        A.reshape(lead + (-1,))[..., flat] -= mv[..., entries]
+    for start, stop, e0, e1, fed, heads, singles, spans in plan.levels:
+        here = V[..., start:stop, :]
+        if e1 > e0:
+            terms = weights[..., e0:e1, :] * V[..., plan.src[e0:e1], :]
+            here[..., fed, :] += np.add.reduceat(terms, heads, axis=-2)
+        here[..., :singles, :] /= divisor[..., start:start + singles, :]
+        for k, c0, c1, at in spans:
+            span = slice(at, at + (c1 - c0) * k)
+            rhs = here[..., span, :].reshape(lead + (c1 - c0, k, m))
+            here[..., span, :] = np.linalg.solve(stacks[k][..., c0:c1, :, :], rhs).reshape(
+                lead + ((c1 - c0) * k, m))
+    return V[..., plan.slot_of, :]
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
@@ -240,13 +411,11 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     R = np.zeros((n + m, n + m))
     R[:n, :n] = sysm.system_matrix()
     R[rows, n + np.arange(m)] = -sysm.beta[rows]
-    # The gate above is influence_matrix's: solve on R's I - M block.
+    # The gate above is influence_matrix's, and so is the solve.
     x0_stubborn = np.array(g.x0)[rows]
-    V = _influence_solve(R[:n, :n], sysm.beta, rows)
+    V = _level_solve(_level_plan(sysm, rows), sysm)
     y = np.concatenate([V @ x0_stubborn, x0_stubborn])
-    return SteadyStateSystem(
-        R=R, y=y, stubborn_index=g.stubborn, graph=g, W=sysm.W
-    )
+    return SteadyStateSystem(R=R, y=y, stubborn_index=g.stubborn, graph=g)
 
 
 def schur_complement(M, keep) -> np.ndarray:

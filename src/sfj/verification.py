@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics
-from .dynamics import OpinionTrace, _influence_solve
+from .dynamics import OpinionTrace, _level_plan, _level_solve
 from .errors import ConditionsNotMet, NotConverged
 from .graph import SignedDigraph, _normalized
 from .ltp import analyze, predict_clusters
@@ -188,9 +188,13 @@ def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.n
     top = np.maximum(reach.max(axis=1), -keys.min(axis=1))
     slack = 8 * np.finfo(float).eps * (top + thresh)
     near = keys[:, None, :] <= (reach + thresh[:, None] + slack[:, None])[:, :, None]
-    t, a, b = np.nonzero(np.triu(near & near.transpose(0, 2, 1), 1) & holds[:, None, None])
-    gaps = np.maximum(lo[t, b] - hi[t, a], lo[t, a] - hi[t, b]).max(axis=1)
-    holds[t[gaps <= thresh[t]]] = False
+    pairs = np.nonzero(np.triu(near & near.transpose(0, 2, 1), 1) & holds[:, None, None])
+    # Pairs go in chunks of at most _TRACE_BLOCK gaps, so memory stays bounded.
+    step = max(1, dynamics._TRACE_BLOCK // lo.shape[2])
+    for i in range(0, pairs[0].size, step):
+        t, a, b = (p[i:i + step] for p in pairs)
+        gaps = np.maximum(lo[t, b] - hi[t, a], lo[t, a] - hi[t, b]).max(axis=1)
+        holds[t[gaps <= thresh[t]]] = False
     return holds
 
 
@@ -234,23 +238,24 @@ def robustness_harness(
     order, starts = _cluster_layout(predicted)
     # Boxes settle trials only for a prediction that partitions every agent.
     partition = np.array_equal(np.sort(order), np.arange(g.n))
-    per_block = max(1, dynamics._TRACE_BLOCK // g.n**2)
+    # analyze(g) certified the topology: its dominator tree raises wherever
+    # check_reachability would fail. Every trial keeps the edge set and, as
+    # 1 - U[0, 1) lies in (0, 1], the stubborn set, so one plan serves every
+    # trial, and each block of trials builds its systems as normalize does
+    # and solves as influence_matrix does, with no gate. Each trial draws in
+    # its own order, as if alone.
+    plan = _level_plan(_normalized(g.n, src, dst, g.w, np.array(g.beta)), stubborn)
+    per_block = max(1, dynamics._TRACE_BLOCK // max(g.n * g.m, plan.largest**2))
     failures = 0
     worst = 0.0
     first_failure = None
-    # analyze(g) certified the topology: its dominator tree raises wherever
-    # check_reachability would fail. Every trial keeps the edge set and, as
-    # 1 - U[0, 1) lies in (0, 1], the stubborn set, so each block of trials
-    # builds its systems as normalize does and solves as influence_matrix
-    # does, with no gate. Each trial draws in its own order, as if alone.
     for done in range(0, trials, per_block):
         count = min(per_block, trials - done)
         draws, beta = np.empty((count, signs.size)), np.zeros((count, g.n))
         for t in range(count):
             draws[t] = rng.uniform(lo, hi, size=signs.size)
             beta[t, stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
-        sysm = _normalized(g.n, src, dst, signs * draws, beta)
-        block = _influence_solve(sysm.system_matrix(), beta, stubborn)
+        block = _level_solve(plan, _normalized(g.n, src, dst, signs * draws, beta))
         mins, maxs = _cluster_boxes(block, order, starts)
         worst = max(worst, *(maxs - mins).max(axis=(1, 2)).tolist())
         settled = np.zeros(count, dtype=bool)
@@ -261,6 +266,7 @@ def robustness_harness(
             if set(observed) != set(predicted):
                 failures += 1
                 first_failure = first_failure or TrialFailure(done + t, observed)
+        del block  # freed before the next block is solved
     return RobustnessReport(
         trials=trials,
         passes=trials - failures,

@@ -270,6 +270,24 @@ def dense_contraction_certificate(g: SignedDigraph) -> Optional[float]:
     return float(z.max())
 
 
+def dense_influence_solve(A: np.ndarray, beta: np.ndarray, stubborn: np.ndarray) -> np.ndarray:
+    """V's columns at stubborn (0-based) from A = I - M by one dense LU: the
+    reference for the package's level solve. A stack A (..., n, n), beta
+    (..., n) runs one gesv per system."""
+    rhs = np.zeros(beta.shape + (stubborn.size,))
+    rhs[..., stubborn, np.arange(stubborn.size)] = beta[..., stubborn]
+    return np.linalg.solve(A, rhs)
+
+
+def dense_influence(g: SignedDigraph) -> np.ndarray:
+    """influence_matrix(g) by dense_influence_solve on normalize(g), ungated."""
+    sysm = normalize(g)
+    stubborn = np.array(g.stubborn, dtype=int) - 1
+    V = np.zeros((g.n, g.n))
+    V[:, stubborn] = dense_influence_solve(sysm.system_matrix(), sysm.beta, stubborn)
+    return V
+
+
 def neumann_influence(g: SignedDigraph, terms: int) -> np.ndarray:
     """Truncated series sum_{k=0}^{terms} ((I-B)W)^k B.
 

@@ -250,6 +250,16 @@ class TestPredict:
         assert data["flagged_singletons"] == [1]
 
 
+# The two plain-rule networks of CI's exit-code step, as written there.
+PLAIN_RULE_CASES = {
+    "nostub": '{"n": 2, "agents": [{"id": 1, "beta": 0, "x0": 0}, {"id": 2, "beta": 0, '
+              '"x0": 1}], "edges": [{"from": 1, "to": 2, "w": 1}]}\n',
+    "unreached": '{"n": 3, "agents": [{"id": 1, "beta": 0.5, "x0": 1}, {"id": 2, "beta": 0, '
+                 '"x0": 0}, {"id": 3, "beta": 0, "x0": 0}], "edges": [{"from": 1, "to": 2, '
+                 '"w": 1}]}\n',
+}
+
+
 class TestSimulate:
     def test_trace_and_report(self, capsys, g2_path, tmp_path):
         out_csv = str(tmp_path / "trace.csv")
@@ -271,6 +281,15 @@ class TestSimulate:
         ("generated-200",
          "58aa7524cf5c29a2e39d6bf11a637d6dcdbcc9c917cdbe9fde49e8cb41f4da00",
          "9b796a67a8d1c4b8ab9d71395685767034d2f357d04b46f7a37ff7734ef9b22d"),
+        # The plain rule: no stubborn agent, and an agent no stubborn one reaches.
+        ("nostub", "7689add32fd69f70fe9b68f173b9ee26fcbeb32f367db2fff435291a2a35170b",
+         "1468c75dac36db5390c350fae423d23cf99641ec9d699a50e5480ebf2ed4522e"),
+        ("unreached", "93face498b9086e94fe181c95be9d1b9f34315c9b66694ed476c34c60fc14dc8",
+         "c6d70261963f276cb590425992a0f078b27810e8cc6567b261c0c40cdfb018db"),
+        # An unreached positive class: 80 steps by the plain rule.
+        ("unreached-class",
+         "27deaea30d48edc8ccfe965322202834750631869ea77b39b2eacab8a4160d59",
+         "929411518a7e0475b77800902dc2bd88dee1910b1896a581c5231dcfe1afb3b0"),
     ])
     def test_output_is_pinned(self, capsys, tmp_path, monkeypatch, graph,
                               stdout_digest, csv_digest):
@@ -278,6 +297,12 @@ class TestSimulate:
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SFJ_SEED", raising=False)
         path = str(FIXTURES / f"{graph}.json")
+        if graph in PLAIN_RULE_CASES:
+            path = f"{graph}.json"
+            Path(path).write_text(PLAIN_RULE_CASES[graph])
+        if graph == "unreached-class":
+            path = "g.json"
+            save_graph(unreached_positive_class(), path)
         if graph == "generated-200":
             path = "g.json"
             code, _, _ = run(capsys, "generate", "200", "10", "--seed", "1", "--out", path)

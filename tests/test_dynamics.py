@@ -19,17 +19,27 @@ from sfj import (
     normalize,
     random_multiconsensus_graph,
     reduce_steady_state,
+    robustness_harness,
     schur_complement,
     simulate,
     write_trace_csv,
 )
 from sfj import dynamics, graph, networks
-from sfj.dynamics import DEFAULT_TOL, OpinionTrace, _influence_solve, _sweep_bound
+from sfj.dynamics import (
+    DEFAULT_TOL,
+    OpinionTrace,
+    _components,
+    _level_plan,
+    _level_solve,
+    _sweep_bound,
+)
 from sfj.graph import Edge, SignedDigraph, _normalized
 
 from conftest import random_reachable_graph, unreached_positive_class
 from oracles import (
     dense_contraction_certificate,
+    dense_influence,
+    dense_influence_solve,
     neumann_influence,
     neumann_tail_bound,
     neumann_terms_for,
@@ -326,8 +336,8 @@ class TestEdgeArrayUpdate:
 
 
 class TestDenseAllocations:
-    """At n = 1000 one n x n array is 8 MB; tracemalloc sees numpy's arrays
-    but not LAPACK's work space."""
+    """One n x n array is 8 n**2 bytes; tracemalloc sees numpy's arrays but
+    not LAPACK's work space."""
 
     @staticmethod
     def peak_bytes(build):
@@ -338,17 +348,13 @@ class TestDenseAllocations:
         finally:
             tracemalloc.stop()
 
-    def test_a_solve_builds_one_dense_matrix(self):
-        g = random_multiconsensus_graph(1000, 50, seed=1000)
-        src, dst = g.edge_index
-        stubborn = np.array(g.stubborn) - 1
-
-        def solve():
-            sysm = _normalized(g.n, src, dst, g.w, np.array(g.beta))
-            return _influence_solve(sysm.system_matrix(), sysm.beta, stubborn)
-
-        peak = self.peak_bytes(solve)
-        assert peak < 2 * 8 * g.n**2
+    def test_verify_builds_no_dense_matrix(self):
+        # One n x n array would be 32 MB; the level solve holds n x m values
+        # per trial, and the largest SCC's blocks.
+        g = random_multiconsensus_graph(2000, 100, seed=2000)
+        g.edge_index
+        peak = self.peak_bytes(lambda: robustness_harness(g, trials=3, seed=1))
+        assert peak < 8 * g.n**2 / 4
 
     def test_normalize_builds_no_dense_matrix(self):
         g = random_multiconsensus_graph(1000, 50, seed=1000)
@@ -418,6 +424,104 @@ class TestInfluenceMatrix:
         assert np.max(np.abs(residual)) <= 1e-10
         open_minded = [i for i in range(n) if g.beta[i] == 0.0]
         assert not v[:, open_minded].any()
+
+
+def with_loops_and_full_stubbornness(g, count, seed):
+    """g with positive self-loops on count agents and beta = 1 on half of its
+    stubborn agents; stubborn-reachability is kept."""
+    rng = np.random.default_rng(seed)
+    loops = rng.choice(g.n, size=count, replace=False) + 1
+    edges = np.column_stack((g.src, g.dst, g.w)).tolist()
+    present = {(s, d) for s, d, _ in edges}
+    edges += [(v, v, w) for v, w in zip(loops.tolist(), rng.uniform(0.1, 10.0, count))
+              if (v, v) not in present]
+    beta = list(g.beta)
+    for v in g.stubborn[::2]:
+        beta[v - 1] = 1.0
+    return SignedDigraph(g.n, edges, beta, g.x0)
+
+
+LEVEL_SOLVE_CASES = {
+    "g1": networks.g1,
+    "g2": networks.g2,
+    **{f"generated-{n}": (lambda n=n: random_multiconsensus_graph(n, n // 20, seed=n))
+       for n in (64, 200, 1000, 4000)},
+    # Agents 1..60 on a cycle with chords: one SCC that holds every agent.
+    "strongly-connected": lambda: SignedDigraph(
+        60, [(v, v % 60 + 1, 1.0 + v % 3) for v in range(1, 61)]
+        + [(v, (7 * v) % 60 + 1, -0.5) for v in range(1, 61, 4)],
+        [0.3 if v % 13 == 0 else 0.0 for v in range(1, 61)], [0.0] * 60),
+    "loops-and-beta-one": lambda: with_loops_and_full_stubbornness(
+        random_multiconsensus_graph(300, 15, seed=3), 40, seed=3),
+}
+
+
+def assert_matches_dense(g):
+    V, dense = influence_matrix(g), dense_influence(g)
+    assert np.abs(V - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert not V[:, np.array(g.beta) == 0.0].any()
+
+
+class TestLevelSolve:
+    """The level solve against one dense LU of I - M (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("case", LEVEL_SOLVE_CASES)
+    def test_matches_the_dense_oracle(self, case):
+        assert_matches_dense(LEVEL_SOLVE_CASES[case]())
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_big_component())
+    def test_one_big_component_matches_the_dense_oracle(self, g):
+        assert_matches_dense(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_every_reachable_small_graph_matches(self, g):
+        if g.m and check_reachability(g).ok:
+            assert_matches_dense(g)
+
+    def test_components_match_networkx_and_come_after_what_they_reach(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+            succ = [sorted({int(v) for u, v in pairs if u == w}) for w in range(n)]
+            bounds = np.cumsum([0] + [len(s) for s in succ]).tolist()
+            found = _components(n, bounds, [v for s in succ for v in s])
+            graph_ = nx.DiGraph()
+            graph_.add_nodes_from(range(n))
+            graph_.add_edges_from(map(tuple, pairs.tolist()))
+            assert sorted(map(sorted, found)) == sorted(
+                map(sorted, nx.strongly_connected_components(graph_)))
+            position = {v: i for i, c in enumerate(found) for v in c}
+            assert all(position[int(v)] <= position[int(u)] for u, v in pairs)
+
+    @pytest.mark.parametrize("case", ["g2", "generated-200", "strongly-connected"])
+    def test_each_level_hears_only_from_the_levels_below(self, case):
+        g = LEVEL_SOLVE_CASES[case]()
+        plan = _level_plan(normalize(g), np.array(g.stubborn) - 1)
+        assert sorted(plan.slot_of.tolist()) == list(range(g.n))
+        ends = [(start, stop) for start, stop, *_ in plan.levels]
+        assert ends[0][0] == 0 and ends[-1][1] == g.n
+        assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
+        for start, stop, e0, e1, *_ in plan.levels:
+            assert np.all(plan.src[e0:e1] < start)
+
+    def test_a_stack_of_trials_solves_each_as_alone(self):
+        g = random_multiconsensus_graph(200, 10, seed=7)
+        src, dst = g.edge_index
+        stubborn = np.array(g.stubborn) - 1
+        rng = np.random.default_rng(7)
+        w = np.sign(g.w) * rng.uniform(0.1, 10.0, size=(5, g.w.size))
+        beta = np.zeros((5, g.n))
+        beta[:, stubborn] = rng.uniform(0.1, 1.0, size=(5, stubborn.size))
+        stacked = _normalized(g.n, src, dst, w, beta)
+        plan = _level_plan(stacked, stubborn)
+        V = _level_solve(plan, stacked)
+        for t in range(5):
+            alone = _normalized(g.n, src, dst, w[t], beta[t])
+            assert V[t].tobytes() == _level_solve(plan, alone).tobytes()
 
 
 class TestNeumannSeries:
@@ -510,18 +614,18 @@ class TestSteadyStateSystem:
 
     @pytest.mark.parametrize("n", [None, 200])
     def test_solves_on_r_with_one_build_of_i_minus_m(self, g2, n, monkeypatch):
-        # The reference builds I - M for R and again for the solve, as
-        # separate arrays; R and y must not move by a bit.
+        # R is the one dense build of I - M; y is influence_matrix's limit
+        # bit for bit, and the dense LU's within rounding.
         g = g2 if n is None else random_multiconsensus_graph(n, n // 8, seed=1)
         sysm = normalize(g)
         rows, m = np.array(g.stubborn) - 1, g.m
         R = np.zeros((g.n + m, g.n + m))
         R[:g.n, :g.n] = sysm.system_matrix()
         R[rows, g.n + np.arange(m)] = -sysm.beta[rows]
-        rhs = np.zeros((g.n, m))
-        rhs[rows, np.arange(m)] = sysm.beta[rows]
         x0 = np.array(g.x0)[rows]
-        y = np.concatenate([np.linalg.solve(sysm.system_matrix(), rhs) @ x0, x0])
+        V = np.ascontiguousarray(influence_matrix(g)[:, rows])
+        y = np.concatenate([V @ x0, x0])
+        dense = dense_influence_solve(sysm.system_matrix(), sysm.beta, rows) @ x0
 
         builds = []
         real = graph.NormalizedSystem.system_matrix
@@ -531,6 +635,7 @@ class TestSteadyStateSystem:
         assert len(builds) == 1
         assert steady.R.tobytes() == R.tobytes()
         assert steady.y.tobytes() == y.tobytes()
+        assert np.abs(steady.y[:g.n] - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 class TestSchurComplement:
@@ -650,7 +755,7 @@ class TestReductionGate:
         sysm = build_steady_state(g)
         block = members - {q}
         elim = sorted(v - 1 for v in block)
-        rho = spectral_radius(sysm.W[np.ix_(elim, elim)]) if elim else 0.0
+        rho = spectral_radius(normalize(g).W[np.ix_(elim, elim)]) if elim else 0.0
         try:
             reduce_steady_state(sysm, p, q, members)
             raised = False

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sfj import (
     ConditionsNotMet,
     dynamics,
+    normalize,
     NotConverged,
     analyze,
     cluster_spread,
@@ -258,6 +260,8 @@ class TestBoxCertificate:
                      for t in range(trials)]
         assert stacked.tolist() == per_slice == [
             sweep_partition_holds(lo[t], hi[t], thresholds[t]) for t in range(trials)]
+        with mock.patch.object(dynamics, "_TRACE_BLOCK", 1):  # one pair per chunk
+            assert _partition_holds(lo, hi, thresholds).tolist() == per_slice
 
     def test_range_and_gap_at_thresh_are_certified(self):
         # {1, 2} spans exactly 0.7 and sits 0.8 below agent 3.
@@ -500,7 +504,7 @@ class TestHarnessMatchesTheLoop:
     def test_uneven_blocks(self, g2, n, trials, per_block, monkeypatch):
         # g2 is the n = 12 case; 20 or 23 trials leave a short last block.
         g = g2 if n == 12 else random_multiconsensus_graph(n, n // 20, seed=n)
-        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * n * n)
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", block_values(g, per_block))
         report = robustness_harness(g, trials=trials, seed=n)
         assert report == loop_harness(g, trials=trials, seed=n)
 
@@ -512,7 +516,7 @@ class TestHarnessMatchesTheLoop:
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
         monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
-        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * g2.n**2)
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", block_values(g2, per_block))
         report = robustness_harness(g2, trials=12, seed=3)
         assert report.first_failure.trial == 4
         assert report == loop_harness(g2, trials=12, seed=3)
@@ -522,7 +526,7 @@ class TestHarnessMatchesTheLoop:
     def test_tau_below_rounding_fails_trials_alike(self, g2, per_block, monkeypatch):
         # At tau = 1e-17 rounding splits clusters, so the box verdict, each
         # trial's own threshold and the fallback all decide real failures.
-        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * g2.n**2)
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", block_values(g2, per_block))
         report = robustness_harness(g2, trials=12, seed=4, tau=1e-17)
         assert 0 < report.passes < report.trials
         assert report == loop_harness(g2, trials=12, seed=4, tau=1e-17)
@@ -537,32 +541,52 @@ class TestHarnessMatchesTheLoop:
         predicted = predict_clusters(analyze(g), mode="strict").clusters
         ratios = sorted(cluster_spread(V, predicted) / np.abs(V).max()
                         for V in loop_influence(g, 12, 2))
-        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * g.n**2)
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", block_values(g, per_block))
         report = robustness_harness(g, trials=12, seed=2, tau=ratios[4])
         assert 0 < report.passes < report.trials
         assert report == loop_harness(g, trials=12, seed=2, tau=ratios[4])
 
 
+def scc_capped_graph():
+    """Agent 1 (stubborn) feeds a chain 3 -> ... -> 42 that feeds it back, so
+    {1, 3..42} is one SCC of 41 agents; agent 2 (stubborn) and 43 form a
+    second cluster. 41**2 is far above n * m = 86."""
+    edges = [(1, 3, 1.0)] + [(v, v + 1, 1.0) for v in range(3, 42)]
+    edges += [(42, 1, 0.7), (2, 43, 1.0), (43, 2, -0.5)]
+    beta = [0.5, 0.4] + [0.0] * 41
+    return SignedDigraph(43, edges, beta, [0.0] * 43)
+
+
+def block_values(g, per_block):
+    """The _TRACE_BLOCK at which robustness_harness solves per_block trials
+    at a time on g."""
+    plan = dynamics._level_plan(normalize(g), np.array(g.stubborn) - 1)
+    return per_block * max(g.n * g.m, plan.largest**2)
+
+
 class TestTrialBlocks:
-    """A block holds max(1, _TRACE_BLOCK // n**2) trials, so a block's stack
-    of I - M never exceeds _TRACE_BLOCK values unless one trial does."""
+    """A block holds max(1, _TRACE_BLOCK // max(n m, s**2)) trials, s the
+    largest SCC, so a block's V (T, n, m) and its largest SCC's stack of
+    blocks never exceed _TRACE_BLOCK values unless one trial's do."""
 
     @pytest.mark.parametrize("n, trials, sizes", [
-        (12, 1000, [455, 455, 90]), (64, 20, [16, 4]), (256, 3, [1, 1, 1]),
-        (300, 2, [1, 1]),
+        (12, 1000, [1000]), (64, 20, [20]), (256, 3, [3]), (300, 2, [2]),
+        pytest.param(12, 3000, [2730, 270], id="g2-two-blocks"),  # n m = 24
+        pytest.param(None, 100, [38, 38, 24], id="scc-capped"),  # 41**2 = 1681
+        pytest.param(2000, 2, [1, 1], id="generated-2000"),  # n m = 154,000
     ])
     def test_block_sizes(self, g2, n, trials, sizes, monkeypatch):
-        g = g2 if n == 12 else random_multiconsensus_graph(n, n // 20, seed=n)
-        seen = []
-        real = verification._normalized
-
-        def record(n, src, dst, w, beta):
-            seen.append(w.shape[0])
-            return real(n, src, dst, w, beta)
-
-        monkeypatch.setattr(verification, "_normalized", record)
+        g = (g2 if n == 12 else scc_capped_graph() if n is None
+             else random_multiconsensus_graph(n, n // 20, seed=n))
+        seen, plans = [], []
+        solve, plan = verification._level_solve, verification._level_plan
+        monkeypatch.setattr(verification, "_level_solve",
+                            lambda p, sysm: seen.append(sysm.beta.shape[0]) or solve(p, sysm))
+        monkeypatch.setattr(verification, "_level_plan",
+                            lambda *args: plans.append(1) or plan(*args))
         assert robustness_harness(g, trials=trials, seed=1).all_passed
         assert seen == sizes
+        assert plans == [1]  # one plan per run
 
     @staticmethod
     def peak_bytes(run):
@@ -578,11 +602,14 @@ class TestTrialBlocks:
         peak = self.peak_bytes(lambda: robustness_harness(g, trials=3, seed=1))
         assert peak < 2 * 8 * g.n**2
 
-    @pytest.mark.parametrize("trials", [20, 200])
+    @pytest.mark.parametrize("trials", [20, 200, 2000])
     def test_small_n_stays_within_the_block_bound(self, trials):
+        # 204 trials fill a block here; 2000 take ten. A block's V is held up to three times at
+        # once (in solve order, in agent order, gathered by cluster), next to
+        # the block's O(T (n + edges)) weights.
         g = random_multiconsensus_graph(64, 8, seed=64)
         peak = self.peak_bytes(lambda: robustness_harness(g, trials=trials, seed=1))
-        assert peak < 2 * 8 * dynamics._TRACE_BLOCK
+        assert peak < 5 * 8 * dynamics._TRACE_BLOCK
 
 
 class TestWeightStubbornnessInvariance:
