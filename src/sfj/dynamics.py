@@ -212,7 +212,8 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     stubborn = np.array(g.stubborn) - 1
     sysm = normalize(g)
     V = np.zeros((g.n, g.n))
-    V[:, stubborn] = _level_solve(_level_plan(sysm, stubborn), sysm)
+    plan = _level_plan(sysm, stubborn)
+    V[:, stubborn] = _level_solve(plan, sysm)[plan.slot_of]
     return V
 
 
@@ -265,6 +266,11 @@ class _LevelPlan(NamedTuple):
     start..stop-1, singles of them single-agent SCCs, hear through ext[e0:e1],
     local slot fed[i]'s run starting at heads[i]; each span (k, c0, c1, at)
     is blocks c0..c1-1 of size k's stack, from local slot at on.
+    footprint bounds the values one trial holds at once, in the solve and
+    while its caller reads V: V and one gathered copy of it (2 n m), a
+    level's gathered rows and weighted terms (2 m times the most entries
+    any level hears through), the SCC stacks (sum of count k**2) and three
+    arrays of M's entries (its weights, the system's and M's own).
     """
 
     n: int
@@ -275,7 +281,7 @@ class _LevelPlan(NamedTuple):
     loops: tuple
     blocks: list
     levels: list
-    largest: int
+    footprint: int
 
 
 def _level_plan(sysm: NormalizedSystem, stubborn: np.ndarray) -> _LevelPlan:
@@ -356,16 +362,20 @@ def _level_plan(sysm: NormalizedSystem, stubborn: np.ndarray) -> _LevelPlan:
         for s0, s1, e0, e1, r0, r1, one, span in zip(
             starts, starts[1:], e, e[1:], r, r[1:], singles, spans)
     ]
+    heard = max(e1 - e0 for e0, e1 in zip(e, e[1:]))
+    footprint = 2 * stubborn.size * (n + heard) + sum(
+        count * k * k for k, count in stacked.items()) + 3 * rows.size
     return _LevelPlan(n, slot_of, stubborn, ext, slot_of[cols[ext]],
-                      (loops, slot_of[rows[loops]]), blocks, levels, int(sizes.max()))
+                      (loops, slot_of[rows[loops]]), blocks, levels, footprint)
 
 
 def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
     """V's columns at plan.stubborn from the system sysm, level by level: each
     level gathers its terms from the levels below in one reduceat, divides on
     its single-agent SCCs and solves its larger SCCs in one stack per size.
-    A leading trial axis on sysm gives V (T, n, m). Memory is
-    O(T (n m + m * edges + the SCC blocks)), never n x n."""
+    A leading trial axis on sysm gives V (T, n, m), in slot order: agent i's
+    row is slot_of[i], so a caller gathers V's rows once, in the order it
+    needs. Memory is O(T plan.footprint), never n x n."""
     lead, m = sysm.beta.shape[:-1], plan.stubborn.size
     mv = (1.0 - sysm.beta[..., sysm.rows]) * sysm.vals
     V = np.zeros(lead + (plan.n, m))
@@ -389,7 +399,7 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
             rhs = here[..., span, :].reshape(lead + (c1 - c0, k, m))
             here[..., span, :] = np.linalg.solve(stacks[k][..., c0:c1, :, :], rhs).reshape(
                 lead + ((c1 - c0) * k, m))
-    return V[..., plan.slot_of, :]
+    return V
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
@@ -413,8 +423,8 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     R[rows, n + np.arange(m)] = -sysm.beta[rows]
     # The gate above is influence_matrix's, and so is the solve.
     x0_stubborn = np.array(g.x0)[rows]
-    V = _level_solve(_level_plan(sysm, rows), sysm)
-    y = np.concatenate([V @ x0_stubborn, x0_stubborn])
+    plan = _level_plan(sysm, rows)
+    y = np.concatenate([_level_solve(plan, sysm)[plan.slot_of] @ x0_stubborn, x0_stubborn])
     return SteadyStateSystem(R=R, y=y, stubborn_index=g.stubborn, graph=g)
 
 

@@ -113,7 +113,9 @@ def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
 def _threshold(values, tau: float, axis=None):
     """tau relative to the largest magnitude in values, or tau if all are 0;
     with axis, one threshold per slice left after reducing over it."""
-    scale = np.max(np.abs(values), axis=axis)
+    values = np.asarray(values)
+    # max |x| as max(max x, -min x): exact, and no copy of values.
+    scale = np.maximum(values.max(axis=axis), -values.min(axis=axis))
     return np.where(scale > 0, tau * scale, tau)
 
 
@@ -245,7 +247,9 @@ def robustness_harness(
     # and solves as influence_matrix does, with no gate. Each trial draws in
     # its own order, as if alone.
     plan = _level_plan(_normalized(g.n, src, dst, g.w, np.array(g.beta)), stubborn)
-    per_block = max(1, dynamics._TRACE_BLOCK // max(g.n * g.m, plan.largest**2))
+    per_block = max(1, dynamics._TRACE_BLOCK // plan.footprint)
+    # The solve leaves V's rows in slot order; the boxes gather them by cluster.
+    rows = plan.slot_of[order]
     failures = 0
     worst = 0.0
     first_failure = None
@@ -256,13 +260,13 @@ def robustness_harness(
             draws[t] = rng.uniform(lo, hi, size=signs.size)
             beta[t, stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
         block = _level_solve(plan, _normalized(g.n, src, dst, signs * draws, beta))
-        mins, maxs = _cluster_boxes(block, order, starts)
+        mins, maxs = _cluster_boxes(block, rows, starts)
         worst = max(worst, *(maxs - mins).max(axis=(1, 2)).tolist())
         settled = np.zeros(count, dtype=bool)
         if partition:
             settled[:] = _partition_holds(mins, maxs, _threshold(block, tau, axis=(1, 2)))
         for t in np.flatnonzero(~settled).tolist():
-            observed = clusters_from_influence(block[t], tau)
+            observed = clusters_from_influence(block[t, plan.slot_of], tau)
             if set(observed) != set(predicted):
                 failures += 1
                 first_failure = first_failure or TrialFailure(done + t, observed)

@@ -17,6 +17,7 @@ from sfj import (
     clusters_from_influence,
     clusters_from_trace,
     influence_matrix,
+    networks,
     predict_clusters,
     random_multiconsensus_graph,
     refines,
@@ -557,26 +558,52 @@ def scc_capped_graph():
     return SignedDigraph(43, edges, beta, [0.0] * 43)
 
 
+def four_cycles(dense):
+    """Four cycles of 16 agents: 1..16 (agent 1 stubborn) leads 33..48, and
+    17..32 (agent 17 stubborn) leads 49..64, through one edge each or, dense,
+    with every follower hearing every leader. Four stacked 16 x 16 blocks
+    (1024 values) outweigh n * m = 128; dense, so do a level's 512 entries."""
+    edges = [(base + v, base + v % 16 + 1, 1.0)
+             for base in (0, 16, 32, 48) for v in range(1, 17)]
+    lead = [(a, b) for a in range(1, 17) for b in range(1, 17)] if dense else [(16, 1)]
+    edges += [(a + base, b + base + 32, 1.0) for base in (0, 16) for a, b in lead]
+    beta = [0.0] * 64
+    beta[0], beta[16] = 0.5, 0.4
+    return SignedDigraph(64, edges, beta, [0.0] * 64)
+
+
+BLOCK_GRAPHS = {
+    "g2": networks.g2,
+    "generated-64-8": lambda: random_multiconsensus_graph(64, 8, seed=64),
+    "scc-capped": scc_capped_graph,
+    "four-cycles": lambda: four_cycles(dense=False),
+    "four-cycles-dense": lambda: four_cycles(dense=True),
+}
+
+
 def block_values(g, per_block):
     """The _TRACE_BLOCK at which robustness_harness solves per_block trials
     at a time on g."""
-    plan = dynamics._level_plan(normalize(g), np.array(g.stubborn) - 1)
-    return per_block * max(g.n * g.m, plan.largest**2)
+    return per_block * dynamics._level_plan(normalize(g), np.array(g.stubborn) - 1).footprint
 
 
 class TestTrialBlocks:
-    """A block holds max(1, _TRACE_BLOCK // max(n m, s**2)) trials, s the
-    largest SCC, so a block's V (T, n, m) and its largest SCC's stack of
-    blocks never exceed _TRACE_BLOCK values unless one trial's do."""
+    """A block holds max(1, _TRACE_BLOCK // footprint) trials, footprint
+    counting what one trial holds at once (_LevelPlan): V and a gathered
+    copy, a level's terms, the SCC stacks and M's entries. So a block stays
+    near _TRACE_BLOCK values unless one trial does not."""
 
     @pytest.mark.parametrize("n, trials, sizes", [
-        (12, 1000, [1000]), (64, 20, [20]), (256, 3, [3]), (300, 2, [2]),
-        pytest.param(12, 3000, [2730, 270], id="g2-two-blocks"),  # n m = 24
-        pytest.param(None, 100, [38, 38, 24], id="scc-capped"),  # 41**2 = 1681
-        pytest.param(2000, 2, [1, 1], id="generated-2000"),  # n m = 154,000
+        (12, 1000, [504, 496]), (64, 20, [20]), (256, 3, [3]), (300, 2, [2]),
+        pytest.param(256, 20, [18, 2], id="256-20"),  # footprint 3622
+        pytest.param(300, 20, [7, 7, 6], id="300-20"),  # 9251
+        pytest.param(2000, 2, [1, 1], id="2000-2"),  # 355,539
+        pytest.param("scc-capped", 100, [32, 32, 32, 4], id="scc-capped"),  # 1986: 1681 the SCC
+        pytest.param("four-cycles", 100, [44, 44, 12], id="four-cycles"),  # 1486: 1024 the SCCs
+        pytest.param("four-cycles-dense", 30, [12, 12, 6], id="four-cycles-dense"),  # 5056
     ])
     def test_block_sizes(self, g2, n, trials, sizes, monkeypatch):
-        g = (g2 if n == 12 else scc_capped_graph() if n is None
+        g = (BLOCK_GRAPHS[n]() if isinstance(n, str) else g2 if n == 12
              else random_multiconsensus_graph(n, n // 20, seed=n))
         seen, plans = [], []
         solve, plan = verification._level_solve, verification._level_plan
@@ -602,14 +629,15 @@ class TestTrialBlocks:
         peak = self.peak_bytes(lambda: robustness_harness(g, trials=3, seed=1))
         assert peak < 2 * 8 * g.n**2
 
-    @pytest.mark.parametrize("trials", [20, 200, 2000])
-    def test_small_n_stays_within_the_block_bound(self, trials):
-        # 204 trials fill a block here; 2000 take ten. A block's V is held up to three times at
-        # once (in solve order, in agent order, gathered by cluster), next to
-        # the block's O(T (n + edges)) weights.
-        g = random_multiconsensus_graph(64, 8, seed=64)
+    @pytest.mark.parametrize("case, trials", [
+        *(pytest.param("generated-64-8", t, id=str(t)) for t in (20, 200, 2000)),
+        *(pytest.param(case, 2000, id=case)
+          for case in ("g2", "scc-capped", "four-cycles", "four-cycles-dense")),
+    ])
+    def test_small_n_stays_within_the_block_bound(self, case, trials):
+        g = BLOCK_GRAPHS[case]()
         peak = self.peak_bytes(lambda: robustness_harness(g, trials=trials, seed=1))
-        assert peak < 5 * 8 * dynamics._TRACE_BLOCK
+        assert peak < 2 * 8 * dynamics._TRACE_BLOCK
 
 
 class TestWeightStubbornnessInvariance:
