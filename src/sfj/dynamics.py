@@ -373,33 +373,35 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
     """V's columns at plan.stubborn from the system sysm, level by level: each
     level gathers its terms from the levels below in one reduceat, divides on
     its single-agent SCCs and solves its larger SCCs in one stack per size.
-    A leading trial axis on sysm gives V (T, n, m), in slot order: agent i's
-    row is slot_of[i], so a caller gathers V's rows once, in the order it
-    needs. Memory is O(T plan.footprint), never n x n."""
+    V is in slot order, slots first: agent i's row is slot_of[i], and a
+    leading trial axis on sysm gives V (n, T, m), so each gather, reduceat
+    and add moves whole rows of T m values; a caller gathers V's rows once,
+    in the order it needs. Memory is O(T plan.footprint), never n x n."""
     lead, m = sysm.beta.shape[:-1], plan.stubborn.size
-    mv = (1.0 - sysm.beta[..., sysm.rows]) * sysm.vals
-    V = np.zeros(lead + (plan.n, m))
-    V[..., plan.slot_of[plan.stubborn], np.arange(m)] = sysm.beta[..., plan.stubborn]
-    weights = mv[..., plan.ext, None]
-    divisor = np.ones(lead + (plan.n, 1))
-    divisor[..., plan.loops[1], 0] -= mv[..., plan.loops[0]]
+    beta = sysm.beta.reshape(-1, plan.n).T  # (n, T); no trial axis is T = 1
+    trials = beta.shape[1]
+    mv = (1.0 - beta[sysm.rows]) * sysm.vals.reshape(trials, -1).T
+    V = np.zeros((plan.n, trials, m))
+    V[plan.slot_of[plan.stubborn], :, np.arange(m)] = beta[plan.stubborn]
+    weights = mv[plan.ext, :, None]
+    divisor = np.ones((plan.n, trials, 1))
+    divisor[plan.loops[1], :, 0] -= mv[plan.loops[0]]
     stacks = {}
     for k, count, entries, flat in plan.blocks:
-        A = stacks[k] = np.zeros(lead + (count, k, k))
-        A[..., np.arange(k), np.arange(k)] = 1.0
-        A.reshape(lead + (-1,))[..., flat] -= mv[..., entries]
+        A = stacks[k] = np.zeros((trials, count, k, k))
+        A[:, :, np.arange(k), np.arange(k)] = 1.0
+        A.reshape(trials, -1)[:, flat] -= mv[entries].T
     for start, stop, e0, e1, fed, heads, singles, spans in plan.levels:
-        here = V[..., start:stop, :]
+        here = V[start:stop]
         if e1 > e0:
-            terms = weights[..., e0:e1, :] * V[..., plan.src[e0:e1], :]
-            here[..., fed, :] += np.add.reduceat(terms, heads, axis=-2)
-        here[..., :singles, :] /= divisor[..., start:start + singles, :]
+            here[fed] += np.add.reduceat(weights[e0:e1] * V[plan.src[e0:e1]], heads)
+        here[:singles] /= divisor[start:start + singles]
         for k, c0, c1, at in spans:
-            span = slice(at, at + (c1 - c0) * k)
-            rhs = here[..., span, :].reshape(lead + (c1 - c0, k, m))
-            here[..., span, :] = np.linalg.solve(stacks[k][..., c0:c1, :, :], rhs).reshape(
-                lead + ((c1 - c0) * k, m))
-    return V
+            span = here[at:at + (c1 - c0) * k]
+            rhs = span.reshape(c1 - c0, k, trials, m).transpose(2, 0, 1, 3)
+            span[...] = np.linalg.solve(stacks[k][:, c0:c1], rhs).transpose(
+                1, 2, 0, 3).reshape(span.shape)
+    return V.reshape((plan.n,) + lead + (m,))
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:

@@ -14,6 +14,7 @@ the cooperativity condition C2 checked by check_conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -193,14 +194,22 @@ def detect_ltp_agents(g: SignedDigraph, tree: DominatorTree) -> LTPCertificate:
 def _check_internal_consistency(g, stubborn, persuaded):
     # Persuaded sets are pairwise disjoint, non-stubborn only, and closed
     # under in-neighbours up to the persuader. Violations here would mean the
-    # dominator computation is broken, never bad input.
+    # dominator computation is broken, never bad input. One pass over all
+    # persuaded agents, each listed once per set that holds it.
+    sizes = np.fromiter(map(len, persuaded.values()), np.int64, len(persuaded))
+    persuaders = np.fromiter(persuaded, np.int64, len(persuaded))
+    assert sizes.all(), f"empty persuaded set recorded for {persuaders[sizes == 0]}"
+    agents = np.fromiter(chain.from_iterable(persuaded.values()), np.int64, sizes.sum())
+    by = np.repeat(persuaders, sizes)  # each listed agent's persuader
     owner = np.zeros(g.n + 1, dtype=np.int64)  # 0: in no persuaded set
-    for p, members in persuaded.items():
-        assert members, f"empty persuaded set recorded for {p}"
-        assert not (members & stubborn), f"stubborn agent persuaded by {p}"
-        idx = np.fromiter(members, dtype=np.int64, count=len(members))
-        assert not owner[idx].any(), f"persuaded sets of {owner[idx].max()},{p} overlap"
-        owner[idx] = p
+    owner[agents] = by
+    # An agent listed by two persuaders keeps one owner, so the other differs.
+    shared = agents[owner[agents] != by]
+    assert not shared.size, (f"persuaded sets of {np.unique(by[np.isin(agents, shared)])} "
+                             f"overlap at {np.unique(shared)}")
+    held = np.fromiter(stubborn, np.int64, len(stubborn))
+    held = held[owner[held] != 0]
+    assert not held.size, f"stubborn agents {held} persuaded by {owner[held]}"
     into = owner[g.dst]
     escape = (into != 0) & (g.src != into) & (owner[g.src] != into)
     assert not escape.any(), f"edges {np.flatnonzero(escape)} escape a persuaded set"

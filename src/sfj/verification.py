@@ -158,10 +158,9 @@ def _cluster_layout(clusters) -> tuple[np.ndarray, np.ndarray]:
 
 def _cluster_boxes(V: np.ndarray, order: np.ndarray, starts: np.ndarray):
     """Per-cluster column minima and maxima of V's rows, for _cluster_layout;
-    V (..., n, m) gives boxes (..., k, m)."""
-    rows = V[..., order, :]
-    return (np.minimum.reduceat(rows, starts, axis=-2),
-            np.maximum.reduceat(rows, starts, axis=-2))
+    V (n, ..., m), rows first as _level_solve leaves it, gives boxes (k, ..., m)."""
+    rows = V[order]
+    return np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
 
 
 def cluster_spread(V, clusters) -> float:
@@ -175,18 +174,19 @@ def cluster_spread(V, clusters) -> float:
 
 
 def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.ndarray:
-    """Per trial t of boxes lo, hi (T, k, m) and thresholds (T,): when True,
+    """Per trial t of boxes lo, hi (k, T, m) and thresholds (T,): when True,
     _group_rows(rows, thresh[t]) is exactly the partition of rows whose
-    per-cluster column minima and maxima are lo[t] and hi[t]; False decides
-    nothing. Rounded subtraction is monotone: a range at most thresh makes a
-    cluster a clique, and boxes over thresh apart in a column share no close pair."""
-    holds = (hi - lo).max(axis=(1, 2)) <= thresh
+    per-cluster column minima and maxima are lo[:, t] and hi[:, t]; False
+    decides nothing. Rounded subtraction is monotone: a range at most thresh
+    makes a cluster a clique, and boxes over thresh apart in a column share
+    no close pair."""
+    holds = (hi - lo).max(axis=0).max(axis=1) <= thresh
     # Boxes whose spans in the widest column lie over thresh apart, with
     # _group_rows's slack, separate. Every other pair needs a gap over thresh
     # in some column; holds keeps the bounds finite, so the largest gap decides.
-    stack = np.arange(lo.shape[0])
-    widest = (hi.max(axis=1) - lo.min(axis=1)).argmax(axis=1)
-    keys, reach = lo[stack, :, widest], hi[stack, :, widest]
+    stack = np.arange(lo.shape[1])
+    widest = (hi.max(axis=0) - lo.min(axis=0)).argmax(axis=1)
+    keys, reach = lo[:, stack, widest].T, hi[:, stack, widest].T
     top = np.maximum(reach.max(axis=1), -keys.min(axis=1))
     slack = 8 * np.finfo(float).eps * (top + thresh)
     near = keys[:, None, :] <= (reach + thresh[:, None] + slack[:, None])[:, :, None]
@@ -195,7 +195,7 @@ def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.n
     step = max(1, dynamics._TRACE_BLOCK // lo.shape[2])
     for i in range(0, pairs[0].size, step):
         t, a, b = (p[i:i + step] for p in pairs)
-        gaps = np.maximum(lo[t, b] - hi[t, a], lo[t, a] - hi[t, b]).max(axis=1)
+        gaps = np.maximum(lo[b, t] - hi[a, t], lo[a, t] - hi[b, t]).max(axis=1)
         holds[t[gaps <= thresh[t]]] = False
     return holds
 
@@ -255,18 +255,23 @@ def robustness_harness(
     first_failure = None
     for done in range(0, trials, per_block):
         count = min(per_block, trials - done)
-        draws, beta = np.empty((count, signs.size)), np.zeros((count, g.n))
-        for t in range(count):
-            draws[t] = rng.uniform(lo, hi, size=signs.size)
-            beta[t, stubborn] = 1.0 - rng.uniform(0.0, 1.0, size=stubborn.size)
-        block = _level_solve(plan, _normalized(g.n, src, dst, signs * draws, beta))
+        # One draw per block: trial t's row holds its weights, then its betas,
+        # as uniform(lo, hi) and uniform(0, 1) would give them one trial at a
+        # time (both compute low + (high - low) u).
+        u = rng.random((count, signs.size + stubborn.size))
+        beta = np.zeros((count, g.n))
+        beta[:, stubborn] = 1.0 - u[:, signs.size:]
+        sysm = _normalized(g.n, src, dst, signs * (lo + (hi - lo) * u[:, :signs.size]), beta)
+        block = _level_solve(plan, sysm)
         mins, maxs = _cluster_boxes(block, rows, starts)
-        worst = max(worst, *(maxs - mins).max(axis=(1, 2)).tolist())
+        worst = max(worst, *(maxs - mins).max(axis=0).max(axis=1).tolist())
         settled = np.zeros(count, dtype=bool)
         if partition:
-            settled[:] = _partition_holds(mins, maxs, _threshold(block, tau, axis=(1, 2)))
+            # Each trial's extremes, over the slots first: whole rows at a time.
+            extremes = np.concatenate((block.max(axis=0), block.min(axis=0)), axis=1)
+            settled[:] = _partition_holds(mins, maxs, _threshold(extremes, tau, axis=1))
         for t in np.flatnonzero(~settled).tolist():
-            observed = clusters_from_influence(block[t, plan.slot_of], tau)
+            observed = clusters_from_influence(block[plan.slot_of, t], tau)
             if set(observed) != set(predicted):
                 failures += 1
                 first_failure = first_failure or TrialFailure(done + t, observed)

@@ -521,7 +521,24 @@ class TestLevelSolve:
         V = _level_solve(plan, stacked)
         for t in range(5):
             alone = _normalized(g.n, src, dst, w[t], beta[t])
-            assert V[t].tobytes() == _level_solve(plan, alone).tobytes()
+            assert V[:, t].tobytes() == _level_solve(plan, alone).tobytes()
+
+    def test_large_network_matches_a_sparse_lu(self):
+        # A second oracle where a dense LU of I - M (3.2 GB) is out of reach:
+        # SuperLU on the sparse system, (I - M) V = B_s.
+        sparse = pytest.importorskip("scipy.sparse")
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        g = random_multiconsensus_graph(20_000, 1_000, seed=20_000)
+        sysm, stubborn = normalize(g), np.array(g.stubborn) - 1
+        plan = _level_plan(sysm, stubborn)
+        V = _level_solve(plan, sysm)[plan.slot_of]
+        rows, cols, vals = sysm.update_entries()
+        A = sparse.identity(g.n, format="csc") - sparse.csc_matrix(
+            (vals, (rows, cols)), shape=(g.n, g.n))
+        B = np.zeros((g.n, stubborn.size))
+        B[stubborn, np.arange(stubborn.size)] = sysm.beta[stubborn]
+        expected = linalg.spsolve(A, B)
+        assert np.abs(V - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestNeumannSeries:

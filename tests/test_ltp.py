@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sfj import (
 )
 from sfj.generator import random_multiconsensus_graph
 from sfj.graph import Edge, SignedDigraph
-from sfj.ltp import VIRTUAL_ROOT
+from sfj.ltp import VIRTUAL_ROOT, _check_internal_consistency
 
 from conftest import random_reachable_graph
 from oracles import SizeLimit, brute_force_ltp_oracle, in_neighbours, reweighted
@@ -218,6 +220,34 @@ class TestCertificateProperties:
             scrambled = reweighted(g, weights)
             redo = detect_ltp_agents(scrambled, build_dominator_tree(scrambled))
             assert base.same_detection(redo)
+
+
+class TestInternalConsistency:
+    """The detection's self-check names the agents or edges at fault."""
+
+    # 1 -> 2 -> 3 <- 4 <- 1 and 4 -> 5; edge 4 is 4 -> 3.
+    EDGES = [Edge(1, 2, 1.0), Edge(2, 3, 1.0), Edge(1, 4, 1.0), Edge(4, 5, 1.0),
+             Edge(4, 3, 1.0)]
+
+    def check(self, persuaded, stubborn=(1,)):
+        g = make(5, self.EDGES, stubborn)
+        persuaded = {p: frozenset(members) for p, members in persuaded.items()}
+        _check_internal_consistency(g, frozenset(g.stubborn), persuaded)
+
+    def test_closed_disjoint_sets_pass(self):
+        self.check({1: {2, 3, 4, 5}})
+        self.check({4: {5}})
+        self.check({})
+
+    @pytest.mark.parametrize("persuaded, stubborn, message", [
+        ({1: set(), 4: {5}}, (1,), "empty persuaded set recorded for [1]"),
+        ({2: {3}, 4: {3, 5}}, (1,), "persuaded sets of [2 4] overlap at [3]"),
+        ({1: {2, 4}}, (1, 4), "stubborn agents [4] persuaded by [1]"),
+        ({2: {3}}, (1,), "edges [4] escape a persuaded set"),
+    ])
+    def test_a_violation_names_what_is_at_fault(self, persuaded, stubborn, message):
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            self.check(persuaded, stubborn)
 
 
 class TestConditions:

@@ -97,6 +97,14 @@ def loop_influence(g, trials, seed):
         yield influence_matrix(reweighted(g, weights, beta=beta))
 
 
+def spread_ratios(g, trials, seed):
+    """Each loop_influence trial's predicted-cluster spread over its largest
+    magnitude, sorted: a tau between two of them splits the trials."""
+    predicted = predict_clusters(analyze(g), mode="strict").clusters
+    return sorted(cluster_spread(V, predicted) / np.abs(V).max()
+                  for V in loop_influence(g, trials, seed))
+
+
 def loop_harness(g, trials, seed, tau=verification.DEFAULT_TAU):
     """Reference harness: loop_influence's trials, each clustered in full."""
     predicted = predict_clusters(analyze(g), mode="strict").clusters
@@ -202,7 +210,7 @@ class TestSortAndSweepGrouping:
 def box_certificate(rows, partition, thresh):
     """The harness's fast verdict on a partition of rows' 1-based ids."""
     lo, hi = _cluster_boxes(rows, *_cluster_layout(partition))
-    return bool(_partition_holds(lo[None], hi[None], np.array([thresh]))[0])
+    return bool(_partition_holds(lo[:, None], hi[:, None], np.array([thresh]))[0])
 
 
 @st.composite
@@ -240,12 +248,13 @@ class TestBoxCertificate:
     @given(rows_and_partition(), st.data())
     def test_stacked_verdicts_equal_the_per_slice_calls(self, case, data):
         # Each trial reorders the rows under the same layout and takes its
-        # own threshold, so boxes, windows and verdicts differ across the stack.
+        # own threshold, so boxes, windows and verdicts differ across the
+        # stack, which is slots first (n, T, m) as the level solve leaves V.
         rows, thresh, partition = case
         trials = data.draw(st.integers(1, 5))
         stack = np.stack([rows] + [
             rows[data.draw(st.permutations(range(len(rows))))] for _ in range(trials - 1)
-        ])
+        ], axis=1)
         thresholds = np.array(
             [thresh] + data.draw(st.lists(st.sampled_from(THRESHOLDS + (thresh,)),
                                           min_size=trials - 1, max_size=trials - 1))
@@ -253,14 +262,14 @@ class TestBoxCertificate:
         layout = _cluster_layout(partition)
         lo, hi = _cluster_boxes(stack, *layout)
         for t in range(trials):
-            assert [a.tobytes() for a in _cluster_boxes(stack[t], *layout)] == [
-                lo[t].tobytes(), hi[t].tobytes()]
+            assert [a.tobytes() for a in _cluster_boxes(stack[:, t], *layout)] == [
+                lo[:, t].tobytes(), hi[:, t].tobytes()]
         stacked = _partition_holds(lo, hi, thresholds)
         assert stacked.shape == (trials,) and stacked.dtype == bool
-        per_slice = [_partition_holds(lo[t:t + 1], hi[t:t + 1], thresholds[t:t + 1])[0]
+        per_slice = [_partition_holds(lo[:, t:t + 1], hi[:, t:t + 1], thresholds[t:t + 1])[0]
                      for t in range(trials)]
         assert stacked.tolist() == per_slice == [
-            sweep_partition_holds(lo[t], hi[t], thresholds[t]) for t in range(trials)]
+            sweep_partition_holds(lo[:, t], hi[:, t], thresholds[t]) for t in range(trials)]
         with mock.patch.object(dynamics, "_TRACE_BLOCK", 1):  # one pair per chunk
             assert _partition_holds(lo, hi, thresholds).tolist() == per_slice
 
@@ -539,13 +548,25 @@ class TestHarnessMatchesTheLoop:
         # always 1), and tau is one trial's spread over it: a threshold shared
         # by a block of 4 settles three more trials than the loop passes.
         g = random_multiconsensus_graph(16, 2, seed=16)
-        predicted = predict_clusters(analyze(g), mode="strict").clusters
-        ratios = sorted(cluster_spread(V, predicted) / np.abs(V).max()
-                        for V in loop_influence(g, 12, 2))
+        tau = spread_ratios(g, 12, 2)[4]
         monkeypatch.setattr(dynamics, "_TRACE_BLOCK", block_values(g, per_block))
-        report = robustness_harness(g, trials=12, seed=2, tau=ratios[4])
+        report = robustness_harness(g, trials=12, seed=2, tau=tau)
         assert 0 < report.passes < report.trials
-        assert report == loop_harness(g, trials=12, seed=2, tau=ratios[4])
+        assert report == loop_harness(g, trials=12, seed=2, tau=tau)
+
+    @pytest.mark.parametrize("per_block", [4, 1000])
+    def test_a_negated_solve_gives_the_same_report(self, per_block, monkeypatch):
+        # Negating V moves each trial's largest magnitude to a negative entry
+        # and changes no distance, so thresholds, verdicts and spreads hold
+        # only if the threshold reads max |V| through V's minimum too.
+        g = random_multiconsensus_graph(16, 2, seed=16)
+        tau = spread_ratios(g, 12, 2)[4]
+        solve = verification._level_solve
+        monkeypatch.setattr(verification, "_level_solve", lambda *args: -solve(*args))
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", block_values(g, per_block))
+        report = robustness_harness(g, trials=12, seed=2, tau=tau)
+        assert 0 < report.passes < report.trials
+        assert report == loop_harness(g, trials=12, seed=2, tau=tau)
 
 
 def scc_capped_graph():
