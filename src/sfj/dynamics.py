@@ -10,7 +10,6 @@ agent i sits at row i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -217,14 +216,19 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     return V
 
 
-def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
-    """Strongly connected components of the graph v -> succ[bounds[v]:bounds[v+1]].
+def _components(n: int, bounds: list, succ: list) -> tuple[np.ndarray, np.ndarray]:
+    """Strongly connected components of the graph v -> succ[bounds[v]:bounds[v+1]]
+    and their levels: v lies in component comp[v] of level level[comp[v]].
 
-    Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack: each
-    component comes after every component it reaches.
+    Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack numbers
+    the components as they close, so each comes after every component it
+    reaches. top[v] is the highest level that v and its subtree on the stack
+    reach in closed components (-1 if none); a component closing at root v
+    takes level top[v] + 1.
     """
     index, low, on_stack = [-1] * n, [0] * n, [False] * n
-    stack, components, counter = [], [], 0
+    comp, level, top = [-1] * n, [], [-1] * n
+    stack, counter = [], 0
     for root in range(n):
         work = [] if index[root] >= 0 else [(root, bounds[root])]
         while work:
@@ -235,7 +239,9 @@ def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             else:  # back from the tree edge k - 1
-                low[v] = min(low[v], low[succ[k - 1]])
+                u = succ[k - 1]
+                low[v] = min(low[v], low[u])
+                top[v] = max(top[v], top[u] if on_stack[u] else level[comp[u]])
             for k in range(k, bounds[v + 1]):
                 u = succ[k]
                 if index[u] < 0:
@@ -243,14 +249,15 @@ def _components(n: int, bounds: list, succ: list) -> list[list[int]]:
                     break
                 if on_stack[u]:
                     low[v] = min(low[v], index[u])
+                else:  # in a component closed already
+                    top[v] = max(top[v], level[comp[u]])
             else:
                 if low[v] == index[v]:
-                    component = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        on_stack[component[-1]] = False
-                    components.append(component)
-    return components
+                    level.append(top[v] + 1)
+                    while comp[v] < 0:
+                        comp[stack[-1]] = len(level) - 1
+                        on_stack[stack.pop()] = False
+    return np.array(comp, dtype=np.int64), np.array(level, dtype=np.int64)
 
 
 class _LevelPlan(NamedTuple):
@@ -288,29 +295,18 @@ def _level_plan(sysm: NormalizedSystem, stubborn: np.ndarray) -> _LevelPlan:
     """Plan the solve of (I - M) V = B_s over the SCCs of M's in-lists.
 
     I - M is block lower triangular over those SCCs in Tarjan's order (the
-    block triangular form of Duff & Reid, ACM TOMS 1978). An SCC's level is
-    0 if it hears from no other SCC and one above the highest it hears from
-    otherwise, so each level needs only the levels below it. Reads only
-    sysm.rows and sysm.cols, so one plan serves every trial on the same
-    edges. O(n + edges) plus sorts.
+    block triangular form of Duff & Reid, ACM TOMS 1978). _components gives
+    each SCC's level as Tarjan closes it: 0 if it hears from no other SCC and
+    one above the highest it hears from otherwise, so each level needs only
+    the levels below it. Reads only sysm.rows and sysm.cols, so one plan
+    serves every trial on the same edges. O(n + edges) plus sorts.
     """
     n, rows, cols = sysm.n, sysm.rows, sysm.cols
     by_row = np.argsort(rows, kind="stable")
     bounds = np.searchsorted(rows[by_row], np.arange(n + 1)).tolist()
-    components = _components(n, bounds, cols[by_row].tolist())
-    sizes = np.fromiter(map(len, components), np.int64, len(components))
-    comp = np.empty(n, dtype=np.int64)
-    comp[np.fromiter(chain.from_iterable(components), np.int64, n)] = np.repeat(
-        np.arange(sizes.size), sizes)
+    comp, level = _components(n, bounds, cols[by_row].tolist())
+    sizes = np.bincount(comp)
     cross = comp[rows] != comp[cols]
-    later, earlier = comp[rows[cross]], comp[cols[cross]]
-    order = np.argsort(later, kind="stable")
-    level = [0] * sizes.size
-    # Each component comes after every one it reaches (earlier < later), so
-    # in ascending order of later every level[earlier] is final when read.
-    for u, v in zip(later[order].tolist(), earlier[order].tolist()):
-        level[u] = max(level[u], level[v] + 1)
-    level = np.array(level)
 
     ranked = np.lexsort((sizes, level))  # by level, then size, then Tarjan order
     rank = np.empty_like(ranked)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import OpinionTrace, _level_plan, _level_solve
-from .errors import ConditionsNotMet, NotConverged
+from .errors import NotConverged
 from .graph import SignedDigraph, _normalized
 from .ltp import analyze, predict_clusters
 
@@ -76,34 +76,33 @@ def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
     column, so after sorting on the column with the widest range each row
     need only be tested against the rows that follow it within thresh in
     that column. The exact test is the same elementwise arithmetic as a test
-    of every pair, so the groups are the same.
+    of every pair, so the groups are the same. A run of identical rows
+    (distance 0, close unless thresh < 0) is close to exactly the rows its
+    first one is, so one row per run is swept and the rest join it.
     """
-    count = rows.shape[0]
     widest = int(np.argmax(np.ptp(rows, axis=0)))
     # Ties on the widest column are broken by the other columns, so
-    # identical rows sit next to each other.
+    # identical rows sit next to each other; ordered row a is in run[a].
     order = np.lexsort(np.vstack([rows.T, rows[:, widest]]))
     ordered = rows[order]
-    keys = ordered[:, widest]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = ~(np.all(ordered[1:] == ordered[:-1], axis=1) & (thresh >= 0))
+    run = np.cumsum(first) - 1
+    distinct = ordered[first]
+    keys = distinct[:, widest]
     # Rounding can put a close pair's key gap a few ulps above thresh; the
     # slack keeps every such pair inside the window, where the exact test
     # sees it.
     slack = 8 * np.finfo(float).eps * (np.max(np.abs(keys)) + thresh)
     ends = np.searchsorted(keys, keys + thresh + slack, side="right").tolist()
-    # A row identical to the next (distance 0, close unless thresh < 0) is
-    # close to exactly the rows the next one is, so joining the two leaves
-    # the rest to the next row's sweep.
-    same = (np.all(ordered[1:] == ordered[:-1], axis=1) & (thresh >= 0)).tolist()
-    uf = _UnionFind(count)
-    for a in range(count - 1):
-        if same[a]:
-            uf.union(a, a + 1)
-        elif ends[a] > a + 1:
-            gaps = np.max(np.abs(ordered[a + 1:ends[a]] - ordered[a]), axis=1)
+    uf = _UnionFind(keys.size)
+    for a in range(keys.size - 1):
+        if ends[a] > a + 1:
+            gaps = np.max(np.abs(distinct[a + 1:ends[a]] - distinct[a]), axis=1)
             for b in (np.flatnonzero(gaps <= thresh) + (a + 1)).tolist():
                 uf.union(a, b)
     groups: dict[int, set[int]] = {}
-    for a, i in enumerate(order.tolist()):
+    for a, i in zip(run.tolist(), order.tolist()):
         groups.setdefault(uf.find(a), set()).add(i + 1)
     return tuple(
         frozenset(members) for members in sorted(groups.values(), key=min)
@@ -116,7 +115,8 @@ def _threshold(values, tau: float, axis=None):
     values = np.asarray(values)
     # max |x| as max(max x, -min x): exact, and no copy of values.
     scale = np.maximum(values.max(axis=axis), -values.min(axis=axis))
-    return np.where(scale > 0, tau * scale, tau)
+    with np.errstate(over="ignore"):  # tau * scale past the float range: inf
+        return np.where(scale > 0, tau * scale, tau)
 
 
 def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int], ...]:
@@ -218,18 +218,14 @@ def robustness_harness(
     (0, 1] for the stubborn agents, and solves for V's m stubborn columns
     (the rest are zero). Their per-cluster boxes give the spread and, via
     _partition_holds, the verdict; a trial they cannot settle goes to
-    clusters_from_influence on the same block. Requires C1 and C2 up front; on
-    inputs violating them nothing is asserted either way, because the
-    conditions are sufficient, not necessary. Raises ValueError when trials < 1.
+    clusters_from_influence on the same block. predict_clusters refuses up
+    front unless C1 and C2 hold (ConditionsNotMet); on inputs violating them
+    nothing is asserted either way, because the conditions are sufficient,
+    not necessary. Raises ValueError when trials < 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    cert = analyze(g)
-    if not (cert.covered and cert.cooperative):
-        raise ConditionsNotMet(
-            f"harness needs C1 and C2; got C1={cert.covered} C2={cert.cooperative}"
-        )
-    predicted = predict_clusters(cert, mode="strict").clusters
+    predicted = predict_clusters(analyze(g), mode="strict").clusters
 
     rng = np.random.default_rng(seed)
     lo, hi = WEIGHT_RANGE

@@ -488,14 +488,19 @@ class TestLevelSolve:
             pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
             succ = [sorted({int(v) for u, v in pairs if u == w}) for w in range(n)]
             bounds = np.cumsum([0] + [len(s) for s in succ]).tolist()
-            found = _components(n, bounds, [v for s in succ for v in s])
+            comp, level = _components(n, bounds, [v for s in succ for v in s])
+            found = [np.flatnonzero(comp == c).tolist() for c in range(level.size)]
             graph_ = nx.DiGraph()
             graph_.add_nodes_from(range(n))
             graph_.add_edges_from(map(tuple, pairs.tolist()))
-            assert sorted(map(sorted, found)) == sorted(
+            assert sorted(found) == sorted(
                 map(sorted, nx.strongly_connected_components(graph_)))
-            position = {v: i for i, c in enumerate(found) for v in c}
-            assert all(position[int(v)] <= position[int(u)] for u, v in pairs)
+            assert all(comp[v] <= comp[u] for u, v in pairs)
+            # 0 for a component that reaches no other, else one above the
+            # highest level among those it reaches.
+            for c in range(level.size):
+                reached = {int(comp[v]) for u, v in pairs if comp[u] == c} - {c}
+                assert level[c] == 1 + max((level[r] for r in reached), default=-1)
 
     @pytest.mark.parametrize("case", ["g2", "generated-200", "strongly-connected"])
     def test_each_level_hears_only_from_the_levels_below(self, case):

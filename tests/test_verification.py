@@ -139,8 +139,8 @@ def row_sets(draw):
     value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     bases = draw(st.lists(st.lists(value, min_size=width, max_size=width),
                           min_size=1, max_size=4))
-    offsets = st.sampled_from((0.0, thresh, -thresh, 2 * thresh, thresh * (1 + 1e-16),
-                               1e-15, 1e-9))
+    offsets = st.sampled_from((0.0, -0.0, thresh, -thresh, 2 * thresh,
+                               thresh * (1 + 1e-16), 1e-15, 1e-9))
     rows = [
         [b + draw(offsets) for b in draw(st.sampled_from(bases))]
         for _ in range(count)
@@ -195,6 +195,23 @@ class TestSortAndSweepGrouping:
         assert rows[1, 0] > rows[0, 0] + 0.7
         assert rows[1, 0] - rows[0, 0] <= 0.7
         assert _group_rows(rows, 0.7) == (frozenset({1, 2}),)
+
+    def test_one_row_per_run_of_identical_rows_is_swept(self, monkeypatch):
+        sizes = []
+
+        class Recording(_UnionFind):
+            def __init__(self, size):
+                sizes.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(verification, "_UnionFind", Recording)
+        rows = np.tile([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]], (40, 1))
+        expected = tuple(frozenset(range(j, 121, 3)) for j in (1, 2, 3))
+        assert _group_rows(rows, 0.1) == expected == pairwise_group_rows(rows, 0.1)
+        assert sizes == [3]
+        # Below 0 not even identical rows are close: every row is its own run.
+        assert _group_rows(rows, -0.1) == tuple(frozenset({i}) for i in range(1, 121))
+        assert sizes == [3, 120]
 
     def test_zero_columns_are_ignored(self):
         v = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0]])
@@ -349,6 +366,13 @@ class TestTraceClusters:
             t_clusters = clusters_from_trace(simulate(shuffled))
             assert refines(v_clusters, t_clusters)
 
+    def test_a_threshold_past_the_float_range_is_infinite(self):
+        # tau times the largest magnitude overflows to inf: every gap is close.
+        final = np.array([10.0, 10.5, 9.0, 12.0])
+        trace = OpinionTrace(states=final[None, :], converged=True, iterations=0,
+                             residual=0.0)
+        assert clusters_from_trace(trace, 1e308) == (frozenset({1, 2, 3, 4}),)
+
     def test_unconverged_trace_rejected(self):
         trace = OpinionTrace(
             states=np.zeros((3, 2)), converged=False, iterations=2, residual=1.0
@@ -462,11 +486,11 @@ class TestRobustnessHarness:
         flipped = reweighted(
             g1, [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges]
         )
-        with pytest.raises(ConditionsNotMet):
+        with pytest.raises(ConditionsNotMet, match="cooperativity condition C2 fails"):
             robustness_harness(flipped, trials=5, seed=0)
 
     def test_uncovered_graph_refused(self, g1):
-        with pytest.raises(ConditionsNotMet):
+        with pytest.raises(ConditionsNotMet, match="coverage condition C1 fails"):
             robustness_harness(g1, trials=5, seed=0)
 
     def test_condition_violations_are_observed_not_asserted(self, g1):
