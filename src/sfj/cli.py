@@ -46,8 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _fail(code: int, message: str) -> int:

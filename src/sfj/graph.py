@@ -119,12 +119,12 @@ class SignedDigraph:
         return self.src - 1, self.dst - 1
 
 
-def _grouped(keys: np.ndarray, vals: np.ndarray, n: int) -> list[list[int]]:
-    """vals grouped by keys in 0..n: n + 1 Python lists, each sorted ascending."""
+def _csr(keys: np.ndarray, vals: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """vals grouped by keys in 0..n, as Python lists (bounds, flat) from one
+    argsort: key k's values, ascending, are flat[bounds[k]:bounds[k + 1]]."""
     order = np.argsort(keys * (n + 1) + vals)
-    bounds = np.searchsorted(keys[order], np.arange(n + 2)).tolist()
-    flat = vals[order].tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    bounds = [0] + np.cumsum(np.bincount(keys, minlength=n + 1)).tolist()
+    return bounds, vals[order].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +240,12 @@ def _unreached(g: SignedDigraph, block) -> frozenset[int]:
     inside = np.zeros(g.n + 1, dtype=bool)
     inside[np.fromiter(block, dtype=np.int64)] = True
     src_in, dst_in = inside[g.src], inside[g.dst]
-    out = _grouped(g.src[src_in & dst_in], g.dst[src_in & dst_in], g.n)
+    bounds, out = _csr(g.src[src_in & dst_in], g.dst[src_in & dst_in], g.n)
     stack = g.dst[dst_in & ~src_in].tolist()
     seen = set(stack)
     while stack:
-        for u in out[stack.pop()]:
+        v = stack.pop()
+        for u in out[bounds[v]:bounds[v + 1]]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -358,5 +359,4 @@ def load_graph(path) -> SignedDigraph:
 
 def save_graph(g: SignedDigraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(graph_to_dict(g), indent=2) + "\n")

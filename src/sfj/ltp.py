@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConditionsNotMet, NoStubbornAgents, UnreachableNodes
-from .graph import SignedDigraph, _grouped
+from .graph import SignedDigraph, _csr
 
 VIRTUAL_ROOT = 0  # agents are 1..n, so 0 is free for the synthetic root
 
@@ -88,14 +88,14 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     The virtual root gets an edge to every stubborn agent, so a node p
     dominates q exactly when every path from every stubborn agent to q
     traverses p. Computed by Cooper, Harvey & Kennedy, "A Simple, Fast
-    Dominance Algorithm" (2001): sweep the nodes in reverse postorder and set
-    each idom to the nearest common ancestor, in the current tree, of the
-    predecessors seen so far, until a sweep changes nothing. A sweep reads
-    every edge once plus the ancestor walks of `intersect`. Acyclic graphs
-    settle in one sweep and a second confirms it; cycles entered at several
-    points take a few more. Long ancestor walks and many sweeps make the
-    worst case superlinear, but on these networks the cost is near-linear in
-    n + edges, and memory is O(n + edges).
+    Dominance Algorithm" (2001), on nodes renumbered in DFS postorder, where
+    a dominator has the larger number: sweep the nodes in reverse postorder
+    and set each idom to the nearest common ancestor, in the current tree, of
+    the predecessors seen so far, until a sweep changes nothing. Acyclic
+    graphs settle in one sweep and a second confirms it; cycles entered at
+    several points take a few more. Long ancestor walks and many sweeps make
+    the worst case superlinear, but on these networks the cost is near-linear
+    in n + edges, and memory is O(n + edges).
 
     Raises UnreachableNodes if any non-stubborn agent has no path from a
     stubborn agent, and NoStubbornAgents when there is nothing to root at.
@@ -103,69 +103,65 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     if g.m == 0:
         raise NoStubbornAgents("network has no stubborn agent")
 
-    loop = g.src == g.dst  # a self-loop never changes who dominates whom
-    src, dst = g.src[~loop], g.dst[~loop]
-    preds = _grouped(dst, src, g.n)
-    succs = _grouped(src, dst, g.n)  # ascending, so the DFS order is fixed
-    succs[VIRTUAL_ROOT] = list(g.stubborn)
-    for s in g.stubborn:
-        preds[s].append(VIRTUAL_ROOT)
+    keep = g.src != g.dst  # a self-loop never changes who dominates whom
+    src = np.concatenate((np.full(g.m, VIRTUAL_ROOT), g.src[keep]))
+    dst = np.concatenate((g.stubborn, g.dst[keep]))
+    bounds, succs = _csr(src, dst, g.n)  # ascending, so the DFS order is fixed
 
-    # Reverse postorder of the reachable subgraph (iterative DFS).
-    order: list[int] = []
+    # Postorder of the reachable subgraph: an iterative DFS in which
+    # cursor[v] is the position in succs of the next successor of v to try.
+    post: list[int] = []
     seen = [False] * (g.n + 1)
     seen[VIRTUAL_ROOT] = True
-    stack = [(VIRTUAL_ROOT, iter(succs[VIRTUAL_ROOT]))]
+    cursor = bounds[:-1]
+    stack = [VIRTUAL_ROOT]
     while stack:
-        node, it = stack[-1]
-        for nxt in it:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append((nxt, iter(succs[nxt])))
-                break
+        v = stack[-1]
+        i, end = cursor[v], bounds[v + 1]
+        while i < end and seen[succs[i]]:
+            i += 1
+        if i < end:
+            cursor[v] = i + 1
+            seen[succs[i]] = True
+            stack.append(succs[i])
         else:
-            order.append(node)
-            stack.pop()
+            post.append(stack.pop())
     # Every stubborn agent hangs off the root, so the unseen are exactly the
     # unreachable non-stubborn agents, as check_reachability would report.
-    unreachable = [v for v in range(1, g.n + 1) if not seen[v]]
-    if unreachable:
-        raise UnreachableNodes(unreachable)
-    rpo = order[::-1]
-    rpo_num = [0] * (g.n + 1)
-    for i, v in enumerate(rpo):
-        rpo_num[v] = i
+    if len(post) <= g.n:
+        raise UnreachableNodes([v for v in range(1, g.n + 1) if not seen[v]])
 
+    number = np.empty(g.n + 1, dtype=np.int64)
+    number[post] = np.arange(g.n + 1)
+    bounds, preds = _csr(number[dst], number[src], g.n)
+    root = g.n  # the root's postorder number
     idom = [-1] * (g.n + 1)  # -1: not yet processed in any sweep
-    idom[VIRTUAL_ROOT] = VIRTUAL_ROOT
-
-    def intersect(a: int, b: int) -> int:
-        # Walk both fingers up the current tree until they meet; a
-        # dominator always has the smaller reverse-postorder number.
-        while a != b:
-            while rpo_num[a] > rpo_num[b]:
-                a = idom[a]
-            while rpo_num[b] > rpo_num[a]:
-                b = idom[b]
-        return a
-
-    changed = True
+    idom[root] = root
+    # A node's last predecessor has the highest number, so a sweep has always
+    # processed it (the node's DFS parent is one such). A node with one
+    # predecessor keeps it as idom after the first sweep, so later ones skip it.
+    rpo = range(root - 1, -1, -1)  # every node but the root, reverse postorder
+    multi = np.flatnonzero(np.bincount(number[dst]) > 1)[::-1].tolist()
+    sweep, changed = rpo, True
     while changed:
         changed = False
-        for v in rpo[1:]:
-            new = -1
-            for p in preds[v]:
-                if idom[p] != -1:
-                    new = p if new == -1 else intersect(p, new)
+        for v in sweep:
+            first, last = bounds[v], bounds[v + 1] - 1
+            new = preds[last]
+            if first < last:
+                for p in preds[first:last]:
+                    if idom[p] != -1:
+                        while p != new:  # walk both fingers up to where they meet
+                            while p < new:
+                                p = idom[p]
+                            while new < p:
+                                new = idom[new]
             if idom[v] != new:
                 idom[v] = new
                 changed = True
+        sweep = multi
 
-    # The check after the DFS rules out unreachable agents, so rpo covers
-    # every agent.
-    return DominatorTree(
-        virtual_root=VIRTUAL_ROOT, idom={v: idom[v] for v in rpo[1:]}
-    )
+    return DominatorTree(VIRTUAL_ROOT, {post[v]: post[idom[v]] for v in rpo})
 
 
 def detect_ltp_agents(g: SignedDigraph, tree: DominatorTree) -> LTPCertificate:
@@ -176,14 +172,17 @@ def detect_ltp_agents(g: SignedDigraph, tree: DominatorTree) -> LTPCertificate:
     one agent. Its persuaded set is exactly its dominator subtree, gathered in
     one pass: top[v] is the ancestor of v just below the root.
     """
-    top: dict[int, int] = {}
-    members: dict[int, set[int]] = {}
+    top = [0] * (g.n + 1)
+    members: dict[int, list[int]] = {}
     for v, d in tree.idom.items():  # reverse postorder: d precedes v
-        top[v] = v if d == tree.virtual_root else top[d]
-        if top[v] != v:
-            members.setdefault(top[v], set()).add(v)
+        if d == tree.virtual_root:
+            top[v] = v
+            members[v] = []
+        else:
+            top[v] = t = top[d]
+            members[t].append(v)
     stubborn = frozenset(g.stubborn)
-    ltp = tuple(sorted(members))
+    ltp = tuple(sorted(p for p, below in members.items() if below))
     persuaded = {p: frozenset(members[p]) for p in ltp}
     _check_internal_consistency(g, stubborn, persuaded)
     return LTPCertificate(

@@ -12,10 +12,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from sfj import (
+    DominatorTree,
     Edge,
     GraphFormatError,
     GraphValidationError,
     LTPCertificate,
+    NoStubbornAgents,
     SFJError,
     SignedDigraph,
     UnreachableNodes,
@@ -164,6 +166,76 @@ def unreached_by_closure(g: SignedDigraph, block) -> frozenset[int]:
         closure = closure | (closure @ adj)
     reached = entered @ closure
     return frozenset(v for v, hit in zip(inside, reached) if not hit)
+
+
+def _grouped(keys: np.ndarray, vals: np.ndarray, n: int) -> list[list[int]]:
+    """vals grouped by keys in 0..n: n + 1 Python lists, each sorted ascending."""
+    order = np.argsort(keys * (n + 1) + vals)
+    bounds = np.searchsorted(keys[order], np.arange(n + 2)).tolist()
+    flat = vals[order].tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def reference_dominator_tree(g: SignedDigraph) -> DominatorTree:
+    """build_dominator_tree by Cooper, Harvey & Kennedy on agent ids: iterator
+    DFS, reverse-postorder lookups in every ancestor walk, and every agent in
+    every sweep. Same idom dict, key order included, and same exceptions."""
+    if g.m == 0:
+        raise NoStubbornAgents("network has no stubborn agent")
+
+    loop = g.src == g.dst
+    src, dst = g.src[~loop], g.dst[~loop]
+    preds = _grouped(dst, src, g.n)
+    succs = _grouped(src, dst, g.n)
+    succs[0] = list(g.stubborn)
+    for s in g.stubborn:
+        preds[s].append(0)
+
+    order: list[int] = []
+    seen = [False] * (g.n + 1)
+    seen[0] = True
+    stack = [(0, iter(succs[0]))]
+    while stack:
+        node, it = stack[-1]
+        for nxt in it:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, iter(succs[nxt])))
+                break
+        else:
+            order.append(node)
+            stack.pop()
+    unreachable = [v for v in range(1, g.n + 1) if not seen[v]]
+    if unreachable:
+        raise UnreachableNodes(unreachable)
+    rpo = order[::-1]
+    rpo_num = [0] * (g.n + 1)
+    for i, v in enumerate(rpo):
+        rpo_num[v] = i
+
+    idom = [-1] * (g.n + 1)
+    idom[0] = 0
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while rpo_num[a] > rpo_num[b]:
+                a = idom[a]
+            while rpo_num[b] > rpo_num[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for v in rpo[1:]:
+            new = -1
+            for p in preds[v]:
+                if idom[p] != -1:
+                    new = p if new == -1 else intersect(p, new)
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    return DominatorTree(virtual_root=0, idom={v: idom[v] for v in rpo[1:]})
 
 
 def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:

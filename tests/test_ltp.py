@@ -2,9 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfj import (
     ConditionsNotMet,
+    NoStubbornAgents,
     UnreachableNodes,
     analyze,
     build_dominator_tree,
@@ -18,7 +21,13 @@ from sfj.graph import Edge, SignedDigraph
 from sfj.ltp import VIRTUAL_ROOT, _check_internal_consistency
 
 from conftest import random_reachable_graph
-from oracles import SizeLimit, brute_force_ltp_oracle, in_neighbours, reweighted
+from oracles import (
+    SizeLimit,
+    brute_force_ltp_oracle,
+    in_neighbours,
+    reference_dominator_tree,
+    reweighted,
+)
 
 
 def make(n, edges, stubborn, x0=None):
@@ -119,6 +128,93 @@ class TestDominatorOracle:
         cert = detect_ltp_agents(g, tree)
         assert cert.ltp_agents == (1,)
         assert cert.persuaded[1] == frozenset(range(2, n + 1))
+
+
+def tree_or_error(build, g):
+    """build(g)'s idom items in key order, or the type and nodes of its error."""
+    try:
+        return list(build(g).idom.items())
+    except (NoStubbornAgents, UnreachableNodes) as exc:
+        return type(exc), getattr(exc, "nodes", None)
+
+
+def assert_matches_reference(g):
+    tree = build_dominator_tree(g)
+    assert list(tree.idom.items()) == list(reference_dominator_tree(g).idom.items())
+    position = {v: k for k, v in enumerate(tree.idom)}
+    position[VIRTUAL_ROOT] = -1
+    assert all(position[d] < position[v] for v, d in tree.idom.items())
+
+
+def with_self_loops(g, agents):
+    loops = tuple(Edge(v, v, 0.5) for v in agents)
+    return SignedDigraph(g.n, g.edges + loops, g.beta, g.x0)
+
+
+@st.composite
+def reachable_networks(draw):
+    """random_reachable_graph networks, sparse to dense, some all-stubborn,
+    some with self-loops."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    density = draw(st.sampled_from([0.03, 0.08, 0.2, 0.4]))
+    m = draw(st.one_of(st.none(), st.just(n)))
+    g = random_reachable_graph(rng, n=n, density=density, m=m)
+    return with_self_loops(g, draw(st.lists(st.integers(1, n), unique=True)))
+
+
+def irreducible_ladder(rungs, size):
+    """Rings of `size` agents, each entered at two points from the ring before
+    it, the first from two stubborn agents: one multi-entry loop after another."""
+    n = 2 + rungs * size
+    edges = []
+    for r in range(rungs):
+        ring = [3 + r * size + k for k in range(size)]
+        edges += [Edge(a, b, 1.0) for a, b in zip(ring, ring[1:] + ring[:1])]
+        entries = (1, 2) if r == 0 else (ring[0] - size, ring[0] - 1)
+        edges += [Edge(entries[0], ring[0], 1.0), Edge(entries[1], ring[size // 2], 1.0)]
+    return make(n, edges, stubborn=(1, 2))
+
+
+class TestDominatorReference:
+    """build_dominator_tree against the plain Cooper-Harvey-Kennedy
+    reference: the same idom dict, key order included, and the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reachable_networks())
+    def test_random_networks_match_the_reference(self, g):
+        assert_matches_reference(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_unrepaired_networks_fail_as_the_reference_does(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                                   unique=True, max_size=2 * n))
+        beta = data.draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=n, max_size=n))
+        g = SignedDigraph(n, tuple(Edge(s, d, 1.0) for s, d in pairs), tuple(beta),
+                          (0.0,) * n)
+        assert tree_or_error(build_dominator_tree, g) == tree_or_error(
+            reference_dominator_tree, g)
+
+    @pytest.mark.parametrize("rungs, size", [(1, 3), (4, 5), (30, 7)])
+    def test_multi_entry_loops_match_the_reference(self, rungs, size):
+        g = irreducible_ladder(rungs, size)
+        assert_matches_reference(g)
+        assert_matches_reference(with_self_loops(g, range(1, g.n + 1, 3)))
+
+    def test_all_stubborn_network_hangs_off_the_root(self):
+        g = random_reachable_graph(np.random.default_rng(5), n=30, density=0.2, m=30)
+        assert_matches_reference(g)
+        assert set(build_dominator_tree(g).idom.values()) == {VIRTUAL_ROOT}
+
+    def test_long_chain_matches_the_reference(self):
+        n = 5000
+        assert_matches_reference(
+            make(n, [Edge(i, i + 1, 1.0) for i in range(1, n)], stubborn=(1,)))
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_generated_networks_match_the_reference(self, n):
+        assert_matches_reference(random_multiconsensus_graph(n, n // 20, seed=n))
 
 
 class TestDetection:
