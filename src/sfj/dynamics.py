@@ -9,6 +9,7 @@ agent i sits at row i-1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -157,23 +158,26 @@ def simulate(
     j, residual, converged = 1, np.inf, False
     if out is not None:
         _write_header(out, n)
-    for k in range(1, max_iter + 1):
-        if j == per_block:
-            if out is None:
-                kept.append(block)
-            else:
-                _write_rows(out, first, block)
-            first, block, j = first + per_block, np.empty((per_block, n)), 0
-        u_next = np.bincount(rows, weights=vals * u[cols], minlength=anchor.size) + anchor
-        residual = float(np.abs(u_next[:n] - u[:n]).max())
-        u, z = u_next, u[n:]
-        block[j] = u[:n]
-        j += 1
-        if residual < tol and (
-            plain or residual == 0.0 or residual * _sweep_bound(z, u[n:]) < tol
-        ):
-            converged = True
-            break
+    # Opinions of opposite sign near the float maximum can overflow a step's
+    # difference: the residual is then inf, rightly, as nothing has settled.
+    with np.errstate(over="ignore"):
+        for k in range(1, max_iter + 1):
+            if j == per_block:
+                if out is None:
+                    kept.append(block)
+                else:
+                    _write_rows(out, first, block)
+                first, block, j = first + per_block, np.empty((per_block, n)), 0
+            u_next = np.bincount(rows, weights=vals * u[cols], minlength=anchor.size) + anchor
+            residual = float(np.abs(u_next[:n] - u[:n]).max())
+            u, z = u_next, u[n:]
+            block[j] = u[:n]
+            j += 1
+            if residual < tol and (
+                plain or residual == 0.0 or residual * _sweep_bound(z, u[n:]) < tol
+            ):
+                converged = True
+                break
     if out is None:
         states = np.concatenate(kept + [block[:j]])
     else:
@@ -525,7 +529,8 @@ def write_trace_csv(trace: OpinionTrace, fh) -> None:
     then x(k). Each value is the shortest round-trip repr of its float
     (0.1, -0.0, 1e-300, inf, nan), fields are comma-separated and never
     quoted, and every line ends in CRLF ("\\r\\n"): byte for byte what
-    csv.writer writes. simulate(g, out=fh) streams the same bytes.
+    csv.writer writes. simulate(g, out=fh) streams the same bytes. The
+    values are formatted by the vectorized kernel _shortest_reprs.
     """
     states = np.asarray(trace.states, dtype=np.float64)
     _write_header(fh, states.shape[1])
@@ -540,11 +545,134 @@ def _write_rows(fh, start: int, states: np.ndarray) -> None:
     """write_trace_csv's rows for states, the first numbered start.
 
     Converged agents repeat their value bit for bit from row to row, so each
-    distinct bit pattern is formatted once and the rows are assembled from
-    those strings; comparing bits keeps 0.0 and -0.0 apart.
+    distinct bit pattern is formatted once, by _shortest_reprs, and the rows
+    are joined from those strings; comparing bits keeps 0.0 and -0.0 apart.
     """
     states = np.ascontiguousarray(states, dtype=np.float64)
     bits, inverse = np.unique(states.reshape(-1).view(np.int64), return_inverse=True)
-    text = np.array(["," + repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    text = np.array(_shortest_reprs(bits.view(np.float64)), dtype=object)
     for k, idx in enumerate(inverse.reshape(states.shape), start):
         fh.write(f"{k}{''.join(text.take(idx).tolist())}\r\n")
+
+
+# _shortest_reprs works on slices of this many values: on larger ones its
+# temporaries outgrow the cache and malloc's free lists, and each step slows.
+_REPR_SLICE = 4096
+_U32, _LOW32, _LOW63 = np.uint64(32), np.uint64(2**32 - 1), np.uint64(2**63 - 1)
+
+
+@functools.cache
+def _repr_tables() -> tuple[np.ndarray, ...]:
+    """_shortest_reprs' tables. g(k) = floor(10**-k 2**(125 - r)) + 1 with
+    r = floor(log2 10**-k), for k in -324..292, as g1 2**63 + g0 in rows g1,
+    g1 >> 32, g1 & LOW32, g0 >> 32, g0 & LOW32; 10**0..10**17; the ASCII
+    digits of 0..9999 as uint32, made from bytes so that the uint32 views
+    work on either byte order; the record's frame and its column masks."""
+    g = []
+    for k in range(-324, 293):
+        p = 10 ** abs(k)
+        g.append((p << 126 >> p.bit_length() if k <= 0 else (1 << 125 + p.bit_length()) // p) + 1)
+    g1, g0 = [v >> 63 for v in g], [v & 2**63 - 1 for v in g]
+    g = np.array([g1, [v >> 32 for v in g1], [v & 2**32 - 1 for v in g1],
+                  [v >> 32 for v in g0], [v & 2**32 - 1 for v in g0]], dtype=np.uint64)
+    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+    quads = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    decpt, nd, minus, col = np.ogrid[-3:17, 0:18, 0:2, 0:44]
+    keep = np.isin(col, (1, 2, 23)) | (col == 3) & (minus == 1) | (col < 20) & (
+        col >= 20 - np.maximum(decpt, 1)) | (col >= 27 + decpt) & (
+        col < 27 + decpt + np.maximum(nd - decpt, 1))
+    masks = (keep * np.uint8(0xFF)).view(np.uint32).reshape(-1, 11)
+    frame = np.frombuffer(b"\0\n,-\0\0\0.", dtype=np.uint32)
+    pow10 = 10 ** np.arange(18, dtype=np.int64)
+    return g, pow10, quads, frame, masks
+
+
+def _mulhi(a1, a0, b1, b0):
+    """High 64 bits of a b for uint64 arrays a, b given as 32-bit halves."""
+    lo = a0 * b0
+    mid = a1 * b0 + (lo >> _U32)
+    return a1 * b1 + (mid >> _U32) + ((a0 * b1 + (mid & _LOW32)) >> _U32)
+
+
+def _rop(g, cp):
+    """floor(g(k) cp / 2**127) rounded to odd, as Schubfach's rop."""
+    g1, g1h, g1l, g0h, g0l = g
+    c1, c0 = cp >> _U32, cp & _LOW32
+    z = ((g1 * cp) >> np.uint64(1)) + _mulhi(g0h, g0l, c1, c0)
+    top = _mulhi(g1h, g1l, c1, c0) + (z >> np.uint64(63))
+    return (top | (((z & _LOW63) + _LOW63) >> np.uint64(63))).view(np.int64)
+
+
+def _split(x, p):
+    q = x // p
+    return q, x - q * p
+
+
+def _shortest_digits(mag):
+    """(normal, d, k) for uint64 magnitudes mag: which are normal, and their
+    shortest digits d closest to v = c 2**q, with no trailing zero, and
+    exponent k, d 10**k ~ v, by Giulietti's Schubfach ("The Schubfach way to
+    render doubles", 2020); the rest stand in as 1.0. _shortest_reprs keeps d
+    where repr is in fixed form, so q <= 1. There s >= 2**52, powers of two
+    are short exact decimals, and only the candidate v + 1 next to an even v
+    (which wins) lies on an end v -+ 2**(q-1) of the rounding interval (for
+    q <= 0 the ends are no multiples of 10**k, as k >= q). So the JDK's
+    two-digit guard, its interval below powers of two and its open ends for
+    odd c change no digit, and are left out."""
+    g_k, pow10 = _repr_tables()[:2]
+    normal = mag - np.uint64(2**52) < np.uint64(0x7FE0000000000000)
+    mag = np.where(normal, mag, np.uint64(0x3FF0000000000000))  # 1.0 for the rest
+    q = (mag >> np.uint64(52)).view(np.int64) - 1075
+    k = (q * 661971961083) >> 41
+    h = (q + ((-k * 913124641741) >> 38) + 2).view(np.uint64)
+    g = g_k.take(k + 324, axis=1)
+    cb = ((mag & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(2)  # 4 c
+    vb, vbl, vbr = (_rop(g, cp << h) for cp in (cb, cb - np.uint64(2), cb + np.uint64(2)))
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin, wpin = vbl <= sp10 * 4, sp10 * 4 + 40 <= vbr
+    up = (s * 4 + 4 <= vbr) & ((vbl > s * 4) | (vb + (s & 1) > s * 4 + 2))
+    d = np.where(upin != wpin, sp10 + 10 * wpin, s + up)
+    z = np.flatnonzero(d % 10 == 0)
+    dz, kz = d[z], k[z]
+    for p in (16, 8, 4, 2, 1):  # at most 16 trailing zeros
+        quot = dz // pow10[p]
+        zeros = quot * pow10[p] == dz
+        dz, kz = np.where(zeros, quot, dz), kz + zeros * p
+    d[z], k[z] = dz, kz
+    return normal, d, k
+
+
+def _shortest_reprs(values: np.ndarray) -> list[str]:
+    """"," + repr(v) for each v of a float64 array, byte for byte.
+
+    On slices of _REPR_SLICE values. A normal v whose repr is in fixed form,
+    its point position decpt = digits + k in -3..16, takes _shortest_digits'
+    digits in a 44-byte record: "\\0\\n,-", 16 integer digits, "\\0\\0\\0."
+    and 20 fraction digits, written four digits at a time. A mask by (decpt,
+    digits, sign) turns unused columns to \\0, which translate drops. Other
+    values take repr itself.
+    """
+    (_, pow10, quads, frame, masks), out = _repr_tables(), []
+    for a in range(0, values.size, _REPR_SLICE):
+        x = values[a:a + _REPR_SLICE]
+        bits = x.view(np.uint64)
+        normal, d, k = _shortest_digits(bits & _LOW63)
+        nd = ((d.astype(np.float64).view(np.int64) >> 52) - 1023) * 1233 >> 12
+        nd += 1 + (d >= pow10[nd + 1])  # digits of d
+        fixed = normal & (nd + k >= -3) & (nd + k <= 16)
+        decpt = np.clip(nd + k, -3, 16)  # the point's position
+        ip, fp = _split(d * pow10[17 - nd], pow10[np.minimum(17 - decpt, 17)])
+        f0, fr = _split(fp, 10**16)
+        rec = np.empty((x.size, 11), dtype=np.uint32)
+        for j, v in enumerate((*_split(ip, 10**8), f0, *_split(fr, 10**8))):
+            hi, lo = _split(v, 10**4)
+            rec[:, 2 * j + 1], rec[:, 2 * j + 2] = quads.take(hi), quads.take(lo)
+        rec[:, [0, 5]] = frame
+        sign = (bits >> np.uint64(63)).view(np.int64)
+        rec &= masks.take(((decpt + 3) * 18 + nd) * 2 + sign, axis=0)
+        text = rec.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+        for i in np.flatnonzero(~fixed).tolist():
+            text[i + 1] = "," + repr(float(x[i]))
+        out += text[1:]
+    return out

@@ -144,7 +144,9 @@ def clusters_from_trace(
         raise NotConverged(trace, "cannot cluster an unconverged trace")
     final = trace.final
     order = np.argsort(final)
-    cuts = np.flatnonzero(np.diff(final[order]) > _threshold(final, tau)) + 1
+    with np.errstate(over="ignore"):  # a gap past the float range: inf, a cut
+        gaps = np.diff(final[order])
+    cuts = np.flatnonzero(gaps > _threshold(final, tau)) + 1
     groups = (frozenset(c.tolist()) for c in np.split(order + 1, cuts))
     return tuple(sorted(groups, key=min))
 

@@ -3,6 +3,9 @@ import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -311,6 +314,21 @@ class TestSimulate:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
         assert hashlib.sha256(Path("t.csv").read_bytes()).hexdigest() == csv_digest
+
+    def test_opinions_near_the_float_maximum_print_no_warning(self, tmp_path):
+        # A step from -1.7e308 to 1.7e308 overflows the residual's difference
+        # and the final gap between clusters; neither may reach stderr.
+        path = tmp_path / "huge.json"
+        save_graph(SignedDigraph(3, (Edge(1, 2, 1.0), Edge(2, 3, -1.0)), (0.5, 0.0, 0.0),
+                                 (1.7e308, -1.7e308, 0.0)), path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "sfj.cli", "simulate", str(path), "--out", "t.csv"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert json.loads(done.stdout)["clusters"] == [[1, 2], [3]]
 
     def test_fully_stubborn_trace_is_one_step(self, capsys, tmp_path):
         g = SignedDigraph(2, (Edge(1, 2, 1.0),), (1.0, 1.0), (3.0, 4.0))

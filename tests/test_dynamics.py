@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestSimulate:
         assert trace.converged and trace.iterations <= 100
         assert trace.residual < 1e-10
         assert np.ptp(trace.final[2:]) <= 1e-8
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_opposite_opinions_near_the_float_maximum_raise_no_warning(self, streamed):
+        # x(1) - x(0) of agents 2 and 3 overflows: the residual is inf, and
+        # the run goes on to its fixed point.
+        g = make(3, [Edge(1, 2, 1.0), Edge(2, 3, -1.0)], beta=[0.5, 0.0, 0.0],
+                 x0=[1.7e308, -1.7e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate(g, out=io.StringIO() if streamed else None)
+        assert trace.converged
+        assert trace.final.tolist() == [1.7e308, 1.7e308, -1.7e308]
 
     def test_converged_residual_below_tolerance(self, g2):
         trace = simulate(g2, tol=1e-8)
@@ -856,12 +869,27 @@ def trace_states(draw):
     return np.array([distinct[i] for i in picks], dtype=np.float64)
 
 
+@st.composite
+def bit_pattern_states(draw):
+    """States of arbitrary 64-bit patterns: every exponent, sign and NaN payload."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    words = draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows * cols,
+                          max_size=rows * cols))
+    return np.array(words, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+
+
 class TestTraceWriterMatchesCsvWriter:
     @settings(max_examples=300, deadline=None)
     @given(trace_states())
     @example(np.array([[-0.0]]))
     @example(np.array([[0.5, -0.0, 0.5, np.nan, 5e-324]]))
     def test_byte_identical_on_drawn_states(self, states):
+        fast, oracle = both_writers(states)
+        assert fast == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_pattern_states())
+    def test_byte_identical_on_drawn_bit_patterns(self, states):
         fast, oracle = both_writers(states)
         assert fast == oracle
 
@@ -877,3 +905,49 @@ class TestTraceWriterMatchesCsvWriter:
         g = random_multiconsensus_graph(500, 25, seed=500)
         fast, oracle = both_writers(simulate(g).states)
         assert fast == oracle
+
+
+def as_floats(words):
+    return np.asarray(words, dtype=np.uint64).view(np.float64)
+
+
+class TestShortestReprs:
+    """dynamics._shortest_reprs against repr where shortest-digit algorithms
+    go wrong: the ends of binades and decades, subnormals, the switch between
+    fixed and exponent form, and values that are not finite or are zero."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert dynamics._shortest_reprs(values) == ["," + repr(v) for v in values.tolist()]
+
+    def test_random_bit_patterns_of_both_signs(self):
+        rng = np.random.default_rng(20)
+        self.check(as_floats(rng.integers(0, 2**64, 300_000, dtype=np.uint64)))
+
+    def test_powers_of_two_and_their_predecessors(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        self.check(np.concatenate((powers, np.nextafter(powers, 0.0))))
+
+    def test_subnormals(self):
+        self.check(as_floats(np.arange(1, 5000)))  # 5e-324, 1e-323, ...
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        self.check(np.concatenate(
+            (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf))))
+
+    def test_thousandths(self):
+        self.check(np.arange(100_000) / 1000)
+
+    def test_the_switch_to_exponent_form(self):
+        edges = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 2.0**53]
+        self.check(edges + [-v for v in edges])
+
+    def test_zeros_infinities_and_nans_with_payloads(self):
+        nans = as_floats([0x7FF0000000000001, 0x7FF8000000000000, 0x7FFFFFFFFFFFFFFF,
+                          0xFFF0000000000001, 0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF])
+        self.check([0.0, -0.0, np.inf, -np.inf, *nans.tolist(), 1.0, -0.0])
+
+    def test_empty(self):
+        assert dynamics._shortest_reprs(np.array([])) == []
