@@ -86,6 +86,10 @@ class SignedDigraph:
                 else f"{edge} has zero weight" if w[k] == 0.0
                 else f"duplicate {edge}"
             )
+        total = np.bincount(d, np.abs(w), n + 1)  # summed as _normalized sums them
+        if np.isinf(total).any():
+            raise GraphValidationError(f"agent {np.isinf(total).argmax()}'s in-weight "
+                                       "magnitudes sum past the float range")
         for column in (s, d, w):
             column.setflags(write=False)
         self.src, self.dst, self.w = s, d, w

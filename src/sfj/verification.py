@@ -53,60 +53,75 @@ class RobustnessReport:
         return self.passes == self.trials
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
+def _box_components(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Components of boxes lo, hi (k, T, m), boxes a and b of trial t being
+    close when max(lo[b] - hi[a], lo[a] - hi[b]) <= thresh[t] in every
+    column: the flat index a * T + t of box (a, t)'s component's root.
 
-    def find(self, u):
-        while self.parent[u] != u:
-            self.parent[u] = self.parent[self.parent[u]]
-            u = self.parent[u]
-        return u
-
-    def union(self, u, v):
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self.parent[rv] = ru
+    Sorted by lo in one column, a group splits wherever the next lo exceeds
+    the running maximum of hi by over thresh (rounded subtraction is
+    monotone, so no pair across a cut is close), until m columns in a row
+    cut nothing. After each round of columns a group whose largest lo less
+    smallest hi is at most thresh in every column is a clique; each pair in
+    the other groups takes the exact test."""
+    k, T, m = lo.shape
+    lo, hi = lo.reshape(k * T, m), hi.reshape(k * T, m)
+    root = np.arange(k * T)
+    live, group = root, root % T  # unsettled boxes, in order of group 0, 1, ...
+    limit = thresh[group]
+    column = clean = 0
+    while live.size and clean < m:
+        x, y = lo[live, column], hi[live, column]
+        order = np.lexsort((x, group))
+        live, group, x, y = live[order], group[order], x[order], y[order]
+        # The running maximum of hi, over its ranks shifted apart by group.
+        by_y, shift = np.argsort(y), group * live.size
+        top = y[by_y[np.maximum.accumulate(shift + np.argsort(by_y)) - shift]]
+        cut = (x[1:] - top[:-1] > limit[live[1:]]) & (group[1:] == group[:-1])
+        group[1:] += np.cumsum(cut)
+        clean = 1 if cut.any() else clean + 1
+        column = (column + 1) % m
+        sizes = np.bincount(group)
+        keep = sizes > 1  # a box alone is its own root
+        if column == 0:  # after each round, settle the cliques as well
+            starts = np.cumsum(sizes) - sizes
+            spread = np.maximum.reduceat(lo[live], starts) - np.minimum.reduceat(hi[live], starts)
+            keep = ~(spread <= limit[live[starts], None]).all(axis=1)
+            root[live[~keep[group]]] = live[starts][group[~keep[group]]]
+        live, group = live[keep[group]], (np.cumsum(keep) - 1)[group[keep[group]]]
+    close, ends = [], np.cumsum(np.bincount(group)).tolist()
+    for start, end in zip([0] + ends, ends):
+        members = live[start:end]
+        members_lo, members_hi = lo[members], hi[members]
+        step = max(1, dynamics._TRACE_BLOCK // (members.size * m))  # gaps per chunk
+        for first in range(start, end, step):
+            a = live[first:min(first + step, end)]
+            gaps = np.maximum(members_lo - hi[a, None], lo[a, None] - members_hi)
+            i, j = np.nonzero(gaps.max(axis=2) <= limit[a, None])
+            close.append((a[i], members[j]))
+    # Hook each close pair's larger label under the smaller, then relabel.
+    a, b = map(np.concatenate, zip(*close)) if close else (live, live)
+    while (root[a] != root[b]).any() or (root[root] != root).any():
+        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
+        root = root[root]
+    return root.reshape(k, T)
 
 
 def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
-    """Transitive closure of pairwise max-norm closeness; 1-based ids.
-
-    Sort-and-sweep: a pair's max-norm distance is at least its gap in any one
-    column, so after sorting on the column with the widest range each row
-    need only be tested against the rows that follow it within thresh in
-    that column. The exact test is the same elementwise arithmetic as a test
-    of every pair, so the groups are the same. A run of identical rows
-    (distance 0, close unless thresh < 0) is close to exactly the rows its
-    first one is, so one row per run is swept and the rest join it.
-    """
-    widest = int(np.argmax(np.ptp(rows, axis=0)))
-    # Ties on the widest column are broken by the other columns, so
-    # identical rows sit next to each other; ordered row a is in run[a].
-    order = np.lexsort(np.vstack([rows.T, rows[:, widest]]))
+    """Transitive closure of pairwise max-norm closeness; 1-based ids. Rows
+    are _box_components's boxes lo = hi, whose gaps are |differences|. A run of
+    identical rows (close unless thresh < 0) goes in as one row."""
+    order = np.lexsort(rows.T)
     ordered = rows[order]
     first = np.ones(rows.shape[0], dtype=bool)
     first[1:] = ~(np.all(ordered[1:] == ordered[:-1], axis=1) & (thresh >= 0))
-    run = np.cumsum(first) - 1
-    distinct = ordered[first]
-    keys = distinct[:, widest]
-    # Rounding can put a close pair's key gap a few ulps above thresh; the
-    # slack keeps every such pair inside the window, where the exact test
-    # sees it.
-    slack = 8 * np.finfo(float).eps * (np.max(np.abs(keys)) + thresh)
-    ends = np.searchsorted(keys, keys + thresh + slack, side="right").tolist()
-    uf = _UnionFind(keys.size)
-    for a in range(keys.size - 1):
-        if ends[a] > a + 1:
-            gaps = np.max(np.abs(distinct[a + 1:ends[a]] - distinct[a]), axis=1)
-            for b in (np.flatnonzero(gaps <= thresh) + (a + 1)).tolist():
-                uf.union(a, b)
-    groups: dict[int, set[int]] = {}
-    for a, i in zip(run.tolist(), order.tolist()):
-        groups.setdefault(uf.find(a), set()).add(i + 1)
-    return tuple(
-        frozenset(members) for members in sorted(groups.values(), key=min)
-    )
+    distinct = ordered[first][:, None]
+    root = np.empty(rows.shape[0], dtype=np.int64)
+    root[order] = _box_components(distinct, distinct, np.array([thresh]))[np.cumsum(first) - 1, 0]
+    groups: dict[int, list[int]] = {}  # in order of each group's smallest id
+    for i, r in enumerate(root.tolist(), start=1):
+        groups.setdefault(r, []).append(i)
+    return tuple(map(frozenset, groups.values()))
 
 
 def _threshold(values, tau: float, axis=None):
@@ -125,7 +140,8 @@ def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int]
     tau is relative to the largest entry magnitude of V. Closeness is not
     transitive, so borderline rows can chain into one group; cluster_spread
     exposes the resulting diameters. Only V's nonzero columns are compared:
-    the rest are zero in every row and add nothing to any distance.
+    the rest are zero in every row and add nothing to any distance. The
+    groups are _box_components's, found by splitting the rows column by column.
     """
     V = np.asarray(V, dtype=float)
     nonzero = np.flatnonzero(V.any(axis=0))
@@ -138,8 +154,9 @@ def clusters_from_trace(
 ) -> tuple[frozenset[int], ...]:
     """Group agents by final opinion. Initial-condition dependent; two
     predicted clusters can coincidentally merge here, never split. Exactly
-    _group_rows on one column, as rounded subtraction is monotone: groups
-    end where a sorted gap exceeds the threshold."""
+    _group_rows on one column, with no pair test: in one column a point
+    within the threshold of the one before it is close to it, and rounded
+    subtraction is monotone, so groups end where a sorted gap exceeds it."""
     if not trace.converged:
         raise NotConverged(trace, "cannot cluster an unconverged trace")
     final = trace.final
@@ -161,8 +178,8 @@ def _cluster_layout(clusters) -> tuple[np.ndarray, np.ndarray]:
 def _cluster_boxes(V: np.ndarray, order: np.ndarray, starts: np.ndarray):
     """Per-cluster column minima and maxima of V's rows, for _cluster_layout;
     V (n, ..., m), rows first as _level_solve leaves it, gives boxes (k, ..., m)."""
-    rows = V[order]
-    return np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+    rows = V[order]  # + 0.0: a tie of 0.0 and -0.0 is +0, however rows lie in memory
+    return np.minimum.reduceat(rows, starts) + 0.0, np.maximum.reduceat(rows, starts) + 0.0
 
 
 def cluster_spread(V, clusters) -> float:
@@ -176,30 +193,12 @@ def cluster_spread(V, clusters) -> float:
 
 
 def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.ndarray:
-    """Per trial t of boxes lo, hi (k, T, m) and thresholds (T,): when True,
-    _group_rows(rows, thresh[t]) is exactly the partition of rows whose
-    per-cluster column minima and maxima are lo[:, t] and hi[:, t]; False
-    decides nothing. Rounded subtraction is monotone: a range at most thresh
-    makes a cluster a clique, and boxes over thresh apart in a column share
-    no close pair."""
-    holds = (hi - lo).max(axis=0).max(axis=1) <= thresh
-    # Boxes whose spans in the widest column lie over thresh apart, with
-    # _group_rows's slack, separate. Every other pair needs a gap over thresh
-    # in some column; holds keeps the bounds finite, so the largest gap decides.
-    stack = np.arange(lo.shape[1])
-    widest = (hi.max(axis=0) - lo.min(axis=0)).argmax(axis=1)
-    keys, reach = lo[:, stack, widest].T, hi[:, stack, widest].T
-    top = np.maximum(reach.max(axis=1), -keys.min(axis=1))
-    slack = 8 * np.finfo(float).eps * (top + thresh)
-    near = keys[:, None, :] <= (reach + thresh[:, None] + slack[:, None])[:, :, None]
-    pairs = np.nonzero(np.triu(near & near.transpose(0, 2, 1), 1) & holds[:, None, None])
-    # Pairs go in chunks of at most _TRACE_BLOCK gaps, so memory stays bounded.
-    step = max(1, dynamics._TRACE_BLOCK // lo.shape[2])
-    for i in range(0, pairs[0].size, step):
-        t, a, b = (p[i:i + step] for p in pairs)
-        gaps = np.maximum(lo[b, t] - hi[a, t], lo[a, t] - hi[b, t]).max(axis=1)
-        holds[t[gaps <= thresh[t]]] = False
-    return holds
+    """Per trial t of boxes lo, hi (k, T, m) and thresholds (T,): True when
+    each box's range is at most thresh[t] and no two boxes are close, so the
+    rows they bound group exactly as the boxes do; False decides nothing."""
+    root = _box_components(lo, hi, thresh)
+    alone = (root == np.arange(root.size).reshape(root.shape)).all(axis=0)
+    return ((hi - lo).max(axis=0).max(axis=1) <= thresh) & alone
 
 
 def refines(finer, coarser) -> bool:
@@ -236,8 +235,6 @@ def robustness_harness(
     stubborn = np.array(g.stubborn) - 1
 
     order, starts = _cluster_layout(predicted)
-    # Boxes settle trials only for a prediction that partitions every agent.
-    partition = np.array_equal(np.sort(order), np.arange(g.n))
     # analyze(g) certified the topology: its dominator tree raises wherever
     # check_reachability would fail. Every trial keeps the edge set and, as
     # 1 - U[0, 1) lies in (0, 1], the stubborn set, so one plan serves every
@@ -263,12 +260,10 @@ def robustness_harness(
         block = _level_solve(plan, sysm)
         mins, maxs = _cluster_boxes(block, rows, starts)
         worst = max(worst, *(maxs - mins).max(axis=0).max(axis=1).tolist())
-        settled = np.zeros(count, dtype=bool)
-        if partition:
-            # Each trial's extremes, over the slots first: whole rows at a time.
-            extremes = np.concatenate((block.max(axis=0), block.min(axis=0)), axis=1)
-            settled[:] = _partition_holds(mins, maxs, _threshold(extremes, tau, axis=1))
-        for t in np.flatnonzero(~settled).tolist():
+        # Each trial's extremes, over the slots first: whole rows at a time.
+        extremes = np.concatenate((block.max(axis=0), block.min(axis=0)), axis=1)
+        settled = _partition_holds(mins, maxs, _threshold(extremes, tau, axis=1))
+        for t in np.flatnonzero(~np.broadcast_to(settled, count)).tolist():
             observed = clusters_from_influence(block[plan.slot_of, t], tau)
             if set(observed) != set(predicted):
                 failures += 1

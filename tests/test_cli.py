@@ -264,6 +264,19 @@ PLAIN_RULE_CASES = {
 
 
 class TestSimulate:
+    def test_in_weights_summing_past_the_float_range_exit_parse(self, capsys, tmp_path):
+        # Two finite in-weights of agent 2 whose magnitudes sum to inf.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "n": 3,
+            "agents": [{"id": 1, "beta": 0.5, "x0": 1}, {"id": 2, "beta": 0, "x0": 0},
+                       {"id": 3, "beta": 0.5, "x0": 3}],
+            "edges": [{"from": 1, "to": 2, "w": 1e308}, {"from": 3, "to": 2, "w": 1e308}],
+        }))
+        code, out, err = run(capsys, "simulate", str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == EXIT_PARSE and out == ""
+        assert "agent 2's in-weight magnitudes sum past the float range" in err
+
     def test_trace_and_report(self, capsys, g2_path, tmp_path):
         out_csv = str(tmp_path / "trace.csv")
         code, out, _ = run(capsys, "simulate", g2_path, "--out", out_csv)

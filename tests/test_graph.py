@@ -12,6 +12,7 @@ from sfj import (
     check_reachability,
     graph_from_dict,
     graph_to_dict,
+    influence_matrix,
     load_graph,
     normalize,
     save_graph,
@@ -250,6 +251,18 @@ class TestValidation:
         g = SignedDigraph(np.int64(2), [(1, 2, 1.0)], (0.5, 0.0), (0.0, 0.0))
         assert type(g.n) is int
         assert json.loads(json.dumps(graph_to_dict(g)))["n"] == 2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_in_weights_summing_past_the_float_range_rejected(self, sign):
+        # Each weight is finite, but agent 2's total is not: normalized by it,
+        # agent 2's row of W would be all zeros.
+        edges = [Edge(1, 2, 1e308), Edge(3, 2, sign * 1e308), Edge(2, 3, 1.0)]
+        with pytest.raises(GraphValidationError, match="agent 2's in-weight"):
+            make(3, edges, stubborn=(1, 3))
+        # At 1e300 the total fits, and agent 2 settles between its two leaders.
+        g = make(3, [Edge(1, 2, 1e300), Edge(3, 2, 1e300)], stubborn=(1, 3), x0=[1, 0, 3])
+        assert np.array_equal(normalize(g).W[1], [0.5, 0.0, 0.5])
+        assert influence_matrix(g)[1] @ np.array(g.x0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_x0_rejected(self, bad):

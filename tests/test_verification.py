@@ -1,7 +1,7 @@
-import dataclasses
 import tracemalloc
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,11 +28,11 @@ from sfj import (
 from sfj.dynamics import OpinionTrace
 from sfj.graph import Edge, SignedDigraph
 from sfj.verification import (
+    _box_components,
     _cluster_boxes,
     _cluster_layout,
     _group_rows,
     _partition_holds,
-    _UnionFind,
 )
 
 from conftest import merge_when_agent_7_leads_agent_1
@@ -41,16 +41,14 @@ from oracles import reweighted
 
 def pairwise_group_rows(rows, thresh):
     """Reference grouping: test every pair, then take the transitive closure."""
-    count = rows.shape[0]
-    uf = _UnionFind(count)
-    for i in range(count):
-        for j in range(i + 1, count):
-            if np.max(np.abs(rows[i] - rows[j])) <= thresh:
-                uf.union(i, j)
-    groups = {}
-    for i in range(count):
-        groups.setdefault(uf.find(i), set()).add(i + 1)
-    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(1, rows.shape[0] + 1))
+    graph.add_edges_from(
+        (i + 1, j + 1)
+        for i in range(rows.shape[0]) for j in range(i + 1, rows.shape[0])
+        if np.max(np.abs(rows[i] - rows[j])) <= thresh
+    )
+    return tuple(sorted(map(frozenset, nx.connected_components(graph)), key=min))
 
 
 def pairwise_cluster_spread(V, clusters):
@@ -166,7 +164,7 @@ class TestInfluenceClusters:
             frozenset({10, 11, 12}),
         }
 
-    def test_borderline_rows_chain_through_union_find(self):
+    def test_borderline_rows_chain_into_one_cluster(self):
         # closeness is not transitive: 1~2 and 2~3 but not 1~3 directly
         v = np.array([[0.0, 1.0], [0.9e-8, 1.0], [1.8e-8, 1.0]])
         clusters = clusters_from_influence(v, tau=1e-8)
@@ -199,12 +197,11 @@ class TestSortAndSweepGrouping:
     def test_one_row_per_run_of_identical_rows_is_swept(self, monkeypatch):
         sizes = []
 
-        class Recording(_UnionFind):
-            def __init__(self, size):
-                sizes.append(size)
-                super().__init__(size)
+        def recording(lo, hi, thresh):
+            sizes.append(lo.shape[0])
+            return _box_components(lo, hi, thresh)
 
-        monkeypatch.setattr(verification, "_UnionFind", Recording)
+        monkeypatch.setattr(verification, "_box_components", recording)
         rows = np.tile([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]], (40, 1))
         expected = tuple(frozenset(range(j, 121, 3)) for j in (1, 2, 3))
         assert _group_rows(rows, 0.1) == expected == pairwise_group_rows(rows, 0.1)
@@ -287,7 +284,7 @@ class TestBoxCertificate:
                      for t in range(trials)]
         assert stacked.tolist() == per_slice == [
             sweep_partition_holds(lo[:, t], hi[:, t], thresholds[t]) for t in range(trials)]
-        with mock.patch.object(dynamics, "_TRACE_BLOCK", 1):  # one pair per chunk
+        with mock.patch.object(dynamics, "_TRACE_BLOCK", 1):  # one row's gaps at a time
             assert _partition_holds(lo, hi, thresholds).tolist() == per_slice
 
     def test_range_and_gap_at_thresh_are_certified(self):
@@ -322,17 +319,155 @@ class TestBoxCertificate:
         report = robustness_harness(g, trials=trials, seed=n)
         assert report.passes == report.trials == trials
 
-    def test_prediction_missing_an_agent_is_regrouped(self, g2, monkeypatch):
-        # Every box check would pass on the first three clusters, yet the
-        # agents of the fourth form a group of their own in every trial.
-        def without_last(cert, mode):
-            full = predict_clusters(cert, mode)
-            return dataclasses.replace(full, clusters=full.clusters[:-1])
+    @pytest.mark.parametrize("n", [12, 64, 200, 1000])
+    def test_strict_prediction_partitions_every_agent(self, g2, n):
+        # The harness's box verdict reads the prediction as a partition of
+        # all agents: C1 puts each in a persuaded set, and those are disjoint.
+        g = g2 if n == 12 else random_multiconsensus_graph(n, n // 20, seed=n)
+        order, _ = _cluster_layout(predict_clusters(analyze(g), mode="strict").clusters)
+        assert sorted(order.tolist()) == list(range(g.n))
 
-        monkeypatch.setattr(verification, "predict_clusters", without_last)
-        report = robustness_harness(g2, trials=5, seed=0)
-        assert report.passes == 0
-        assert len(report.first_failure.observed) == 4
+
+def pairwise_box_components(lo, hi, thresh):
+    """Reference components of one trial's boxes lo, hi (k, m): test every
+    pair's gaps, then take the connected components; 1-based ids."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(1, lo.shape[0] + 1))
+    graph.add_edges_from(
+        (a + 1, b + 1)
+        for a in range(lo.shape[0]) for b in range(a + 1, lo.shape[0])
+        if np.max(np.maximum(lo[b] - hi[a], lo[a] - hi[b])) <= thresh
+    )
+    return tuple(sorted(map(frozenset, nx.connected_components(graph)), key=min))
+
+
+def component_sets(root):
+    """The partition of boxes (1-based) that one trial's roots (k,) name."""
+    groups = {}
+    for a, r in enumerate(root.tolist(), start=1):
+        groups.setdefault(r, set()).add(a)
+    return tuple(sorted(map(frozenset, groups.values()), key=min))
+
+
+@st.composite
+def box_sets(draw):
+    """Boxes around row_sets' rows: hi is lo plus 0, a few ulps, thresh or
+    more, so boxes tie, nest, touch at thresh and overlap."""
+    rows, thresh = draw(row_sets())
+    widths = st.sampled_from((0.0, 0.0, 1e-15, abs(thresh), 2 * abs(thresh), 0.05))
+    width = np.array([[draw(widths) for _ in range(rows.shape[1])] for _ in rows])
+    return rows, rows + width, thresh
+
+
+class TestComponents:
+    """_box_components, the one routine behind both _group_rows and the box
+    verdict, against the pairwise oracles."""
+
+    def test_projection_chain(self):
+        # Agents 2 and 3 are within 1 of each other in both columns, agent 1
+        # is within 1 of neither, though no single column shows it.
+        rows = np.array([[0.0, 0.0], [0.9, 1.8], [1.8, 0.9]])
+        expected = (frozenset({1}), frozenset({2, 3}))
+        assert _group_rows(rows, 1.0) == pairwise_group_rows(rows, 1.0) == expected
+        # The box of {2, 3} spans 0.9..1.8 in each column, within 1 of agent
+        # 1's point: the boxes cannot certify the grouping, which is sound.
+        lo, hi = _cluster_boxes(rows, *_cluster_layout(expected))
+        assert box_certificate(rows, expected, 1.0) == sweep_partition_holds(lo, hi, 1.0)
+        assert not box_certificate(rows, expected, 1.0)
+        assert component_sets(_box_components(lo[:, None], hi[:, None], np.array([1.0]))[:, 0]) \
+            == pairwise_box_components(lo, hi, 1.0) == (frozenset({1, 2}),)
+        singletons = tuple(frozenset({i}) for i in (1, 2, 3))
+        assert box_certificate(rows, singletons, 1.0) == sweep_partition_holds(rows, rows, 1.0)
+        assert not box_certificate(rows, singletons, 1.0)
+
+    def test_chain_wider_than_thresh_is_one_group(self):
+        # Neighbours are 0.5 apart and the chain spans 19.5.
+        rows = np.arange(0.0, 20.0, 0.5)[:, None]
+        expected = (frozenset(range(1, 41)),)
+        assert _group_rows(rows, 0.6) == pairwise_group_rows(rows, 0.6) == expected
+        # Two rows per box: each box is 0.5 from the next, so all chain.
+        lo, hi = rows[::2], rows[1::2]
+        assert not _partition_holds(lo[:, None], hi[:, None], np.array([0.6]))[0]
+        assert not sweep_partition_holds(lo, hi, 0.6)
+        assert component_sets(_box_components(lo[:, None], hi[:, None], np.array([0.6]))[:, 0]) \
+            == pairwise_box_components(lo, hi, 0.6) == (frozenset(range(1, 21)),)
+
+    @pytest.mark.parametrize("thresh", [-0.1, 0.0, 0.3])
+    def test_identical_boxes(self, thresh):
+        lo = np.tile([[0.2, 0.4]], (6, 1))
+        hi = lo + np.array([0.0, 0.1])
+        roots = _box_components(lo[:, None], hi[:, None], np.array([thresh]))[:, 0]
+        assert component_sets(roots) == pairwise_box_components(lo, hi, thresh)
+        verdict = _partition_holds(lo[:, None], hi[:, None], np.array([thresh]))[0]
+        assert verdict == sweep_partition_holds(lo, hi, thresh)
+        assert not verdict
+        assert _group_rows(lo, thresh) == pairwise_group_rows(lo, thresh)
+
+    @pytest.mark.parametrize("thresh", [-0.1, 0.0, 0.5])
+    @pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (5, 1)])
+    def test_negative_thresh_one_box_one_column(self, k, m, thresh):
+        rows = np.random.default_rng(k * 10 + m).uniform(0, 2, (k, m))
+        hi = rows + 0.25
+        roots = _box_components(rows[:, None], hi[:, None], np.array([thresh]))[:, 0]
+        assert component_sets(roots) == pairwise_box_components(rows, hi, thresh)
+        assert _partition_holds(rows[:, None], hi[:, None], np.array([thresh]))[0] \
+            == sweep_partition_holds(rows, hi, thresh)
+        assert _group_rows(rows, thresh) == pairwise_group_rows(rows, thresh)
+
+    @settings(max_examples=400, deadline=None)
+    @given(box_sets())
+    def test_drawn_boxes_equal_the_pairwise_components(self, case):
+        lo, hi, thresh = case
+        roots = _box_components(lo[:, None], hi[:, None], np.array([thresh]))
+        assert roots.shape == (lo.shape[0], 1)
+        assert component_sets(roots[:, 0]) == pairwise_box_components(lo, hi, thresh)
+        assert _partition_holds(lo[:, None], hi[:, None], np.array([thresh])).tolist() \
+            == [sweep_partition_holds(lo, hi, thresh)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(box_sets(), min_size=1, max_size=4))
+    def test_stacked_trials_equal_one_trial_at_a_time(self, cases):
+        # Trials of one stack share k and m: each trial is the first k rows
+        # and m columns of its case, k and m the smallest over the cases.
+        k = min(lo.shape[0] for lo, _, _ in cases)
+        m = min(lo.shape[1] for lo, _, _ in cases)
+        lo = np.stack([c[0][:k, :m] for c in cases], axis=1)
+        hi = np.stack([c[1][:k, :m] for c in cases], axis=1)
+        thresh = np.array([c[2] for c in cases])
+        stacked = _box_components(lo, hi, thresh)
+        T = len(cases)
+        assert (stacked % T == np.arange(T)).all()  # roots stay in their trial
+        for t in range(T):
+            alone = _box_components(lo[:, t:t + 1], hi[:, t:t + 1], thresh[t:t + 1])[:, 0]
+            assert component_sets(stacked[:, t] // T) == component_sets(alone) \
+                == pairwise_box_components(lo[:, t], hi[:, t], thresh[t])
+        assert _partition_holds(lo, hi, thresh).tolist() == [
+            sweep_partition_holds(lo[:, t], hi[:, t], thresh[t]) for t in range(T)]
+
+    @staticmethod
+    def sparse_boxes(k, m, seed):
+        """k boxes like a large run's clusters: each hears from three of m
+        stubborn agents, so almost every entry is exactly 0."""
+        rng = np.random.default_rng(seed)
+        lo = np.zeros((k, m))
+        for a in range(k):
+            lo[a, rng.choice(m, 3, replace=False)] = rng.uniform(0.01, 1.0, 3)
+        return lo, lo + rng.uniform(0.0, 1e-12, (k, m)) * (lo > 0)
+
+    def test_sparse_boxes_verdict_peaks_near_the_boxes(self):
+        lo, hi = self.sparse_boxes(1000, 346, seed=0)
+        # No two boxes hear from the same three agents, so each pair has a
+        # column where one box is 0 and the other at least 0.01: all apart.
+        assert len({tuple(np.flatnonzero(row)) for row in lo}) == 1000
+        lo, hi = lo[:, None], hi[:, None]
+        tracemalloc.start()
+        try:
+            holds = _partition_holds(lo, hi, np.array([1e-8]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds.tolist() == [True]
+        assert peak < 2 * lo.nbytes
 
 
 class TestTraceClusters:
@@ -412,11 +547,11 @@ class TestSortAndSplitTraceClusters:
         assert clusters == pairwise_group_rows(final[:, None], thresh)
         assert all(type(i) is int for c in clusters for i in c)
 
-    def test_never_builds_a_union_find(self, g2, monkeypatch):
+    def test_never_takes_box_components(self, g2, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("clusters_from_trace built a union-find")
+            raise AssertionError("clusters_from_trace took the components of boxes")
 
-        monkeypatch.setattr(verification, "_UnionFind", refuse)
+        monkeypatch.setattr(verification, "_box_components", refuse)
         shifted = SignedDigraph(g2.n, g2.edges, g2.beta, tuple(range(g2.n)))
         assert len(clusters_from_trace(simulate(shifted))) == 4
 
