@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import dynamics, verification
 from .errors import (
@@ -46,7 +47,31 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
+
+
+_NUMBERS = json.JSONEncoder()  # no indent: the C encoder
+
+
+def _dumps(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, each line after the first
+    led by pad. indent=2 takes the pure-Python encoder, so the containers
+    are laid out here: a list of ints and floats (exact types) goes through
+    the C encoder, whose items ", " separates (no number's text holds it),
+    and str-keyed dicts and other lists recurse. The rest, and empty
+    containers, are json.dumps' own; its lines are led by pad, as no JSON
+    string holds a raw newline."""
+    inner = pad + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if type(value) in (list, tuple) and value:
+        if set(map(type, value)) <= {int, float}:
+            items = _NUMBERS.encode(value)[1:-1].split(", ")
+        else:
+            items = [_dumps(v, inner) for v in value]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def _fail(code: int, message: str) -> int:

@@ -143,6 +143,11 @@ def simulate(
     plain = bool(_unreached(g, np.flatnonzero(1.0 - beta == 1.0) + 1))
     x0 = np.array(g.x0)
     anchor = beta * x0
+    # An agent whose one term is 1.0 times agent j's opinion, with no
+    # anchor, copies j's last value: j is its source in the trace writer.
+    copy = (np.bincount(rows, minlength=n)[rows] == 1) & (vals == 1.0) & (anchor[rows] == 0.0)
+    source = np.arange(n)
+    source[rows[copy]] = cols[copy]
     if not plain:
         # One bincount steps u = (x, z): x in bins 0..n-1, each summing the
         # same weights in the same order as a step of x alone, and z in bins
@@ -151,7 +156,7 @@ def simulate(
         vals = np.concatenate((vals, np.abs(vals)))
         anchor = np.concatenate((anchor, np.ones(n)))
     per_block = max(1, _TRACE_BLOCK // n)
-    kept, first = [], 0  # full blocks when not streaming; the k of block[0]
+    kept, first, carry = [], 0, None  # blocks kept; the k of block[0]; the row written above it
     block = np.empty((per_block, n))
     block[0] = x0
     u = np.concatenate((x0, np.ones(anchor.size - n)))
@@ -166,7 +171,7 @@ def simulate(
                 if out is None:
                     kept.append(block)
                 else:
-                    _write_rows(out, first, block)
+                    carry = _write_rows(out, first, block, source, carry)
                 first, block, j = first + per_block, np.empty((per_block, n)), 0
             u_next = np.bincount(rows, weights=vals * u[cols], minlength=anchor.size) + anchor
             residual = float(np.abs(u_next[:n] - u[:n]).max())
@@ -181,7 +186,7 @@ def simulate(
     if out is None:
         states = np.concatenate(kept + [block[:j]])
     else:
-        _write_rows(out, first, block[:j])
+        _write_rows(out, first, block[:j], source, carry)
         states = u[None, :n]
     trace = OpinionTrace(
         states=states, converged=converged,
@@ -534,25 +539,44 @@ def write_trace_csv(trace: OpinionTrace, fh) -> None:
     """
     states = np.asarray(trace.states, dtype=np.float64)
     _write_header(fh, states.shape[1])
-    _write_rows(fh, 0, states)
+    _write_rows(fh, 0, states, np.arange(states.shape[1]))
 
 
 def _write_header(fh, n: int) -> None:
     fh.write("k" + "".join(f",x_{i}" for i in range(1, n + 1)) + "\r\n")
 
 
-def _write_rows(fh, start: int, states: np.ndarray) -> None:
-    """write_trace_csv's rows for states, the first numbered start.
+def _write_rows(fh, start: int, states: np.ndarray, source: np.ndarray, carry=None):
+    """write_trace_csv's rows for states, the first numbered start; returns
+    the carry for the rows after them: the last row's bits and strings.
 
-    Converged agents repeat their value bit for bit from row to row, so each
-    distinct bit pattern is formatted once, by _shortest_reprs, and the rows
-    are joined from those strings; comparing bits keeps 0.0 and -0.0 apart.
+    A value whose bits equal those of its agent's source one row above (the
+    row carry holds, above the first) takes that value's string: an agent
+    repeats its own value once it has settled, and an agent that only hears
+    source[i] copies its value. Which values repeat is decided by the bits,
+    so 0.0 and -0.0 stay apart and a wrong source costs only time. Each
+    distinct bit pattern among the rest is formatted once, by
+    _shortest_reprs, and each row's strings are the row above's gathered by
+    source, with those written over.
     """
     states = np.ascontiguousarray(states, dtype=np.float64)
-    bits, inverse = np.unique(states.reshape(-1).view(np.int64), return_inverse=True)
-    text = np.array(_shortest_reprs(bits.view(np.float64)), dtype=object)
-    for k, idx in enumerate(inverse.reshape(states.shape), start):
-        fh.write(f"{k}{''.join(text.take(idx).tolist())}\r\n")
+    if not states.size:
+        return carry
+    bits = states.view(np.int64)
+    fresh = np.empty(bits.shape, dtype=bool)
+    fresh[0] = True if carry is None else carry[0][source] != bits[0]
+    fresh[1:] = bits[:-1, source] != bits[1:]
+    fresh = np.flatnonzero(fresh)
+    distinct, inverse = np.unique(bits.reshape(-1)[fresh], return_inverse=True)
+    text = np.array(_shortest_reprs(distinct.view(np.float64)), dtype=object)[inverse]
+    n = bits.shape[1]
+    cols, ends = fresh % n, np.searchsorted(fresh, np.arange(n, bits.size + 1, n)).tolist()
+    row = np.empty(n, dtype=object) if carry is None else carry[1]
+    for k, a, b in zip(range(start, start + bits.shape[0]), [0] + ends, ends):
+        row = row.take(source)
+        row[cols[a:b]] = text[a:b]
+        fh.write(f"{k}{''.join(row.tolist())}\r\n")
+    return bits[-1].copy(), row
 
 
 # _shortest_reprs works on slices of this many values: on larger ones its

@@ -63,7 +63,17 @@ def _box_components(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.nd
     monotone, so no pair across a cut is close), until m columns in a row
     cut nothing. After each round of columns a group whose largest lo less
     smallest hi is at most thresh in every column is a clique; each pair in
-    the other groups takes the exact test."""
+    the other groups takes the exact test.
+
+    At m = 1, a group of finite boxes that a pass leaves, with thresh >= 0,
+    is connected, so it is settled too. In sorted order, each box a after
+    the first is close to an earlier box b of its group that holds the
+    running maximum of hi before it: lo[a] - hi[b] is the subtraction the
+    cut tested, and lo[b] - hi[a] <= 0, as lo[b] <= lo[a] <= hi[a]. (Were b
+    before the group's first box c, hi[b] would be that maximum before c as
+    well, and as lo[a] >= lo[c] and subtraction is monotone, the cut at c
+    would have cut at a too.) A group is finite when its least lo and its
+    largest hi are."""
     k, T, m = lo.shape
     lo, hi = lo.reshape(k * T, m), hi.reshape(k * T, m)
     root = np.arange(k * T)
@@ -87,6 +97,10 @@ def _box_components(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.nd
             starts = np.cumsum(sizes) - sizes
             spread = np.maximum.reduceat(lo[live], starts) - np.minimum.reduceat(hi[live], starts)
             keep = ~(spread <= limit[live[starts], None]).all(axis=1)
+            if m == 1:  # settle the chains: finite groups, with thresh >= 0
+                extent = (np.minimum.reduceat(lo[live, 0], starts),
+                          np.maximum.reduceat(hi[live, 0], starts))
+                keep &= ~((limit[live[starts]] >= 0) & np.isfinite(extent).all(axis=0))
             root[live[~keep[group]]] = live[starts][group[~keep[group]]]
         live, group = live[keep[group]], (np.cumsum(keep) - 1)[group[keep[group]]]
     close, ends = [], np.cumsum(np.bincount(group)).tolist()

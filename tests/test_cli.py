@@ -3,12 +3,14 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -487,6 +489,95 @@ class TestStreamedTrace:
             tracemalloc.stop()
         assert code == EXIT_OK and json.loads(out)["match"] is True
         assert peak < 8 * n * n / 4
+
+    def test_a_follower_reuses_its_settled_source_across_blocks(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Agent 1 settles at 2.0 in one step; agent 2 copies agent 1 and
+        # agent 3 copies agent 2, each a step later. x(0) holds -0.0 for
+        # agent 2, which agent 3 copies as 0.0 (0.0 + -0.0 is 0.0), so that
+        # value must be formatted. Blocks of one row carry each row into the
+        # next, so once the chain has settled a block formats nothing.
+        g = SignedDigraph(4, ((4, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)),
+                          (0.5, 0.0, 0.0, 0.5), (1.0, -0.0, 5.0, 3.0))
+        expected = in_memory_csv(g, dynamics.DEFAULT_MAX_ITER)
+        assert expected.split("\r\n")[1:4] == ["0,1.0,-0.0,5.0,3.0", "1,2.0,1.0,0.0,3.0",
+                                                "2,2.0,2.0,1.0,3.0"]
+        formatted = []
+        kernel = dynamics._shortest_reprs
+        monkeypatch.setattr(dynamics, "_shortest_reprs",
+                            lambda values: formatted.append(values.size) or kernel(values))
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", 1)
+        path, out_csv = tmp_path / "g.json", tmp_path / "trace.csv"
+        save_graph(g, path)
+        code, _, _ = run(capsys, "simulate", str(path), "--out", str(out_csv))
+        assert code == EXIT_OK
+        assert out_csv.read_bytes() == expected.encode()
+        assert formatted == [4, 2, 0, 0, 0]  # one block per row, x(0)..x(4)
+
+    def test_no_block_formats_more_than_its_distinct_values(self, monkeypatch):
+        # Each block's np.unique count is what the writer formatted when it
+        # sorted whole blocks; over the whole trace it now formats fewer.
+        g = random_multiconsensus_graph(2000, 100, seed=1)  # sfj generate 2000 100 --seed 1
+        blocks, formatted = [], []
+        write, kernel = dynamics._write_rows, dynamics._shortest_reprs
+
+        def writing(fh, start, states, *rest):
+            blocks.append(np.unique(states.view(np.int64)).size)
+            return write(fh, start, states, *rest)
+
+        monkeypatch.setattr(dynamics, "_write_rows", writing)
+        monkeypatch.setattr(dynamics, "_shortest_reprs",
+                            lambda values: formatted.append(values.size) or kernel(values))
+        dynamics.simulate(g, out=io.StringIO(newline=""))
+        assert len(formatted) == len(blocks) > 1
+        assert all(f <= b for f, b in zip(formatted, blocks))
+        assert sum(formatted) < sum(blocks)
+
+
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]))
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ["a, b", ", ", '"', "\\", "\n", "caf\u00e9", "\u65e5\u672c", '", "']))
+JSON_NUMBERS = st.lists(st.one_of(st.integers(), JSON_FLOATS))
+JSON_VALUES = st.recursive(
+    st.one_of(st.integers(), JSON_FLOATS, st.booleans(), st.none(), JSON_STRINGS,
+              JSON_NUMBERS, JSON_NUMBERS.map(tuple)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, inner, max_size=4),
+        st.dictionaries(st.one_of(JSON_STRINGS, st.integers(), st.booleans()), inner,
+                        max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+class TestEmit:
+    """cli._emit's layout against json.dumps(payload, indent=2): floats of
+    every kind, bools, None, strings that hold ", ", quotes, backslashes,
+    newlines or non-ASCII, tuples, and keys that are not strings."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_VALUES)
+    def test_layout_is_json_dumps_with_indent_2(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(JSON_STRINGS, JSON_VALUES, max_size=5))
+    def test_emit_writes_the_payload_after_the_schema(self, payload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(payload)
+        expected = json.dumps({"schema": cli.SCHEMA_VERSION, **payload}, indent=2)
+        assert out.getvalue() == expected + "\n"
+
+    def test_analyze_payload_at_n_1000(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph(random_multiconsensus_graph(1000, 50, seed=1), path)
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestVerify:

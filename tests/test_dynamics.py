@@ -2,6 +2,7 @@ import csv
 import io
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -905,6 +906,64 @@ class TestTraceWriterMatchesCsvWriter:
         g = random_multiconsensus_graph(500, 25, seed=500)
         fast, oracle = both_writers(simulate(g).states)
         assert fast == oracle
+
+
+class TestSourceReuse:
+    """_write_rows reuses the string of a value whose bits equal its
+    source's one row above; the bits decide, the source is only a guess."""
+
+    def test_a_copied_negative_zero_is_formatted_again(self):
+        # Agent 2 follows agent 1: its 0.0 under agent 1's -0.0 is equal as
+        # a float but not as bits, and so is agent 1's 0.0 under its -0.0.
+        states = np.array([[-0.0, 1.0], [-0.0, 0.0], [0.0, -0.0]])
+        buf = io.StringIO()
+        dynamics._write_rows(buf, 0, states, np.array([0, 0]))
+        assert buf.getvalue() == "0,-0.0,1.0\r\n1,-0.0,0.0\r\n2,0.0,-0.0\r\n"
+
+    def test_negative_zero_through_a_follower_chain(self):
+        # Agents 2..5 each copy the one before; agent 1 is stubborn at -0.0.
+        # Agent 2's copy of -0.0 comes out 0.0 (0.0 + -0.0), and that 0.0
+        # passes down the chain bit for bit.
+        g = SignedDigraph(5, [(i, i + 1, 1.0) for i in range(1, 5)],
+                          (1.0, 0.0, 0.0, 0.0, 0.0), (-0.0, 1.0, 2.0, 3.0, 4.0))
+        streamed = io.StringIO(newline="")
+        simulate(g, out=streamed)
+        fast, oracle = both_writers(simulate(g).states)
+        assert streamed.getvalue() == fast == oracle
+        assert fast.split("\r\n")[1:5] == ["0,-0.0,1.0,2.0,3.0,4.0",
+                                            "1,0.0,0.0,1.0,2.0,3.0",
+                                            "2,0.0,0.0,0.0,1.0,2.0",
+                                            "3,0.0,0.0,0.0,0.0,1.0"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace_states(), st.data())
+    def test_any_source_and_any_split_give_the_same_bytes(self, states, data):
+        n = states.shape[1]
+        source = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        cut = data.draw(st.integers(0, states.shape[0]))
+        whole, parts = io.StringIO(), io.StringIO()
+        dynamics._write_rows(whole, 0, states, source)
+        carry = dynamics._write_rows(parts, 0, states[:cut], source)
+        dynamics._write_rows(parts, cut, states[cut:], source, carry)
+        fast, oracle = both_writers(states)
+        assert whole.getvalue() == parts.getvalue() == fast.split("\r\n", 1)[1]
+        assert fast == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.sampled_from([1, 7, 2**16]))
+    def test_streamed_bytes_equal_both_writers_on_drawn_graphs(self, g, block):
+        streamed = io.StringIO(newline="")
+        with mock.patch.object(dynamics, "_TRACE_BLOCK", block):
+            try:
+                trace = simulate(g, max_iter=300)
+            except NotConverged as exc:
+                trace = exc.trace
+            try:
+                simulate(g, max_iter=300, out=streamed)
+            except NotConverged:
+                pass
+        fast, oracle = both_writers(trace.states)
+        assert streamed.getvalue() == fast == oracle
 
 
 def as_floats(words):

@@ -40,14 +40,16 @@ from oracles import reweighted
 
 
 def pairwise_group_rows(rows, thresh):
-    """Reference grouping: test every pair, then take the transitive closure."""
+    """Reference grouping: test every pair, then take the transitive closure.
+    The pairs (i, j) go a few rows i at a time, about 2**18 gaps each."""
+    k = rows.shape[0]
     graph = nx.Graph()
-    graph.add_nodes_from(range(1, rows.shape[0] + 1))
-    graph.add_edges_from(
-        (i + 1, j + 1)
-        for i in range(rows.shape[0]) for j in range(i + 1, rows.shape[0])
-        if np.max(np.abs(rows[i] - rows[j])) <= thresh
-    )
+    graph.add_nodes_from(range(1, k + 1))
+    step = max(1, 2**18 // rows.size)
+    for a in range(0, k, step):
+        i, j = np.nonzero(np.abs(rows[a:a + step, None] - rows).max(axis=2) <= thresh)
+        i += a
+        graph.add_edges_from(zip((i[i < j] + 1).tolist(), (j[i < j] + 1).tolist()))
     return tuple(sorted(map(frozenset, nx.connected_components(graph)), key=min))
 
 
@@ -391,6 +393,24 @@ class TestComponents:
         assert not sweep_partition_holds(lo, hi, 0.6)
         assert component_sets(_box_components(lo[:, None], hi[:, None], np.array([0.6]))[:, 0]) \
             == pairwise_box_components(lo, hi, 0.6) == (frozenset(range(1, 21)),)
+
+    def test_long_one_column_chains(self):
+        # Steps of 0.5 to 0.65 at thresh 0.6: 10,000 rows in long chains,
+        # each row within thresh of its neighbours only. At m = 1 the split
+        # settles every chain, so no pair is tested.
+        rng = np.random.default_rng(0)
+        rows = np.cumsum(0.5 + rng.uniform(0.0, 0.15, 10_000))[rng.permutation(10_000), None]
+        groups = _group_rows(rows, 0.6)
+        assert groups == pairwise_group_rows(rows, 0.6)
+        assert 1 < len(groups) < 5_000
+
+    def test_one_column_chains_through_nan(self):
+        # A NaN row is close to nothing, though no cut separates it.
+        rows = np.array([[0.0], [np.nan], [0.5], [1.0], [np.nan], [1.5], [3.0]])
+        expected = (frozenset({1, 3, 4, 6}), frozenset({2}), frozenset({5}), frozenset({7}))
+        assert _group_rows(rows, 0.6) == pairwise_group_rows(rows, 0.6) == expected
+        roots = _box_components(rows[:, None], rows[:, None] + 0.1, np.array([0.45]))[:, 0]
+        assert component_sets(roots) == pairwise_box_components(rows, rows + 0.1, 0.45)
 
     @pytest.mark.parametrize("thresh", [-0.1, 0.0, 0.3])
     def test_identical_boxes(self, thresh):
