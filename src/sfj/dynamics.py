@@ -24,7 +24,9 @@ from .errors import (
 from .graph import (
     NormalizedSystem,
     SignedDigraph,
+    _csr,
     _normalized,
+    _postorder,
     _unreached,
     check_reachability,
     normalize,
@@ -214,6 +216,12 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     the m stubborn columns alone, level by level, and they are scattered
     into the n x n result.
     """
+    return _influence(g)[1]
+
+
+def _influence(g: SignedDigraph) -> tuple[NormalizedSystem, np.ndarray]:
+    """influence_matrix's normalized system and V, from one gate and one
+    normalize: build_steady_state takes both."""
     report = check_reachability(g)
     if not report.ok:
         raise UnreachableNodes(report.unreachable)
@@ -222,50 +230,32 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     V = np.zeros((g.n, g.n))
     plan = _level_plan(sysm, stubborn)
     V[:, stubborn] = _level_solve(plan, sysm)[plan.slot_of]
-    return V
+    return sysm, V
 
 
-def _components(n: int, bounds: list, succ: list) -> tuple[np.ndarray, np.ndarray]:
-    """Strongly connected components of the graph v -> succ[bounds[v]:bounds[v+1]]
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strongly connected components of the graph rows[e] -> cols[e] on 0..n-1
     and their levels: v lies in component comp[v] of level level[comp[v]].
 
-    Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack numbers
-    the components as they close, so each comes after every component it
-    reaches. top[v] is the highest level that v and its subtree on the stack
-    reach in closed components (-1 if none); a component closing at root v
-    takes level top[v] + 1.
+    Kosaraju-Sharir (M. Sharir, Comput. Math. Appl. 1981): search the
+    reversed edges, then the edges from roots in reverse postorder. Each tree
+    of the second search is a component whose edges end in it or in earlier
+    trees, so its level is one above the highest they reach (depth is still
+    -1 inside it), or 0 if none.
     """
-    index, low, on_stack = [-1] * n, [0] * n, [False] * n
-    comp, level, top = [-1] * n, [], [-1] * n
-    stack, counter = [], 0
-    for root in range(n):
-        work = [] if index[root] >= 0 else [(root, bounds[root])]
-        while work:
-            v, k = work.pop()
-            if index[v] < 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            else:  # back from the tree edge k - 1
-                u = succ[k - 1]
-                low[v] = min(low[v], low[u])
-                top[v] = max(top[v], top[u] if on_stack[u] else level[comp[u]])
-            for k in range(k, bounds[v + 1]):
-                u = succ[k]
-                if index[u] < 0:
-                    work += [(v, k + 1), (u, bounds[u])]
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-                else:  # in a component closed already
-                    top[v] = max(top[v], level[comp[u]])
-            else:
-                if low[v] == index[v]:
-                    level.append(top[v] + 1)
-                    while comp[v] < 0:
-                        comp[stack[-1]] = len(level) - 1
-                        on_stack[stack.pop()] = False
+    post, _ = _postorder(*_csr(cols, rows, n - 1), range(n), [False] * n)
+    bounds, succ = _csr(rows, cols, n - 1)
+    post, trees = _postorder(bounds, succ, post[::-1], [False] * n)
+    depth, comp, level = [-1] * n, [0] * n, []
+    for c, (a, b) in enumerate(zip(trees, trees[1:])):
+        top = 0
+        for v in post[a:b]:
+            for u in succ[bounds[v]:bounds[v + 1]]:
+                if depth[u] >= top:
+                    top = depth[u] + 1
+        for v in post[a:b]:
+            depth[v], comp[v] = top, c
+        level.append(top)
     return np.array(comp, dtype=np.int64), np.array(level, dtype=np.int64)
 
 
@@ -303,21 +293,19 @@ class _LevelPlan(NamedTuple):
 def _level_plan(sysm: NormalizedSystem, stubborn: np.ndarray) -> _LevelPlan:
     """Plan the solve of (I - M) V = B_s over the SCCs of M's in-lists.
 
-    I - M is block lower triangular over those SCCs in Tarjan's order (the
-    block triangular form of Duff & Reid, ACM TOMS 1978). _components gives
-    each SCC's level as Tarjan closes it: 0 if it hears from no other SCC and
-    one above the highest it hears from otherwise, so each level needs only
-    the levels below it. Reads only sysm.rows and sysm.cols, so one plan
+    I - M is block lower triangular over those SCCs in the order _components
+    finds them (the block triangular form of Duff & Reid, ACM TOMS 1978),
+    and each SCC's level is 0 if it hears from no other SCC and one above the
+    highest it hears from otherwise, so each level needs only the levels
+    below it. Reads only sysm.rows and sysm.cols, so one plan
     serves every trial on the same edges. O(n + edges) plus sorts.
     """
     n, rows, cols = sysm.n, sysm.rows, sysm.cols
-    by_row = np.argsort(rows, kind="stable")
-    bounds = np.searchsorted(rows[by_row], np.arange(n + 1)).tolist()
-    comp, level = _components(n, bounds, cols[by_row].tolist())
+    comp, level = _components(n, rows, cols)
     sizes = np.bincount(comp)
     cross = comp[rows] != comp[cols]
 
-    ranked = np.lexsort((sizes, level))  # by level, then size, then Tarjan order
+    ranked = np.lexsort((sizes, level))  # by level, then size, then as found
     rank = np.empty_like(ranked)
     rank[ranked] = np.arange(sizes.size)
     agents = np.argsort(rank[comp], kind="stable")
@@ -416,22 +404,19 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     neighbours and, for stubborn agents, their initial opinion; the last m
     rows are zero and stand for the fixed initial opinions themselves.
     Raises NoStubbornAgents / UnreachableNodes when the steady state is not
-    well defined in the first place.
+    well defined in the first place. y comes from influence_matrix's V.
     """
-    report = check_reachability(g)
-    if not report.ok:
-        raise UnreachableNodes(report.unreachable)
-    sysm = normalize(g)
-    n = g.n
+    sysm, V = _influence(g)
     rows = np.array(g.stubborn) - 1
-    m = rows.size
+    x0_stubborn = np.array(g.x0)[rows]
+    # The solve's own row-major layout, as the bits of a matrix-vector
+    # product depend on it.
+    y = np.concatenate([np.ascontiguousarray(V[:, rows]) @ x0_stubborn, x0_stubborn])
+    del V  # freed before R is built
+    n, m = g.n, rows.size
     R = np.zeros((n + m, n + m))
     R[:n, :n] = sysm.system_matrix()
     R[rows, n + np.arange(m)] = -sysm.beta[rows]
-    # The gate above is influence_matrix's, and so is the solve.
-    x0_stubborn = np.array(g.x0)[rows]
-    plan = _level_plan(sysm, rows)
-    y = np.concatenate([_level_solve(plan, sysm)[plan.slot_of] @ x0_stubborn, x0_stubborn])
     return SteadyStateSystem(R=R, y=y, stubborn_index=g.stubborn, graph=g)
 
 
@@ -473,11 +458,15 @@ def reduce_steady_state(
     how far the eliminated coordinates, reconstructed from the kept ones,
     drift from the full solution.
 
-    Raises HypothesisViolated if any persuaded agent has a negative in-edge
-    and SingularBlock if some eliminated agent is unreached, i.e. the
-    restricted weights have spectral radius one.
+    Raises ValueError if p or a persuaded agent lies outside 1..n, q is not
+    persuaded or p is, HypothesisViolated if any persuaded agent has a
+    negative in-edge and SingularBlock if some eliminated agent is
+    unreached, i.e. the restricted weights have spectral radius one.
     """
     members = frozenset(persuaded)
+    outside = sorted(v for v in members | {p} if not 1 <= v <= sysm.n)
+    if outside:
+        raise ValueError(f"agent {outside[0]} outside 1..{sysm.n}")
     if q not in members:
         raise ValueError(f"agent {q} is not in the persuaded set {sorted(members)}")
     if p in members:

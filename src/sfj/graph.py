@@ -131,6 +131,33 @@ def _csr(keys: np.ndarray, vals: np.ndarray, n: int) -> tuple[list[int], list[in
     return bounds, vals[order].tolist()
 
 
+def _postorder(bounds: list, succ: list, roots, seen: list) -> tuple[list[int], list[int]]:
+    """The package's one graph search: iterative depth-first postorder of
+    v -> succ[bounds[v]:bounds[v + 1]] from each root not in seen, in turn,
+    marking what it visits in seen. Tree t is post[trees[t]:trees[t + 1]];
+    cursor[v] is the position in succ of the next successor of v to try."""
+    post, trees, cursor = [], [], bounds[:-1]
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        trees.append(len(post))
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i, end = cursor[v], bounds[v + 1]
+            while i < end and seen[succ[i]]:
+                i += 1
+            if i < end:
+                cursor[v] = i + 1
+                seen[succ[i]] = True
+                stack.append(succ[i])
+            else:
+                post.append(stack.pop())
+    trees.append(len(post))
+    return post, trees
+
+
 @dataclass(frozen=True, eq=False)
 class NormalizedSystem:
     """Row-normalized signed weight matrix W, kept as its nonzeros, and beta.
@@ -244,16 +271,10 @@ def _unreached(g: SignedDigraph, block) -> frozenset[int]:
     inside = np.zeros(g.n + 1, dtype=bool)
     inside[np.fromiter(block, dtype=np.int64)] = True
     src_in, dst_in = inside[g.src], inside[g.dst]
-    bounds, out = _csr(g.src[src_in & dst_in], g.dst[src_in & dst_in], g.n)
-    stack = g.dst[dst_in & ~src_in].tolist()
-    seen = set(stack)
-    while stack:
-        v = stack.pop()
-        for u in out[bounds[v]:bounds[v + 1]]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(np.flatnonzero(inside).tolist()) - seen
+    seen = [False] * (g.n + 1)
+    _postorder(*_csr(g.src[src_in & dst_in], g.dst[src_in & dst_in], g.n),
+               g.dst[dst_in & ~src_in].tolist(), seen)
+    return frozenset(np.flatnonzero(inside & ~np.array(seen)).tolist())
 
 
 def graph_to_dict(g: SignedDigraph) -> dict:

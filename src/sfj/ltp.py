@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConditionsNotMet, NoStubbornAgents, UnreachableNodes
-from .graph import SignedDigraph, _csr
+from .graph import SignedDigraph, _csr, _postorder
 
 VIRTUAL_ROOT = 0  # agents are 1..n, so 0 is free for the synthetic root
 
@@ -106,26 +106,9 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     keep = g.src != g.dst  # a self-loop never changes who dominates whom
     src = np.concatenate((np.full(g.m, VIRTUAL_ROOT), g.src[keep]))
     dst = np.concatenate((g.stubborn, g.dst[keep]))
-    bounds, succs = _csr(src, dst, g.n)  # ascending, so the DFS order is fixed
-
-    # Postorder of the reachable subgraph: an iterative DFS in which
-    # cursor[v] is the position in succs of the next successor of v to try.
-    post: list[int] = []
+    # Successors ascending, so the postorder of the reachable subgraph is fixed.
     seen = [False] * (g.n + 1)
-    seen[VIRTUAL_ROOT] = True
-    cursor = bounds[:-1]
-    stack = [VIRTUAL_ROOT]
-    while stack:
-        v = stack[-1]
-        i, end = cursor[v], bounds[v + 1]
-        while i < end and seen[succs[i]]:
-            i += 1
-        if i < end:
-            cursor[v] = i + 1
-            seen[succs[i]] = True
-            stack.append(succs[i])
-        else:
-            post.append(stack.pop())
+    post, _ = _postorder(*_csr(src, dst, g.n), [VIRTUAL_ROOT], seen)
     # Every stubborn agent hangs off the root, so the unseen are exactly the
     # unreachable non-stubborn agents, as check_reachability would report.
     if len(post) <= g.n:

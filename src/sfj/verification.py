@@ -201,8 +201,14 @@ def cluster_spread(V, clusters) -> float:
 
     Within a cluster the widest pair in any column is that column's maximum
     and minimum, so the diameter is the largest column range, exactly.
+    Raises ValueError for an agent outside 1..n, n being V's row count.
     """
-    lo, hi = _cluster_boxes(np.asarray(V, dtype=float), *_cluster_layout(clusters))
+    V = np.asarray(V, dtype=float)
+    order, starts = _cluster_layout(clusters)
+    outside = (order < 0) | (order >= V.shape[0])
+    if outside.any():
+        raise ValueError(f"agent {order[outside.argmax()] + 1} outside 1..{V.shape[0]}")
+    lo, hi = _cluster_boxes(V, order, starts)
     return float((hi - lo).max(initial=0.0))
 
 

@@ -613,6 +613,32 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", g1_path, "--trials", "5")
         assert code == EXIT_CONDITIONS
 
+    @pytest.mark.parametrize("size, influence_digest, stdout_digest", [
+        (None, "5fcd90861b1eadb0d25d493d1b658217bbaf8658498d866645b24f3b50e82c91",
+         "d5a017a7c2a3a7692c7a93d77d73ef9dc3dc42f4636a5362ab2310956436ea6d"),
+        ((200, 10), "98f71ef3ebab0b2e741119b0c77321a031726aa8a5f85db071df6f0437e82024",
+         "15cb3ae4d5a17f292bbcfcaa9f8669b41cba0736d5c53920a8ff8b9c947e5dff"),
+        ((1000, 50), "7c0df798eee00a96a884bf26f4ff40d110317414026bf4eda5b4e8d0a91dfbb9",
+         "64ff3103e9504fb9762bac6236bd2fe6a88f25a0568703042a42ec0a2e4f24a1"),
+        ((4000, 200), "35d36dea1be7c347c710f6a8fb8c58b855219e8193dbe7722fb9c3cb87894c20",
+         "01f333ccd264c913ad6713d7c19aa7f56cec1fd2be8470ae62b40d7a72364176"),
+        ((4000, 500), "35dc929ffe66ba4806b289d0a529c6e99f06b1bb4234ced2424600609bc35ca3",
+         "7baebfeb2c7c58e75273af6fc487f90991317c196d41683dbf0821a65367a076"),
+    ], ids=["g2", "200-10", "1000-50", "4000-200", "4000-500"])
+    def test_influence_and_output_are_pinned(self, capsys, tmp_path, monkeypatch, size,
+                                             influence_digest, stdout_digest):
+        # The order in which the solve takes the SCCs of a level may change,
+        # but no bit of V, nor of the report, may: each SCC is solved alone,
+        # and each row sums its terms from other SCCs in entry order.
+        monkeypatch.delenv("SFJ_SEED", raising=False)
+        g = networks.g2() if size is None else random_multiconsensus_graph(*size, seed=1)
+        save_graph(g, tmp_path / "g.json")
+        V = dynamics.influence_matrix(g)
+        assert hashlib.sha256(V.tobytes()).hexdigest() == influence_digest
+        code, out, _ = run(capsys, "verify", str(tmp_path / "g.json"), "--trials", "20")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
 
 class TestGenerate:
     def test_round_trip_identical(self, capsys, tmp_path):

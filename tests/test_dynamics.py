@@ -500,9 +500,7 @@ class TestLevelSolve:
         for _ in range(50):
             n = int(rng.integers(1, 40))
             pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
-            succ = [sorted({int(v) for u, v in pairs if u == w}) for w in range(n)]
-            bounds = np.cumsum([0] + [len(s) for s in succ]).tolist()
-            comp, level = _components(n, bounds, [v for s in succ for v in s])
+            comp, level = _components(n, pairs[:, 0], pairs[:, 1])
             found = [np.flatnonzero(comp == c).tolist() for c in range(level.size)]
             graph_ = nx.DiGraph()
             graph_.add_nodes_from(range(n))
@@ -515,6 +513,18 @@ class TestLevelSolve:
             for c in range(level.size):
                 reached = {int(comp[v]) for u, v in pairs if comp[u] == c} - {c}
                 assert level[c] == 1 + max((level[r] for r in reached), default=-1)
+
+    @pytest.mark.parametrize("shape", ["chain", "cycle"])
+    def test_components_of_a_long_chain_and_cycle_need_no_recursion(self, shape):
+        # Agent i hears from agent i - 1, and agent 0 from agent n - 1 on the cycle.
+        n = 100_000
+        rows = np.arange(n) if shape == "cycle" else np.arange(1, n)
+        comp, level = _components(n, rows, (rows - 1) % n)
+        if shape == "chain":
+            assert np.unique(comp).size == n
+            assert level[comp].tolist() == list(range(n))
+        else:
+            assert comp.tolist() == [0] * n and level.tolist() == [0]
 
     @pytest.mark.parametrize("case", ["g2", "generated-200", "strongly-connected"])
     def test_each_level_hears_only_from_the_levels_below(self, case):
@@ -748,6 +758,13 @@ class TestReduction:
         sysm = build_steady_state(g1)
         with pytest.raises(ValueError, match="not in the persuaded set"):
             reduce_steady_state(sysm, 2, 6, {3, 4})
+
+    @pytest.mark.parametrize("p, members, agent", [
+        (99, {3, 4}, 99), (0, {3, 4}, 0), (2, {3, 4, 99}, 99), (2, {0, 3, 4}, 0)])
+    def test_agent_outside_the_network_rejected(self, g1, p, members, agent):
+        sysm = build_steady_state(g1)
+        with pytest.raises(ValueError, match=rf"^agent {agent} outside 1\.\.{g1.n}$"):
+            reduce_steady_state(sysm, p, 3, members)
 
 
 @st.composite

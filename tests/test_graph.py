@@ -17,7 +17,7 @@ from sfj import (
     normalize,
     save_graph,
 )
-from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph, _normalized
+from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph, _normalized, _postorder, _unreached
 
 from conftest import brute_force_reachable, graph_dicts, random_reachable_graph
 from oracles import loop_graph_from_dict, reweighted
@@ -205,6 +205,56 @@ class TestReachability:
             beta[stub - 1] = 1.0
             g = SignedDigraph(n, tuple(edges), tuple(beta), tuple(np.zeros(n)))
             assert set(check_reachability(g).unreachable) == brute_force_reachable(g)
+
+
+@st.composite
+def searches(draw):
+    """A digraph on 0..n-1 with self-loops, its ascending successor lists,
+    roots in a drawn order (repeats included) and agents marked seen before."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = sorted(draw(st.lists(st.tuples(node, node), unique=True, max_size=3 * n)))
+    roots = draw(st.lists(node, max_size=2 * n))
+    seen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, pairs, roots, seen
+
+
+class TestPostorder:
+    @settings(max_examples=300, deadline=None)
+    @given(searches())
+    def test_matches_networkx_tree_by_tree(self, case):
+        nx = pytest.importorskip("networkx")
+        n, pairs, roots, seen = case
+        graph_ = nx.DiGraph()
+        graph_.add_nodes_from(range(n))
+        graph_.add_edges_from(pairs)  # sorted, so each node's successors ascend
+        bounds = np.cumsum([0] + [sum(u == v for u, _ in pairs) for v in range(n)]).tolist()
+        visited = [v for v in range(n) if seen[v]]
+        post, trees = [], [0]
+        for root in roots:  # each tree is a search of what is left unseen
+            if root not in visited:
+                left = graph_.subgraph(set(range(n)) - set(visited))
+                tree = list(nx.dfs_postorder_nodes(left, root))
+                post += tree
+                visited += tree
+                trees.append(len(post))
+        marks = list(seen)
+        assert _postorder(bounds, [v for _, v in pairs], roots, marks) == (post, trees)
+        assert marks == [v in visited for v in range(n)]
+
+
+class TestUnreached:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_digraphs(), st.data())
+    def test_matches_the_descendants_of_the_entries(self, g, data):
+        nx = pytest.importorskip("networkx")
+        block = data.draw(st.sets(st.integers(1, g.n)))
+        inner = nx.DiGraph()
+        inner.add_nodes_from(block)
+        inner.add_edges_from((s, d) for s, d, _ in g.edges if s in block and d in block)
+        entries = {d for s, d, _ in g.edges if d in block and s not in block}
+        reached = entries.union(*(nx.descendants(inner, v) for v in entries))
+        assert _unreached(g, block) == frozenset(block) - reached
 
 
 class TestValidation:

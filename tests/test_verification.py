@@ -173,6 +173,12 @@ class TestInfluenceClusters:
         assert clusters == (frozenset({1, 2, 3}),)
         assert cluster_spread(v, clusters) == pytest.approx(1.8e-8)
 
+    @pytest.mark.parametrize("cluster, agent", [({12, 0}, 0), ({1, 13}, 13), ({-3}, -3)])
+    def test_spread_rejects_an_agent_outside_the_network(self, g2, cluster, agent):
+        # Agent 0 would read row -1, agent 12's own, and agent 13 none at all.
+        with pytest.raises(ValueError, match=rf"^agent {agent} outside 1\.\.12$"):
+            cluster_spread(influence_matrix(g2), [{1, 2, 3}, cluster])
+
 
 class TestSortAndSweepGrouping:
     @settings(max_examples=400, deadline=None)
