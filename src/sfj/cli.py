@@ -55,12 +55,14 @@ _NUMBERS = json.JSONEncoder()  # no indent: the C encoder
 
 def _dumps(value, pad: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, each line after the first
-    led by pad. indent=2 takes the pure-Python encoder, so the containers
-    are laid out here: a list of ints and floats (exact types) goes through
-    the C encoder, whose items ", " separates (no number's text holds it),
-    and str-keyed dicts and other lists recurse. The rest, and empty
-    containers, are json.dumps' own; its lines are led by pad, as no JSON
-    string holds a raw newline."""
+    led by pad. indent=2 takes the pure-Python encoder, so containers are
+    laid out here and the C encoder writes scalars (int, float, str, bool
+    and None, exact types) and lists of ints and floats, whose items ", "
+    separates (no number's text holds it); str-keyed dicts and other lists
+    recurse. The rest, and empty containers, are json.dumps' own; its lines
+    are led by pad, as no JSON string holds a raw newline."""
+    if type(value) in (int, float, str, bool, type(None)):
+        return _NUMBERS.encode(value)
     inner = pad + "  "
     if type(value) is dict and value and set(map(type, value)) == {str}:
         items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]

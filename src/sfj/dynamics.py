@@ -216,21 +216,20 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     the m stubborn columns alone, level by level, and they are scattered
     into the n x n result.
     """
-    return _influence(g)[1]
+    V = np.zeros((g.n, g.n))
+    V[:, np.array(g.stubborn) - 1] = _influence(g)[1]
+    return V
 
 
 def _influence(g: SignedDigraph) -> tuple[NormalizedSystem, np.ndarray]:
-    """influence_matrix's normalized system and V, from one gate and one
-    normalize: build_steady_state takes both."""
+    """influence_matrix's normalized system and V's n x m stubborn block in
+    agent order, from one gate and one normalize: build_steady_state takes both."""
     report = check_reachability(g)
     if not report.ok:
         raise UnreachableNodes(report.unreachable)
-    stubborn = np.array(g.stubborn) - 1
     sysm = normalize(g)
-    V = np.zeros((g.n, g.n))
-    plan = _level_plan(sysm, stubborn)
-    V[:, stubborn] = _level_solve(plan, sysm)[plan.slot_of]
-    return sysm, V
+    plan = _level_plan(sysm, np.array(g.stubborn) - 1)
+    return sysm, _level_solve(plan, sysm)[plan.slot_of]
 
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,15 +403,12 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     neighbours and, for stubborn agents, their initial opinion; the last m
     rows are zero and stand for the fixed initial opinions themselves.
     Raises NoStubbornAgents / UnreachableNodes when the steady state is not
-    well defined in the first place. y comes from influence_matrix's V.
+    well defined in the first place. y comes from V's stubborn block.
     """
-    sysm, V = _influence(g)
+    sysm, block = _influence(g)
     rows = np.array(g.stubborn) - 1
     x0_stubborn = np.array(g.x0)[rows]
-    # The solve's own row-major layout, as the bits of a matrix-vector
-    # product depend on it.
-    y = np.concatenate([np.ascontiguousarray(V[:, rows]) @ x0_stubborn, x0_stubborn])
-    del V  # freed before R is built
+    y = np.concatenate([block @ x0_stubborn, x0_stubborn])
     n, m = g.n, rows.size
     R = np.zeros((n + m, n + m))
     R[:n, :n] = sysm.system_matrix()

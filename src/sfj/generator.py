@@ -54,6 +54,9 @@ def random_multiconsensus_graph(n: int, z: int, seed: int = 0) -> SignedDigraph:
     def magnitude():
         return float(rng.uniform(0.5, 2.0))
 
+    def pick(seq):  # rng.choice(seq)'s draw, without making seq an array
+        return seq[rng.integers(len(seq))]
+
     edges: dict[tuple[int, int], float] = {}
 
     def add(src, dst, w):
@@ -74,23 +77,23 @@ def random_multiconsensus_graph(n: int, z: int, seed: int = 0) -> SignedDigraph:
         # Occasional feedback into the root; sign-free since roots are exempt
         # from the cooperativity condition.
         if members and rng.random() < 0.4:
-            src = int(rng.choice(members))
-            add(src, root, magnitude() * float(rng.choice([-1.0, 1.0])))
+            src = pick(members)
+            add(src, root, magnitude() * pick((-1.0, 1.0)))
 
     # Every non-stubborn root needs two independent stubborn-side feeds so
     # that no single agent sits on all of its incoming paths.
     for root in nonstub_roots:
         feed_a, feed_b = rng.choice(stub_roots, size=2, replace=False)
         for feeder_root in (feed_a, feed_b):
-            src = int(rng.choice(cluster_of[int(feeder_root)]))
-            add(src, root, magnitude() * float(rng.choice([-1.0, 1.0])))
+            src = pick(cluster_of[int(feeder_root)])
+            add(src, root, magnitude() * pick((-1.0, 1.0)))
 
     # Extra signed cross-cluster edges, roots only as targets.
     for _ in range(int(rng.integers(0, z + 1))):
-        dst = int(rng.choice(roots))
+        dst = pick(roots)
         src = int(rng.integers(1, n + 1))
         if src not in cluster_of.get(dst, []) and src != dst:
-            add(src, dst, magnitude() * float(rng.choice([-1.0, 1.0])))
+            add(src, dst, magnitude() * pick((-1.0, 1.0)))
 
     beta = np.zeros(n)
     for r in stub_roots:

@@ -130,8 +130,10 @@ def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
     first = np.ones(rows.shape[0], dtype=bool)
     first[1:] = ~(np.all(ordered[1:] == ordered[:-1], axis=1) & (thresh >= 0))
     distinct = ordered[first][:, None]
+    with np.errstate(over="ignore"):  # a difference past the float range: inf, a cut
+        components = _box_components(distinct, distinct, np.array([thresh]))
     root = np.empty(rows.shape[0], dtype=np.int64)
-    root[order] = _box_components(distinct, distinct, np.array([thresh]))[np.cumsum(first) - 1, 0]
+    root[order] = components[np.cumsum(first) - 1, 0]
     groups: dict[int, list[int]] = {}  # in order of each group's smallest id
     for i, r in enumerate(root.tolist(), start=1):
         groups.setdefault(r, []).append(i)
@@ -166,20 +168,12 @@ def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int]
 def clusters_from_trace(
     trace: OpinionTrace, tau: float = DEFAULT_TAU
 ) -> tuple[frozenset[int], ...]:
-    """Group agents by final opinion. Initial-condition dependent; two
-    predicted clusters can coincidentally merge here, never split. Exactly
-    _group_rows on one column, with no pair test: in one column a point
-    within the threshold of the one before it is close to it, and rounded
-    subtraction is monotone, so groups end where a sorted gap exceeds it."""
+    """Group agents by final opinion: clusters_from_influence on one column.
+    Initial-condition dependent; two predicted clusters can coincidentally
+    merge here, never split."""
     if not trace.converged:
         raise NotConverged(trace, "cannot cluster an unconverged trace")
-    final = trace.final
-    order = np.argsort(final)
-    with np.errstate(over="ignore"):  # a gap past the float range: inf, a cut
-        gaps = np.diff(final[order])
-    cuts = np.flatnonzero(gaps > _threshold(final, tau)) + 1
-    groups = (frozenset(c.tolist()) for c in np.split(order + 1, cuts))
-    return tuple(sorted(groups, key=min))
+    return clusters_from_influence(trace.final[:, None], tau)
 
 
 def _cluster_layout(clusters) -> tuple[np.ndarray, np.ndarray]:
@@ -201,14 +195,17 @@ def cluster_spread(V, clusters) -> float:
 
     Within a cluster the widest pair in any column is that column's maximum
     and minimum, so the diameter is the largest column range, exactly.
-    Raises ValueError for an agent outside 1..n, n being V's row count.
+    Raises ValueError for an agent that is not an integer (2.0 counts, a
+    bool does not) or lies outside 1..n, n being V's row count.
     """
     V = np.asarray(V, dtype=float)
-    order, starts = _cluster_layout(clusters)
-    outside = (order < 0) | (order >= V.shape[0])
-    if outside.any():
-        raise ValueError(f"agent {order[outside.argmax()] + 1} outside 1..{V.shape[0]}")
-    lo, hi = _cluster_boxes(V, order, starts)
+    n = V.shape[0]
+    for v in (v for c in clusters for v in c):
+        if not 1 <= v <= n:
+            raise ValueError(f"agent {v} outside 1..{n}")
+        if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+            raise ValueError(f"agent {v!r} is not an integer")
+    lo, hi = _cluster_boxes(V, *_cluster_layout(clusters))
     return float((hi - lo).max(initial=0.0))
 
 

@@ -44,7 +44,7 @@ from sfj.errors import (
     SingularBlock,
     UnreachableNodes,
 )
-from sfj.graph import Edge, SignedDigraph
+from sfj.graph import Edge, SignedDigraph, graph_to_dict
 
 from conftest import graph_dicts, merge_when_agent_7_leads_agent_1, unreached_positive_class
 
@@ -578,6 +578,14 @@ class TestEmit:
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == EXIT_OK
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_generated_graph_payload(self, capsys):
+        # Edges are dicts of scalar leaves, each written by the C encoder.
+        code, out, _ = run(capsys, "generate", "400", "20", "--seed", "3")
+        assert code == EXIT_OK
+        payload = {"schema": cli.SCHEMA_VERSION,
+                   **graph_to_dict(random_multiconsensus_graph(400, 20, seed=3))}
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestVerify:

@@ -173,11 +173,18 @@ class TestInfluenceClusters:
         assert clusters == (frozenset({1, 2, 3}),)
         assert cluster_spread(v, clusters) == pytest.approx(1.8e-8)
 
-    @pytest.mark.parametrize("cluster, agent", [({12, 0}, 0), ({1, 13}, 13), ({-3}, -3)])
+    @pytest.mark.parametrize("cluster, agent", [({12, 0}, 0), ({1, 13}, 13), ({-3}, -3),
+                                                ({4.5, 5}, 4.5), ({True, 5}, True)])
     def test_spread_rejects_an_agent_outside_the_network(self, g2, cluster, agent):
-        # Agent 0 would read row -1, agent 12's own, and agent 13 none at all.
-        with pytest.raises(ValueError, match=rf"^agent {agent} outside 1\.\.12$"):
+        # Agent 0 would read row -1, agent 12's own, and agent 13 none at all;
+        # 4.5 would read agent 4's row and True agent 1's.
+        problem = "outside 1\\.\\.12" if type(agent) is int else "is not an integer"
+        with pytest.raises(ValueError, match=rf"^agent {agent} {problem}$"):
             cluster_spread(influence_matrix(g2), [{1, 2, 3}, cluster])
+
+    def test_spread_takes_integral_floats_and_numpy_ints(self, g2):
+        V = influence_matrix(g2)
+        assert cluster_spread(V, [{4.0, np.int64(5), 6}]) == cluster_spread(V, [{4, 5, 6}])
 
 
 class TestSortAndSweepGrouping:
@@ -573,13 +580,18 @@ class TestSortAndSplitTraceClusters:
         assert clusters == pairwise_group_rows(final[:, None], thresh)
         assert all(type(i) is int for c in clusters for i in c)
 
-    def test_never_takes_box_components(self, g2, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("clusters_from_trace took the components of boxes")
-
-        monkeypatch.setattr(verification, "_box_components", refuse)
-        shifted = SignedDigraph(g2.n, g2.edges, g2.beta, tuple(range(g2.n)))
-        assert len(clusters_from_trace(simulate(shifted))) == 4
+    @pytest.mark.parametrize("tau", [1e-8, 10.0])
+    def test_opinions_near_the_float_maximum_raise_no_warning(self, tau):
+        # Differences of +-1.7e308 overflow to inf: a cut at tau 1e-8, and
+        # still within the infinite threshold of tau 10. RuntimeWarnings are
+        # errors here.
+        final = np.array([1.7e308, -1.7e308, 1.7e308, -1.6e308])
+        trace = OpinionTrace(states=final[None, :], converged=True, iterations=0,
+                             residual=0.0)
+        with np.errstate(over="ignore"):
+            expected = pairwise_group_rows(final[:, None], verification._threshold(final, tau))
+        assert clusters_from_trace(trace, tau) == expected
+        assert clusters_from_influence(final[:, None], tau) == expected
 
 
 class TestRefines:
