@@ -123,7 +123,8 @@ def cmd_simulate(args) -> int:
     g = _load(args.graph)
     # Opened before simulating, so an unwritable path costs no iterations;
     # simulate streams the trace into it and keeps only the final state.
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    # A 64 KB buffer takes a block's lines in 8 times fewer write calls.
+    with open(args.out, "w", encoding="utf-8", newline="", buffering=2**16) as fh:
         try:
             trace = dynamics.simulate(
                 g, tol=args.tol, max_iter=args.max_iter, out=fh

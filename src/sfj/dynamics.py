@@ -102,6 +102,8 @@ class ReducedRowRelation:
 # Streamed traces and reweighting trials go in blocks of at most this many
 # values (at least one row or trial each), so memory stays bounded.
 _TRACE_BLOCK = 2**16
+# simulate steps in rounds of at most this many steps, then checks them all.
+_ROUND = 16
 
 
 def _sweep_bound(z: np.ndarray, z_next: np.ndarray) -> float:
@@ -131,13 +133,22 @@ def simulate(
     stops. Raises NotConverged (carrying the trace) when max_iter is
     exhausted.
 
+    The iterates u = (x, z), or x alone under the plain rule, go straight
+    into a block of rows: row 0 holds the row above the block, rows 1 on
+    the block's own, _TRACE_BLOCK // n of them (at least one), so the block
+    is twice as wide when z is swept. Steps go in rounds of at most _ROUND,
+    never past the block's end or max_iter; after a round, one array
+    operation gives each step's residual, and the first step that meets the
+    stop rule ends the run, the steps after it dropped. Every iterate, the
+    stop step and the residual are those of one step at a time.
+
     With a text file out, the trace goes there as write_trace_csv would
-    write it, in blocks of _TRACE_BLOCK values, the rest written on
-    return or before NotConverged is raised, and the returned or carried
-    trace holds the final state alone. Without out, it holds every state.
+    write it, a block at a time, the rest written on return or before
+    NotConverged is raised, and the returned or carried trace holds the
+    final state alone. Without out, it holds every state.
 
     Each step reads only the nonzeros of the update matrix, one per edge:
-    memory is O(n + edges), plus one block of rows when streaming.
+    memory is O(n + edges), plus one block.
     """
     n, beta = g.n, np.array(g.beta)
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
@@ -148,8 +159,10 @@ def simulate(
     # An agent whose one term is 1.0 times agent j's opinion, with no
     # anchor, copies j's last value: j is its source in the trace writer.
     copy = (np.bincount(rows, minlength=n)[rows] == 1) & (vals == 1.0) & (anchor[rows] == 0.0)
-    source = np.arange(n)
-    source[rows[copy]] = cols[copy]
+    source = None
+    if copy.any():
+        source = np.arange(n)
+        source[rows[copy]] = cols[copy]
     if not plain:
         # One bincount steps u = (x, z): x in bins 0..n-1, each summing the
         # same weights in the same order as a step of x alone, and z in bins
@@ -158,42 +171,42 @@ def simulate(
         vals = np.concatenate((vals, np.abs(vals)))
         anchor = np.concatenate((anchor, np.ones(n)))
     per_block = max(1, _TRACE_BLOCK // n)
-    kept, first, carry = [], 0, None  # blocks kept; the k of block[0]; the row written above it
-    block = np.empty((per_block, n))
-    block[0] = x0
-    u = np.concatenate((x0, np.ones(anchor.size - n)))
-    j, residual, converged = 1, np.inf, False
+    block = np.empty((per_block + 1, anchor.size))
+    block[1, :n], block[1, n:] = x0, 1.0
+    kept, first, carry = [], 0, None  # rows kept; the k of block[1]; the row written above it
+    j, k, residual, converged = 1, 0, np.inf, False  # block[j] holds u at step k
     if out is not None:
         _write_header(out, n)
     # Opinions of opposite sign near the float maximum can overflow a step's
     # difference: the residual is then inf, rightly, as nothing has settled.
     with np.errstate(over="ignore"):
-        for k in range(1, max_iter + 1):
+        while k < max_iter:
             if j == per_block:
                 if out is None:
-                    kept.append(block)
+                    kept.append(block[1:, :n].copy())
                 else:
-                    carry = _write_rows(out, first, block, source, carry)
-                first, block, j = first + per_block, np.empty((per_block, n)), 0
-            u_next = np.bincount(rows, weights=vals * u[cols], minlength=anchor.size) + anchor
-            residual = float(np.abs(u_next[:n] - u[:n]).max())
-            u, z = u_next, u[n:]
-            block[j] = u[:n]
-            j += 1
-            if residual < tol and (
-                plain or residual == 0.0 or residual * _sweep_bound(z, u[n:]) < tol
-            ):
-                converged = True
+                    carry = _write_rows(out, first, block[1:, :n], source, carry)
+                block[0] = block[-1]
+                first, j = first + per_block, 0
+            r = min(_ROUND, per_block - j, max_iter - k)
+            for i in range(j, j + r):
+                np.add(np.bincount(rows, vals * block[i][cols], anchor.size), anchor,
+                       out=block[i + 1])
+            steps = np.abs(block[j + 1:j + r + 1, :n] - block[j:j + r, :n]).max(axis=1).tolist()
+            for t, step in enumerate(steps):
+                if step < tol and (plain or step == 0.0 or step * _sweep_bound(
+                        block[j + t, n:], block[j + t + 1, n:]) < tol):
+                    converged, r = True, t + 1
+                    break
+            j, k, residual = j + r, k + r, steps[r - 1]
+            if converged:
                 break
     if out is None:
-        states = np.concatenate(kept + [block[:j]])
+        states = np.concatenate(kept + [block[1:j + 1, :n]])
     else:
-        _write_rows(out, first, block[:j], source, carry)
-        states = u[None, :n]
-    trace = OpinionTrace(
-        states=states, converged=converged,
-        iterations=k if converged else max_iter, residual=residual,
-    )
+        _write_rows(out, first, block[1:j + 1, :n], source, carry)
+        states = block[j:j + 1, :n].copy()
+    trace = OpinionTrace(states=states, converged=converged, iterations=k, residual=residual)
     if not converged:
         raise NotConverged(trace, f"no convergence after {max_iter} iterations")
     return trace
@@ -524,49 +537,51 @@ def write_trace_csv(trace: OpinionTrace, fh) -> None:
     """
     states = np.asarray(trace.states, dtype=np.float64)
     _write_header(fh, states.shape[1])
-    _write_rows(fh, 0, states, np.arange(states.shape[1]))
+    _write_rows(fh, 0, states)
 
 
 def _write_header(fh, n: int) -> None:
     fh.write("k" + "".join(f",x_{i}" for i in range(1, n + 1)) + "\r\n")
 
 
-def _write_rows(fh, start: int, states: np.ndarray, source: np.ndarray, carry=None):
+def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
     """write_trace_csv's rows for states, the first numbered start; returns
     the carry for the rows after them: the last row's bits and strings.
 
     A value whose bits equal those of its agent's source one row above (the
     row carry holds, above the first) takes that value's string: an agent
     repeats its own value once it has settled, and an agent that only hears
-    source[i] copies its value. Which values repeat is decided by the bits,
-    so 0.0 and -0.0 stay apart and a wrong source costs only time. Each
-    distinct bit pattern among the rest is formatted once, by
-    _shortest_reprs, and each row's strings are the row above's gathered by
-    source, with those written over.
+    source[i] copies its value; source None makes each agent its own.
+    Which values repeat is decided by the bits, so 0.0 and -0.0 stay apart
+    and a wrong source costs only time. Each distinct bit pattern among the
+    rest is formatted once, by _shortest_reprs, and each row's strings are
+    the row above's, gathered by source, with those written over.
     """
-    states = np.ascontiguousarray(states, dtype=np.float64)
-    if not states.size:
+    bits = np.asarray(states, dtype=np.float64).view(np.int64)  # rows may be strided
+    if not bits.size:
         return carry
-    bits = states.view(np.int64)
+    pick = ... if source is None else source  # Ellipsis: each row as it is, no gather
     fresh = np.empty(bits.shape, dtype=bool)
-    fresh[0] = True if carry is None else carry[0][source] != bits[0]
-    fresh[1:] = bits[:-1, source] != bits[1:]
+    fresh[0] = True if carry is None else carry[0][pick] != bits[0]
+    fresh[1:] = bits[:-1, pick] != bits[1:]
+    distinct, inverse = np.unique(bits[fresh], return_inverse=True)
     fresh = np.flatnonzero(fresh)
-    distinct, inverse = np.unique(bits.reshape(-1)[fresh], return_inverse=True)
     text = np.array(_shortest_reprs(distinct.view(np.float64)), dtype=object)[inverse]
     n = bits.shape[1]
     cols, ends = fresh % n, np.searchsorted(fresh, np.arange(n, bits.size + 1, n)).tolist()
     row = np.empty(n, dtype=object) if carry is None else carry[1]
     for k, a, b in zip(range(start, start + bits.shape[0]), [0] + ends, ends):
-        row = row.take(source)
+        row = row[pick]  # under Ellipsis a view: the row above is written over
         row[cols[a:b]] = text[a:b]
         fh.write(f"{k}{''.join(row.tolist())}\r\n")
     return bits[-1].copy(), row
 
 
-# _shortest_reprs works on slices of this many values: on larger ones its
-# temporaries outgrow the cache and malloc's free lists, and each step slows.
-_REPR_SLICE = 4096
+# _shortest_reprs works on slices of this many values. Each slice pays the
+# fixed cost of about a hundred numpy calls, so larger slices cost less per
+# value, while its temporaries, some 30 arrays of the slice's size, cost
+# memory: 2 MB at 2**13, 4 MB at 2**14, which is only a few percent faster.
+_REPR_SLICE = 2**13
 _U32, _LOW32, _LOW63 = np.uint64(32), np.uint64(2**32 - 1), np.uint64(2**63 - 1)
 
 

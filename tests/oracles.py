@@ -18,12 +18,17 @@ from sfj import (
     GraphValidationError,
     LTPCertificate,
     NoStubbornAgents,
+    NotConverged,
+    OpinionTrace,
     SFJError,
     SignedDigraph,
     UnreachableNodes,
     check_reachability,
     normalize,
 )
+from sfj import dynamics
+from sfj.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, _sweep_bound
+from sfj.graph import _normalized, _unreached
 
 
 class SizeLimit(SFJError):
@@ -427,3 +432,76 @@ def neumann_terms_for(g: SignedDigraph, target: float) -> int:
     return k
 
 
+
+
+def stepwise_simulate(
+    g: SignedDigraph,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    out=None,
+) -> OpinionTrace:
+    """dynamics.simulate one step per bincount, each checked as it is taken.
+
+    The reference for simulate's rounds: the same iterates, stop step,
+    residual, final state and trace bytes. Every agent gets a source array,
+    so the writer gathers each row by source even where simulate passes
+    None.
+    """
+    n, beta = g.n, np.array(g.beta)
+    rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
+    # An unreached agent leaves abs(M) a closed class of spectral radius one.
+    plain = bool(_unreached(g, np.flatnonzero(1.0 - beta == 1.0) + 1))
+    x0 = np.array(g.x0)
+    anchor = beta * x0
+    # An agent whose one term is 1.0 times agent j's opinion, with no
+    # anchor, copies j's last value: j is its source in the trace writer.
+    copy = (np.bincount(rows, minlength=n)[rows] == 1) & (vals == 1.0) & (anchor[rows] == 0.0)
+    source = np.arange(n)
+    source[rows[copy]] = cols[copy]
+    if not plain:
+        # One bincount steps u = (x, z): x in bins 0..n-1, each summing the
+        # same weights in the same order as a step of x alone, and z in bins
+        # n..2n-1. The plain rule reads no bound and steps x alone.
+        rows, cols = np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n))
+        vals = np.concatenate((vals, np.abs(vals)))
+        anchor = np.concatenate((anchor, np.ones(n)))
+    per_block = max(1, dynamics._TRACE_BLOCK // n)
+    kept, first, carry = [], 0, None  # blocks kept; the k of block[0]; the row written above it
+    block = np.empty((per_block, n))
+    block[0] = x0
+    u = np.concatenate((x0, np.ones(anchor.size - n)))
+    j, residual, converged = 1, np.inf, False
+    if out is not None:
+        dynamics._write_header(out, n)
+    # Opinions of opposite sign near the float maximum can overflow a step's
+    # difference: the residual is then inf, rightly, as nothing has settled.
+    with np.errstate(over="ignore"):
+        for k in range(1, max_iter + 1):
+            if j == per_block:
+                if out is None:
+                    kept.append(block)
+                else:
+                    carry = dynamics._write_rows(out, first, block, source, carry)
+                first, block, j = first + per_block, np.empty((per_block, n)), 0
+            u_next = np.bincount(rows, weights=vals * u[cols], minlength=anchor.size) + anchor
+            residual = float(np.abs(u_next[:n] - u[:n]).max())
+            u, z = u_next, u[n:]
+            block[j] = u[:n]
+            j += 1
+            if residual < tol and (
+                plain or residual == 0.0 or residual * _sweep_bound(z, u[n:]) < tol
+            ):
+                converged = True
+                break
+    if out is None:
+        states = np.concatenate(kept + [block[:j]])
+    else:
+        dynamics._write_rows(out, first, block[:j], source, carry)
+        states = u[None, :n]
+    trace = OpinionTrace(
+        states=states, converged=converged,
+        iterations=k if converged else max_iter, residual=residual,
+    )
+    if not converged:
+        raise NotConverged(trace, f"no convergence after {max_iter} iterations")
+    return trace

@@ -48,6 +48,7 @@ from oracles import (
     reweighted,
     sfj_step,
     spectral_radius,
+    stepwise_simulate,
     unreached_by_closure,
 )
 
@@ -981,6 +982,102 @@ class TestSourceReuse:
                 pass
         fast, oracle = both_writers(trace.states)
         assert streamed.getvalue() == fast == oracle
+
+
+def run_both(g, **kwargs):
+    """simulate and stepwise_simulate, in memory and streamed, with every
+    warning an error: (raised, iterations, residual bits, final bits, kept
+    states' bits, trace bytes), which must be the same for both."""
+    results = []
+    for run in (simulate, stepwise_simulate):
+        streamed = io.StringIO(newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                trace, raised = run(g, out=streamed, **kwargs), False
+            except NotConverged as exc:
+                trace, raised = exc.trace, True
+            try:
+                kept = run(g, **kwargs)
+            except NotConverged as exc:
+                kept = exc.trace
+        results.append((raised, trace.iterations, np.float64(trace.residual).tobytes(),
+                        trace.final.tobytes(), kept.states.shape, kept.states.tobytes(),
+                        streamed.getvalue()))
+    assert results[0] == results[1]
+    return results[0]
+
+
+class TestRounds:
+    """simulate's rounds against stepwise_simulate, one checked step per
+    bincount: where a round, a block or max_iter ends at the stop step."""
+
+    @pytest.fixture(params=["g2", "generated-60"])
+    def converging(self, request):
+        """A graph and the step at which it stops, with no round or block edge."""
+        g = {"g2": networks.g2,
+             "generated-60": lambda: random_multiconsensus_graph(60, 3, seed=6)}[request.param]()
+        return g, stepwise_simulate(g).iterations
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_stop_on_an_edge_of_a_round(self, monkeypatch, converging, where):
+        g, stop = converging
+        # Rounds of the first block start at steps 1, R + 1, 2 R + 1, ...
+        factor = next(d for d in range(2, stop + 1) if stop % d == 0)
+        monkeypatch.setattr(dynamics, "_ROUND", stop - 1 if where == "first" else stop // factor)
+        raised, iterations, *_ = run_both(g)
+        assert not raised and iterations == stop
+
+    @pytest.mark.parametrize("row", ["last of a block", "first of a block"])
+    def test_stop_at_a_block_boundary(self, monkeypatch, converging, row):
+        g, stop = converging
+        # A block holds steps first .. first + per_block - 1, from first = 0.
+        per_block = stop + 1 if row == "last of a block" else stop
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", per_block * g.n)
+        raised, iterations, *_ = run_both(g)
+        assert not raised and iterations == stop
+
+    @pytest.mark.parametrize("max_iter", ["below a round", "one round", "the stop step"])
+    def test_max_iter_at_the_edges(self, converging, max_iter):
+        g, stop = converging
+        assert stop > dynamics._ROUND
+        limit = {"below a round": dynamics._ROUND - 1, "one round": dynamics._ROUND,
+                 "the stop step": stop}[max_iter]
+        raised, iterations, *_ = run_both(g, max_iter=limit)
+        assert raised == (limit < stop) and iterations == limit
+
+    @pytest.mark.parametrize("plain", [True, False])
+    def test_not_converged_over_several_rounds_and_blocks(self, monkeypatch, plain):
+        g = (SignedDigraph(3, ((2, 3, 1.0), (3, 2, 1.0)), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0))
+             if plain else random_multiconsensus_graph(60, 3, seed=6))
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", 7 * g.n)  # 7 rows a block
+        max_iter = 4 * dynamics._ROUND + 5
+        raised, iterations, *_, trace = run_both(g, max_iter=max_iter)
+        assert raised and iterations == max_iter
+        assert trace.count("\r\n") == max_iter + 2  # the header and x(0)..x(max_iter)
+
+    def test_plain_rule(self):
+        raised, iterations, *_ = run_both(unreached_positive_class(), max_iter=100_000)
+        assert not raised and iterations > dynamics._ROUND
+
+    def test_a_zero_first_step(self):
+        # Every agent stubborn: x(1) = x(0), and the run stops at step 1.
+        g = make(3, [Edge(1, 2, 1.0), Edge(2, 3, -1.0)], beta=[1.0, 1.0, 1.0],
+                 x0=[0.5, -2.0, 3.0])
+        raised, iterations, residual, *_ = run_both(g)
+        assert not raised and iterations == 1 and residual == np.float64(0.0).tobytes()
+
+    def test_opinions_near_the_float_maximum(self):
+        g = make(3, [Edge(1, 2, 1.0), Edge(2, 3, -1.0)], beta=[0.5, 0.0, 0.0],
+                 x0=[1.7e308, -1.7e308, 0.0])
+        raised, *_ = run_both(g)
+        assert not raised
+
+    def test_one_row_a_block(self, monkeypatch, converging):
+        g, stop = converging
+        monkeypatch.setattr(dynamics, "_TRACE_BLOCK", 1)
+        raised, iterations, *_ = run_both(g)
+        assert not raised and iterations == stop
 
 
 def as_floats(words):
