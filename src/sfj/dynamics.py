@@ -133,14 +133,11 @@ def simulate(
     stops. Raises NotConverged (carrying the trace) when max_iter is
     exhausted.
 
-    The iterates u = (x, z), or x alone under the plain rule, go straight
-    into a block of rows: row 0 holds the row above the block, rows 1 on
-    the block's own, _TRACE_BLOCK // n of them (at least one), so the block
-    is twice as wide when z is swept. Steps go in rounds of at most _ROUND,
-    never past the block's end or max_iter; after a round, one array
-    operation gives each step's residual, and the first step that meets the
-    stop rule ends the run, the steps after it dropped. Every iterate, the
-    stop step and the residual are those of one step at a time.
+    Steps go straight into a block of rows, row 0 the row above it, the
+    others _TRACE_BLOCK // n steps (at least one); a row holds u = (x, z)
+    when z is swept, so the block is twice as wide. They go in rounds of
+    at most _ROUND; after each, the first of its steps that meets the stop
+    rule ends the run, as one checked step at a time would.
 
     With a text file out, the trace goes there as write_trace_csv would
     write it, a block at a time, the rest written on return or before
@@ -159,10 +156,8 @@ def simulate(
     # An agent whose one term is 1.0 times agent j's opinion, with no
     # anchor, copies j's last value: j is its source in the trace writer.
     copy = (np.bincount(rows, minlength=n)[rows] == 1) & (vals == 1.0) & (anchor[rows] == 0.0)
-    source = None
-    if copy.any():
-        source = np.arange(n)
-        source[rows[copy]] = cols[copy]
+    source = np.arange(n)
+    source[rows[copy]] = cols[copy]
     if not plain:
         # One bincount steps u = (x, z): x in bins 0..n-1, each summing the
         # same weights in the same order as a step of x alone, and z in bins
@@ -551,11 +546,11 @@ def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
     A value whose bits equal those of its agent's source one row above (the
     row carry holds, above the first) takes that value's string: an agent
     repeats its own value once it has settled, and an agent that only hears
-    source[i] copies its value; source None makes each agent its own.
-    Which values repeat is decided by the bits, so 0.0 and -0.0 stay apart
-    and a wrong source costs only time. Each distinct bit pattern among the
-    rest is formatted once, by _shortest_reprs, and each row's strings are
-    the row above's, gathered by source, with those written over.
+    source[i] copies its value (source None: each agent is its own). Which
+    values repeat is decided by the bits, so 0.0 and -0.0 stay apart and a
+    wrong source costs only time. Each distinct bit pattern among the rest
+    is formatted once, by _shortest_reprs, and each row's strings are the
+    row above's gathered by source, with those written over.
     """
     bits = np.asarray(states, dtype=np.float64).view(np.int64)  # rows may be strided
     if not bits.size:
@@ -577,10 +572,8 @@ def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
     return bits[-1].copy(), row
 
 
-# _shortest_reprs works on slices of this many values. Each slice pays the
-# fixed cost of about a hundred numpy calls, so larger slices cost less per
-# value, while its temporaries, some 30 arrays of the slice's size, cost
-# memory: 2 MB at 2**13, 4 MB at 2**14, which is only a few percent faster.
+# _shortest_reprs works on slices of this many values. Each slice pays a
+# fixed cost of about a hundred numpy calls, and its temporaries take 2 MB.
 _REPR_SLICE = 2**13
 _U32, _LOW32, _LOW63 = np.uint64(32), np.uint64(2**32 - 1), np.uint64(2**63 - 1)
 

@@ -1014,17 +1014,18 @@ class TestRounds:
 
     @pytest.fixture(params=["g2", "generated-60"])
     def converging(self, request):
-        """A graph and the step at which it stops, with no round or block edge."""
+        """A graph and the step at which it stops, inside the first block."""
         g = {"g2": networks.g2,
              "generated-60": lambda: random_multiconsensus_graph(60, 3, seed=6)}[request.param]()
-        return g, stepwise_simulate(g).iterations
+        stop = stepwise_simulate(g).iterations
+        assert dynamics._ROUND < stop < dynamics._TRACE_BLOCK // g.n
+        return g, stop
 
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_stop_on_an_edge_of_a_round(self, monkeypatch, converging, where):
         g, stop = converging
         # Rounds of the first block start at steps 1, R + 1, 2 R + 1, ...
-        factor = next(d for d in range(2, stop + 1) if stop % d == 0)
-        monkeypatch.setattr(dynamics, "_ROUND", stop - 1 if where == "first" else stop // factor)
+        monkeypatch.setattr(dynamics, "_ROUND", stop - 1 if where == "first" else stop)
         raised, iterations, *_ = run_both(g)
         assert not raised and iterations == stop
 
@@ -1040,7 +1041,6 @@ class TestRounds:
     @pytest.mark.parametrize("max_iter", ["below a round", "one round", "the stop step"])
     def test_max_iter_at_the_edges(self, converging, max_iter):
         g, stop = converging
-        assert stop > dynamics._ROUND
         limit = {"below a round": dynamics._ROUND - 1, "one round": dynamics._ROUND,
                  "the stop step": stop}[max_iter]
         raised, iterations, *_ = run_both(g, max_iter=limit)
