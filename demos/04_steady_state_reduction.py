@@ -3,8 +3,10 @@
 The converged opinions satisfy a homogeneous linear system R y = 0. Schur
 elimination of all persuaded agents except one (q) collapses q's balance row
 to exactly two entries, at q itself and at its persuader p, and they cancel,
-so x*_q = x*_p whatever the weights are. This demo shows the algebra on the
-bundled 12-agent network. Run as: python demos/04_steady_state_reduction.py
+so x*_q = x*_p whatever the weights are. The elimination reads only R's rows
+of q and of the eliminated agents, so each reduced row comes back as its
+columns and values. This demo shows the algebra on the bundled 12-agent
+network. Run as: python demos/04_steady_state_reduction.py
 """
 
 import numpy as np
@@ -25,14 +27,21 @@ print("||R y|| at the solved steady state:", np.max(np.abs(sysm.R @ sysm.y)))
 print("\nrow sums of the agent block:")
 print(sysm.R[: g.n].sum(axis=1))
 
+
+def column(c):
+    """R's column c: agent c + 1, or the anchor of a stubborn agent."""
+    return f"agent {c + 1}" if c < g.n else f"the anchor of {sysm.stubborn_index[c - g.n]}"
+
+
 for p in cert.ltp_agents:
     members = cert.persuaded[p]
     for q in sorted(members):
-        reduced, relation = reduce_steady_state(sysm, p, q, members)
+        relation = reduce_steady_state(sysm, p, q, members)
+        entries = ", ".join(
+            f"{v:+.4f} at {column(c)}" for c, v in zip(relation.columns, relation.values)
+        )
         print(
-            f"\neliminate {sorted(members - {q})}: row of agent {q} keeps "
-            f"entries ({relation.persuaded_entry:+.4f} at {q}, "
-            f"{relation.persuader_entry:+.4f} at {p}), "
+            f"\neliminate {sorted(members - {q})}: row of agent {q} is ({entries}), "
             f"largest stray entry {relation.max_off_support:.1e}"
         )
         assert relation.holds(tol=1e-10)

@@ -50,7 +50,6 @@ from .dynamics import (
     build_steady_state,
     influence_matrix,
     reduce_steady_state,
-    schur_complement,
     simulate,
     write_trace_csv,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "refines",
     "robustness_harness",
     "save_graph",
-    "schur_complement",
     "simulate",
     "write_trace_csv",
 ]

@@ -24,6 +24,7 @@ from .errors import (
 from .graph import (
     NormalizedSystem,
     SignedDigraph,
+    _agent,
     _csr,
     _normalized,
     _postorder,
@@ -59,12 +60,13 @@ class SteadyStateSystem:
     """Homogeneous steady-state form R y = 0 of the converged dynamics.
 
     R stacks [I - (I-B)W | -B_s] over m zero rows, where B_s holds the
-    stubborn columns of B; y stacks the final opinions over the stubborn
-    agents' initial opinions. Rows of agents whose in-edges are all positive
-    sum to zero; a negative in-edge makes the row sum strictly positive.
+    stubborn columns of B (column n + j anchors agent stubborn_index[j]); y
+    stacks the final opinions over the stubborn agents' initial opinions.
+    Rows of agents whose in-edges are all positive sum to zero; a negative
+    in-edge makes the row sum strictly positive. R is built on first read.
     """
 
-    R: np.ndarray
+    system: NormalizedSystem
     y: np.ndarray
     stubborn_index: tuple[int, ...]
     graph: SignedDigraph
@@ -72,6 +74,23 @@ class SteadyStateSystem:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @functools.cached_property
+    def R(self) -> np.ndarray:
+        n, rows = self.n, self._index[2]
+        R = np.zeros((n + rows.size,) * 2)
+        R[:n, :n] = self.system.system_matrix()
+        R[rows, n + np.arange(rows.size)] = -self.system.beta[rows]
+        R.setflags(write=False)
+        return R
+
+    @functools.cached_property
+    def _index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """(bounds, order, stubborn): W's entries in row i, in edge order, are
+        order[bounds[i]:bounds[i + 1]]; stubborn lists the anchored rows."""
+        rows = self.system.rows
+        return ([0] + np.cumsum(np.bincount(rows, minlength=self.n)).tolist(),
+                np.argsort(rows, kind="stable"), np.array(self.stubborn_index) - 1)
 
 
 @dataclass(frozen=True)
@@ -81,7 +100,8 @@ class ReducedRowRelation:
     When every in-edge of the persuaded set is positive, the row keeps
     exactly two nonzero entries, at the persuader's and the persuaded
     agent's columns, and they cancel, which pins the two final opinions
-    together.
+    together. The row is exactly zero off columns (R's 0-based column ids,
+    ascending), where it holds values.
     """
 
     persuader: int
@@ -90,6 +110,8 @@ class ReducedRowRelation:
     persuaded_entry: float
     max_off_support: float
     solve_mismatch: float
+    columns: tuple[int, ...]
+    values: tuple[float, ...]
 
     def holds(self, tol: float = 1e-10) -> bool:
         return (
@@ -150,7 +172,7 @@ def simulate(
     n, beta = g.n, np.array(g.beta)
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
     # An unreached agent leaves abs(M) a closed class of spectral radius one.
-    plain = bool(_unreached(g, np.flatnonzero(1.0 - beta == 1.0) + 1))
+    plain = bool(_unreached(n, g.src, g.dst, np.flatnonzero(1.0 - beta == 1.0) + 1))
     x0 = np.array(g.x0)
     anchor = beta * x0
     # An agent whose one term is 1.0 times agent j's opinion, with no
@@ -414,110 +436,86 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     well defined in the first place. y comes from V's stubborn block.
     """
     sysm, block = _influence(g)
-    rows = np.array(g.stubborn) - 1
-    x0_stubborn = np.array(g.x0)[rows]
-    y = np.concatenate([block @ x0_stubborn, x0_stubborn])
-    n, m = g.n, rows.size
-    R = np.zeros((n + m, n + m))
-    R[:n, :n] = sysm.system_matrix()
-    R[rows, n + np.arange(m)] = -sysm.beta[rows]
-    return SteadyStateSystem(R=R, y=y, stubborn_index=g.stubborn, graph=g)
-
-
-def schur_complement(M, keep) -> np.ndarray:
-    """Eliminate the complement of `keep` from M: M[k] - M[k,e] M[e]^{-1} M[e,k].
-
-    keep holds the 0-based indices to retain. Raises SingularBlock when the
-    eliminated block is not invertible.
-    """
-    M = np.asarray(M, dtype=float)
-    size = M.shape[0]
-    keep = np.asarray(sorted(keep), dtype=int)
-    elim = np.setdiff1d(np.arange(size), keep)
-    if elim.size == 0:
-        return M[np.ix_(keep, keep)].copy()
-    A = M[np.ix_(keep, keep)]
-    B = M[np.ix_(keep, elim)]
-    C = M[np.ix_(elim, keep)]
-    D = M[np.ix_(elim, elim)]
-    try:
-        return A - B @ np.linalg.solve(D, C)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlock(f"eliminated block is singular: {exc}") from exc
+    x0_stubborn = np.array(g.x0)[np.array(g.stubborn) - 1]
+    return SteadyStateSystem(sysm, np.concatenate([block @ x0_stubborn, x0_stubborn]),
+                             g.stubborn, g)
 
 
 def reduce_steady_state(
     sysm: SteadyStateSystem, p: int, q: int, persuaded: Iterable[int]
-):
+) -> ReducedRowRelation:
     """Eliminate the rest of p's persuaded set and inspect q's remaining row.
 
-    With alpha-complement = persuaded \\ {q}, the eliminated block is
+    With rest = persuaded \\ {q}, the eliminated block D = R[rest, rest] is
     I - (I-B)W restricted to those agents. Once every in-edge of the
     persuaded set is positive, W restricted to the block is nonnegative with
     rows summing to at most one, and its spectral radius is below one
     exactly when every eliminated agent is reached from outside the block
-    along edges inside it (graph._unreached); then the block is invertible.
+    along edges inside it (graph._unreached); then D is invertible.
     p dominates its persuaded set, so for a detected set this always holds.
-    Returns (reduced matrix, ReducedRowRelation). The relation also records
-    how far the eliminated coordinates, reconstructed from the kept ones,
-    drift from the full solution.
+    q's reduced row R[q, keep] - R[q, rest] D^{-1} R[rest, keep] is zero off
+    the columns that R's rows of q and rest touch, so only those rows'
+    nonzeros are read: one |rest|^2 solve per pair, never the (n + m)^2 R.
+    The relation also records how far the eliminated coordinates, rebuilt
+    from the kept ones, drift from y.
 
-    Raises ValueError if p or a persuaded agent lies outside 1..n, q is not
-    persuaded or p is, HypothesisViolated if any persuaded agent has a
-    negative in-edge and SingularBlock if some eliminated agent is
-    unreached, i.e. the restricted weights have spectral radius one.
+    Raises ValueError if p, q or a persuaded agent is not an agent id of
+    1..n (2.0 counts, a bool does not), q is not persuaded or p is,
+    HypothesisViolated if any persuaded agent has a negative in-edge and
+    SingularBlock if some eliminated agent is unreached.
     """
-    members = frozenset(persuaded)
-    outside = sorted(v for v in members | {p} if not 1 <= v <= sysm.n)
-    if outside:
-        raise ValueError(f"agent {outside[0]} outside 1..{sysm.n}")
+    n, norm, g = sysm.n, sysm.system, sysm.graph
+    p, q = _agent(p, n), _agent(q, n)
+    members = frozenset(_agent(v, n) for v in sorted(persuaded))
     if q not in members:
         raise ValueError(f"agent {q} is not in the persuaded set {sorted(members)}")
     if p in members:
         raise ValueError(f"persuader {p} cannot be in its own persuaded set")
-    g = sysm.graph
-    negative = np.isin(g.dst, list(members)) & (g.w < 0)
-    bad = list(zip(g.src[negative].tolist(), g.dst[negative].tolist()))
-    if bad:
-        raise HypothesisViolated(bad)
+    bounds, order, stubborn = sysm._index
+    rest = np.array(sorted(v - 1 for v in members - {q}), dtype=np.int64)
+    agents = np.concatenate(([q - 1], rest))
+    runs = [order[bounds[a]:bounds[a + 1]] for a in agents.tolist()]
+    entries = np.concatenate(runs)
+    bad = np.sort(entries[entries < g.w.size])  # entries of edges, in edge order
+    bad = bad[g.w[bad] < 0]
+    if bad.size:
+        raise HypothesisViolated(list(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
 
-    rest = members - {q}
-    closed = _unreached(g, rest)
+    # The search runs on rest's agents as 1..k and on every other agent as 0.
+    rows, cols = norm.rows[entries], norm.cols[entries]
+    mine, k = slice(runs[0].size, None), rest.size  # rest's entries follow q's
+    at = np.searchsorted(rest, cols[mine]).clip(max=k - 1)
+    src = np.where(rest[at] == cols[mine], at + 1, 0)
+    local = _unreached(k, src, np.searchsorted(rest, rows[mine]) + 1, range(1, k + 1))
+    closed = sorted(int(rest[i - 1]) + 1 for i in local)
     if closed:
-        raise SingularBlock(
-            f"agents {sorted(closed)} have no path from outside the eliminated "
-            "block, so its restricted weights have spectral radius 1"
-        )
-    elim = sorted(v - 1 for v in rest)
-    elim_set = set(elim)
-    keep = [i for i in range(sysm.R.shape[0]) if i not in elim_set]
-    reduced = schur_complement(sysm.R, keep)
+        raise SingularBlock(f"agents {closed} have no path from outside the eliminated "
+                            "block, so its restricted weights have spectral radius 1")
 
-    pos = {orig: new for new, orig in enumerate(keep)}
-    row = reduced[pos[q - 1]]
-    off = np.delete(row, [pos[p - 1], pos[q - 1]])
-    max_off = float(np.max(np.abs(off))) if off.size else 0.0
+    # R's rows of q and rest on the columns they touch, built as .R builds them.
+    anchored = np.flatnonzero(norm.beta[agents] > 0.0)
+    anchors = n + np.searchsorted(stubborn, agents[anchored])
+    columns = np.unique(np.concatenate((agents, cols, anchors, [p - 1])))
+    block = np.zeros((agents.size, columns.size))
+    block[np.arange(agents.size), np.searchsorted(columns, agents)] = 1.0
+    owner = np.repeat(np.arange(agents.size), [run.size for run in runs])
+    block[owner, np.searchsorted(columns, cols)] -= (1.0 - norm.beta[rows]) * norm.vals[entries]
+    block[anchored, np.searchsorted(columns, anchors)] = -norm.beta[agents[anchored]]
 
-    # Reconstruct the eliminated coordinates from the kept ones and compare
-    # against the direct steady state.
-    if elim:
-        y_keep = sysm.y[keep]
-        D = sysm.R[np.ix_(elim, elim)]
-        C = sysm.R[np.ix_(elim, keep)]
-        y_elim = -np.linalg.solve(D, C @ y_keep)
-        solve_mismatch = float(np.max(np.abs(y_elim - sysm.y[elim])))
-    else:
-        solve_mismatch = 0.0
-
-    relation = ReducedRowRelation(
-        persuader=p,
-        persuaded=q,
-        persuader_entry=float(row[pos[p - 1]]),
-        persuaded_entry=float(row[pos[q - 1]]),
-        max_off_support=max_off,
-        solve_mismatch=solve_mismatch,
-    )
-    return reduced, relation
+    elim = np.searchsorted(columns, rest)
+    keep = np.delete(np.arange(columns.size), elim)
+    kept, D, C = columns[keep], block[1:, elim], block[1:][:, keep]
+    try:
+        row = block[0, keep] - block[0, elim] @ np.linalg.solve(D, C)
+        y_elim = -np.linalg.solve(D, C @ sysm.y[kept])
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlock(f"eliminated block is singular: {exc}") from exc
+    at_p, at_q = np.searchsorted(kept, [p - 1, q - 1]).tolist()
+    return ReducedRowRelation(
+        p, q, float(row[at_p]), float(row[at_q]),
+        float(np.abs(np.delete(row, [at_p, at_q])).max(initial=0.0)),
+        float(np.abs(y_elim - sysm.y[rest]).max(initial=0.0)),
+        tuple(kept.tolist()), tuple(row.tolist()))
 
 
 def write_trace_csv(trace: OpinionTrace, fh) -> None:

@@ -186,13 +186,9 @@ class NormalizedSystem:
         W.setflags(write=False)
         return W
 
-    def update_matrix(self) -> np.ndarray:
-        """The opinion-update matrix M = (I - diag(beta)) W, dense."""
-        return (1.0 - self.beta)[..., None] * self.W
-
     def update_entries(self):
-        """M's nonzeros (rows, cols, vals), sorted by row and then column as
-        np.nonzero lists them, bit for bit update_matrix()'s. The order is
+        """M's nonzeros (rows, cols, vals), M = (I - diag(beta)) W, sorted by
+        row and then column as np.nonzero lists them. The order is
         the order in which simulate's bincount sums each agent's terms, so it
         fixes the last bits of every iterate. O(n + edges)."""
         vals = (1.0 - self.beta[self.rows]) * self.vals
@@ -202,7 +198,7 @@ class NormalizedSystem:
 
     def system_matrix(self) -> np.ndarray:
         """I - M, the package's one dense n x n build of it, per trial: bit
-        for bit np.eye(n) - update_matrix(), as no (row, col) pair repeats."""
+        for bit np.eye(n) - (1 - beta) W, as no (row, col) pair repeats."""
         A = np.zeros(self.beta.shape[:-1] + (self.n, self.n))
         diagonal = np.arange(self.n)
         A[..., diagonal, diagonal] = 1.0
@@ -253,13 +249,14 @@ def check_reachability(g: SignedDigraph) -> ReachabilityReport:
         raise NoStubbornAgents("network has no stubborn agent")
     # A path from a stubborn agent runs among non-stubborn agents after the
     # last stubborn one on it, so this is the restricted search on that block.
-    unreachable = _unreached(g, np.flatnonzero(np.array(g.beta) == 0.0) + 1)
+    unreachable = _unreached(g.n, g.src, g.dst, np.flatnonzero(np.array(g.beta) == 0.0) + 1)
     return ReachabilityReport(ok=not unreachable, unreachable=unreachable)
 
 
-def _unreached(g: SignedDigraph, block) -> frozenset[int]:
+def _unreached(n: int, src: np.ndarray, dst: np.ndarray, block) -> frozenset[int]:
     """Agents of block that no path from outside block, running inside it, reaches.
 
+    Agents are 1..n and edges run src -> dst; only edges into block count.
     This is the package's one contraction argument. Let A be abs(W)
     restricted to block; W's rows are normalized over all in-edges, so A's
     rows sum to at most one, and a row falls short exactly when its agent has
@@ -268,12 +265,12 @@ def _unreached(g: SignedDigraph, block) -> frozenset[int]:
     block: an unreached set is a closed class whose rows sum to one, so then
     rho(A) = 1. O(n + edges).
     """
-    inside = np.zeros(g.n + 1, dtype=bool)
+    inside = np.zeros(n + 1, dtype=bool)
     inside[np.fromiter(block, dtype=np.int64)] = True
-    src_in, dst_in = inside[g.src], inside[g.dst]
-    seen = [False] * (g.n + 1)
-    _postorder(*_csr(g.src[src_in & dst_in], g.dst[src_in & dst_in], g.n),
-               g.dst[dst_in & ~src_in].tolist(), seen)
+    src_in, dst_in = inside[src], inside[dst]
+    seen = [False] * (n + 1)
+    _postorder(*_csr(src[src_in & dst_in], dst[src_in & dst_in], n),
+               dst[dst_in & ~src_in].tolist(), seen)
     return frozenset(np.flatnonzero(inside & ~np.array(seen)).tolist())
 
 
@@ -358,6 +355,15 @@ def _raise_format_error(n: int, agents: list, raw_edges: list):
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"bad edge entry {entry!r}: {exc}") from exc
     raise AssertionError("graph_from_dict rejected a file with no malformed entry")
+
+
+def _agent(v, n: int) -> int:
+    """v as an agent id of 1..n, else ValueError; 2.0 counts, a bool does not."""
+    if not 1 <= v <= n:
+        raise ValueError(f"agent {v} outside 1..{n}")
+    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+        raise ValueError(f"agent {v!r} is not an integer")
+    return int(v)
 
 
 def _number(v, integral: bool = False):

@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import OpinionTrace, _level_plan, _level_solve
 from .errors import NotConverged
-from .graph import SignedDigraph, _normalized
+from .graph import SignedDigraph, _agent, _normalized
 from .ltp import analyze, predict_clusters
 
 DEFAULT_TAU = 1e-8
@@ -201,10 +201,7 @@ def cluster_spread(V, clusters) -> float:
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
     for v in (v for c in clusters for v in c):
-        if not 1 <= v <= n:
-            raise ValueError(f"agent {v} outside 1..{n}")
-        if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
-            raise ValueError(f"agent {v!r} is not an integer")
+        _agent(v, n)
     lo, hi = _cluster_boxes(V, *_cluster_layout(clusters))
     return float((hi - lo).max(initial=0.0))
 

@@ -20,8 +20,11 @@ from sfj import (
     NoStubbornAgents,
     NotConverged,
     OpinionTrace,
+    ReducedRowRelation,
     SFJError,
     SignedDigraph,
+    SingularBlock,
+    SteadyStateSystem,
     UnreachableNodes,
     check_reachability,
     normalize,
@@ -300,6 +303,64 @@ def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
     )
 
 
+def schur_complement(M, keep) -> np.ndarray:
+    """Eliminate the complement of `keep` from M: M[k] - M[k,e] M[e]^{-1} M[e,k].
+
+    keep holds the 0-based indices to retain. Raises SingularBlock when the
+    eliminated block is not invertible.
+    """
+    M = np.asarray(M, dtype=float)
+    size = M.shape[0]
+    keep = np.asarray(sorted(keep), dtype=int)
+    elim = np.setdiff1d(np.arange(size), keep)
+    if elim.size == 0:
+        return M[np.ix_(keep, keep)].copy()
+    A = M[np.ix_(keep, keep)]
+    B = M[np.ix_(keep, elim)]
+    C = M[np.ix_(elim, keep)]
+    D = M[np.ix_(elim, elim)]
+    try:
+        return A - B @ np.linalg.solve(D, C)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlock(f"eliminated block is singular: {exc}") from exc
+
+
+def dense_reduction(steady: SteadyStateSystem, p: int, q: int, persuaded):
+    """reduce_steady_state on the dense R: the Schur complement of all of R
+    onto every column but rest = persuaded - {q}, q's row of it read in full,
+    and the eliminated opinions rebuilt from the kept ones and compared with
+    y. Returns (reduced matrix, kept columns, relation); the relation's
+    columns are every kept column. Checks no input."""
+    R = steady.R
+    elim = sorted(v - 1 for v in set(persuaded) - {q})
+    keep = np.setdiff1d(np.arange(R.shape[0]), elim).tolist()
+    reduced = schur_complement(R, keep)
+    pos = {orig: new for new, orig in enumerate(keep)}
+    row = reduced[pos[q - 1]]
+    off = np.delete(row, [pos[p - 1], pos[q - 1]])
+    mismatch = 0.0
+    if elim:
+        y_elim = -np.linalg.solve(R[np.ix_(elim, elim)], R[np.ix_(elim, keep)] @ steady.y[keep])
+        mismatch = float(np.max(np.abs(y_elim - steady.y[elim])))
+    relation = ReducedRowRelation(
+        persuader=p,
+        persuaded=q,
+        persuader_entry=float(row[pos[p - 1]]),
+        persuaded_entry=float(row[pos[q - 1]]),
+        max_off_support=float(np.max(np.abs(off))) if off.size else 0.0,
+        solve_mismatch=mismatch,
+        columns=tuple(keep),
+        values=tuple(row.tolist()),
+    )
+    return reduced, keep, relation
+
+
+def update_matrix(sysm) -> np.ndarray:
+    """A NormalizedSystem's opinion-update matrix M = (I - diag(beta)) W, dense,
+    per trial."""
+    return (1.0 - sysm.beta)[..., None] * sysm.W
+
+
 def sfj_step(W, beta, x, x0) -> np.ndarray:
     """One opinion update: (I - diag(beta)) W x + diag(beta) x0."""
     W = np.asarray(W, dtype=float)
@@ -337,7 +398,7 @@ def dense_contraction_certificate(g: SignedDigraph) -> Optional[float]:
     sweep z <- 1 + abs(M) z (dynamics._sweep_bound), with no solve. None
     where the solve fails or gives a non-finite or negative entry.
     """
-    update_abs = np.abs(normalize(g).update_matrix())
+    update_abs = np.abs(update_matrix(normalize(g)))
     try:
         z = np.linalg.solve(np.eye(g.n) - update_abs, np.ones(g.n))
     except np.linalg.LinAlgError:
@@ -374,7 +435,7 @@ def neumann_influence(g: SignedDigraph, terms: int) -> np.ndarray:
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     sysm = normalize(g)
-    update = sysm.update_matrix()
+    update = update_matrix(sysm)
     acc = np.diag(sysm.beta)
     term = acc.copy()
     for _ in range(terms):
@@ -391,7 +452,7 @@ def neumann_tail_bound(g: SignedDigraph, terms: int) -> np.ndarray:
     abs(M)^{terms+1} (I - abs(M))^{-1} B entry by entry.
     """
     sysm = normalize(g)
-    update_abs = np.abs(sysm.update_matrix())
+    update_abs = np.abs(update_matrix(sysm))
     n = g.n
     try:
         tail_gain = np.linalg.solve(np.eye(n) - update_abs, np.diag(sysm.beta))
@@ -411,7 +472,7 @@ def neumann_terms_for(g: SignedDigraph, target: float) -> int:
     a non-normal transient.
     """
     sysm = normalize(g)
-    update_abs = np.abs(sysm.update_matrix())
+    update_abs = np.abs(update_matrix(sysm))
     rho_abs = spectral_radius(update_abs)
     if rho_abs >= 1.0:
         raise ValueError(
@@ -450,7 +511,7 @@ def stepwise_simulate(
     n, beta = g.n, np.array(g.beta)
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
     # An unreached agent leaves abs(M) a closed class of spectral radius one.
-    plain = bool(_unreached(g, np.flatnonzero(1.0 - beta == 1.0) + 1))
+    plain = bool(_unreached(n, g.src, g.dst, np.flatnonzero(1.0 - beta == 1.0) + 1))
     x0 = np.array(g.x0)
     anchor = beta * x0
     # An agent whose one term is 1.0 times agent j's opinion, with no

@@ -35,9 +35,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "networks"
 from conftest import random_reachable_graph
 from oracles import (
     brute_force_ltp_oracle,
+    dense_reduction,
     neumann_influence,
     neumann_terms_for,
     spectral_radius,
+    update_matrix,
 )
 
 
@@ -143,7 +145,7 @@ def test_criterion_5_contraction_and_absolute_dominance():
     worst_rho = 0.0
     for _ in range(500):
         g = random_reachable_graph(rng, n_max=50)
-        update = normalize(g).update_matrix()
+        update = update_matrix(normalize(g))
         rho = spectral_radius(update)
         worst_rho = max(worst_rho, rho)
         assert rho < 1.0
@@ -169,12 +171,14 @@ def test_criterion_6_reduced_row_algebra():
         for p in cert.ltp_agents:
             members = cert.persuaded[p]
             for q in sorted(members):
-                reduced, relation = reduce_steady_state(sysm, p, q, members)
+                relation = reduce_steady_state(sysm, p, q, members)
                 assert relation.max_off_support <= 1e-10
                 assert abs(relation.persuader_entry + relation.persuaded_entry) <= 1e-10
                 assert relation.solve_mismatch <= 1e-9
-                elim = {v - 1 for v in members - {q}}
-                keep = [i for i in range(sysm.R.shape[0]) if i not in elim]
+                # The local row annihilates y, as the dense reduced system does.
+                row = np.array(relation.values) @ sysm.y[list(relation.columns)]
+                assert abs(row) <= 1e-9
+                reduced, keep, _ = dense_reduction(sysm, p, q, members)
                 assert np.max(np.abs(reduced @ sysm.y[keep])) <= 1e-9
                 pairs += 1
     assert pairs >= 200

@@ -11,9 +11,11 @@ NOT_EXPORTED = (
     "abs_matrix",
     "brute_force_ltp_oracle",
     "cluster_report",
+    "dense_reduction",
     "neumann_influence",
     "neumann_tail_bound",
     "neumann_terms_for",
+    "schur_complement",
     "sfj_step",
     "spectral_radius",
 )

@@ -15,6 +15,7 @@ from sfj import (
     NotConverged,
     SingularBlock,
     UnreachableNodes,
+    analyze,
     build_steady_state,
     check_reachability,
     influence_matrix,
@@ -22,7 +23,6 @@ from sfj import (
     random_multiconsensus_graph,
     reduce_steady_state,
     robustness_harness,
-    schur_complement,
     simulate,
     write_trace_csv,
 )
@@ -40,16 +40,19 @@ from sfj.graph import Edge, SignedDigraph, _normalized
 from conftest import random_reachable_graph, unreached_positive_class
 from oracles import (
     dense_contraction_certificate,
+    dense_reduction,
     dense_influence,
     dense_influence_solve,
     neumann_influence,
     neumann_tail_bound,
     neumann_terms_for,
     reweighted,
+    schur_complement,
     sfj_step,
     spectral_radius,
     stepwise_simulate,
     unreached_by_closure,
+    update_matrix,
 )
 
 
@@ -203,7 +206,7 @@ def small_graphs(draw):
 
 
 def dense_entries(g):
-    update = normalize(g).update_matrix()
+    update = update_matrix(normalize(g))
     rows, cols = np.nonzero(update)
     return rows, cols, update[rows, cols]
 
@@ -234,7 +237,7 @@ class TestEdgeArrayUpdate:
         1e-12 of it."""
         assert check_reachability(g).ok
         dense = dense_contraction_certificate(g)
-        update_abs = np.abs(normalize(g).update_matrix())
+        update_abs = np.abs(update_matrix(normalize(g)))
         z = np.ones(g.n)
         for _ in range(max_sweeps):
             z_next = 1.0 + update_abs @ z
@@ -258,7 +261,7 @@ class TestEdgeArrayUpdate:
     @staticmethod
     def assert_system_matrix_matches(g):
         sysm = normalize(g)
-        dense = np.eye(g.n) - sysm.update_matrix()
+        dense = np.eye(g.n) - update_matrix(sysm)
         assert sysm.system_matrix().tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
@@ -376,6 +379,28 @@ class TestDenseAllocations:
         g.edge_index
         assert self.peak_bytes(lambda: normalize(g)) < 8 * g.n**2 / 4
 
+    def test_steady_state_builds_no_dense_r(self):
+        # At n = 4000 (m = 189) one (n + m)**2 R is 134 MB; V's n x m block
+        # and y peak at 12 MB.
+        g = random_multiconsensus_graph(4000, 500, seed=1)
+        g.edge_index
+        assert self.peak_bytes(lambda: build_steady_state(g)) < 32 * 2**20
+
+    def test_reducing_every_pair_builds_no_dense_r(self):
+        # Each pair reads only its own rows of R: all 3500 pairs at n = 4000
+        # stay far below one dense reduction (401 MB) and never build R.
+        g = random_multiconsensus_graph(4000, 500, seed=1)
+        pairs = persuaded_pairs(g)
+        sysm = build_steady_state(g)
+
+        def reduce_all():
+            for p, q, members in pairs:
+                assert reduce_steady_state(sysm, p, q, members).holds()
+
+        assert len(pairs) == 3500
+        assert self.peak_bytes(reduce_all) < 8 * 2**20
+        assert "R" not in vars(sysm)
+
 
 class TestSpectralRadius:
     def test_identity(self):
@@ -386,7 +411,7 @@ class TestSpectralRadius:
         for _ in range(100):
             g = random_reachable_graph(rng, n_max=30)
             sysm = normalize(g)
-            assert spectral_radius(sysm.update_matrix()) < 1.0
+            assert spectral_radius(update_matrix(sysm)) < 1.0
 
     def test_never_exceeds_absolute_value_radius(self):
         rng = np.random.default_rng(37)
@@ -435,7 +460,7 @@ class TestInfluenceMatrix:
         g = random_multiconsensus_graph(n, n // 20, seed=n)
         sysm = normalize(g)
         v = influence_matrix(g)
-        residual = (np.eye(n) - sysm.update_matrix()) @ v - np.diag(sysm.beta)
+        residual = (np.eye(n) - update_matrix(sysm)) @ v - np.diag(sysm.beta)
         assert np.max(np.abs(residual)) <= 1e-10
         open_minded = [i for i in range(n) if g.beta[i] == 0.0]
         assert not v[:, open_minded].any()
@@ -584,7 +609,7 @@ class TestNeumannSeries:
         # |M^k B| <= abs(M)^k B entrywise, so each added term is controlled
         # and the increments die out geometrically once past any transient.
         sysm = normalize(g2)
-        update = sysm.update_matrix()
+        update = update_matrix(sysm)
         update_abs = np.abs(update)
         beta_diag = np.diag(sysm.beta)
         for k in range(1, 25):
@@ -661,8 +686,9 @@ class TestSteadyStateSystem:
 
     @pytest.mark.parametrize("n", [None, 200])
     def test_solves_on_r_with_one_build_of_i_minus_m(self, g2, n, monkeypatch):
-        # R is the one dense build of I - M; y is influence_matrix's limit
-        # bit for bit, and the dense LU's within rounding.
+        # R is built from one dense build of I - M when first read, never
+        # before, and then kept; y is influence_matrix's limit bit for bit,
+        # and the dense LU's within rounding.
         g = g2 if n is None else random_multiconsensus_graph(n, n // 8, seed=1)
         sysm = normalize(g)
         rows, m = np.array(g.stubborn) - 1, g.m
@@ -679,8 +705,10 @@ class TestSteadyStateSystem:
         monkeypatch.setattr(graph.NormalizedSystem, "system_matrix",
                             lambda self: builds.append(1) or real(self))
         steady = build_steady_state(g)
-        assert len(builds) == 1
+        assert builds == []
         assert steady.R.tobytes() == R.tobytes()
+        assert steady.R is steady.R and len(builds) == 1
+        assert not steady.R.flags.writeable
         assert steady.y.tobytes() == y.tobytes()
         assert np.abs(steady.y[:g.n] - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -725,7 +753,7 @@ class TestSchurComplement:
 class TestReduction:
     def test_g1_reduced_row_ties_opinions(self, g1):
         sysm = build_steady_state(g1)
-        _, relation = reduce_steady_state(sysm, 2, 3, {3, 4})
+        relation = reduce_steady_state(sysm, 2, 3, {3, 4})
         assert relation.holds(tol=1e-10)
         assert relation.persuader_entry + relation.persuaded_entry == pytest.approx(
             0.0, abs=1e-10
@@ -733,9 +761,11 @@ class TestReduction:
         assert sysm.y[1] == pytest.approx(sysm.y[2], abs=1e-9)
 
     def test_single_member_set_checks_directly_on_r(self, g1):
+        # Nothing is eliminated, so the row is R's own row of q on its support.
         sysm = build_steady_state(g1)
-        reduced, relation = reduce_steady_state(sysm, 5, 6, {6})
-        assert reduced.shape == sysm.R.shape
+        relation = reduce_steady_state(sysm, 5, 6, {6})
+        assert relation.columns == tuple(np.flatnonzero(sysm.R[5]).tolist())
+        assert list(relation.values) == sysm.R[5, list(relation.columns)].tolist()
         assert relation.holds(tol=1e-10)
         assert sysm.y[4] == pytest.approx(sysm.y[5], abs=1e-9)
 
@@ -743,7 +773,7 @@ class TestReduction:
         sysm = build_steady_state(g2)
         for p, members in {1: {2, 3}, 4: {5, 6}, 7: {8, 9}, 10: {11, 12}}.items():
             for q in members:
-                _, relation = reduce_steady_state(sysm, p, q, members)
+                relation = reduce_steady_state(sysm, p, q, members)
                 assert relation.holds(tol=1e-10)
                 assert relation.solve_mismatch <= 1e-9
 
@@ -754,6 +784,24 @@ class TestReduction:
         sysm = build_steady_state(flipped)
         with pytest.raises(HypothesisViolated):
             reduce_steady_state(sysm, 2, 3, {3, 4})
+
+    def test_negative_in_edges_of_the_set_are_listed_in_edge_order(self):
+        rng = np.random.default_rng(617)
+        for _ in range(200):
+            g = random_reachable_graph(rng)
+            if g.n < 3:
+                continue
+            p, q, *rest = (int(v) for v in rng.permutation(np.arange(1, g.n + 1)))
+            members = {q, *rest[:int(rng.integers(0, len(rest) + 1))]}
+            want = [(s, d) for s, d, w in g.edges if d in members and w < 0]
+            try:
+                reduce_steady_state(build_steady_state(g), p, q, members)
+                got = []
+            except HypothesisViolated as exc:
+                got = list(exc.violations)
+            except SingularBlock:
+                got = []
+            assert got == want
 
     def test_foreign_agent_rejected(self, g1):
         sysm = build_steady_state(g1)
@@ -766,6 +814,22 @@ class TestReduction:
         sysm = build_steady_state(g1)
         with pytest.raises(ValueError, match=rf"^agent {agent} outside 1\.\.{g1.n}$"):
             reduce_steady_state(sysm, p, 3, members)
+
+    @pytest.mark.parametrize("p, q, members, agent", [
+        (True, 3, {3, 4}, "True"), (2, True, {1, 3, 4}, "True"),
+        (2, 3, {3, 4.5}, "4.5"), (2, 3, {True, 3}, "True"), (2.5, 3, {3, 4}, "2.5")],
+        ids=["bool-persuader", "bool-persuaded", "fractional-member", "bool-member",
+             "fractional-persuader"])
+    def test_agent_that_is_not_an_integer_rejected(self, g1, p, q, members, agent):
+        sysm = build_steady_state(g1)
+        with pytest.raises(ValueError, match=rf"^agent {agent} is not an integer$"):
+            reduce_steady_state(sysm, p, q, members)
+
+    def test_integral_float_ids_count(self, g1):
+        sysm = build_steady_state(g1)
+        relation = reduce_steady_state(sysm, 2.0, 3.0, {3, 4.0})
+        assert relation == reduce_steady_state(sysm, 2, 3, {3, 4})
+        assert type(relation.persuader) is int and type(relation.persuaded) is int
 
 
 @st.composite
@@ -827,8 +891,68 @@ class TestReductionGate:
         sysm = build_steady_state(g)
         with pytest.raises(SingularBlock, match=r"\[1, 2\]"):
             reduce_steady_state(sysm, 4, 3, {1, 2, 3})
-        _, relation = reduce_steady_state(sysm, 4, 2, {1, 2, 3})
+        relation = reduce_steady_state(sysm, 4, 2, {1, 2, 3})
         assert relation.solve_mismatch <= 1e-9
+
+
+def persuaded_pairs(g):
+    """Every (p, q, persuaded set of p) that analyze detects, q ascending."""
+    cert = analyze(g)
+    return [(p, q, cert.persuaded[p]) for p in cert.ltp_agents
+            for q in sorted(cert.persuaded[p])]
+
+
+class TestReductionOracle:
+    """The local row against the Schur complement of the whole dense R."""
+
+    @staticmethod
+    def assert_matches(sysm, p, q, members):
+        local = reduce_steady_state(sysm, p, q, members)
+        _, _, dense = dense_reduction(sysm, p, q, members)
+        assert (local.persuader_entry, local.persuaded_entry, local.max_off_support) == (
+            dense.persuader_entry, dense.persuaded_entry, dense.max_off_support)
+        row = dict(zip(dense.columns, dense.values))
+        assert [row.pop(c) for c in local.columns] == list(local.values)
+        assert not any(row.values())  # zero off the local support
+        assert local.solve_mismatch <= 1e-9 and dense.solve_mismatch <= 1e-9
+        return local
+
+    def assert_pairs_match(self, g, pairs):
+        sysm = build_steady_state(g)
+        for pair in pairs:
+            assert self.assert_matches(sysm, *pair).holds(tol=1e-10)
+
+    def test_every_g2_pair(self, g2):
+        pairs = persuaded_pairs(g2)
+        assert len(pairs) == 8
+        self.assert_pairs_match(g2, pairs)
+
+    def test_every_pair_at_n_200(self):
+        g = random_multiconsensus_graph(200, 10, seed=1)
+        self.assert_pairs_match(g, persuaded_pairs(g))
+
+    def test_sixty_pairs_at_n_1000(self):
+        g = random_multiconsensus_graph(1000, 50, seed=1)
+        self.assert_pairs_match(g, persuaded_pairs(g)[:60])
+
+    def test_random_reachable_graphs_with_c2(self):
+        rng = np.random.default_rng(613)
+        pairs = graphs = 0
+        while graphs < 150:
+            g = random_reachable_graph(rng)
+            if analyze(g).cooperative:
+                found = persuaded_pairs(g)
+                self.assert_pairs_match(g, found)
+                pairs, graphs = pairs + len(found), graphs + 1
+        assert pairs >= 50
+
+    @settings(max_examples=400, deadline=None)
+    @given(cooperative_blocks())
+    def test_any_invertible_cooperative_block(self, case):
+        # Drawn blocks hold stubborn agents, and p is often off q's row.
+        g, p, q, members = case
+        if not unreached_by_closure(g, members - {q}):
+            self.assert_matches(build_steady_state(g), p, q, members)
 
 
 class TestCsvExport:

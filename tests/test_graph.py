@@ -20,7 +20,7 @@ from sfj import (
 from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph, _normalized, _postorder, _unreached
 
 from conftest import brute_force_reachable, graph_dicts, random_reachable_graph
-from oracles import loop_graph_from_dict, reweighted
+from oracles import loop_graph_from_dict, reweighted, update_matrix
 
 
 def make(n, edges, stubborn=(1,), x0=None):
@@ -88,7 +88,7 @@ class TestNormalize:
         assert sysm.W.tobytes() == loop_normalized_weights(g).tobytes()
         assert sysm.beta.tobytes() == np.array(g.beta).tobytes()
         assert np.max(np.abs(sysm.W - row_sum_normalized_weights(g))) <= ROW_SUM_TOL
-        dense = np.eye(g.n) - sysm.update_matrix()
+        dense = np.eye(g.n) - update_matrix(sysm)
         assert sysm.system_matrix().tobytes() == dense.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -104,7 +104,7 @@ class TestNormalize:
             assert np.array_equal(stacked.rows, alone.rows)
             assert np.array_equal(stacked.cols, alone.cols)
             for got, want in ((stacked.vals[t], alone.vals), (stacked.W[t], alone.W),
-                              (stacked.update_matrix()[t], alone.update_matrix()),
+                              (update_matrix(stacked)[t], update_matrix(alone)),
                               (stacked.system_matrix()[t], alone.system_matrix())):
                 assert got.tobytes() == want.tobytes()
 
@@ -254,7 +254,7 @@ class TestUnreached:
         inner.add_edges_from((s, d) for s, d, _ in g.edges if s in block and d in block)
         entries = {d for s, d, _ in g.edges if d in block and s not in block}
         reached = entries.union(*(nx.descendants(inner, v) for v in entries))
-        assert _unreached(g, block) == frozenset(block) - reached
+        assert _unreached(g.n, g.src, g.dst, block) == frozenset(block) - reached
 
 
 class TestValidation:
