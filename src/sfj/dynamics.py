@@ -10,6 +10,7 @@ agent i sits at row i-1.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -398,7 +399,11 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
     V is in slot order, slots first: agent i's row is slot_of[i], and a
     leading trial axis on sysm gives V (n, T, m), so each gather, reduceat
     and add moves whole rows of T m values; a caller gathers V's rows once,
-    in the order it needs. Memory is O(T plan.footprint), never n x n."""
+    in the order it needs. Memory is O(T plan.footprint), never n x n.
+
+    Raises SingularBlock, naming the SCC's agents, when an SCC's block of
+    I - M is singular in floating point: stubborn-reachability puts rho(M)
+    below one, but a weight of 1e-20 next to 1 is lost in rounding."""
     lead, m = sysm.beta.shape[:-1], plan.stubborn.size
     beta = sysm.beta.reshape(-1, plan.n).T  # (n, T); no trial axis is T = 1
     trials = beta.shape[1]
@@ -408,6 +413,8 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
     weights = mv[plan.ext, :, None]
     divisor = np.ones((plan.n, trials, 1))
     divisor[plan.loops[1], :, 0] -= mv[plan.loops[0]]
+    if not divisor.all():
+        raise _singular(plan, np.flatnonzero(divisor == 0.0)[:1] // trials)
     stacks = {}
     for k, count, entries, flat in plan.blocks:
         A = stacks[k] = np.zeros((trials, count, k, k))
@@ -421,9 +428,19 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
         for k, c0, c1, at in spans:
             span = here[at:at + (c1 - c0) * k]
             rhs = span.reshape(c1 - c0, k, trials, m).transpose(2, 0, 1, 3)
-            span[...] = np.linalg.solve(stacks[k][:, c0:c1], rhs).transpose(
-                1, 2, 0, 3).reshape(span.shape)
+            try:
+                solved = np.linalg.solve(stacks[k][:, c0:c1], rhs)
+            except np.linalg.LinAlgError:
+                ranks = np.linalg.matrix_rank(stacks[k][:, c0:c1]).min(axis=0)
+                raise _singular(plan, start + at + k * np.argmax(ranks < k) + np.arange(k))
+            span[...] = solved.transpose(1, 2, 0, 3).reshape(span.shape)
     return V.reshape((plan.n,) + lead + (m,))
+
+
+def _singular(plan: _LevelPlan, slots: np.ndarray) -> SingularBlock:
+    agents = sorted((np.argsort(plan.slot_of)[slots] + 1).tolist())
+    return SingularBlock(f"agents {agents} form a strongly connected component whose "
+                         "block of I - (I - B) W is singular in floating point")
 
 
 def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
@@ -571,123 +588,145 @@ def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
 
 
 # _shortest_reprs works on slices of this many values. Each slice pays a
-# fixed cost of about a hundred numpy calls, and its temporaries take 2 MB.
+# fixed cost of about 150 numpy calls, and its temporaries take 1.1 MB.
 _REPR_SLICE = 2**13
-_U32, _LOW32, _LOW63 = np.uint64(32), np.uint64(2**32 - 1), np.uint64(2**63 - 1)
+# Magnitudes are clipped to [2**-14, 2**54 - 2]. Fixed form, 1e-4 <= |v| < 1e16,
+# lies inside, and both ends print with an exponent (decpt -4 and 17).
+_LO, _HI = np.uint64(0x3F10000000000000), np.uint64(0x434FFFFFFFFFFFFF)
+_U = 2**58  # 1.0 in the fixed point (units of 2**-58) of r, rho and delta
+_1, _8, _10, _56 = np.uint64(1), np.uint64(8), np.uint64(10), np.uint64(56)
+_WORD = np.dtype("<u8")  # the record's words: byte i of a word is its bits 8i..8i+7
 
 
 @functools.cache
 def _repr_tables() -> tuple[np.ndarray, ...]:
-    """_shortest_reprs' tables. g(k) = floor(10**-k 2**(125 - r)) + 1 with
-    r = floor(log2 10**-k), for k in -324..292, as g1 2**63 + g0 in rows g1,
-    g1 >> 32, g1 & LOW32, g0 >> 32, g0 & LOW32; 10**0..10**17; the ASCII
-    digits of 0..9999 as uint32, made from bytes so that the uint32 views
-    work on either byte order; the record's frame and its column masks."""
-    g = []
-    for k in range(-324, 293):
-        p = 10 ** abs(k)
-        g.append((p << 126 >> p.bit_length() if k <= 0 else (1 << 125 + p.bit_length()) // p) + 1)
-    g1, g0 = [v >> 63 for v in g], [v & 2**63 - 1 for v in g]
-    g = np.array([g1, [v >> 32 for v in g1], [v & 2**32 - 1 for v in g1],
-                  [v >> 32 for v in g0], [v & 2**32 - 1 for v in g0]], dtype=np.uint64)
-    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
-    quads = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    decpt, nd, minus, col = np.ogrid[-3:17, 0:18, 0:2, 0:44]
-    keep = np.isin(col, (1, 2, 23)) | (col == 3) & (minus == 1) | (col < 20) & (
-        col >= 20 - np.maximum(decpt, 1)) | (col >= 27 + decpt) & (
-        col < 27 + decpt + np.maximum(nd - decpt, 1))
-    masks = (keep * np.uint8(0xFF)).view(np.uint32).reshape(-1, 11)
-    frame = np.frombuffer(b"\0\n,-\0\0\0.", dtype=np.uint32)
-    pow10 = 10 ** np.arange(18, dtype=np.int64)
-    return g, pow10, quads, frame, masks
-
-
-def _mulhi(a1, a0, b1, b0):
-    """High 64 bits of a b for uint64 arrays a, b given as 32-bit halves."""
-    lo = a0 * b0
-    mid = a1 * b0 + (lo >> _U32)
-    return a1 * b1 + (mid >> _U32) + ((a0 * b1 + (mid & _LOW32)) >> _U32)
-
-
-def _rop(g, cp):
-    """floor(g(k) cp / 2**127) rounded to odd, as Schubfach's rop."""
-    g1, g1h, g1l, g0h, g0l = g
-    c1, c0 = cp >> _U32, cp & _LOW32
-    z = ((g1 * cp) >> np.uint64(1)) + _mulhi(g0h, g0l, c1, c0)
-    top = _mulhi(g1h, g1l, c1, c0) + (z >> np.uint64(63))
-    return (top | (((z & _LOW63) + _LOW63) >> np.uint64(63))).view(np.int64)
-
-
-def _split(x, p):
-    q = x // p
-    return q, x - q * p
+    """_shortest_reprs' tables. By biased exponent e (q = e - 1075 in
+    -66..1; the rest stay 0), with j = -floor(q log10 2) and t = 1 - q - j:
+    8 5**j as uint64 and the float 8 5**j 2**(-56 - q), the shift 62 - t,
+    the half-width 5**j 2**(60 - t) of the rounding interval in units of
+    2**-58, and -j. The ASCII digits of 0..9999 as little-endian words;
+    10**(17 - nd). Then by class (decpt -4..17, nd 1..17, sign), the rows
+    ma0, c0, ma1, mb1, c1, ma2, mb2, c2, mb3 of the record's masks of A and
+    B and its constant bytes, word by word (see _shortest_reprs)."""
+    q = np.arange(-66, 2)
+    j = -((q * 661971961083) >> 41)
+    t = 1 - q - j
+    by_e = np.zeros((4, 1077), dtype=np.int64)  # each entry below 2**63
+    by_e[:, 1009:] = ([8 * 5**a for a in j.tolist()], 62 - t,
+                      [5**a << 60 - b for a, b in zip(j.tolist(), t.tolist())], -j)
+    (mul, shift, half), k = by_e[:3].view(np.uint64), by_e[3]
+    mulf = np.zeros(1077)
+    mulf[1009:] = np.ldexp(mul[1009:].astype(np.float64), -56 - q)
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = np.frombuffer((digits + ord("0")).astype(np.uint8).tobytes(), dtype="<u4")
+    records = []  # per class: the constant bytes, A's mask and B's mask, 32 bytes each
+    # Z[:4] is "0000": those digits are constant bytes, not masked ones.
+    for decpt, nd, sign in itertools.product(range(-4, 18), range(1, 18), (0, 1)):
+        text, ma, mb = bytearray(b" " * 32), bytearray(32), bytearray(32)
+        if -3 <= decpt <= 16:
+            pt, lo = 4 + decpt, min(3 + decpt, 4)
+            text[1 + lo:3 + lo] = b",-" if sign else b" ,"
+            text[3 + pt] = ord(".")
+            for i in range(lo, pt):  # integer digits, from A
+                ma[3 + i], text[3 + i] = (0xFF, 0) if i >= 4 else (0, ord("0"))
+            for i in range(pt, 4 + max(nd, decpt + 1)):  # fraction digits, from B
+                mb[4 + i], text[4 + i] = (0xFF, 0) if i >= 4 else (0, ord("0"))
+        else:
+            text[2] = ord(",")  # one token, replaced by repr
+        records.append(text + ma + mb)
+    w = np.frombuffer(b"".join(records), dtype=_WORD).reshape(-1, 12).T.astype(np.uint64)
+    rows = np.array([w[4] & np.uint64(0xFF << 56), w[0], w[5], w[9], w[1], w[6], w[10], w[2],
+                     np.where(w[11] & np.uint64(0xFF), 0xFF, ord(" "))], dtype=np.uint64)
+    return (mul, mulf, shift, half, k, quads.astype(np.uint64),
+            10 ** np.maximum(17 - np.arange(18), 0).astype(np.uint64), rows)
 
 
 def _shortest_digits(mag):
-    """(normal, d, k) for uint64 magnitudes mag: which are normal, and their
-    shortest digits d closest to v = c 2**q, with no trailing zero, and
-    exponent k, d 10**k ~ v, by Giulietti's Schubfach ("The Schubfach way to
-    render doubles", 2020); the rest stand in as 1.0. _shortest_reprs keeps d
-    where repr is in fixed form, so q <= 1. There s >= 2**52, powers of two
-    are short exact decimals, and only the candidate v + 1 next to an even v
-    (which wins) lies on an end v -+ 2**(q-1) of the rounding interval (for
-    q <= 0 the ends are no multiples of 10**k, as k >= q). So the JDK's
-    two-digit guard, its interval below powers of two and its open ends for
-    odd c change no digit, and are left out."""
-    g_k, pow10 = _repr_tables()[:2]
-    normal = mag - np.uint64(2**52) < np.uint64(0x7FE0000000000000)
-    mag = np.where(normal, mag, np.uint64(0x3FF0000000000000))  # 1.0 for the rest
-    q = (mag >> np.uint64(52)).view(np.int64) - 1075
-    k = (q * 661971961083) >> 41
-    h = (q + ((-k * 913124641741) >> 38) + 2).view(np.uint64)
-    g = g_k.take(k + 324, axis=1)
-    cb = ((mag & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(2)  # 4 c
-    vb, vbl, vbr = (_rop(g, cp << h) for cp in (cb, cb - np.uint64(2), cb + np.uint64(2)))
-    s = vb >> 2
-    sp10 = s // 10 * 10
-    upin, wpin = vbl <= sp10 * 4, sp10 * 4 + 40 <= vbr
-    up = (s * 4 + 4 <= vbr) & ((vbl > s * 4) | (vb + (s & 1) > s * 4 + 2))
-    d = np.where(upin != wpin, sp10 + 10 * wpin, s + up)
-    z = np.flatnonzero(d % 10 == 0)
-    dz, kz = d[z], k[z]
-    for p in (16, 8, 4, 2, 1):  # at most 16 trailing zeros
-        quot = dz // pow10[p]
-        zeros = quot * pow10[p] == dz
-        dz, kz = np.where(zeros, quot, dz), kz + zeros * p
-    d[z], k[z] = dz, kz
-    return normal, d, k
+    """(digits, decpt, nd) for uint64 magnitudes mag in [_LO, _HI]: the
+    shortest decimal d 10**k that rounds to v = c 2**q, and of those the one
+    closest to v, as Giulietti's Schubfach finds it ("The Schubfach way to
+    render doubles", 2020): its nd digits zero-padded to 17, and the point
+    position decpt = nd + k.
+
+    Here q <= 1, so 10**j with j = -floor(q log10 2) >= 0 is an integer and
+    X = 4 v 10**j = P / 2**t, P = 8 c 5**j < 2**103, is exact: P's low 64
+    bits are a wrapping uint64 product, and a float64 estimate of P / 2**56,
+    off by at most one, gives the rest. So s = floor(X / 4), the remainder
+    r = X - 4 s and every comparison with the rounding interval X -+ delta,
+    delta = 2**(q+1) 10**j, are exact, and Schubfach's rounding to odd and
+    its 128-bit g(k) are not needed. In units of 10**-j the interval is
+    1 to 10 wide, and its ends are no multiples of 10 (for t >= 1 no
+    integers; for t = 0, v = 2c, odd ones). So it holds at most one
+    multiple of 10, which is then the shortest; else the integer nearest
+    X / 4, ties to even, which always lies inside. At a power of two the
+    interval is narrower below; here that changes no digit, as the tests
+    check for each of the 68 powers.
+    """
+    mul, mulf, shift, half, k, _, pad, _ = _repr_tables()
+    e = (mag >> np.uint64(52)).view(np.int64)
+    c = (mag & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    lo = c * mul.take(e)  # P mod 2**64
+    hi = (mag.view(np.float64) * mulf.take(e)).astype(np.uint64)  # P >> 56, -1..+1
+    hi = (hi + _1 - (lo >> _56)) >> _8  # P >> 64
+    sa = shift.take(e)
+    s = (hi << sa) | (lo >> (np.uint64(64) - sa))
+    r = (lo << sa) >> np.uint64(4)
+    delta = half.take(e)
+    s10 = s // _10
+    rho = ((s - s10 * _10) << np.uint64(60)) + r  # X - 40 s10
+    up10 = rho >= np.uint64(40 * _U) - delta
+    ten = (rho <= delta) | up10
+    d = np.where(ten, s10 + up10, s + (r + (s & _1) > np.uint64(2 * _U)))
+    nd = np.int64(15) + (d >= np.uint64(10**15)) + (d >= np.uint64(10**16))
+    decpt = nd + k.take(e) + ten
+    digits = d * pad.take(nd)
+    z = np.flatnonzero(d == d // _10 * _10)  # the few with 1 to 15 trailing zeros
+    dz, tz = d[z], np.zeros(z.size, dtype=np.int64)
+    for p in (8, 4, 2, 1):
+        quot = dz // np.uint64(10**p)
+        zeros = quot * np.uint64(10**p) == dz
+        dz, tz = np.where(zeros, quot, dz), tz + zeros * p
+    nd[z] -= tz
+    return digits, decpt, nd
 
 
 def _shortest_reprs(values: np.ndarray) -> list[str]:
     """"," + repr(v) for each v of a float64 array, byte for byte.
 
-    On slices of _REPR_SLICE values. A normal v whose repr is in fixed form,
-    its point position decpt = digits + k in -3..16, takes _shortest_digits'
-    digits in a 44-byte record: "\\0\\n,-", 16 integer digits, "\\0\\0\\0."
-    and 20 fraction digits, written four digits at a time. A mask by (decpt,
-    digits, sign) turns unused columns to \\0, which translate drops. Other
-    values take repr itself.
+    On slices of _REPR_SLICE values. Each value takes a 25-byte record: its
+    text with spaces around it, which str.split drops. With Z = "0000"
+    followed by _shortest_digits' 17 digits, layout B holds Z[i] at byte
+    4 + i, in the words b1 (digits 0-7), b2 (8-15) and b3 (16), and layout
+    A holds it one byte lower, B shifted. The point goes at byte 7 + decpt,
+    A's digits before it and B's after it, as the masks of the class
+    (decpt, nd, sign) keep them, and the class's constant bytes everywhere
+    else: "," or ",-", the zeros of "0.000", the point and spaces. A value
+    whose repr is not in fixed form, its decpt outside -3..16, takes repr
+    itself.
     """
-    (_, pow10, quads, frame, masks), out = _repr_tables(), []
+    *_, quads, _, (ma0, c0, ma1, mb1, c1, ma2, mb2, c2, mb3) = _repr_tables()
+    out, e4 = [], np.uint64(10**4)
     for a in range(0, values.size, _REPR_SLICE):
         x = values[a:a + _REPR_SLICE]
         bits = x.view(np.uint64)
-        normal, d, k = _shortest_digits(bits & _LOW63)
-        nd = ((d.astype(np.float64).view(np.int64) >> 52) - 1023) * 1233 >> 12
-        nd += 1 + (d >= pow10[nd + 1])  # digits of d
-        fixed = normal & (nd + k >= -3) & (nd + k <= 16)
-        decpt = np.clip(nd + k, -3, 16)  # the point's position
-        ip, fp = _split(d * pow10[17 - nd], pow10[np.minimum(17 - decpt, 17)])
-        f0, fr = _split(fp, 10**16)
-        rec = np.empty((x.size, 11), dtype=np.uint32)
-        for j, v in enumerate((*_split(ip, 10**8), f0, *_split(fr, 10**8))):
-            hi, lo = _split(v, 10**4)
-            rec[:, 2 * j + 1], rec[:, 2 * j + 2] = quads.take(hi), quads.take(lo)
-        rec[:, [0, 5]] = frame
-        sign = (bits >> np.uint64(63)).view(np.int64)
-        rec &= masks.take(((decpt + 3) * 18 + nd) * 2 + sign, axis=0)
-        text = rec.tobytes().translate(None, b"\0").decode("ascii").split("\n")
-        for i in np.flatnonzero(~fixed).tolist():
-            text[i + 1] = "," + repr(float(x[i]))
-        out += text[1:]
+        digits, decpt, nd = _shortest_digits(np.clip(bits & np.uint64(2**63 - 1), _LO, _HI))
+        first = digits // np.uint64(10**9)
+        rest = digits - first * np.uint64(10**9)
+        mid = rest // _10
+        b3 = rest - mid * _10 + np.uint64(ord("0"))
+        b1, b2 = (quads.take(h) | (quads.take(v - h * e4) << np.uint64(32))
+                  for v, h in ((first, first // e4), (mid, mid // e4)))
+        cls = decpt * 34 + nd * 2 + (bits >> np.uint64(63)).view(np.int64) + (4 * 34 - 2)
+        rec = np.empty(x.size * 25, dtype=np.uint8)
+        w0, w1, w2 = (np.ndarray(x.size, _WORD, rec, 8 * w, (25,)) for w in range(3))
+        np.bitwise_or((b1 << _56) & ma0.take(cls), c0.take(cls), out=w0)
+        for w, low, high, ma, mb, const in ((w1, b1, b2, ma1, mb1, c1), (w2, b2, b3, ma2, mb2, c2)):
+            both = ((low >> _8) | (high << _56)) & ma.take(cls)
+            both |= low & mb.take(cls)
+            np.bitwise_or(both, const.take(cls), out=w)
+        rec[24::25] = np.minimum(b3, mb3.take(cls))  # mb3: 0xFF keeps b3, " " replaces it
+        text = str(rec, "ascii").split()
+        for i in np.flatnonzero((decpt + 3).view(np.uint64) > np.uint64(19)).tolist():
+            text[i] = "," + repr(float(x[i]))
+        out += text
     return out

@@ -50,7 +50,9 @@ class NotConverged(SFJError):
 
 
 class SingularBlock(SFJError):
-    """The block to be eliminated in a Schur complement is not invertible."""
+    """A block of the steady-state system is not invertible: the persuaded
+    agents reduce_steady_state eliminates, or one strongly connected
+    component's block of I - (I - B) W in the solve for V."""
 
 
 class InfeasibleParameters(SFJError):

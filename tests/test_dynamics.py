@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -23,10 +25,12 @@ from sfj import (
     random_multiconsensus_graph,
     reduce_steady_state,
     robustness_harness,
+    save_graph,
     simulate,
     write_trace_csv,
 )
 from sfj import dynamics, graph, networks
+from sfj.cli import EXIT_NOT_CONVERGED, EXIT_OK, main
 from sfj.dynamics import (
     DEFAULT_TOL,
     OpinionTrace,
@@ -58,6 +62,11 @@ from oracles import (
 
 def make(n, edges, beta, x0=None):
     return SignedDigraph(n, tuple(edges), tuple(beta), tuple(x0 or [0.0] * n))
+
+
+SINGULAR_SCC = make(4, [Edge(1, 2, 1.0), Edge(4, 2, 1.0), Edge(2, 3, 1e-20),
+                        Edge(4, 3, 1.0), Edge(3, 4, 1.0)], beta=[0.5, 0.0, 0.0, 0.0],
+                    x0=[1.0, 0.0, 0.0, 0.0])
 
 
 class TestStep:
@@ -454,6 +463,35 @@ class TestInfluenceMatrix:
         g = make(3, [Edge(1, 2, 1.0)], beta=[0.5, 0.0, 0.0])
         with pytest.raises(UnreachableNodes, match=r"\[3\]"):
             influence_matrix(g)
+
+    @pytest.mark.parametrize("g, agents", [
+        # Stubborn agent 1 reaches the SCC {2, 3, 4}, so rho(M) < 1, but 3's
+        # weight 1/(1 + 1e-20) from 4 rounds to 1: in floating point 3 and 4
+        # hear only each other, and the block of I - M is singular.
+        (SINGULAR_SCC, [2, 3, 4]),
+        # The same for one agent: its self-loop's weight rounds to 1.
+        (make(2, [Edge(1, 2, 1e-20), Edge(2, 2, 1.0)], beta=[0.5, 0.0]), [2]),
+        # Two SCCs of 3 in one stack, the singular one solved second.
+        (make(7, [*SINGULAR_SCC.edges, Edge(1, 5, 1.0), Edge(7, 5, 1.0), Edge(5, 6, 1.0),
+                  Edge(7, 6, 1.0), Edge(6, 7, 1.0)], beta=[0.5] + [0.0] * 6), [2, 3, 4]),
+    ])
+    def test_singular_component_is_named(self, g, agents):
+        assert check_reachability(g).ok
+        for solve in (influence_matrix, build_steady_state):
+            with pytest.raises(SingularBlock, match=re.escape(f"agents {agents} form")):
+                solve(g)
+
+    def test_singular_component_leaves_the_cli_exit_codes(self, tmp_path):
+        # analyze needs no solve, verify re-draws the weights, and the
+        # iteration does not converge.
+        path = tmp_path / "g.json"
+        save_graph(SINGULAR_SCC, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            assert main(["analyze", str(path)]) == EXIT_OK
+            assert main(["verify", str(path), "--trials", "2"]) == EXIT_OK
+            assert main(["simulate", str(path), "--max-iter", "1000",
+                         "--out", str(tmp_path / "t.csv")]) == EXIT_NOT_CONVERGED
 
     @pytest.mark.parametrize("n", [100, 200, 500])
     def test_generated_networks_above_the_old_eig_cutoff(self, n):
@@ -1208,6 +1246,13 @@ def as_floats(words):
     return np.asarray(words, dtype=np.uint64).view(np.float64)
 
 
+def fixed_form_values():
+    """10**6 values log-uniform over [1e-4, 1e16), of both signs: repr writes
+    all of them in fixed form, as it does nearly every trace value."""
+    rng = np.random.default_rng(28)
+    return 10 ** rng.uniform(-4, 16, 10**6) * rng.choice([-1.0, 1.0], 10**6)
+
+
 class TestShortestReprs:
     """dynamics._shortest_reprs against repr where shortest-digit algorithms
     go wrong: the ends of binades and decades, subnormals, the switch between
@@ -1248,3 +1293,35 @@ class TestShortestReprs:
 
     def test_empty(self):
         assert dynamics._shortest_reprs(np.array([])) == []
+
+    def test_dense_fixed_form(self):
+        self.check(fixed_form_values())
+
+    def test_neighbours_of_short_decimals(self):
+        # k 10**p with k of 1 to 17 digits, none of them a trailing zero, is
+        # its own shortest repr if it round-trips; its neighbours one ulp away
+        # take up to 17 digits.
+        rng = np.random.default_rng(17)
+        values = []
+        for length in range(1, 18):
+            k = rng.integers(10 ** (length - 1), 10**length, 500)
+            lead = rng.integers(-4, 16, k.size)  # the exponent of k's first digit
+            values += [float(f"{a}e{b - length + 1}") for a, b in zip(k.tolist(), lead.tolist())
+                       if a % 10]
+        values = np.array(values) * rng.choice([-1.0, 1.0], len(values))
+        self.check(np.concatenate(
+            (values, np.nextafter(values, 0.0), np.nextafter(values, np.inf))))
+
+    def test_temporaries_of_one_slice(self):
+        # What stays is the returned list and its strings; the rest is one
+        # slice's temporaries, which peak_rss_mb pays for in every simulate.
+        values = fixed_form_values()
+        dynamics._shortest_reprs(values[:1])  # its tables
+        tracemalloc.start()
+        try:
+            out = dynamics._shortest_reprs(values)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == values.size
+        assert peak - kept < 2.5 * 2**20
