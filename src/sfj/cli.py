@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import dynamics, verification
 from .errors import (
@@ -24,7 +22,7 @@ from .errors import (
     NotConverged,
 )
 from .generator import random_multiconsensus_graph
-from .graph import graph_to_dict, load_graph, save_graph
+from .graph import _dumps, graph_to_dict, load_graph, save_graph
 from .ltp import analyze, certificate_to_dict, predict_clusters
 from .verification import robustness_report_to_dict
 
@@ -48,32 +46,6 @@ class _Parser(argparse.ArgumentParser):
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     sys.stdout.write(_dumps(payload) + "\n")
-
-
-_NUMBERS = json.JSONEncoder()  # no indent: the C encoder
-
-
-def _dumps(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte, each line after the first
-    led by pad. indent=2 takes the pure-Python encoder, so containers are
-    laid out here and the C encoder writes scalars (int, float, str, bool
-    and None, exact types) and lists of ints and floats, whose items ", "
-    separates (no number's text holds it); str-keyed dicts and other lists
-    recurse. The rest, and empty containers, are json.dumps' own; its lines
-    are led by pad, as no JSON string holds a raw newline."""
-    if type(value) in (int, float, str, bool, type(None)):
-        return _NUMBERS.encode(value)
-    inner = pad + "  "
-    if type(value) is dict and value and set(map(type, value)) == {str}:
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]
-        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if type(value) in (list, tuple) and value:
-        if set(map(type, value)) <= {int, float}:
-            items = _NUMBERS.encode(value)[1:-1].split(", ")
-        else:
-            items = [_dumps(v, inner) for v in value]
-        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def _fail(code: int, message: str) -> int:

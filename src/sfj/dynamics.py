@@ -523,7 +523,9 @@ def reduce_steady_state(
     keep = np.delete(np.arange(columns.size), elim)
     kept, D, C = columns[keep], block[1:, elim], block[1:][:, keep]
     try:
-        row = block[0, keep] - block[0, elim] @ np.linalg.solve(D, C)
+        # All of the block's rows in one matrix product, as a dense elimination
+        # forms it; q's row alone takes numpy's vector path, summed in another order.
+        row = block[0, keep] - (block[:, elim] @ np.linalg.solve(D, C))[0]
         y_elim = -np.linalg.solve(D, C @ sysm.y[kept])
     except np.linalg.LinAlgError as exc:
         raise SingularBlock(f"eliminated block is singular: {exc}") from exc

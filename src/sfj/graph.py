@@ -8,15 +8,18 @@ of dst, and its weight lands in row dst of the weight matrix.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
-from .errors import GraphFormatError, GraphValidationError, NoStubbornAgents
+from .errors import GraphFormatError, GraphValidationError, NoStubbornAgents, SFJError
 
 ROW_SUM_TOL = 1e-12  # double precision headroom for n up to ~1e4 accumulations
 
@@ -376,18 +379,62 @@ def _number(v, integral: bool = False):
 
 
 def load_graph(path) -> SignedDigraph:
-    """Read a graph from a JSON file; see graph_to_dict for the schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                f"{exc.msg}"
-            ) from exc
+    """Read a graph from a JSON file; see graph_to_dict for the schema.
+
+    The file is read once, as bytes, and parsed by orjson. Where orjson
+    fails, graph_from_dict fails, or a weight or x0 has magnitude >= 2**64
+    (orjson turns integers beyond 64 bits into floats by its own rounding),
+    the same bytes go through the standard library instead: a UTF-8 decode
+    with universal newlines, as a text-mode read does, then json.loads. Its
+    graph or error is returned, so orjson changes no graph and no message.
+    The one difference: a valid file with an ignored value nested deeper
+    than the standard library's recursion limit loads."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        g = graph_from_dict(orjson.loads(raw))
+        if np.all(np.abs(np.concatenate((g.w, g.x0))) < 2.0**64):
+            return g
+    except (ValueError, RecursionError, SFJError):  # orjson's errors are ValueErrors
+        pass
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
     return graph_from_dict(data)
 
 
+_NUMBERS = json.JSONEncoder()  # no indent: the C encoder
+
+
+def _dumps(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, each line after the first
+    led by pad. indent=2 takes the pure-Python encoder, so containers are
+    laid out here and the C encoder writes scalars (int, float, str, bool
+    and None, exact types) and lists of ints and floats, whose items ", "
+    separates (no number's text holds it); str-keyed dicts and other lists
+    recurse. The rest, and empty containers, are json.dumps' own; its lines
+    are led by pad, as no JSON string holds a raw newline."""
+    if type(value) in (int, float, str, bool, type(None)):
+        return _NUMBERS.encode(value)
+    inner = pad + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if type(value) in (list, tuple) and value:
+        if set(map(type, value)) <= {int, float}:
+            items = _NUMBERS.encode(value)[1:-1].split(", ")
+        else:
+            items = [_dumps(v, inner) for v in value]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def save_graph(g: SignedDigraph, path) -> None:
+    """Write g as indented JSON, the bytes of json.dumps(..., indent=2)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(graph_to_dict(g), indent=2) + "\n")
+        fh.write(_dumps(graph_to_dict(g)) + "\n")

@@ -6,6 +6,7 @@ dense eigenvalues or by one explicit step) so a test can check one route
 against the other.
 """
 
+import json
 import math
 from typing import Iterable, Optional
 
@@ -27,6 +28,7 @@ from sfj import (
     SteadyStateSystem,
     UnreachableNodes,
     check_reachability,
+    graph_from_dict,
     normalize,
 )
 from sfj import dynamics
@@ -151,6 +153,20 @@ def loop_graph_from_dict(data) -> SignedDigraph:
             raise GraphFormatError(f"bad edge entry {entry!r}: {exc}") from exc
     _loop_validate(n, edges, beta, x0)
     return SignedDigraph(n, tuple(edges), tuple(beta), tuple(x0))
+
+
+def text_load_graph(path) -> SignedDigraph:
+    """load_graph as it was before orjson: a text-mode UTF-8 read, then
+    json.load and graph_from_dict."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+                f"{exc.msg}"
+            ) from exc
+    return graph_from_dict(data)
 
 
 def unreached_by_closure(g: SignedDigraph, block) -> frozenset[int]:

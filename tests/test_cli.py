@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -75,6 +76,35 @@ class TestAnalyze:
     def test_bundled_fixture_files_are_current(self):
         assert load_graph(FIXTURES / "g1.json") == networks.g1()
         assert load_graph(FIXTURES / "g2.json") == networks.g2()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("x0, code, err", [
+        (0.0, EXIT_OK, ""),
+        (math.nan, EXIT_PARSE, "sfj: error: agent 2 has non-finite x0 nan\n"),
+    ], ids=["clean", "nan-x0"])
+    def test_graph_read_from_a_pipe(self, tmp_path, x0, code, err):
+        # The file is read once: opening a pipe a second time, say to parse
+        # it again with the standard library, waits for a writer that never
+        # comes, and the timeout fails the test.
+        data = graph_to_dict(networks.g2())
+        data["agents"][1]["x0"] = x0
+        fifo = tmp_path / "g.json"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(json.dumps(data),))
+        writer.start()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "sfj.cli", "analyze", str(fifo)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            writer.join(5)
+            if writer.is_alive():  # the reader never opened the pipe: release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join()
+        assert (done.returncode, done.stderr) == (code, err)
 
     def test_g1_certificate(self, capsys, g1_path):
         code, out, _ = run(capsys, "analyze", g1_path)
@@ -657,6 +687,13 @@ class TestGenerate:
         first = load_graph(out)
         save_graph(first, out)
         assert load_graph(out) == first
+
+    def test_out_file_is_stdout_without_the_schema_line(self, capsys, tmp_path):
+        out = tmp_path / "gen.json"
+        run(capsys, "generate", "300", "15", "--seed", "4", "--out", str(out))
+        code, text, _ = run(capsys, "generate", "300", "15", "--seed", "4")
+        assert code == EXIT_OK
+        assert out.read_text() == text.replace('\n  "schema": 1,', "", 1)
 
     def test_generated_graph_analyzes_clean(self, capsys, tmp_path):
         out = tmp_path / "gen.json"

@@ -20,7 +20,7 @@ from sfj import (
 from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph, _normalized, _postorder, _unreached
 
 from conftest import brute_force_reachable, graph_dicts, random_reachable_graph
-from oracles import loop_graph_from_dict, reweighted, update_matrix
+from oracles import loop_graph_from_dict, reweighted, text_load_graph, update_matrix
 
 
 def make(n, edges, stubborn=(1,), x0=None):
@@ -443,3 +443,125 @@ class TestJsonIO:
         }
         with pytest.raises(GraphValidationError, match="zero weight"):
             graph_from_dict(data)
+
+
+def _outcome(load, path):
+    """load(path), or the type and message of what it raised."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _bits(g):
+    return [np.asarray(c, dtype=float).view(np.uint64).tolist()
+            for c in (g.w, g.beta, g.x0)]
+
+
+def assert_loads_as_oracle(path):
+    """load_graph gives the oracle's graph, bit for bit, or its error."""
+    want = _outcome(text_load_graph, path)
+    got = _outcome(load_graph, path)
+    assert got == want
+    if isinstance(want, SignedDigraph):
+        assert _bits(got) == _bits(want)
+
+
+def one_in_edge_each(x0, w):
+    """A file of len(x0) agents, agent i on a self-loop of weight w[i], with
+    every number written as the given text: no row sum can overflow."""
+    agents = ", ".join(f'{{"id": {i + 1}, "beta": 0.0, "x0": {x}}}' for i, x in enumerate(x0))
+    edges = ", ".join(f'{{"from": {i + 1}, "to": {i + 1}, "w": {v}}}' for i, v in enumerate(w))
+    return f'{{"n": {len(x0)}, "agents": [{agents}], "edges": [{edges}]}}'
+
+
+G1_TEXT = '{"n": 1, "agents": [{"id": 1, "beta": 0.5, "x0": 2.0}], "edges": []}'
+
+
+class TestLoadMatchesTextOracle:
+    """load_graph parses with orjson and falls back to the standard library;
+    either way it must load what the text-mode json.load loader loaded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_dicts())
+    def test_graph_dicts(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("load") / "g.json"
+        path.write_text(json.dumps(data))  # NaN, Infinity and 10**400 as json writes them
+        assert_loads_as_oracle(path)
+
+    @pytest.mark.parametrize("style", [repr, "%.17g".__mod__, "%.15e".__mod__],
+                             ids=["repr", "%.17g", "%.15e"])
+    def test_random_float_bit_patterns(self, tmp_path, style):
+        bits = np.random.default_rng(7).integers(0, 2**64, 4000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        texts = list(map(style, values[np.isfinite(values) & (values != 0.0)].tolist()))
+        path = tmp_path / "g.json"
+        path.write_text(one_in_edge_each(texts, texts[::-1]))
+        g = load_graph(path)
+        assert _bits(g)[0] == np.array(list(map(float, texts[::-1]))).view(np.uint64).tolist()
+        assert_loads_as_oracle(path)
+
+    def test_integers_beyond_64_bits(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mantissas = rng.integers(2**52, 2**53, 300).tolist()
+        shifts = rng.integers(12, 80, 300).tolist()
+        big = [(m << s) + (1 << (s - 1)) + d  # near a halfway point of the float grid
+               for m, s, d in zip(mantissas, shifts, rng.integers(-1, 2, 300).tolist())]
+        big += [2**64 - 1, 2**64, 2**64 + 1, 10**30, -(2**63) - 1, -(2**64) + 1]
+        signed = [v if k % 3 else -v for k, v in enumerate(big)]
+        path = tmp_path / "g.json"
+        path.write_text(one_in_edge_each(list(map(str, signed)), list(map(str, signed[::-1]))))
+        assert_loads_as_oracle(path)
+
+    @pytest.mark.parametrize("raw", [
+        b"\xef\xbb\xbf" + G1_TEXT.encode(),
+        G1_TEXT.replace('"n"', '"\\ud800": 0, "n"').encode(),
+        G1_TEXT.replace('"x0": 2.0', '"x0": "\\ud800"').encode(),
+        G1_TEXT.encode() + b"\xff",
+        G1_TEXT.replace("2.0", "\xe9").encode("latin-1"),
+        b"[" * 100_000,
+        G1_TEXT.replace("2.0", "NaN").encode(),
+        G1_TEXT.replace("2.0", "-Infinity").encode(),
+        G1_TEXT.replace("2.0", "1e400").encode(),
+        G1_TEXT.replace('"n": 1', '"n": ' + "[" * 100_000 + "]" * 100_000).encode(),
+    ], ids=["bom", "lone-surrogate-key", "lone-surrogate-x0", "invalid-utf8-tail",
+            "latin-1", "deep", "nan", "-infinity", "1e400", "deep-n"])
+    def test_refused_inputs(self, tmp_path, raw):
+        path = tmp_path / "g.json"
+        path.write_bytes(raw)
+        assert_loads_as_oracle(path)
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_error_position_under_universal_newlines(self, tmp_path, newline):
+        path = tmp_path / "bad.json"
+        path.write_bytes(f'{{"n": 2,{newline}{newline}  "agents": [}}'.encode())
+        assert_loads_as_oracle(path)
+        with pytest.raises(GraphFormatError, match="line 3 column 14"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("depth", [1000, 10_000])
+    def test_deeply_nested_ignored_key_loads(self, tmp_path, depth):
+        # The standard library raised RecursionError near the interpreter's
+        # recursion limit (about 970 levels at the default); orjson parses
+        # this, so it is the one input that loads now and did not before.
+        path = tmp_path / "g.json"
+        path.write_text(G1_TEXT.replace('"n"', '"pad": ' + "[" * depth + "]" * depth + ', "n"'))
+        assert load_graph(path) == SignedDigraph(1, [], [0.5], [2.0])
+
+    @pytest.mark.parametrize("text, fallback", [
+        (G1_TEXT, False),
+        (G1_TEXT.replace("2.0", str(2**64 - 2**11)), False),  # the float below 2**64
+        (G1_TEXT.replace("2.0", str(2**64)), True),
+        (G1_TEXT.replace("2.0", "NaN"), True),
+        (G1_TEXT.replace('"n"', '"m"'), True),
+    ], ids=["clean", "below-2**64", "2**64", "nan", "missing-n"])
+    def test_standard_library_parses_only_on_the_fallback_rule(
+        self, tmp_path, monkeypatch, text, fallback
+    ):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s) or loads(s, **kw))
+        _outcome(load_graph, path)
+        assert calls == ([text] if fallback else [])
