@@ -205,14 +205,15 @@ def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:
     weight. In-edges of the persuasive agents themselves are exempt; they may
     be antagonistic without voiding the guarantee.
     """
-    violations = list(cert.violations)
-    covered_set = cert.covered_set()
-    for node in sorted(set(range(1, g.n + 1)) - covered_set):
-        violations.append(Violation(node, "not covered by any persuasive cluster"))
-    covered = len(covered_set) == g.n
-
     persuaded = np.zeros(g.n + 1, dtype=bool)
-    persuaded[[q for members in cert.persuaded.values() for q in members]] = True
+    persuaded[np.fromiter(chain.from_iterable(cert.persuaded.values()), np.int64)] = True
+    uncovered = ~persuaded
+    uncovered[[0, *cert.ltp_agents]] = False
+    violations = list(cert.violations)
+    violations += [Violation(node, "not covered by any persuasive cluster")
+                   for node in np.flatnonzero(uncovered).tolist()]
+    covered = not uncovered.any()
+
     negative = persuaded[g.dst] & (g.w < 0)
     cooperative = not negative.any()
     violations += [

@@ -12,6 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -602,12 +603,35 @@ class TestEmit:
         expected = json.dumps({"schema": cli.SCHEMA_VERSION, **payload}, indent=2)
         assert out.getvalue() == expected + "\n"
 
-    def test_analyze_payload_at_n_1000(self, capsys, tmp_path):
+    # Values at the edges of what orjson writes as json.dumps does: ints at
+    # the 64-bit bounds, DEL, a control character, non-ASCII, quote and
+    # backslash, a float below plain lists, and empty containers.
+    EDGE_VALUES = [2**63 - 1, 2**63, -2**63, -2**63 - 1, "\x7f", "\x1f", "\u00e9", '"',
+                   "\\", [[1, [2, 1e-05], 3], "a"], [], {}, (), [[], {}, ()]]
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_value_alone_and_nested(self, value):
+        for v in (value, [value], [1, [value]], {"k": value}, (value, "b")):
+            assert cli._dumps(v) == json.dumps(v, indent=2)
+        # A float beside it keeps the payload off orjson, so value is laid
+        # out under a pad.
+        payload = {"x": 0.5, "value": value, "nested": {"list": [value, [value]]}}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(payload)
+        assert out.getvalue() == json.dumps({"schema": cli.SCHEMA_VERSION, **payload},
+                                            indent=2) + "\n"
+
+    def test_analyze_payload_at_n_1000(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "g.json"
         save_graph(random_multiconsensus_graph(1000, 50, seed=1), path)
+        calls = []
+        dumps = orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == EXIT_OK
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(calls) == 1  # the whole reply is one plain value
 
     def test_generated_graph_payload(self, capsys):
         # Edges are dicts of scalar leaves, each written by the C encoder.

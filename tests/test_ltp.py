@@ -370,6 +370,20 @@ class TestConditions:
         assert cert.covered is True and cert.cooperative is True
         assert cert.violations == ()
 
+    @settings(max_examples=300, deadline=None)
+    @given(reachable_networks())
+    def test_violations_match_a_set_based_check(self, g):
+        # C1 from Python sets of all agents, as check_conditions once read it.
+        cert = detect_ltp_agents(g, build_dominator_tree(g))
+        uncovered = sorted(set(range(1, g.n + 1)) - cert.covered_set())
+        persuaded = set().union(*cert.persuaded.values())
+        negative = [(s, d) for s, d, w in g.edges if d in persuaded and w < 0]
+        checked = check_conditions(g, cert)
+        assert (checked.covered, checked.cooperative) == (not uncovered, not negative)
+        assert checked.violations == tuple(
+            [(v, "not covered by any persuasive cluster") for v in uncovered]
+            + [(d, f"negative in-edge from {s} at persuaded agent") for s, d in negative])
+
 
 class TestPrediction:
     def test_g2_strict_partition(self, g2):
