@@ -10,11 +10,11 @@ agent i sits at row i-1.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import (
     HypothesisViolated,
@@ -545,7 +545,7 @@ def write_trace_csv(trace: OpinionTrace, fh) -> None:
     (0.1, -0.0, 1e-300, inf, nan), fields are comma-separated and never
     quoted, and every line ends in CRLF ("\\r\\n"): byte for byte what
     csv.writer writes. simulate(g, out=fh) streams the same bytes. The
-    values are formatted by the vectorized kernel _shortest_reprs.
+    values are formatted by _reprs.
     """
     states = np.asarray(trace.states, dtype=np.float64)
     _write_header(fh, states.shape[1])
@@ -566,8 +566,8 @@ def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
     source[i] copies its value (source None: each agent is its own). Which
     values repeat is decided by the bits, so 0.0 and -0.0 stay apart and a
     wrong source costs only time. Each distinct bit pattern among the rest
-    is formatted once, by _shortest_reprs, and each row's strings are the
-    row above's gathered by source, with those written over.
+    is formatted once, by _reprs, and each row's strings are the row
+    above's gathered by source, with those written over.
     """
     bits = np.asarray(states, dtype=np.float64).view(np.int64)  # rows may be strided
     if not bits.size:
@@ -578,157 +578,32 @@ def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
     fresh[1:] = bits[:-1, pick] != bits[1:]
     distinct, inverse = np.unique(bits[fresh], return_inverse=True)
     fresh = np.flatnonzero(fresh)
-    text = np.array(_shortest_reprs(distinct.view(np.float64)), dtype=object)[inverse]
+    text = np.array(_reprs(distinct.view(np.float64)), dtype=object)[inverse]
     n = bits.shape[1]
     cols, ends = fresh % n, np.searchsorted(fresh, np.arange(n, bits.size + 1, n)).tolist()
     row = np.empty(n, dtype=object) if carry is None else carry[1]
     for k, a, b in zip(range(start, start + bits.shape[0]), [0] + ends, ends):
         row = row[pick]  # under Ellipsis a view: the row above is written over
         row[cols[a:b]] = text[a:b]
-        fh.write(f"{k}{''.join(row.tolist())}\r\n")
+        fh.write(f"{k},{','.join(row.tolist())}\r\n")
     return bits[-1].copy(), row
 
 
-# _shortest_reprs works on slices of this many values. Each slice pays a
-# fixed cost of about 150 numpy calls, and its temporaries take 1.1 MB.
-_REPR_SLICE = 2**13
-# Magnitudes are clipped to [2**-14, 2**54 - 2]. Fixed form, 1e-4 <= |v| < 1e16,
-# lies inside, and both ends print with an exponent (decpt -4 and 17).
-_LO, _HI = np.uint64(0x3F10000000000000), np.uint64(0x434FFFFFFFFFFFFF)
-_U = 2**58  # 1.0 in the fixed point (units of 2**-58) of r, rho and delta
-_1, _8, _10, _56 = np.uint64(1), np.uint64(8), np.uint64(10), np.uint64(56)
-_WORD = np.dtype("<u8")  # the record's words: byte i of a word is its bits 8i..8i+7
+def _reprs(values) -> list[str]:
+    """repr(v) for each v of a float64 array, byte for byte.
 
-
-@functools.cache
-def _repr_tables() -> tuple[np.ndarray, ...]:
-    """_shortest_reprs' tables. By biased exponent e (q = e - 1075 in
-    -66..1; the rest stay 0), with j = -floor(q log10 2) and t = 1 - q - j:
-    8 5**j as uint64 and the float 8 5**j 2**(-56 - q), the shift 62 - t,
-    the half-width 5**j 2**(60 - t) of the rounding interval in units of
-    2**-58, and -j. The ASCII digits of 0..9999 as little-endian words;
-    10**(17 - nd). Then by class (decpt -4..17, nd 1..17, sign), the rows
-    ma0, c0, ma1, mb1, c1, ma2, mb2, c2, mb3 of the record's masks of A and
-    B and its constant bytes, word by word (see _shortest_reprs)."""
-    q = np.arange(-66, 2)
-    j = -((q * 661971961083) >> 41)
-    t = 1 - q - j
-    by_e = np.zeros((4, 1077), dtype=np.int64)  # each entry below 2**63
-    by_e[:, 1009:] = ([8 * 5**a for a in j.tolist()], 62 - t,
-                      [5**a << 60 - b for a, b in zip(j.tolist(), t.tolist())], -j)
-    (mul, shift, half), k = by_e[:3].view(np.uint64), by_e[3]
-    mulf = np.zeros(1077)
-    mulf[1009:] = np.ldexp(mul[1009:].astype(np.float64), -56 - q)
-    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    quads = np.frombuffer((digits + ord("0")).astype(np.uint8).tobytes(), dtype="<u4")
-    records = []  # per class: the constant bytes, A's mask and B's mask, 32 bytes each
-    # Z[:4] is "0000": those digits are constant bytes, not masked ones.
-    for decpt, nd, sign in itertools.product(range(-4, 18), range(1, 18), (0, 1)):
-        text, ma, mb = bytearray(b" " * 32), bytearray(32), bytearray(32)
-        if -3 <= decpt <= 16:
-            pt, lo = 4 + decpt, min(3 + decpt, 4)
-            text[1 + lo:3 + lo] = b",-" if sign else b" ,"
-            text[3 + pt] = ord(".")
-            for i in range(lo, pt):  # integer digits, from A
-                ma[3 + i], text[3 + i] = (0xFF, 0) if i >= 4 else (0, ord("0"))
-            for i in range(pt, 4 + max(nd, decpt + 1)):  # fraction digits, from B
-                mb[4 + i], text[4 + i] = (0xFF, 0) if i >= 4 else (0, ord("0"))
-        else:
-            text[2] = ord(",")  # one token, replaced by repr
-        records.append(text + ma + mb)
-    w = np.frombuffer(b"".join(records), dtype=_WORD).reshape(-1, 12).T.astype(np.uint64)
-    rows = np.array([w[4] & np.uint64(0xFF << 56), w[0], w[5], w[9], w[1], w[6], w[10], w[2],
-                     np.where(w[11] & np.uint64(0xFF), 0xFF, ord(" "))], dtype=np.uint64)
-    return (mul, mulf, shift, half, k, quads.astype(np.uint64),
-            10 ** np.maximum(17 - np.arange(18), 0).astype(np.uint64), rows)
-
-
-def _shortest_digits(mag):
-    """(digits, decpt, nd) for uint64 magnitudes mag in [_LO, _HI]: the
-    shortest decimal d 10**k that rounds to v = c 2**q, and of those the one
-    closest to v, as Giulietti's Schubfach finds it ("The Schubfach way to
-    render doubles", 2020): its nd digits zero-padded to 17, and the point
-    position decpt = nd + k.
-
-    Here q <= 1, so 10**j with j = -floor(q log10 2) >= 0 is an integer and
-    X = 4 v 10**j = P / 2**t, P = 8 c 5**j < 2**103, is exact: P's low 64
-    bits are a wrapping uint64 product, and a float64 estimate of P / 2**56,
-    off by at most one, gives the rest. So s = floor(X / 4), the remainder
-    r = X - 4 s and every comparison with the rounding interval X -+ delta,
-    delta = 2**(q+1) 10**j, are exact, and Schubfach's rounding to odd and
-    its 128-bit g(k) are not needed. In units of 10**-j the interval is
-    1 to 10 wide, and its ends are no multiples of 10 (for t >= 1 no
-    integers; for t = 0, v = 2c, odd ones). So it holds at most one
-    multiple of 10, which is then the shortest; else the integer nearest
-    X / 4, ties to even, which always lies inside. At a power of two the
-    interval is narrower below; here that changes no digit, as the tests
-    check for each of the 68 powers.
+    orjson writes the shortest round-trip digits, as repr does, and in the
+    same form for zeros and for 1e-4 <= |v| < 1e16. Every other value takes
+    repr: orjson writes NaN and inf as null, and 1e16 or 0.00001 where repr
+    writes 1e+16 or 1e-05. orjson refuses a strided array, misreads a
+    byte-swapped one and splits [] into [""], so values are first made
+    contiguous native float64, and an empty array gives [].
     """
-    mul, mulf, shift, half, k, _, pad, _ = _repr_tables()
-    e = (mag >> np.uint64(52)).view(np.int64)
-    c = (mag & np.uint64(2**52 - 1)) | np.uint64(2**52)
-    lo = c * mul.take(e)  # P mod 2**64
-    hi = (mag.view(np.float64) * mulf.take(e)).astype(np.uint64)  # P >> 56, -1..+1
-    hi = (hi + _1 - (lo >> _56)) >> _8  # P >> 64
-    sa = shift.take(e)
-    s = (hi << sa) | (lo >> (np.uint64(64) - sa))
-    r = (lo << sa) >> np.uint64(4)
-    delta = half.take(e)
-    s10 = s // _10
-    rho = ((s - s10 * _10) << np.uint64(60)) + r  # X - 40 s10
-    up10 = rho >= np.uint64(40 * _U) - delta
-    ten = (rho <= delta) | up10
-    d = np.where(ten, s10 + up10, s + (r + (s & _1) > np.uint64(2 * _U)))
-    nd = np.int64(15) + (d >= np.uint64(10**15)) + (d >= np.uint64(10**16))
-    decpt = nd + k.take(e) + ten
-    digits = d * pad.take(nd)
-    z = np.flatnonzero(d == d // _10 * _10)  # the few with 1 to 15 trailing zeros
-    dz, tz = d[z], np.zeros(z.size, dtype=np.int64)
-    for p in (8, 4, 2, 1):
-        quot = dz // np.uint64(10**p)
-        zeros = quot * np.uint64(10**p) == dz
-        dz, tz = np.where(zeros, quot, dz), tz + zeros * p
-    nd[z] -= tz
-    return digits, decpt, nd
-
-
-def _shortest_reprs(values: np.ndarray) -> list[str]:
-    """"," + repr(v) for each v of a float64 array, byte for byte.
-
-    On slices of _REPR_SLICE values. Each value takes a 25-byte record: its
-    text with spaces around it, which str.split drops. With Z = "0000"
-    followed by _shortest_digits' 17 digits, layout B holds Z[i] at byte
-    4 + i, in the words b1 (digits 0-7), b2 (8-15) and b3 (16), and layout
-    A holds it one byte lower, B shifted. The point goes at byte 7 + decpt,
-    A's digits before it and B's after it, as the masks of the class
-    (decpt, nd, sign) keep them, and the class's constant bytes everywhere
-    else: "," or ",-", the zeros of "0.000", the point and spaces. A value
-    whose repr is not in fixed form, its decpt outside -3..16, takes repr
-    itself.
-    """
-    *_, quads, _, (ma0, c0, ma1, mb1, c1, ma2, mb2, c2, mb3) = _repr_tables()
-    out, e4 = [], np.uint64(10**4)
-    for a in range(0, values.size, _REPR_SLICE):
-        x = values[a:a + _REPR_SLICE]
-        bits = x.view(np.uint64)
-        digits, decpt, nd = _shortest_digits(np.clip(bits & np.uint64(2**63 - 1), _LO, _HI))
-        first = digits // np.uint64(10**9)
-        rest = digits - first * np.uint64(10**9)
-        mid = rest // _10
-        b3 = rest - mid * _10 + np.uint64(ord("0"))
-        b1, b2 = (quads.take(h) | (quads.take(v - h * e4) << np.uint64(32))
-                  for v, h in ((first, first // e4), (mid, mid // e4)))
-        cls = decpt * 34 + nd * 2 + (bits >> np.uint64(63)).view(np.int64) + (4 * 34 - 2)
-        rec = np.empty(x.size * 25, dtype=np.uint8)
-        w0, w1, w2 = (np.ndarray(x.size, _WORD, rec, 8 * w, (25,)) for w in range(3))
-        np.bitwise_or((b1 << _56) & ma0.take(cls), c0.take(cls), out=w0)
-        for w, low, high, ma, mb, const in ((w1, b1, b2, ma1, mb1, c1), (w2, b2, b3, ma2, mb2, c2)):
-            both = ((low >> _8) | (high << _56)) & ma.take(cls)
-            both |= low & mb.take(cls)
-            np.bitwise_or(both, const.take(cls), out=w)
-        rec[24::25] = np.minimum(b3, mb3.take(cls))  # mb3: 0xFF keeps b3, " " replaces it
-        text = str(rec, "ascii").split()
-        for i in np.flatnonzero((decpt + 3).view(np.uint64) > np.uint64(19)).tolist():
-            text[i] = "," + repr(float(x[i]))
-        out += text
-    return out
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.size:
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mag = np.abs(values)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (values != 0)).tolist():
+        text[i] = repr(float(values[i]))
+    return text

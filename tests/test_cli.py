@@ -535,9 +535,9 @@ class TestStreamedTrace:
         assert expected.split("\r\n")[1:4] == ["0,1.0,-0.0,5.0,3.0", "1,2.0,1.0,0.0,3.0",
                                                 "2,2.0,2.0,1.0,3.0"]
         formatted = []
-        kernel = dynamics._shortest_reprs
-        monkeypatch.setattr(dynamics, "_shortest_reprs",
-                            lambda values: formatted.append(values.size) or kernel(values))
+        reprs = dynamics._reprs
+        monkeypatch.setattr(dynamics, "_reprs",
+                            lambda values: formatted.append(values.size) or reprs(values))
         monkeypatch.setattr(dynamics, "_TRACE_BLOCK", 1)
         path, out_csv = tmp_path / "g.json", tmp_path / "trace.csv"
         save_graph(g, path)
@@ -551,15 +551,15 @@ class TestStreamedTrace:
         # sorted whole blocks; over the whole trace it now formats fewer.
         g = random_multiconsensus_graph(2000, 100, seed=1)  # sfj generate 2000 100 --seed 1
         blocks, formatted = [], []
-        write, kernel = dynamics._write_rows, dynamics._shortest_reprs
+        write, reprs = dynamics._write_rows, dynamics._reprs
 
         def writing(fh, start, states, *rest):
             blocks.append(np.unique(states.view(np.int64)).size)
             return write(fh, start, states, *rest)
 
         monkeypatch.setattr(dynamics, "_write_rows", writing)
-        monkeypatch.setattr(dynamics, "_shortest_reprs",
-                            lambda values: formatted.append(values.size) or kernel(values))
+        monkeypatch.setattr(dynamics, "_reprs",
+                            lambda values: formatted.append(values.size) or reprs(values))
         dynamics.simulate(g, out=io.StringIO(newline=""))
         assert len(formatted) == len(blocks) > 1
         assert all(f <= b for f, b in zip(formatted, blocks))

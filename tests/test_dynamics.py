@@ -1263,14 +1263,15 @@ def fixed_form_values():
 
 
 class TestShortestReprs:
-    """dynamics._shortest_reprs against repr where shortest-digit algorithms
-    go wrong: the ends of binades and decades, subnormals, the switch between
-    fixed and exponent form, and values that are not finite or are zero."""
+    """dynamics._reprs against repr where shortest-digit algorithms go wrong:
+    the ends of binades and decades, subnormals, the switch between fixed
+    and exponent form, and values that are not finite or are zero. They pin
+    orjson's digits, which _reprs takes in fixed form, to repr's."""
 
     @staticmethod
     def check(values):
         values = np.asarray(values, dtype=np.float64)
-        assert dynamics._shortest_reprs(values) == ["," + repr(v) for v in values.tolist()]
+        assert dynamics._reprs(values) == [repr(v) for v in values.tolist()]
 
     def test_random_bit_patterns_of_both_signs(self):
         rng = np.random.default_rng(20)
@@ -1301,7 +1302,20 @@ class TestShortestReprs:
         self.check([0.0, -0.0, np.inf, -np.inf, *nans.tolist(), 1.0, -0.0])
 
     def test_empty(self):
-        assert dynamics._shortest_reprs(np.array([])) == []
+        # orjson writes an empty array as "[]", which would split into [""].
+        assert dynamics._reprs(np.array([])) == []
+
+    def test_strided_and_byte_swapped_arrays(self):
+        # orjson refuses the first and misreads the second (1.0 as 3.03865e-319).
+        values = np.array([1.0, -0.0, 0.1, 1e-5, 2.5e300, np.nan, -np.inf, 1e16])
+        for view in (values[::2], values[::-1], values.astype(">f8")):
+            assert dynamics._reprs(view) == [repr(v) for v in view.tolist()]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(), max_size=50))
+    def test_any_floats(self, values):
+        # st.floats() draws NaN, infinities, subnormals and both zeros.
+        self.check(values)
 
     def test_dense_fixed_form(self):
         self.check(fixed_form_values())
@@ -1321,14 +1335,15 @@ class TestShortestReprs:
         self.check(np.concatenate(
             (values, np.nextafter(values, 0.0), np.nextafter(values, np.inf))))
 
-    def test_temporaries_of_one_slice(self):
-        # What stays is the returned list and its strings; the rest is one
-        # slice's temporaries, which peak_rss_mb pays for in every simulate.
-        values = fixed_form_values()
-        dynamics._shortest_reprs(values[:1])  # its tables
+    def test_temporaries_of_one_block(self):
+        # The writer formats at most one block's values in one call. What
+        # stays is the returned list and its strings; the rest is the text
+        # orjson writes, which peak_rss_mb pays for in every simulate.
+        values = fixed_form_values()[:dynamics._TRACE_BLOCK]
+        dynamics._reprs(values[:1])
         tracemalloc.start()
         try:
-            out = dynamics._shortest_reprs(values)
+            out = dynamics._reprs(values)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
