@@ -3,15 +3,15 @@
 The converged opinions satisfy a homogeneous linear system R y = 0. Schur
 elimination of all persuaded agents except one (q) collapses q's balance row
 to exactly two entries, at q itself and at its persuader p, and they cancel,
-so x*_q = x*_p whatever the weights are. The elimination reads only R's rows
-of q and of the eliminated agents, so each reduced row comes back as its
-columns and values. This demo shows the algebra on the bundled 12-agent
-network. Run as: python demos/04_steady_state_reduction.py
+so x*_q = x*_p whatever the weights are. One elimination of the whole
+persuaded set gives that row for every q at once, from R's rows of the set
+alone, each row as its columns and values. This demo shows the algebra on the
+bundled 12-agent network. Run as: python demos/04_steady_state_reduction.py
 """
 
 import numpy as np
 
-from sfj import analyze, build_steady_state, networks, reduce_steady_state
+from sfj import analyze, build_steady_state, networks, reduce_persuaded_set
 
 g = networks.g2()
 cert = analyze(g)
@@ -35,13 +35,15 @@ def column(c):
 
 for p in cert.ltp_agents:
     members = cert.persuaded[p]
-    for q in sorted(members):
-        relation = reduce_steady_state(sysm, p, q, members)
+    relations = reduce_persuaded_set(sysm, p, members)
+    print(f"\npersuader {p}, persuaded set {sorted(members)}, one elimination:")
+    for relation in relations:
+        q = relation.persuaded
         entries = ", ".join(
             f"{v:+.4f} at {column(c)}" for c, v in zip(relation.columns, relation.values)
         )
         print(
-            f"\neliminate {sorted(members - {q})}: row of agent {q} is ({entries}), "
+            f"  without {sorted(members - {q})}: row of agent {q} is ({entries}), "
             f"largest stray entry {relation.max_off_support:.1e}"
         )
         assert relation.holds(tol=1e-10)

@@ -49,7 +49,7 @@ from .dynamics import (
     SteadyStateSystem,
     build_steady_state,
     influence_matrix,
-    reduce_steady_state,
+    reduce_persuaded_set,
     simulate,
     write_trace_csv,
 )
@@ -109,7 +109,7 @@ __all__ = [
     "normalize",
     "predict_clusters",
     "random_multiconsensus_graph",
-    "reduce_steady_state",
+    "reduce_persuaded_set",
     "refines",
     "robustness_harness",
     "save_graph",

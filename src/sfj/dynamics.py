@@ -458,39 +458,35 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
                              g.stubborn, g)
 
 
-def reduce_steady_state(
-    sysm: SteadyStateSystem, p: int, q: int, persuaded: Iterable[int]
-) -> ReducedRowRelation:
-    """Eliminate the rest of p's persuaded set and inspect q's remaining row.
+def reduce_persuaded_set(
+    sysm: SteadyStateSystem, p: int, persuaded: Iterable[int]
+) -> tuple[ReducedRowRelation, ...]:
+    """Eliminate p's persuaded set S from R y = 0: one relation per q of S,
+    ascending, each q's row once the rest of S is eliminated.
 
-    With rest = persuaded \\ {q}, the eliminated block D = R[rest, rest] is
-    I - (I-B)W restricted to those agents. Once every in-edge of the
-    persuaded set is positive, W restricted to the block is nonnegative with
-    rows summing to at most one, and its spectral radius is below one
-    exactly when every eliminated agent is reached from outside the block
-    along edges inside it (graph._unreached); then D is invertible.
-    p dominates its persuaded set, so for a detected set this always holds.
-    q's reduced row R[q, keep] - R[q, rest] D^{-1} R[rest, keep] is zero off
-    the columns that R's rows of q and rest touch, so only those rows'
-    nonzeros are read: one |rest|^2 solve per pair, never the (n + m)^2 R.
-    The relation also records how far the eliminated coordinates, rebuilt
-    from the kept ones, drift from y.
+    D = R[S, S] is I - (I-B)W restricted to S. Once every in-edge of S is
+    positive, D is a nonsingular M-matrix exactly when every agent of S is
+    reached from outside S along edges inside it (graph._unreached); then
+    G = D^{-1} >= 0 with G_qq > 0 (Berman & Plemmons 1994, ch. 6). p
+    dominates its persuaded set, so a detected set always passes. With
+    C = R[S, out], out the other columns R's rows of S touch, q's row is
+    (1/G_qq) (e_q + (G C)_q): 1/G_qq is the Schur complement of
+    D[S - q, S - q] in D. So one LU of D, solved against [I | C], gives every
+    row, and the (n + m)^2 R is never built. Each relation records how far
+    S's opinions rebuilt from the others, -G C y_out, drift from y.
 
-    Raises ValueError if p, q or a persuaded agent is not an agent id of
-    1..n (2.0 counts, a bool does not), q is not persuaded or p is,
-    HypothesisViolated if any persuaded agent has a negative in-edge and
-    SingularBlock if some eliminated agent is unreached.
+    Raises ValueError if p or a persuaded agent is not an agent id of 1..n
+    (2.0 counts, a bool does not), or the set is empty or holds p;
+    HypothesisViolated if any persuaded agent has a negative in-edge, and
+    SingularBlock, naming them, if some persuaded agents are unreached.
     """
     n, norm, g = sysm.n, sysm.system, sysm.graph
-    p, q = _agent(p, n), _agent(q, n)
-    members = frozenset(_agent(v, n) for v in sorted(persuaded))
-    if q not in members:
-        raise ValueError(f"agent {q} is not in the persuaded set {sorted(members)}")
-    if p in members:
-        raise ValueError(f"persuader {p} cannot be in its own persuaded set")
+    p = _agent(p, n)
+    members = sorted({_agent(v, n) for v in persuaded})
+    if not members or p in members:
+        raise ValueError(f"the persuaded set of {p} must be nonempty and must not hold {p}")
     bounds, order, stubborn = sysm._index
-    rest = np.array(sorted(v - 1 for v in members - {q}), dtype=np.int64)
-    agents = np.concatenate(([q - 1], rest))
+    agents = np.array(members, dtype=np.int64) - 1
     runs = [order[bounds[a]:bounds[a + 1]] for a in agents.tolist()]
     entries = np.concatenate(runs)
     bad = np.sort(entries[entries < g.w.size])  # entries of edges, in edge order
@@ -498,43 +494,44 @@ def reduce_steady_state(
     if bad.size:
         raise HypothesisViolated(list(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
 
-    # The search runs on rest's agents as 1..k and on every other agent as 0.
-    rows, cols = norm.rows[entries], norm.cols[entries]
-    mine, k = slice(runs[0].size, None), rest.size  # rest's entries follow q's
-    at = np.searchsorted(rest, cols[mine]).clip(max=k - 1)
-    src = np.where(rest[at] == cols[mine], at + 1, 0)
-    local = _unreached(k, src, np.searchsorted(rest, rows[mine]) + 1, range(1, k + 1))
-    closed = sorted(int(rest[i - 1]) + 1 for i in local)
-    if closed:
-        raise SingularBlock(f"agents {closed} have no path from outside the eliminated "
-                            "block, so its restricted weights have spectral radius 1")
+    # The search runs on S's agents as 1..k and on every other agent as 0.
+    rows, cols, k = norm.rows[entries], norm.cols[entries], agents.size
+    at = np.searchsorted(agents, cols).clip(max=k - 1)
+    local = _unreached(k, np.where(agents[at] == cols, at + 1, 0),
+                       np.searchsorted(agents, rows) + 1, range(1, k + 1))
+    if local:
+        raise SingularBlock(f"agents {sorted(members[i - 1] for i in local)} have no path from "
+                            "outside the set, so its restricted weights have spectral radius 1")
 
-    # R's rows of q and rest on the columns they touch, built as .R builds them.
+    # R's rows of S on the columns they touch, built as .R builds them.
     anchored = np.flatnonzero(norm.beta[agents] > 0.0)
     anchors = n + np.searchsorted(stubborn, agents[anchored])
     columns = np.unique(np.concatenate((agents, cols, anchors, [p - 1])))
-    block = np.zeros((agents.size, columns.size))
-    block[np.arange(agents.size), np.searchsorted(columns, agents)] = 1.0
-    owner = np.repeat(np.arange(agents.size), [run.size for run in runs])
+    block = np.zeros((k, columns.size))
+    block[np.arange(k), np.searchsorted(columns, agents)] = 1.0
+    owner = np.repeat(np.arange(k), [run.size for run in runs])
     block[owner, np.searchsorted(columns, cols)] -= (1.0 - norm.beta[rows]) * norm.vals[entries]
     block[anchored, np.searchsorted(columns, anchors)] = -norm.beta[agents[anchored]]
 
-    elim = np.searchsorted(columns, rest)
-    keep = np.delete(np.arange(columns.size), elim)
-    kept, D, C = columns[keep], block[1:, elim], block[1:][:, keep]
+    out = np.setdiff1d(columns, agents)  # holds p - 1
     try:
-        # All of the block's rows in one matrix product, as a dense elimination
-        # forms it; q's row alone takes numpy's vector path, summed in another order.
-        row = block[0, keep] - (block[:, elim] @ np.linalg.solve(D, C))[0]
-        y_elim = -np.linalg.solve(D, C @ sysm.y[kept])
+        solved = np.linalg.solve(block[:, np.searchsorted(columns, agents)],
+                                 np.hstack((np.eye(k), block[:, np.searchsorted(columns, out)])))
     except np.linalg.LinAlgError as exc:
-        raise SingularBlock(f"eliminated block is singular: {exc}") from exc
-    at_p, at_q = np.searchsorted(kept, [p - 1, q - 1]).tolist()
-    return ReducedRowRelation(
-        p, q, float(row[at_p]), float(row[at_q]),
-        float(np.abs(np.delete(row, [at_p, at_q])).max(initial=0.0)),
-        float(np.abs(y_elim - sysm.y[rest]).max(initial=0.0)),
-        tuple(kept.tolist()), tuple(row.tolist()))
+        raise SingularBlock(f"persuaded block is singular: {exc}") from exc
+    scale = 1.0 / solved.diagonal()[:, None]  # 1 / G_qq
+    reduced = np.hstack((solved[:, k:] * scale, scale))  # q's row on out, then on q
+    ids = np.hstack((np.broadcast_to(out, (k, out.size)), agents[:, None]))
+    by_id = np.argsort(ids, axis=1)
+    at_p = int(np.searchsorted(out, p - 1))
+    stray = np.abs(np.delete(reduced[:, :-1], at_p, axis=1)).max(axis=1, initial=0.0)
+    mismatch = float(np.abs(solved[:, k:] @ sysm.y[out] + sysm.y[agents]).max())
+    return tuple(
+        ReducedRowRelation(p, q, pin, own, off, mismatch, tuple(c), tuple(v))
+        for q, pin, own, off, c, v in zip(
+            members, reduced[:, at_p].tolist(), scale[:, 0].tolist(), stray.tolist(),
+            np.take_along_axis(ids, by_id, 1).tolist(),
+            np.take_along_axis(reduced, by_id, 1).tolist()))
 
 
 def write_trace_csv(trace: OpinionTrace, fh) -> None:

@@ -51,7 +51,7 @@ class NotConverged(SFJError):
 
 class SingularBlock(SFJError):
     """A block of the steady-state system is not invertible: the persuaded
-    agents reduce_steady_state eliminates, or one strongly connected
+    set reduce_persuaded_set eliminates, or one strongly connected
     component's block of I - (I - B) W in the solve for V."""
 
 

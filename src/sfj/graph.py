@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -362,10 +363,12 @@ def _raise_format_error(n: int, agents: list, raw_edges: list):
 
 
 def _agent(v, n: int) -> int:
-    """v as an agent id of 1..n, else ValueError; 2.0 counts, a bool does not."""
-    if not 1 <= v <= n:
+    """v as an agent id of 1..n, else ValueError; 2.0 counts, a bool, a
+    string, None or a complex number does not."""
+    real = isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+    if real and not 1 <= v <= n:
         raise ValueError(f"agent {v} outside 1..{n}")
-    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+    if not real or not float(v).is_integer():
         raise ValueError(f"agent {v!r} is not an integer")
     return int(v)
 

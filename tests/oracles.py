@@ -8,6 +8,7 @@ against the other.
 
 import json
 import math
+from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
@@ -17,6 +18,7 @@ from sfj import (
     Edge,
     GraphFormatError,
     GraphValidationError,
+    HypothesisViolated,
     LTPCertificate,
     NoStubbornAgents,
     NotConverged,
@@ -33,7 +35,7 @@ from sfj import (
 )
 from sfj import dynamics
 from sfj.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, _sweep_bound
-from sfj.graph import _normalized, _unreached
+from sfj.graph import _agent, _normalized, _unreached
 
 
 class SizeLimit(SFJError):
@@ -369,6 +371,132 @@ def dense_reduction(steady: SteadyStateSystem, p: int, q: int, persuaded):
         values=tuple(row.tolist()),
     )
     return reduced, keep, relation
+
+
+def reduce_steady_state(
+    sysm: SteadyStateSystem, p: int, q: int, persuaded: Iterable[int]
+) -> ReducedRowRelation:
+    """Eliminate the rest of p's persuaded set and inspect q's remaining row:
+    the pair-by-pair reference that reduce_persuaded_set is checked against.
+
+    With rest = persuaded \\ {q}, the eliminated block D = R[rest, rest] is
+    I - (I-B)W restricted to those agents. Once every in-edge of the
+    persuaded set is positive, W restricted to the block is nonnegative with
+    rows summing to at most one, and its spectral radius is below one
+    exactly when every eliminated agent is reached from outside the block
+    along edges inside it (graph._unreached); then D is invertible.
+    p dominates its persuaded set, so for a detected set this always holds.
+    q's reduced row R[q, keep] - R[q, rest] D^{-1} R[rest, keep] is zero off
+    the columns that R's rows of q and rest touch, so only those rows'
+    nonzeros are read: one |rest|^2 solve per pair, never the (n + m)^2 R.
+    The relation also records how far the eliminated coordinates, rebuilt
+    from the kept ones, drift from y.
+
+    Raises ValueError if p, q or a persuaded agent is not an agent id of
+    1..n (2.0 counts, a bool does not), q is not persuaded or p is,
+    HypothesisViolated if any persuaded agent has a negative in-edge and
+    SingularBlock if some eliminated agent is unreached.
+    """
+    n, norm, g = sysm.n, sysm.system, sysm.graph
+    p, q = _agent(p, n), _agent(q, n)
+    members = frozenset(_agent(v, n) for v in sorted(persuaded))
+    if q not in members:
+        raise ValueError(f"agent {q} is not in the persuaded set {sorted(members)}")
+    if p in members:
+        raise ValueError(f"persuader {p} cannot be in its own persuaded set")
+    bounds, order, stubborn = sysm._index
+    rest = np.array(sorted(v - 1 for v in members - {q}), dtype=np.int64)
+    agents = np.concatenate(([q - 1], rest))
+    runs = [order[bounds[a]:bounds[a + 1]] for a in agents.tolist()]
+    entries = np.concatenate(runs)
+    bad = np.sort(entries[entries < g.w.size])  # entries of edges, in edge order
+    bad = bad[g.w[bad] < 0]
+    if bad.size:
+        raise HypothesisViolated(list(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
+
+    # The search runs on rest's agents as 1..k and on every other agent as 0.
+    rows, cols = norm.rows[entries], norm.cols[entries]
+    mine, k = slice(runs[0].size, None), rest.size  # rest's entries follow q's
+    at = np.searchsorted(rest, cols[mine]).clip(max=k - 1)
+    src = np.where(rest[at] == cols[mine], at + 1, 0)
+    local = _unreached(k, src, np.searchsorted(rest, rows[mine]) + 1, range(1, k + 1))
+    closed = sorted(int(rest[i - 1]) + 1 for i in local)
+    if closed:
+        raise SingularBlock(f"agents {closed} have no path from outside the eliminated "
+                            "block, so its restricted weights have spectral radius 1")
+
+    # R's rows of q and rest on the columns they touch, built as .R builds them.
+    anchored = np.flatnonzero(norm.beta[agents] > 0.0)
+    anchors = n + np.searchsorted(stubborn, agents[anchored])
+    columns = np.unique(np.concatenate((agents, cols, anchors, [p - 1])))
+    block = np.zeros((agents.size, columns.size))
+    block[np.arange(agents.size), np.searchsorted(columns, agents)] = 1.0
+    owner = np.repeat(np.arange(agents.size), [run.size for run in runs])
+    block[owner, np.searchsorted(columns, cols)] -= (1.0 - norm.beta[rows]) * norm.vals[entries]
+    block[anchored, np.searchsorted(columns, anchors)] = -norm.beta[agents[anchored]]
+
+    elim = np.searchsorted(columns, rest)
+    keep = np.delete(np.arange(columns.size), elim)
+    kept, D, C = columns[keep], block[1:, elim], block[1:][:, keep]
+    try:
+        # All of the block's rows in one matrix product, as a dense elimination
+        # forms it; q's row alone takes numpy's vector path, summed in another order.
+        row = block[0, keep] - (block[:, elim] @ np.linalg.solve(D, C))[0]
+        y_elim = -np.linalg.solve(D, C @ sysm.y[kept])
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlock(f"eliminated block is singular: {exc}") from exc
+    at_p, at_q = np.searchsorted(kept, [p - 1, q - 1]).tolist()
+    return ReducedRowRelation(
+        p, q, float(row[at_p]), float(row[at_q]),
+        float(np.abs(np.delete(row, [at_p, at_q])).max(initial=0.0)),
+        float(np.abs(y_elim - sysm.y[rest]).max(initial=0.0)),
+        tuple(kept.tolist()), tuple(row.tolist()))
+
+
+def exact_reduced_rows(g: SignedDigraph, persuaded) -> dict:
+    """reduce_persuaded_set in rational arithmetic, with no float tolerance.
+
+    R's rows of S = persuaded are built from g's floats as Fractions (each is
+    exact as one), normalized as normalize does, with w_ii = 1 for an agent
+    without in-edges. Gauss-Jordan on [D | I | C] gives [I | G | G C], and q's
+    reduced row is (1/G_qq) (e_q + (G C)_q). Returns {q: {column: value}}
+    over every column of R outside S - {q}, 0-based as in
+    ReducedRowRelation; the rows do not depend on the persuader. Raises
+    SingularBlock when D is singular. Checks no input; small n only.
+    """
+    n, stubborn, members = g.n, list(g.stubborn), sorted(persuaded)
+    total = [Fraction(0)] * (n + 1)
+    for _, dst, w in g.edges:
+        total[dst] += abs(Fraction(w))
+    rows = []
+    for i in members:
+        row, open_ = [Fraction(0)] * (n + len(stubborn)), 1 - Fraction(g.beta[i - 1])
+        row[i - 1] = Fraction(1) - (open_ if total[i] == 0 else 0)
+        for src, dst, w in g.edges:
+            if dst == i:
+                row[src - 1] -= open_ * Fraction(w) / total[i]
+        if i in stubborn:
+            row[n + stubborn.index(i)] = -Fraction(g.beta[i - 1])
+        rows.append(row)
+    k, inside = len(members), [i - 1 for i in members]
+    outside = [c for c in range(len(rows[0])) if c not in inside]
+    M = [[r[c] for c in inside] + [Fraction(int(a == b)) for b in range(k)]
+         + [r[c] for c in outside] for a, r in enumerate(rows)]
+    for j in range(k):
+        pivot = next((i for i in range(j, k) if M[i][j] != 0), None)
+        if pivot is None:
+            raise SingularBlock(f"persuaded block of {members} is singular")
+        M[j], M[pivot] = M[pivot], M[j]
+        M[j] = [v / M[j][j] for v in M[j]]
+        for i in range(k):
+            if i != j and M[i][j] != 0:
+                M[i] = [a - M[i][j] * b for a, b in zip(M[i], M[j])]
+    reduced = {}
+    for a, q in enumerate(members):
+        scale = 1 / M[a][k + a]  # 1 / G_qq
+        row = {c: scale * v for c, v in zip(outside, M[a][2 * k:])}
+        reduced[q] = dict(sorted({**row, q - 1: scale}.items()))
+    return reduced
 
 
 def update_matrix(sysm) -> np.ndarray:

@@ -25,7 +25,7 @@ from sfj import (
     normalize,
     predict_clusters,
     random_multiconsensus_graph,
-    reduce_steady_state,
+    reduce_persuaded_set,
     robustness_harness,
     simulate,
 )
@@ -170,15 +170,14 @@ def test_criterion_6_reduced_row_algebra():
         sysm = build_steady_state(g)
         for p in cert.ltp_agents:
             members = cert.persuaded[p]
-            for q in sorted(members):
-                relation = reduce_steady_state(sysm, p, q, members)
+            for relation in reduce_persuaded_set(sysm, p, members):
                 assert relation.max_off_support <= 1e-10
                 assert abs(relation.persuader_entry + relation.persuaded_entry) <= 1e-10
                 assert relation.solve_mismatch <= 1e-9
                 # The local row annihilates y, as the dense reduced system does.
                 row = np.array(relation.values) @ sysm.y[list(relation.columns)]
                 assert abs(row) <= 1e-9
-                reduced, keep, _ = dense_reduction(sysm, p, q, members)
+                reduced, keep, _ = dense_reduction(sysm, p, relation.persuaded, members)
                 assert np.max(np.abs(reduced @ sysm.y[keep])) <= 1e-9
                 pairs += 1
     assert pairs >= 200

@@ -15,6 +15,7 @@ NOT_EXPORTED = (
     "neumann_influence",
     "neumann_tail_bound",
     "neumann_terms_for",
+    "reduce_steady_state",
     "schur_complement",
     "sfj_step",
     "spectral_radius",

@@ -174,12 +174,14 @@ class TestInfluenceClusters:
         assert cluster_spread(v, clusters) == pytest.approx(1.8e-8)
 
     @pytest.mark.parametrize("cluster, agent", [({12, 0}, 0), ({1, 13}, 13), ({-3}, -3),
-                                                ({4.5, 5}, 4.5), ({True, 5}, True)])
+                                                ({4.5, 5}, 4.5), ({True, 5}, True),
+                                                ({"4", 5}, "4"), ({None, 5}, None)])
     def test_spread_rejects_an_agent_outside_the_network(self, g2, cluster, agent):
         # Agent 0 would read row -1, agent 12's own, and agent 13 none at all;
-        # 4.5 would read agent 4's row and True agent 1's.
+        # 4.5 would read agent 4's row and True agent 1's; "4" and None would
+        # fail to compare with the other ids.
         problem = "outside 1\\.\\.12" if type(agent) is int else "is not an integer"
-        with pytest.raises(ValueError, match=rf"^agent {agent} {problem}$"):
+        with pytest.raises(ValueError, match=rf"^agent {agent!r} {problem}$"):
             cluster_spread(influence_matrix(g2), [{1, 2, 3}, cluster])
 
     def test_spread_takes_integral_floats_and_numpy_ints(self, g2):
