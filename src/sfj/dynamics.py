@@ -170,12 +170,11 @@ def simulate(
     Each step reads only the nonzeros of the update matrix, one per edge:
     memory is O(n + edges), plus one block.
     """
-    n, beta = g.n, np.array(g.beta)
+    n, beta = g.n, g.beta
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
     # An unreached agent leaves abs(M) a closed class of spectral radius one.
     plain = bool(_unreached(n, g.src, g.dst, np.flatnonzero(1.0 - beta == 1.0) + 1))
-    x0 = np.array(g.x0)
-    anchor = beta * x0
+    anchor = beta * g.x0
     # An agent whose one term is 1.0 times agent j's opinion, with no
     # anchor, copies j's last value: j is its source in the trace writer.
     copy = (np.bincount(rows, minlength=n)[rows] == 1) & (vals == 1.0) & (anchor[rows] == 0.0)
@@ -190,7 +189,7 @@ def simulate(
         anchor = np.concatenate((anchor, np.ones(n)))
     per_block = max(1, _TRACE_BLOCK // n)
     block = np.empty((per_block + 1, anchor.size))
-    block[1, :n], block[1, n:] = x0, 1.0
+    block[1, :n], block[1, n:] = g.x0, 1.0
     kept, first, carry = [], 0, None  # rows kept; the k of block[1]; the row written above it
     j, k, residual, converged = 1, 0, np.inf, False  # block[j] holds u at step k
     if out is not None:
@@ -453,7 +452,7 @@ def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
     well defined in the first place. y comes from V's stubborn block.
     """
     sysm, block = _influence(g)
-    x0_stubborn = np.array(g.x0)[np.array(g.stubborn) - 1]
+    x0_stubborn = g.x0[np.array(g.stubborn) - 1]
     return SteadyStateSystem(sysm, np.concatenate([block @ x0_stubborn, x0_stubborn]),
                              g.stubborn, g)
 
@@ -466,7 +465,8 @@ def reduce_persuaded_set(
 
     D = R[S, S] is I - (I-B)W restricted to S. Once every in-edge of S is
     positive, D is a nonsingular M-matrix exactly when every agent of S is
-    reached from outside S along edges inside it (graph._unreached); then
+    reached, along edges inside S (graph._unreached), from outside S or from
+    a member whose 1 - beta rounds below one, as its row of D falls short; then
     G = D^{-1} >= 0 with G_qq > 0 (Berman & Plemmons 1994, ch. 6). p
     dominates its persuaded set, so a detected set always passes. With
     C = R[S, out], out the other columns R's rows of S touch, q's row is
@@ -494,14 +494,18 @@ def reduce_persuaded_set(
     if bad.size:
         raise HypothesisViolated(list(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
 
-    # The search runs on S's agents as 1..k and on every other agent as 0.
+    # The search runs on S's agents as 1..k and on every other agent as 0. A
+    # member whose 1 - beta rounds below one has a deficient row of D, so it
+    # starts the search as an agent outside the block does (as in simulate).
     rows, cols, k = norm.rows[entries], norm.cols[entries], agents.size
     at = np.searchsorted(agents, cols).clip(max=k - 1)
     local = _unreached(k, np.where(agents[at] == cols, at + 1, 0),
-                       np.searchsorted(agents, rows) + 1, range(1, k + 1))
+                       np.searchsorted(agents, rows) + 1,
+                       np.flatnonzero(1.0 - norm.beta[agents] == 1.0) + 1)
     if local:
         raise SingularBlock(f"agents {sorted(members[i - 1] for i in local)} have no path from "
-                            "outside the set, so its restricted weights have spectral radius 1")
+                            "outside the set or from a member whose 1 - beta is below one, "
+                            "so the set's block of I - (I - B) W is singular")
 
     # R's rows of S on the columns they touch, built as .R builds them.
     anchored = np.flatnonzero(norm.beta[agents] > 0.0)

@@ -40,9 +40,10 @@ class SignedDigraph:
         src, dst, w: the edges as read-only columns in edge order: edge k
             runs from agent src[k] to agent dst[k] (int64, 1-based) with
             signed, nonzero weight w[k] (float64).
-        beta: per-agent stubbornness in [0, 1]; agent i is stubborn iff
-            beta[i-1] > 0.
-        x0: per-agent initial opinion.
+        beta: per-agent stubbornness in [0, 1], a read-only float64 column;
+            agent i is stubborn iff beta[i-1] > 0.
+        x0: per-agent initial opinion, a read-only float64 column.
+    Every column is the graph's own copy.
     """
 
     def __init__(self, n: int, edges, beta, x0):
@@ -52,8 +53,7 @@ class SignedDigraph:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise GraphValidationError(f"n must be an integer, got {n!r}")
         e = np.array(edges, dtype=float).reshape(-1, 3)
-        b, x = np.asarray(beta, dtype=float), np.asarray(x0, dtype=float)
-        self.n, self.beta, self.x0 = int(n), tuple(b.tolist()), tuple(x.tolist())
+        b, x = np.array(beta, dtype=float), np.array(x0, dtype=float)
         if n < 1:
             raise GraphValidationError(f"need at least one agent, got n={n}")
         if b.shape != (n,) or x.shape != (n,):
@@ -63,15 +63,19 @@ class SignedDigraph:
         bad = ~((b >= 0.0) & (b <= 1.0))
         if bad.any():
             raise GraphValidationError(
-                f"stubbornness {self.beta[bad.argmax()]} outside [0, 1]"
+                f"stubbornness {b[bad.argmax()].item()} outside [0, 1]"
             )
         bad = ~np.isfinite(x)
         if bad.any():
             i = int(bad.argmax())
-            raise GraphValidationError(f"agent {i + 1} has non-finite x0 {self.x0[i]}")
+            raise GraphValidationError(f"agent {i + 1} has non-finite x0 {x[i].item()}")
         ends = e[:, :2]
-        integral = np.all(np.isfinite(ends) & (ends == np.floor(ends)), axis=1)
-        inside = integral & np.all((ends >= 1) & (ends <= n), axis=1)
+        # Each test on the (E, 2) block, then its two columns ANDed: a
+        # reduction along the short axis costs far more.
+        integral = np.isfinite(ends) & (ends == np.floor(ends))
+        integral = integral[:, 0] & integral[:, 1]
+        bounded = (ends >= 1) & (ends <= n)
+        inside = integral & bounded[:, 0] & bounded[:, 1]
         s, d = (np.where(inside, c, 0).astype(np.int64) for c in ends.T)
         w = e[:, 2].copy()
         # Out-of-range edges get distinct negative keys, so a repeat is always
@@ -95,16 +99,16 @@ class SignedDigraph:
         if np.isinf(total).any():
             raise GraphValidationError(f"agent {np.isinf(total).argmax()}'s in-weight "
                                        "magnitudes sum past the float range")
-        for column in (s, d, w):
+        for column in (s, d, w, b, x):
             column.setflags(write=False)
-        self.src, self.dst, self.w = s, d, w
+        self.n, self.src, self.dst, self.w, self.beta, self.x0 = int(n), s, d, w, b, x
 
     def __eq__(self, other):
         return (
             isinstance(other, SignedDigraph)
-            and (self.n, self.beta, self.x0) == (other.n, other.beta, other.x0)
-            and all(map(np.array_equal, (self.src, self.dst, self.w),
-                        (other.src, other.dst, other.w)))
+            and self.n == other.n
+            and all(map(np.array_equal, (self.src, self.dst, self.w, self.beta, self.x0),
+                        (other.src, other.dst, other.w, other.beta, other.x0)))
         )
 
     @cached_property
@@ -115,7 +119,7 @@ class SignedDigraph:
     @cached_property
     def stubborn(self) -> tuple[int, ...]:
         """Ids of stubborn agents, ascending; computed once per graph."""
-        return tuple(i + 1 for i, b in enumerate(self.beta) if b > 0.0)
+        return tuple((np.flatnonzero(self.beta > 0.0) + 1).tolist())
 
     @property
     def m(self) -> int:
@@ -139,26 +143,30 @@ def _csr(keys: np.ndarray, vals: np.ndarray, n: int) -> tuple[list[int], list[in
 def _postorder(bounds: list, succ: list, roots, seen: list) -> tuple[list[int], list[int]]:
     """The package's one graph search: iterative depth-first postorder of
     v -> succ[bounds[v]:bounds[v + 1]] from each root not in seen, in turn,
-    marking what it visits in seen. Tree t is post[trees[t]:trees[t + 1]];
-    cursor[v] is the position in succ of the next successor of v to try."""
-    post, trees, cursor = [], [], bounds[:-1]
+    marking what it visits in seen. Tree t is post[trees[t]:trees[t + 1]].
+    The open node's frame (v, i, end) lives in locals, i the position in succ
+    of its next successor to try; a descent pushes it and a finished node
+    pops its parent's."""
+    post, trees = [], []
     for root in roots:
         if seen[root]:
             continue
         seen[root] = True
         trees.append(len(post))
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            i, end = cursor[v], bounds[v + 1]
-            while i < end and seen[succ[i]]:
+        stack = []
+        v, i, end = root, bounds[root], bounds[root + 1]
+        while True:
+            while i < end:
+                u = succ[i]
                 i += 1
-            if i < end:
-                cursor[v] = i + 1
-                seen[succ[i]] = True
-                stack.append(succ[i])
-            else:
-                post.append(stack.pop())
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append((v, i, end))
+                    v, i, end = u, bounds[u], bounds[u + 1]
+            post.append(v)
+            if not stack:
+                break
+            v, i, end = stack.pop()
     trees.append(len(post))
     return post, trees
 
@@ -225,7 +233,7 @@ def normalize(g: SignedDigraph) -> NormalizedSystem:
     Row i of W is a_ij / sum_j |a_ij| over agent i's in-edges, or w_ii = 1 if
     it has none. O(n + edges): the dense W is built only when .W is read.
     """
-    return _normalized(g.n, *g.edge_index, g.w, np.array(g.beta))
+    return _normalized(g.n, *g.edge_index, g.w, g.beta)
 
 
 def _normalized(n: int, src, dst, w, beta: np.ndarray) -> NormalizedSystem:
@@ -254,7 +262,7 @@ def check_reachability(g: SignedDigraph) -> ReachabilityReport:
         raise NoStubbornAgents("network has no stubborn agent")
     # A path from a stubborn agent runs among non-stubborn agents after the
     # last stubborn one on it, so this is the restricted search on that block.
-    unreachable = _unreached(g.n, g.src, g.dst, np.flatnonzero(np.array(g.beta) == 0.0) + 1)
+    unreachable = _unreached(g.n, g.src, g.dst, np.flatnonzero(g.beta == 0.0) + 1)
     return ReachabilityReport(ok=not unreachable, unreachable=unreachable)
 
 
@@ -283,7 +291,8 @@ def graph_to_dict(g: SignedDigraph) -> dict:
     return {
         "n": g.n,
         "agents": [
-            {"id": i + 1, "beta": g.beta[i], "x0": g.x0[i]} for i in range(g.n)
+            {"id": i, "beta": b, "x0": x}
+            for i, b, x in zip(range(1, g.n + 1), g.beta.tolist(), g.x0.tolist())
         ],
         "edges": [
             {"from": s, "to": d, "w": w}

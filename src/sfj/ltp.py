@@ -91,7 +91,9 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     Dominance Algorithm" (2001), on nodes renumbered in DFS postorder, where
     a dominator has the larger number: sweep the nodes in reverse postorder
     and set each idom to the nearest common ancestor, in the current tree, of
-    the predecessors seen so far, until a sweep changes nothing. Acyclic
+    the predecessors seen so far, until a sweep changes nothing. A node with
+    one predecessor has it as its idom from the start, so the sweeps visit
+    only the nodes with several. Acyclic
     graphs settle in one sweep and a second confirms it; cycles entered at
     several points take a few more. Long ancestor walks and many sweeps make
     the worst case superlinear, but on these networks the cost is near-linear
@@ -116,34 +118,41 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
 
     number = np.empty(g.n + 1, dtype=np.int64)
     number[post] = np.arange(g.n + 1)
-    bounds, preds = _csr(number[dst], number[src], g.n)
+    to, by = number[dst], number[src]
+    bounds, preds = _csr(to, by, g.n)
     root = g.n  # the root's postorder number
-    idom = [-1] * (g.n + 1)  # -1: not yet processed in any sweep
+    # A node with one predecessor has it as its idom, set here by one gather;
+    # the sweeps visit only the nodes with several, in reverse postorder.
+    count = np.bincount(to, minlength=g.n + 1)
+    idom = np.full(g.n + 1, -1)  # -1: not yet processed in any sweep
+    one = count[to] == 1
+    idom[to[one]] = by[one]
     idom[root] = root
+    idom = idom.tolist()
+    multi = np.flatnonzero(count > 1)[::-1].tolist()
     # A node's last predecessor has the highest number, so a sweep has always
-    # processed it (the node's DFS parent is one such). A node with one
-    # predecessor keeps it as idom after the first sweep, so later ones skip it.
-    rpo = range(root - 1, -1, -1)  # every node but the root, reverse postorder
-    multi = np.flatnonzero(np.bincount(number[dst]) > 1)[::-1].tolist()
-    sweep, changed = rpo, True
+    # processed it (the node's DFS parent is one such). The first sweep skips
+    # a predecessor numbered below v: it has not reached it, nor perhaps some
+    # node with several predecessors on its idom chain.
+    later, changed = False, True
     while changed:
         changed = False
-        for v in sweep:
+        for v in multi:
             first, last = bounds[v], bounds[v + 1] - 1
             new = preds[last]
-            if first < last:
-                for p in preds[first:last]:
-                    if idom[p] != -1:
-                        while p != new:  # walk both fingers up to where they meet
-                            while p < new:
-                                p = idom[p]
-                            while new < p:
-                                new = idom[new]
+            for p in preds[first:last]:
+                if later or p > v:
+                    while p != new:  # walk both fingers up to where they meet
+                        while p < new:
+                            p = idom[p]
+                        while new < p:
+                            new = idom[new]
             if idom[v] != new:
                 idom[v] = new
                 changed = True
-        sweep = multi
+        later = True
 
+    rpo = range(root - 1, -1, -1)  # every node but the root, reverse postorder
     return DominatorTree(VIRTUAL_ROOT, {post[v]: post[idom[v]] for v in rpo})
 
 

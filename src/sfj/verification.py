@@ -255,7 +255,7 @@ def robustness_harness(
     # trial, and each block of trials builds its systems as normalize does
     # and solves as influence_matrix does, with no gate. Each trial draws in
     # its own order, as if alone.
-    plan = _level_plan(_normalized(g.n, src, dst, g.w, np.array(g.beta)), stubborn)
+    plan = _level_plan(_normalized(g.n, src, dst, g.w, g.beta), stubborn)
     per_block = max(1, dynamics._TRACE_BLOCK // plan.footprint)
     # The solve leaves V's rows in slot order; the boxes gather them by cluster.
     rows = plan.slot_of[order]

@@ -171,16 +171,18 @@ def text_load_graph(path) -> SignedDigraph:
     return graph_from_dict(data)
 
 
-def unreached_by_closure(g: SignedDigraph, block) -> frozenset[int]:
+def unreached_by_closure(g: SignedDigraph, block, beta: bool = True) -> frozenset[int]:
     """Agents of block that no path from outside block, inside block, reaches.
 
     Boolean transitive closure of the adjacency restricted to block, seeded
-    by the block agents that have an in-edge from outside it.
+    by the block agents that have an in-edge from outside it and, with beta,
+    by those whose 1 - beta rounds below one: reduce_persuaded_set's gate.
+    Without beta it is the gate of the per-pair reduce_steady_state below.
     """
     inside = sorted(block)
     pos = {v: i for i, v in enumerate(inside)}
     adj = np.zeros((len(inside), len(inside)), dtype=bool)
-    entered = np.zeros(len(inside), dtype=bool)
+    entered = np.array([beta and 1.0 - g.beta[v - 1] < 1.0 for v in inside], dtype=bool)
     for src, dst, _ in g.edges:
         if dst in pos:
             if src in pos:

@@ -34,6 +34,7 @@ from sfj.cli import EXIT_NOT_CONVERGED, EXIT_OK, main
 from sfj.dynamics import (
     DEFAULT_TOL,
     OpinionTrace,
+    SteadyStateSystem,
     _components,
     _level_plan,
     _level_solve,
@@ -927,11 +928,26 @@ def cooperative_blocks(draw, max_n=7):
 
 
 # Agent 1 is stubborn and hears only from its own self-loop, and agent 2 only
-# from agent 1, so the set {1, 2} is closed although the edge (1, 1) points at it.
+# from agent 1, so once agent 1's beta is not counted the set {1, 2} is
+# closed although the edge (1, 1) points at it.
 SELF_LOOP_BLOCK = (
     make(3, [Edge(1, 1, 2.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0)], beta=[0.5, 0.0, 0.0]),
     3, 2, {1, 2},
 )
+
+# 1 <-> 2 is a cycle with no other in-edge, and agent 3 hears from 2 and from
+# 4, outside the set {1, 2, 3}.
+CLOSED_CYCLE = [Edge(1, 2, 1.0), Edge(2, 1, 3.0), Edge(2, 3, 1.0), Edge(3, 4, 1.0),
+                Edge(4, 3, 1.0)]
+
+
+def unanchored(g, members):
+    """g with the members' beta set to 0, and its steady-state system put
+    together by hand with y = 0, which the gate never reads: a closed set
+    then leaves its agents unreached, so build_steady_state would refuse it."""
+    g = make(g.n, g.edges, beta=[0.0 if i in members else b
+                                 for i, b in enumerate(g.beta.tolist(), 1)])
+    return g, SteadyStateSystem(normalize(g), np.zeros(g.n + g.m), g.stubborn, g)
 
 
 class TestReductionGate:
@@ -939,31 +955,55 @@ class TestReductionGate:
     @given(cooperative_blocks())
     @example(SELF_LOOP_BLOCK)
     def test_singular_exactly_when_the_block_is_closed(self, case):
+        # On g itself a set is never closed, as every agent is reached from
+        # a stubborn one; without the members' beta it often is.
         g, p, _, members = case
-        sysm = build_steady_state(g)
         elim = sorted(v - 1 for v in members)
         rho = spectral_radius(normalize(g).W[np.ix_(elim, elim)])
-        try:
-            reduce_persuaded_set(sysm, p, members)
-            raised = False
-        except SingularBlock:
-            raised = True
-        assert raised == bool(unreached_by_closure(g, members))
-        if rho < 1.0 - 1e-9:
-            assert not raised
+        for h, sysm in ((g, build_steady_state(g)), unanchored(g, members)):
+            try:
+                reduce_persuaded_set(sysm, p, members)
+                raised = False
+            except SingularBlock:
+                raised = True
+            assert raised == bool(unreached_by_closure(h, members))
+            if rho < 1.0 - 1e-9:
+                assert not raised
 
-    def test_closed_cycle_is_singular(self):
-        # 1 <-> 2 is a cycle with no other in-edge: W restricted to {1, 2} is
-        # [[0, 1], [1, 0]], radius 1. Agent 3 hears from 4, outside the set,
-        # so the set {1, 2, 3} is refused for {1, 2} alone. The per-pair gate
-        # is weaker: for q = 2 it eliminates {1, 3}, which 2 enters.
-        g = make(4, [Edge(1, 2, 1.0), Edge(2, 1, 3.0), Edge(2, 3, 1.0),
-                     Edge(3, 4, 1.0), Edge(4, 3, 1.0)], beta=[0.5, 0.0, 0.0, 0.0])
+    def test_closed_cycle_with_a_stubborn_agent_reduces(self):
+        # Agent 1 is stubborn (beta 0.5), so its row of D = R[{1, 2, 3}]
+        # falls short and det D = 0.5: the set reduces, as the exact rows do.
+        g = make(4, CLOSED_CYCLE, beta=[0.5, 0.0, 0.0, 0.0])
         sysm = build_steady_state(g)
+        assert not unreached_by_closure(g, {1, 2, 3})
+        assert unreached_by_closure(g, {1, 2, 3}, beta=False) == {1, 2}
+        D = persuaded_block(sysm, {1, 2, 3})
+        assert np.linalg.det(D) == pytest.approx(0.5)
+        exact = exact_reduced_rows(g, {1, 2, 3})
+        relations = reduce_persuaded_set(sysm, 4, {1, 2, 3})
+        assert [relation.persuaded for relation in relations] == [1, 2, 3]
+        for relation in relations:
+            row = exact[relation.persuaded]
+            assert set(relation.columns) <= set(row)
+            assert not any(v for c, v in row.items() if c not in relation.columns)
+            values = [float(row[c]) for c in relation.columns]
+            # pair_bound covers the rounding of the set path and the per-pair
+            # path, so it covers the set path's alone.
+            assert np.abs(np.subtract(relation.values, values)).max() <= pair_bound(D, values)
+            # Agent 1's anchor stays in every row, so no row pins q to p alone.
+            assert relation.solve_mismatch <= 1e-9
+        # The per-pair gate ignores beta: for q = 2 it eliminates {1, 3},
+        # which 2 enters, but for q = 3 it refuses the closed {1, 2}.
+        assert reduce_steady_state(sysm, 4, 2, {1, 2, 3}).solve_mismatch <= 1e-9
+        with pytest.raises(SingularBlock, match=r"^agents \[1, 2\] have no path"):
+            reduce_steady_state(sysm, 4, 3, {1, 2, 3})
+
+    def test_closed_set_without_a_stubborn_agent_is_singular(self):
+        # Without agent 1's beta no row of D falls short, and {1, 2} is closed.
+        g, sysm = unanchored(make(4, CLOSED_CYCLE, beta=[0.5, 0.0, 0.0, 0.5]), {1, 2, 3})
         assert unreached_by_closure(g, {1, 2, 3}) == {1, 2}
         with pytest.raises(SingularBlock, match=r"^agents \[1, 2\] have no path"):
             reduce_persuaded_set(sysm, 4, {1, 2, 3})
-        assert reduce_steady_state(sysm, 4, 2, {1, 2, 3}).solve_mismatch <= 1e-9
 
 
 def persuaded_pairs(g):
@@ -1022,7 +1062,7 @@ class TestReductionOracle:
     def test_any_invertible_cooperative_block(self, case):
         # Drawn blocks hold stubborn agents, and p is often off q's row.
         g, p, q, members = case
-        if not unreached_by_closure(g, members - {q}):
+        if not unreached_by_closure(g, members - {q}, beta=False):
             self.assert_matches(build_steady_state(g), p, q, members)
 
 
@@ -1065,6 +1105,8 @@ class TestSetReductionMatchesPairs:
         assert [relation.persuaded for relation in relations] == sorted(members)
         D = persuaded_block(sysm, members)
         for relation in relations:
+            if unreached_by_closure(sysm.graph, set(members) - {relation.persuaded}, beta=False):
+                continue  # the per-pair oracle refuses this q
             pair = reduce_steady_state(sysm, p, relation.persuaded, members)
             assert relation.columns == pair.columns
             bound = pair_bound(D, pair.values)

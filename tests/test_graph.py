@@ -411,6 +411,23 @@ class TestJsonIO:
             Edge(int(s), int(d), float(w)) for s, d, w in zip(g2.src, g2.dst, g2.w)
         )
 
+    def test_beta_and_x0_are_read_only_columns_of_their_own(self, g2):
+        beta, x0 = np.array(g2.beta), np.array(g2.x0)  # writable, as a caller's may be
+        g = SignedDigraph(g2.n, g2.edges, beta, x0)
+        for column in (g.beta, g.x0):
+            assert column.dtype == np.float64 and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        assert not np.shares_memory(g.beta, beta) and not np.shares_memory(g.x0, x0)
+        beta[:], x0[:] = 1.0, -1.0
+        assert g == g2 and g.stubborn == g2.stubborn == (7, 10)
+        assert all(type(i) is int for i in g.stubborn)
+        assert SignedDigraph(g2.n, g2.edges, beta, g2.x0) != g2
+        assert SignedDigraph(g2.n, g2.edges, g2.beta, x0) != g2
+        agents = graph_to_dict(g)["agents"]
+        assert all(type(a["beta"]) is float and type(a["x0"]) is float for a in agents)
+        assert [a["beta"] for a in agents] == g2.beta.tolist()
+
     def test_equality_compares_the_columns(self, g2):
         edges = [(s, d, w) for s, d, w in zip(g2.src, g2.dst, g2.w)]
         same = SignedDigraph(g2.n, edges, g2.beta, g2.x0)

@@ -117,6 +117,20 @@ class TestDominatorOracle:
         assert cert.persuaded[3] == {4, 6}
         assert cert.same_detection(brute_force_ltp_oracle(g))
 
+    def test_first_sweep_skips_a_back_edge_predecessor(self):
+        # The search runs 1 -> 2 -> 3 -> 4 -> 5, so 2 comes before 5 in
+        # reverse postorder, and 5 -> 2 is a back edge. 5 has one
+        # predecessor, 4, whose idom is set before the sweeps; 4 has two, 3
+        # and 1, and comes after 2. Were 5 counted when the first sweep
+        # reaches 2, its idom chain would run into 4, not yet processed, and
+        # 2 and then 4 would settle on the root for good.
+        edges = [Edge(1, 2, 1.0), Edge(1, 4, 1.0), Edge(2, 3, 1.0), Edge(3, 4, 1.0),
+                 Edge(4, 5, 1.0), Edge(5, 2, 1.0)]
+        g = make(5, edges, stubborn=(1,))
+        tree = build_dominator_tree(g)
+        assert dict(tree.idom) == self.networkx_idom(g) == {
+            1: VIRTUAL_ROOT, 2: 1, 3: 2, 4: 1, 5: 4}
+
     def test_long_chain_neither_recurses_nor_goes_quadratic(self):
         # A set-based fixed point would hold n^2 / 2 = 2e8 dominator entries
         # here, and a recursive DFS would exceed Python's recursion limit.
