@@ -18,6 +18,7 @@ import orjson
 
 from .errors import (
     HypothesisViolated,
+    NoStubbornAgents,
     NotConverged,
     SingularBlock,
     UnreachableNodes,
@@ -30,7 +31,6 @@ from .graph import (
     _normalized,
     _postorder,
     _unreached,
-    check_reachability,
     normalize,
 )
 
@@ -65,6 +65,9 @@ class SteadyStateSystem:
     stacks the final opinions over the stubborn agents' initial opinions.
     Rows of agents whose in-edges are all positive sum to zero; a negative
     in-edge makes the row sum strictly positive. R is built on first read.
+    reduce_persuaded_set assumes a system from build_steady_state, whose gate
+    makes every set's block of R nonsingular; on one built by hand, a singular
+    block raises SingularBlock only where its LU meets a zero pivot.
     """
 
     system: NormalizedSystem
@@ -138,6 +141,12 @@ def _sweep_bound(z: np.ndarray, z_next: np.ndarray) -> float:
     return float(z.max()) / slack if slack > 0.0 else np.inf
 
 
+def _unanchored(g: SignedDigraph) -> frozenset[int]:
+    """Agents no agent whose 1 - beta rounds below one reaches: the one float
+    anchoring rule, read by simulate's stop rule and _influence's gate."""
+    return _unreached(g.n, g.src, g.dst, np.flatnonzero(1.0 - g.beta == 1.0) + 1)
+
+
 def simulate(
     g: SignedDigraph,
     tol: float = DEFAULT_TOL,
@@ -172,8 +181,7 @@ def simulate(
     """
     n, beta = g.n, g.beta
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
-    # An unreached agent leaves abs(M) a closed class of spectral radius one.
-    plain = bool(_unreached(n, g.src, g.dst, np.flatnonzero(1.0 - beta == 1.0) + 1))
+    plain = bool(_unanchored(g))
     anchor = beta * g.x0
     # An agent whose one term is 1.0 times agent j's opinion, with no
     # anchor, copies j's last value: j is its source in the trace writer.
@@ -233,14 +241,14 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     """Map from initial to final opinions: V = (I - (I-B)W)^{-1} B.
 
     The limit, and with it the solve, exists when the update matrix
-    M = (I-B)W has spectral radius below one. Stubborn-reachability
-    certifies that in O(n + edges): abs(M) is row-substochastic, its rows
-    of stubborn agents sum to less than one, and every other row reaches
-    such a row along reversed edges, so rho(M) <= rho(abs(M)) < 1 (the
-    substochastic argument for Friedkin-Johnsen dynamics; Parsegov,
-    Proskurnikov, Tempo & Friedkin, IEEE TAC 2017). Raises NoStubbornAgents
-    / UnreachableNodes when there is no stubborn agent or some agent is
-    unreached, since then nothing certifies the solve.
+    M = (I-B)W has spectral radius below one. _unanchored certifies that in
+    O(n + edges): abs(M) is row-substochastic, rows whose 1 - beta rounds
+    below one sum to less than one, and every other row reaches such a row
+    along reversed edges, so rho(M) <= rho(abs(M)) < 1 (the substochastic
+    argument for Friedkin-Johnsen dynamics; Parsegov, Proskurnikov, Tempo &
+    Friedkin, IEEE TAC 2017). Raises NoStubbornAgents / UnreachableNodes
+    when there is no stubborn agent or some agent is unreached, since then
+    nothing certifies the solve.
 
     Columns of non-stubborn agents are exactly zero, so _level_solve yields
     the m stubborn columns alone, level by level, and they are scattered
@@ -254,9 +262,11 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
 def _influence(g: SignedDigraph) -> tuple[NormalizedSystem, np.ndarray]:
     """influence_matrix's normalized system and V's n x m stubborn block in
     agent order, from one gate and one normalize: build_steady_state takes both."""
-    report = check_reachability(g)
-    if not report.ok:
-        raise UnreachableNodes(report.unreachable)
+    if g.m == 0:
+        raise NoStubbornAgents("network has no stubborn agent")
+    unreached = _unanchored(g)
+    if unreached:
+        raise UnreachableNodes(unreached)
     sysm = normalize(g)
     plan = _level_plan(sysm, np.array(g.stubborn) - 1)
     return sysm, _level_solve(plan, sysm)[plan.slot_of]
@@ -401,7 +411,7 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
     in the order it needs. Memory is O(T plan.footprint), never n x n.
 
     Raises SingularBlock, naming the SCC's agents, when an SCC's block of
-    I - M is singular in floating point: stubborn-reachability puts rho(M)
+    I - M is singular in floating point: _unanchored's rule puts rho(M)
     below one, but a weight of 1e-20 next to 1 is lost in rounding."""
     lead, m = sysm.beta.shape[:-1], plan.stubborn.size
     beta = sysm.beta.reshape(-1, plan.n).T  # (n, T); no trial axis is T = 1
@@ -464,11 +474,11 @@ def reduce_persuaded_set(
     ascending, each q's row once the rest of S is eliminated.
 
     D = R[S, S] is I - (I-B)W restricted to S. Once every in-edge of S is
-    positive, D is a nonsingular M-matrix exactly when every agent of S is
-    reached, along edges inside S (graph._unreached), from outside S or from
-    a member whose 1 - beta rounds below one, as its row of D falls short; then
-    G = D^{-1} >= 0 with G_qq > 0 (Berman & Plemmons 1994, ch. 6). p
-    dominates its persuaded set, so a detected set always passes. With
+    positive, D is a nonsingular M-matrix, G = D^{-1} >= 0 with G_qq > 0
+    (Berman & Plemmons 1994, ch. 6), on any system from build_steady_state:
+    a path to q from an agent whose 1 - beta rounds below one enters S from
+    outside or starts at such a member, whose row of D falls short, so D is
+    weakly chained diagonally dominant. With
     C = R[S, out], out the other columns R's rows of S touch, q's row is
     (1/G_qq) (e_q + (G C)_q): 1/G_qq is the Schur complement of
     D[S - q, S - q] in D. So one LU of D, solved against [I | C], gives every
@@ -478,7 +488,7 @@ def reduce_persuaded_set(
     Raises ValueError if p or a persuaded agent is not an agent id of 1..n
     (2.0 counts, a bool does not), or the set is empty or holds p;
     HypothesisViolated if any persuaded agent has a negative in-edge, and
-    SingularBlock, naming them, if some persuaded agents are unreached.
+    SingularBlock if D is singular in floating point.
     """
     n, norm, g = sysm.n, sysm.system, sysm.graph
     p = _agent(p, n)
@@ -494,20 +504,8 @@ def reduce_persuaded_set(
     if bad.size:
         raise HypothesisViolated(list(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
 
-    # The search runs on S's agents as 1..k and on every other agent as 0. A
-    # member whose 1 - beta rounds below one has a deficient row of D, so it
-    # starts the search as an agent outside the block does (as in simulate).
-    rows, cols, k = norm.rows[entries], norm.cols[entries], agents.size
-    at = np.searchsorted(agents, cols).clip(max=k - 1)
-    local = _unreached(k, np.where(agents[at] == cols, at + 1, 0),
-                       np.searchsorted(agents, rows) + 1,
-                       np.flatnonzero(1.0 - norm.beta[agents] == 1.0) + 1)
-    if local:
-        raise SingularBlock(f"agents {sorted(members[i - 1] for i in local)} have no path from "
-                            "outside the set or from a member whose 1 - beta is below one, "
-                            "so the set's block of I - (I - B) W is singular")
-
     # R's rows of S on the columns they touch, built as .R builds them.
+    rows, cols, k = norm.rows[entries], norm.cols[entries], agents.size
     anchored = np.flatnonzero(norm.beta[agents] > 0.0)
     anchors = n + np.searchsorted(stubborn, agents[anchored])
     columns = np.unique(np.concatenate((agents, cols, anchors, [p - 1])))

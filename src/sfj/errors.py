@@ -22,14 +22,13 @@ class NoStubbornAgents(ConditionsNotMet):
 
 
 class UnreachableNodes(ConditionsNotMet):
-    """Some non-stubborn agents have no path from any stubborn agent."""
+    """Some agents have no path from any stubborn agent. Detection counts
+    beta > 0 and names non-stubborn agents only; the influence solve counts
+    1 - beta < 1, so it may also name a stubborn agent whose beta rounds away."""
 
     def __init__(self, nodes):
         self.nodes = frozenset(nodes)
-        super().__init__(
-            f"non-stubborn agents unreachable from every stubborn agent: "
-            f"{sorted(self.nodes)}"
-        )
+        super().__init__(f"agents unreachable from every stubborn agent: {sorted(self.nodes)}")
 
 
 class HypothesisViolated(ConditionsNotMet):
@@ -50,9 +49,9 @@ class NotConverged(SFJError):
 
 
 class SingularBlock(SFJError):
-    """A block of the steady-state system is not invertible: the persuaded
-    set reduce_persuaded_set eliminates, or one strongly connected
-    component's block of I - (I - B) W in the solve for V."""
+    """A block of I - (I - B) W is singular in floating point: an SCC's in the
+    solve for V, or the persuaded set reduce_persuaded_set eliminates. Behind
+    the solve's gate only rounding does this (a weight of 1e-20 next to 1)."""
 
 
 class InfeasibleParameters(SFJError):

@@ -66,13 +66,6 @@ class LTPCertificate:
             nodes |= members
         return frozenset(nodes)
 
-    def same_detection(self, other: "LTPCertificate") -> bool:
-        """Equality of the topology-only part (agents and persuaded sets)."""
-        return (
-            self.ltp_agents == other.ltp_agents
-            and dict(self.persuaded) == dict(other.persuaded)
-        )
-
 
 @dataclass(frozen=True)
 class ClusterPrediction:
@@ -173,37 +166,9 @@ def detect_ltp_agents(g: SignedDigraph, tree: DominatorTree) -> LTPCertificate:
         else:
             top[v] = t = top[d]
             members[t].append(v)
-    stubborn = frozenset(g.stubborn)
     ltp = tuple(sorted(p for p, below in members.items() if below))
-    persuaded = {p: frozenset(members[p]) for p in ltp}
-    _check_internal_consistency(g, stubborn, persuaded)
-    return LTPCertificate(
-        n=g.n, stubborn=stubborn, ltp_agents=ltp, persuaded=persuaded
-    )
-
-
-def _check_internal_consistency(g, stubborn, persuaded):
-    # Persuaded sets are pairwise disjoint, non-stubborn only, and closed
-    # under in-neighbours up to the persuader. Violations here would mean the
-    # dominator computation is broken, never bad input. One pass over all
-    # persuaded agents, each listed once per set that holds it.
-    sizes = np.fromiter(map(len, persuaded.values()), np.int64, len(persuaded))
-    persuaders = np.fromiter(persuaded, np.int64, len(persuaded))
-    assert sizes.all(), f"empty persuaded set recorded for {persuaders[sizes == 0]}"
-    agents = np.fromiter(chain.from_iterable(persuaded.values()), np.int64, sizes.sum())
-    by = np.repeat(persuaders, sizes)  # each listed agent's persuader
-    owner = np.zeros(g.n + 1, dtype=np.int64)  # 0: in no persuaded set
-    owner[agents] = by
-    # An agent listed by two persuaders keeps one owner, so the other differs.
-    shared = agents[owner[agents] != by]
-    assert not shared.size, (f"persuaded sets of {np.unique(by[np.isin(agents, shared)])} "
-                             f"overlap at {np.unique(shared)}")
-    held = np.fromiter(stubborn, np.int64, len(stubborn))
-    held = held[owner[held] != 0]
-    assert not held.size, f"stubborn agents {held} persuaded by {owner[held]}"
-    into = owner[g.dst]
-    escape = (into != 0) & (g.src != into) & (owner[g.src] != into)
-    assert not escape.any(), f"edges {np.flatnonzero(escape)} escape a persuaded set"
+    return LTPCertificate(n=g.n, stubborn=frozenset(g.stubborn), ltp_agents=ltp,
+                          persuaded={p: frozenset(members[p]) for p in ltp})
 
 
 def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:

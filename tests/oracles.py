@@ -176,7 +176,8 @@ def unreached_by_closure(g: SignedDigraph, block, beta: bool = True) -> frozense
 
     Boolean transitive closure of the adjacency restricted to block, seeded
     by the block agents that have an in-edge from outside it and, with beta,
-    by those whose 1 - beta rounds below one: reduce_persuaded_set's gate.
+    by those whose 1 - beta rounds below one: the rows of R[block, block]
+    that fall short. Over every agent, it is the influence solve's gate.
     Without beta it is the gate of the per-pair reduce_steady_state below.
     """
     inside = sorted(block)
@@ -321,6 +322,11 @@ def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
         ltp_agents=tuple(sorted(ltp)),
         persuaded=persuaded,
     )
+
+
+def same_detection(a: LTPCertificate, b: LTPCertificate) -> bool:
+    """Equality of the topology-only part (agents and persuaded sets)."""
+    return a.ltp_agents == b.ltp_agents and dict(a.persuaded) == dict(b.persuaded)
 
 
 def schur_complement(M, keep) -> np.ndarray:

@@ -38,6 +38,7 @@ from oracles import (
     dense_reduction,
     neumann_influence,
     neumann_terms_for,
+    same_detection,
     spectral_radius,
     update_matrix,
 )
@@ -114,7 +115,7 @@ def test_criterion_3_ltp_oracle_equivalence():
         g = random_reachable_graph(rng, n_max=10)
         fast = detect_ltp_agents(g, build_dominator_tree(g))
         slow = brute_force_ltp_oracle(g)
-        if not fast.same_detection(slow):
+        if not same_detection(fast, slow):
             mismatches += 1
     assert mismatches == 0
     report(

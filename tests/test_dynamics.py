@@ -374,7 +374,6 @@ class TestEdgeArrayUpdate:
         def refuse(*args, **kwargs):
             raise AssertionError("simulate ran a second reachability search")
 
-        monkeypatch.setattr(dynamics, "check_reachability", refuse)
         monkeypatch.setattr(graph, "check_reachability", refuse)
         for g in (g2, unreached_positive_class()):
             assert simulate(g).converged
@@ -487,6 +486,31 @@ class TestInfluenceMatrix:
         g = make(3, [Edge(1, 2, 1.0)], beta=[0.5, 0.0, 0.0])
         with pytest.raises(UnreachableNodes, match=r"\[3\]"):
             influence_matrix(g)
+
+    # The closed class {1, 2, 3} hears only from agent 1, the stubborn agent 4
+    # from no one; agent 1's column of V is exactly 1.0 on rows 1..3.
+    FAINT_ANCHOR = [Edge(1, 2, 1.0), Edge(2, 3, 3.0), Edge(3, 1, 7.0), Edge(3, 2, 0.1),
+                    Edge(2, 1, 0.3)]
+
+    @pytest.mark.parametrize("beta", [1e-300, 2.0**-60, 2.0**-54, 2.0**-53],
+                             ids=["1e-300", "2**-60", "2**-54", "2**-53"])
+    def test_a_beta_lost_in_one_minus_beta_anchors_nothing(self, beta):
+        # Below 2**-53, 1 - beta rounds to one: the class is closed in
+        # floating point, and an LU of its block gives -1e-284 or -0.0095
+        # where V holds 1.0.
+        g = make(4, self.FAINT_ANCHOR, beta=[beta, 0.0, 0.0, 0.5], x0=[1.0, 0.0, 0.0, 0.0])
+        assert check_reachability(g).ok
+        unreached = unreached_by_closure(g, range(1, g.n + 1))
+        if 1.0 - beta == 1.0:
+            assert unreached == {1, 2, 3}
+            for solve in (influence_matrix, build_steady_state):
+                with pytest.raises(UnreachableNodes, match=re.escape("[1, 2, 3]")) as err:
+                    solve(g)
+                assert err.value.nodes == unreached
+        else:
+            assert not unreached
+            assert np.isfinite(influence_matrix(g)).all()
+            assert np.isfinite(build_steady_state(g).y).all()
 
     @pytest.mark.parametrize("g, agents", [
         # Stubborn agent 1 reaches the SCC {2, 3, 4}, so rho(M) < 1, but 3's
@@ -739,12 +763,12 @@ class TestSteadyStateSystem:
 
         def counted(name):
             real = getattr(dynamics, name)
-            return lambda g: calls.append(name) or real(g)
+            return lambda *args: calls.append(name) or real(*args)
 
-        for name in ("normalize", "check_reachability"):
+        for name in ("normalize", "_unreached"):
             monkeypatch.setattr(dynamics, name, counted(name))
         build_steady_state(g2)
-        assert sorted(calls) == ["check_reachability", "normalize"]
+        assert sorted(calls) == ["_unreached", "normalize"]
 
     @pytest.mark.parametrize("n", [None, 200])
     def test_solves_on_r_with_one_build_of_i_minus_m(self, g2, n, monkeypatch):
@@ -928,8 +952,8 @@ def cooperative_blocks(draw, max_n=7):
 
 
 # Agent 1 is stubborn and hears only from its own self-loop, and agent 2 only
-# from agent 1, so once agent 1's beta is not counted the set {1, 2} is
-# closed although the edge (1, 1) points at it.
+# from agent 1: the set {1, 2} has no in-edge from outside, and only agent 1's
+# beta makes a row of its block fall short.
 SELF_LOOP_BLOCK = (
     make(3, [Edge(1, 1, 2.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0)], beta=[0.5, 0.0, 0.0]),
     3, 2, {1, 2},
@@ -941,34 +965,19 @@ CLOSED_CYCLE = [Edge(1, 2, 1.0), Edge(2, 1, 3.0), Edge(2, 3, 1.0), Edge(3, 4, 1.
                 Edge(4, 3, 1.0)]
 
 
-def unanchored(g, members):
-    """g with the members' beta set to 0, and its steady-state system put
-    together by hand with y = 0, which the gate never reads: a closed set
-    then leaves its agents unreached, so build_steady_state would refuse it."""
-    g = make(g.n, g.edges, beta=[0.0 if i in members else b
-                                 for i, b in enumerate(g.beta.tolist(), 1)])
-    return g, SteadyStateSystem(normalize(g), np.zeros(g.n + g.m), g.stubborn, g)
-
-
 class TestReductionGate:
     @settings(max_examples=400, deadline=None)
     @given(cooperative_blocks())
     @example(SELF_LOOP_BLOCK)
     def test_singular_exactly_when_the_block_is_closed(self, case):
-        # On g itself a set is never closed, as every agent is reached from
-        # a stubborn one; without the members' beta it often is.
+        # build_steady_state's gate leaves no set of its system closed: a
+        # path to a member from an agent whose 1 - beta is below one enters
+        # the set from outside or starts at such a member, so every set
+        # reduces and its block of R is a nonsingular M-matrix.
         g, p, _, members = case
-        elim = sorted(v - 1 for v in members)
-        rho = spectral_radius(normalize(g).W[np.ix_(elim, elim)])
-        for h, sysm in ((g, build_steady_state(g)), unanchored(g, members)):
-            try:
-                reduce_persuaded_set(sysm, p, members)
-                raised = False
-            except SingularBlock:
-                raised = True
-            assert raised == bool(unreached_by_closure(h, members))
-            if rho < 1.0 - 1e-9:
-                assert not raised
+        assert not unreached_by_closure(g, members)
+        relations = reduce_persuaded_set(build_steady_state(g), p, members)
+        assert [relation.persuaded for relation in relations] == sorted(members)
 
     def test_closed_cycle_with_a_stubborn_agent_reduces(self):
         # Agent 1 is stubborn (beta 0.5), so its row of D = R[{1, 2, 3}]
@@ -999,10 +1008,13 @@ class TestReductionGate:
             reduce_steady_state(sysm, 4, 3, {1, 2, 3})
 
     def test_closed_set_without_a_stubborn_agent_is_singular(self):
-        # Without agent 1's beta no row of D falls short, and {1, 2} is closed.
-        g, sysm = unanchored(make(4, CLOSED_CYCLE, beta=[0.5, 0.0, 0.0, 0.5]), {1, 2, 3})
+        # Without agent 1's beta no row of D falls short, and {1, 2} is closed:
+        # build_steady_state refuses the graph, so the system is put together
+        # by hand, with y = 0. D's rows of 1 and 2 are exactly opposite.
+        g = make(4, CLOSED_CYCLE, beta=[0.0, 0.0, 0.0, 0.5])
+        sysm = SteadyStateSystem(normalize(g), np.zeros(g.n + g.m), g.stubborn, g)
         assert unreached_by_closure(g, {1, 2, 3}) == {1, 2}
-        with pytest.raises(SingularBlock, match=r"^agents \[1, 2\] have no path"):
+        with pytest.raises(SingularBlock, match=r"^persuaded block is singular"):
             reduce_persuaded_set(sysm, 4, {1, 2, 3})
 
 
