@@ -18,14 +18,16 @@ cert = analyze(g)
 sysm = build_steady_state(g)
 
 np.set_printoptions(precision=4, suppress=True)
-print("R has shape", sysm.R.shape, "(n agents + m stubborn anchors)")
-print("||R y|| at the solved steady state:", np.max(np.abs(sysm.R @ sysm.y)))
+print("R y = 0 has", g.n + g.m, "unknowns (n agents + m stubborn anchors);",
+      "R is never built, only its rows of each persuaded set")
 
-# Row sums of R witness the edge signs: all-cooperative rows sum to zero,
-# rows with an antagonistic in-edge sum strictly positive. Agents 1 and 4
-# take the negative cross-cluster feeds here.
+# Row sums of R witness the edge signs: agent i's row sums to
+# (1 - beta_i)(1 - sum_j w_ij), so all-cooperative rows sum to zero and rows
+# with an antagonistic in-edge sum strictly positive. Agents 1 and 4 take
+# the negative cross-cluster feeds here.
+norm = sysm.system
 print("\nrow sums of the agent block:")
-print(sysm.R[: g.n].sum(axis=1))
+print((1.0 - norm.beta) * (1.0 - np.bincount(norm.rows, norm.vals, g.n)))
 
 
 def column(c):
@@ -47,6 +49,8 @@ for p in cert.ltp_agents:
             f"largest stray entry {relation.max_off_support:.1e}"
         )
         assert relation.holds(tol=1e-10)
+    # The set's opinions rebuilt from the others' drift this far from y.
+    print(f"  solve mismatch of the set: {relations[0].solve_mismatch:.1e}")
 
 print("\nevery persuaded agent is pinned to its persuader; the four clusters")
 print("are forced by topology and signs alone.")

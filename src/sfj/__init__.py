@@ -22,9 +22,7 @@ from .errors import (
 from .graph import (
     Edge,
     NormalizedSystem,
-    ReachabilityReport,
     SignedDigraph,
-    check_reachability,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -81,7 +79,6 @@ __all__ = [
     "NoStubbornAgents",
     "NotConverged",
     "OpinionTrace",
-    "ReachabilityReport",
     "ReducedRowRelation",
     "RobustnessReport",
     "SFJError",
@@ -96,7 +93,6 @@ __all__ = [
     "build_steady_state",
     "certificate_to_dict",
     "check_conditions",
-    "check_reachability",
     "cluster_spread",
     "clusters_from_influence",
     "clusters_from_trace",

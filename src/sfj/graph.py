@@ -21,9 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import orjson
 
-from .errors import GraphFormatError, GraphValidationError, NoStubbornAgents, SFJError
-
-ROW_SUM_TOL = 1e-12  # double precision headroom for n up to ~1e4 accumulations
+from .errors import GraphFormatError, GraphValidationError, SFJError
 
 
 class Edge(NamedTuple):
@@ -178,8 +176,8 @@ class NormalizedSystem:
     Row i of W holds agent i's in-edge weights over their total magnitude,
     or w_ii = 1 if it has none. rows, cols and vals are 0-based, in edge
     order and then those agents; no (row, col) pair repeats. All are
-    read-only, as is the dense .W, built on first read. A leading trial axis
-    on vals and beta, one system per trial, carries into .W and system_matrix().
+    read-only. A leading trial axis on vals and beta holds one system per
+    trial. No dense W is ever built.
     """
 
     n: int
@@ -192,13 +190,6 @@ class NormalizedSystem:
         for a in (self.rows, self.cols, self.vals, self.beta):
             a.setflags(write=False)
 
-    @cached_property
-    def W(self) -> np.ndarray:
-        W = np.zeros(self.beta.shape[:-1] + (self.n, self.n))
-        W[..., self.rows, self.cols] = self.vals
-        W.setflags(write=False)
-        return W
-
     def update_entries(self):
         """M's nonzeros (rows, cols, vals), M = (I - diag(beta)) W, sorted by
         row and then column as np.nonzero lists them. The order is
@@ -209,29 +200,12 @@ class NormalizedSystem:
         order = order[vals[order] != 0.0]  # rows of fully stubborn agents vanish
         return self.rows[order], self.cols[order], vals[order]
 
-    def system_matrix(self) -> np.ndarray:
-        """I - M, the package's one dense n x n build of it, per trial: bit
-        for bit np.eye(n) - (1 - beta) W, as no (row, col) pair repeats."""
-        A = np.zeros(self.beta.shape[:-1] + (self.n, self.n))
-        diagonal = np.arange(self.n)
-        A[..., diagonal, diagonal] = 1.0
-        A[..., self.rows, self.cols] -= (1.0 - self.beta[..., self.rows]) * self.vals
-        return A
-
-
-@dataclass(frozen=True)
-class ReachabilityReport:
-    """Whether every non-stubborn agent has a directed path from a stubborn one."""
-
-    ok: bool
-    unreachable: frozenset[int]
-
 
 def normalize(g: SignedDigraph) -> NormalizedSystem:
     """Build the normalized system: each agent's in-weights scaled to unit magnitude.
 
     Row i of W is a_ij / sum_j |a_ij| over agent i's in-edges, or w_ii = 1 if
-    it has none. O(n + edges): the dense W is built only when .W is read.
+    it has none. O(n + edges): W is kept as its nonzeros, never dense.
     """
     return _normalized(g.n, *g.edge_index, g.w, g.beta)
 
@@ -249,21 +223,6 @@ def _normalized(n: int, src, dst, w, beta: np.ndarray) -> NormalizedSystem:
     rows, cols = np.concatenate((dst, lone)), np.concatenate((src, lone))
     vals = np.concatenate((w / totals[..., dst], np.ones(lead + lone.shape)), axis=-1)
     return NormalizedSystem(n, rows, cols, vals, beta)
-
-
-def check_reachability(g: SignedDigraph) -> ReachabilityReport:
-    """Report which non-stubborn agents no stubborn agent can reach.
-
-    Reachability follows edge direction and ignores weights and signs. Raises
-    NoStubbornAgents when the graph has no stubborn agent at all, since every
-    downstream analysis needs at least one.
-    """
-    if g.m == 0:
-        raise NoStubbornAgents("network has no stubborn agent")
-    # A path from a stubborn agent runs among non-stubborn agents after the
-    # last stubborn one on it, so this is the restricted search on that block.
-    unreachable = _unreached(g.n, g.src, g.dst, np.flatnonzero(g.beta == 0.0) + 1)
-    return ReachabilityReport(ok=not unreachable, unreachable=unreachable)
 
 
 def _unreached(n: int, src: np.ndarray, dst: np.ndarray, block) -> frozenset[int]:

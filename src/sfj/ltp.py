@@ -105,7 +105,7 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     seen = [False] * (g.n + 1)
     post, _ = _postorder(*_csr(src, dst, g.n), [VIRTUAL_ROOT], seen)
     # Every stubborn agent hangs off the root, so the unseen are exactly the
-    # unreachable non-stubborn agents, as check_reachability would report.
+    # non-stubborn agents that no stubborn agent reaches.
     if len(post) <= g.n:
         raise UnreachableNodes([v for v in range(1, g.n + 1) if not seen[v]])
 

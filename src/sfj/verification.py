@@ -249,12 +249,12 @@ def robustness_harness(
     stubborn = np.array(g.stubborn) - 1
 
     order, starts = _cluster_layout(predicted)
-    # analyze(g) certified the topology: its dominator tree raises wherever
-    # check_reachability would fail. Every trial keeps the edge set and, as
-    # 1 - U[0, 1) lies in [2**-53, 1], the stubborn set, each 1 - beta below
-    # one. So one plan serves every trial, and each block of trials builds its
-    # systems as normalize does and solves as influence_matrix does, with no
-    # gate. Each trial draws in its own order, as if alone.
+    # analyze(g) certified the topology: its dominator tree raises unless
+    # each agent is reached from a stubborn one. Every trial keeps the edge
+    # set and, as 1 - U[0, 1) lies in [2**-53, 1], the stubborn set, each
+    # 1 - beta below one. So one plan serves every trial, and each block of trials
+    # builds its systems as normalize does and solves as influence_matrix
+    # does, with no gate. Each trial draws in its own order, as if alone.
     plan = _level_plan(_normalized(g.n, src, dst, g.w, g.beta), stubborn)
     per_block = max(1, dynamics._TRACE_BLOCK // plan.footprint)
     # The solve leaves V's rows in slot order; the boxes gather them by cluster.

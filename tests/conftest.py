@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sfj import check_reachability, clusters_from_influence, networks
+from sfj import clusters_from_influence, networks
 from sfj.graph import Edge, SignedDigraph
 from sfj.verification import DEFAULT_TAU
+
+from oracles import unreached_by_stubborn
 
 
 @pytest.fixture
@@ -37,39 +39,19 @@ def random_reachable_graph(rng, n_max=10, n=None, density=None, m=None):
     g = SignedDigraph(n, tuple(edges), tuple(beta), tuple(rng.uniform(0, 10, n)))
 
     while True:
-        report = check_reachability(g)
-        if report.ok:
+        unreached = unreached_by_stubborn(g)
+        if not unreached:
             return g
         present = {(e.src, e.dst) for e in g.edges}
-        reached = sorted(set(range(1, g.n + 1)) - report.unreachable)
+        reached = sorted(set(range(1, g.n + 1)) - unreached)
         extra = list(g.edges)
-        for u in sorted(report.unreachable):
+        for u in sorted(unreached):
             src = int(rng.choice(reached))
             if (src, u) not in present:
                 w = float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
                 extra.append(Edge(src, u, w))
                 present.add((src, u))
         g = SignedDigraph(g.n, tuple(extra), g.beta, g.x0)
-
-
-def brute_force_reachable(g):
-    """All-pairs reachability by repeated squaring of the boolean adjacency;
-    returns the set of non-stubborn agents no stubborn agent reaches."""
-    n = g.n
-    adj = np.zeros((n, n), dtype=bool)
-    for src, dst, _ in g.edges:
-        adj[src - 1, dst - 1] = True
-    closure = adj.copy()
-    for _ in range(n):
-        closure = closure | (closure @ adj)
-    unreachable = set()
-    stub_rows = [s - 1 for s in g.stubborn]
-    for q in range(1, n + 1):
-        if g.beta[q - 1] > 0:
-            continue
-        if not any(closure[s, q - 1] for s in stub_rows):
-            unreachable.add(q)
-    return unreachable
 
 
 def merge_when_agent_7_leads_agent_1(V, tau=DEFAULT_TAU):

@@ -29,7 +29,6 @@ from sfj import (
     SingularBlock,
     SteadyStateSystem,
     UnreachableNodes,
-    check_reachability,
     graph_from_dict,
     normalize,
 )
@@ -174,11 +173,11 @@ def text_load_graph(path) -> SignedDigraph:
 def unreached_by_closure(g: SignedDigraph, block, beta: bool = True) -> frozenset[int]:
     """Agents of block that no path from outside block, inside block, reaches.
 
-    Boolean transitive closure of the adjacency restricted to block, seeded
-    by the block agents that have an in-edge from outside it and, with beta,
-    by those whose 1 - beta rounds below one: the rows of R[block, block]
-    that fall short. Over every agent, it is the influence solve's gate.
-    Without beta it is the gate of the per-pair reduce_steady_state below.
+    The boolean closure, under the adjacency restricted to block, of the
+    block agents that have an in-edge from outside it and, with beta, of
+    those whose 1 - beta rounds below one (the rows of R[block, block] that
+    fall short), grown one step at a time until it stops growing. Over
+    every agent, it is the influence solve's gate. Without beta it is the gate of the per-pair reduce_steady_state below.
     """
     inside = sorted(block)
     pos = {v: i for i, v in enumerate(inside)}
@@ -190,11 +189,17 @@ def unreached_by_closure(g: SignedDigraph, block, beta: bool = True) -> frozense
                 adj[pos[src], pos[dst]] = True
             else:
                 entered[pos[dst]] = True
-    closure = adj | np.eye(len(inside), dtype=bool)
-    for _ in range(len(inside)):
-        closure = closure | (closure @ adj)
-    reached = entered @ closure
+    reached, grown = entered, entered | (entered @ adj)
+    while not np.array_equal(grown, reached):
+        reached, grown = grown, grown | (grown @ adj)
     return frozenset(v for v, hit in zip(inside, reached) if not hit)
+
+
+def unreached_by_stubborn(g: SignedDigraph) -> frozenset[int]:
+    """Non-stubborn agents no stubborn agent reaches, stubborn meaning beta > 0
+    as detection reads it: unreached_by_closure on the other agents, without
+    beta. Empty for a graph of stubborn agents only."""
+    return unreached_by_closure(g, (np.flatnonzero(g.beta == 0.0) + 1).tolist(), beta=False)
 
 
 def _grouped(keys: np.ndarray, vals: np.ndarray, n: int) -> list[list[int]]:
@@ -276,9 +281,11 @@ def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
     """
     if g.n > max_n:
         raise SizeLimit(f"path enumeration limited to n <= {max_n}, got {g.n}")
-    report = check_reachability(g)
-    if not report.ok:
-        raise UnreachableNodes(report.unreachable)
+    if g.m == 0:
+        raise NoStubbornAgents("network has no stubborn agent")
+    unreached = unreached_by_stubborn(g)
+    if unreached:
+        raise UnreachableNodes(unreached)
 
     out = out_neighbours(g)
     stubborn = frozenset(g.stubborn)
@@ -357,7 +364,7 @@ def dense_reduction(steady: SteadyStateSystem, p: int, q: int, persuaded):
     and the eliminated opinions rebuilt from the kept ones and compared with
     y. Returns (reduced matrix, kept columns, relation); the relation's
     columns are every kept column. Checks no input."""
-    R = steady.R
+    R = dense_steady(steady)
     elim = sorted(v - 1 for v in set(persuaded) - {q})
     keep = np.setdiff1d(np.arange(R.shape[0]), elim).tolist()
     reduced = schur_complement(R, keep)
@@ -433,7 +440,8 @@ def reduce_steady_state(
         raise SingularBlock(f"agents {closed} have no path from outside the eliminated "
                             "block, so its restricted weights have spectral radius 1")
 
-    # R's rows of q and rest on the columns they touch, built as .R builds them.
+    # R's rows of q and rest on the columns they touch, built as dense_steady
+    # builds them.
     anchored = np.flatnonzero(norm.beta[agents] > 0.0)
     anchors = n + np.searchsorted(stubborn, agents[anchored])
     columns = np.unique(np.concatenate((agents, cols, anchors, [p - 1])))
@@ -507,10 +515,37 @@ def exact_reduced_rows(g: SignedDigraph, persuaded) -> dict:
     return reduced
 
 
+def dense_weights(sysm) -> np.ndarray:
+    """A NormalizedSystem's W, dense, per trial: its entries scattered into
+    zeros, as no (row, col) pair repeats."""
+    W = np.zeros(sysm.beta.shape[:-1] + (sysm.n, sysm.n))
+    W[..., sysm.rows, sysm.cols] = sysm.vals
+    return W
+
+
+def dense_system(sysm) -> np.ndarray:
+    """I - M for a NormalizedSystem, dense, per trial: bit for bit
+    np.eye(n) - (1 - beta) W, as no (row, col) pair repeats."""
+    A = np.zeros(sysm.beta.shape[:-1] + (sysm.n, sysm.n))
+    diagonal = np.arange(sysm.n)
+    A[..., diagonal, diagonal] = 1.0
+    A[..., sysm.rows, sysm.cols] -= (1.0 - sysm.beta[..., sysm.rows]) * sysm.vals
+    return A
+
+
+def dense_steady(steady: SteadyStateSystem) -> np.ndarray:
+    """A SteadyStateSystem's (n + m)^2 R, dense: [I - M | -B_s] over m zero rows."""
+    n, rows = steady.n, np.array(steady.stubborn_index) - 1
+    R = np.zeros((n + rows.size,) * 2)
+    R[:n, :n] = dense_system(steady.system)
+    R[rows, n + np.arange(rows.size)] = -steady.system.beta[rows]
+    return R
+
+
 def update_matrix(sysm) -> np.ndarray:
     """A NormalizedSystem's opinion-update matrix M = (I - diag(beta)) W, dense,
     per trial."""
-    return (1.0 - sysm.beta)[..., None] * sysm.W
+    return (1.0 - sysm.beta)[..., None] * dense_weights(sysm)
 
 
 def sfj_step(W, beta, x, x0) -> np.ndarray:
@@ -574,7 +609,7 @@ def dense_influence(g: SignedDigraph) -> np.ndarray:
     sysm = normalize(g)
     stubborn = np.array(g.stubborn, dtype=int) - 1
     V = np.zeros((g.n, g.n))
-    V[:, stubborn] = dense_influence_solve(sysm.system_matrix(), sysm.beta, stubborn)
+    V[:, stubborn] = dense_influence_solve(dense_system(sysm), sysm.beta, stubborn)
     return V
 
 

@@ -3,13 +3,17 @@ import pytest
 import sfj
 
 # Test oracles live in tests/oracles.py; abs_matrix and cluster_report were
-# deleted outright (np.abs, and clusters_from_influence with cluster_spread).
+# deleted outright (np.abs, and clusters_from_influence with cluster_spread),
+# as were check_reachability and its ReachabilityReport (build_dominator_tree
+# and the influence solve's gate each raise UnreachableNodes).
 NOT_EXPORTED = (
     "ClusterReport",
+    "ReachabilityReport",
     "SingularSystem",
     "SizeLimit",
     "abs_matrix",
     "brute_force_ltp_oracle",
+    "check_reachability",
     "cluster_report",
     "dense_reduction",
     "neumann_influence",
@@ -36,6 +40,13 @@ def test_test_only_name_is_not_exported(name):
 def test_reweighting_is_not_a_graph_method():
     assert not hasattr(sfj.SignedDigraph, "reweighted")
     assert not hasattr(sfj.SignedDigraph, "adjacency")
+
+
+def test_no_dense_view_of_a_system():
+    # W, I - M and R are rebuilt densely only in tests/oracles.py.
+    assert not hasattr(sfj.NormalizedSystem, "W")
+    assert not hasattr(sfj.NormalizedSystem, "system_matrix")
+    assert not hasattr(sfj.SteadyStateSystem, "R")
 
 
 # Two graphs the guarantee does not cover: one with no stubborn agent, and

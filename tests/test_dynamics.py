@@ -19,7 +19,6 @@ from sfj import (
     UnreachableNodes,
     analyze,
     build_steady_state,
-    check_reachability,
     influence_matrix,
     normalize,
     random_multiconsensus_graph,
@@ -48,6 +47,8 @@ from oracles import (
     dense_reduction,
     dense_influence,
     dense_influence_solve,
+    dense_steady,
+    dense_system,
     exact_reduced_rows,
     neumann_influence,
     neumann_tail_bound,
@@ -59,6 +60,7 @@ from oracles import (
     spectral_radius,
     stepwise_simulate,
     unreached_by_closure,
+    unreached_by_stubborn,
     update_matrix,
 )
 
@@ -253,7 +255,7 @@ class TestEdgeArrayUpdate:
         rounds, not millions of sweeps. Rounding can trap the sweep in a
         cycle whose max s stays a few ulps of z above 2**-43; the bound is
         then held to the same 1e-12 once the sweep returns to a state."""
-        assert check_reachability(g).ok
+        assert not unreached_by_stubborn(g)
         dense = dense_contraction_certificate(g)
         update_abs = np.abs(update_matrix(normalize(g)))
         z, k = np.ones(g.n), 0
@@ -281,16 +283,16 @@ class TestEdgeArrayUpdate:
         assert np.abs(trace.final - limit).max() <= tol + rounding
 
     @staticmethod
-    def assert_system_matrix_matches(g):
+    def assert_dense_system_matches(g):
         sysm = normalize(g)
         dense = np.eye(g.n) - update_matrix(sysm)
-        assert sysm.system_matrix().tobytes() == dense.tobytes()
+        assert dense_system(sysm).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
     def test_entries_match_the_dense_update_matrix(self, case):
         g = EDGE_ARRAY_CASES[case]()
         self.assert_entries_match(g)
-        self.assert_system_matrix_matches(g)
+        self.assert_dense_system_matches(g)
 
     @pytest.mark.parametrize("case", EDGE_ARRAY_CASES)
     def test_certificate_matches_the_dense_solve(self, case):
@@ -310,7 +312,7 @@ class TestEdgeArrayUpdate:
     def test_one_big_component_matches_the_dense_solve(self, g):
         self.assert_entries_match(g)
         self.assert_sweep_brackets_the_dense_solve(g)
-        self.assert_system_matrix_matches(g)
+        self.assert_dense_system_matches(g)
 
     def test_fully_stubborn_rows_and_lone_agents(self):
         # Agent 1 has no in-edge and beta 0.5: diagonal 0.5. Agent 3 is fully
@@ -321,7 +323,7 @@ class TestEdgeArrayUpdate:
         assert rows.tolist() == [0, 1, 1] and cols.tolist() == [0, 0, 2]
         assert vals.tolist() == [0.5, 0.5, -0.5]
         self.assert_entries_match(g)
-        self.assert_system_matrix_matches(g)
+        self.assert_dense_system_matches(g)
 
     def test_simulate_never_calls_the_dense_normalize(self, g2, monkeypatch):
         def refuse(*args, **kwargs):
@@ -339,7 +341,7 @@ class TestEdgeArrayUpdate:
     @settings(max_examples=1000, deadline=None)
     @given(small_graphs())
     def test_stop_is_certified_exactly_when_every_agent_is_reached(self, g):
-        if g.m > 0 and check_reachability(g).ok:
+        if g.m > 0 and not unreached_by_stubborn(g):
             self.assert_stop_is_certified(g)
             return
         # The plain rule: stop at the first step below tol, if one comes.
@@ -370,15 +372,16 @@ class TestEdgeArrayUpdate:
         trace = simulate(chain)
         assert trace.converged and trace.iterations == 1 and trace.residual == 0.0
 
-    def test_simulate_never_calls_check_reachability(self, g2, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("simulate ran a second reachability search")
-
-        monkeypatch.setattr(graph, "check_reachability", refuse)
+    def test_simulate_runs_one_reachability_search(self, g2, monkeypatch):
+        searches = []
+        real = dynamics._unreached
+        monkeypatch.setattr(dynamics, "_unreached",
+                            lambda *args: searches.append(1) or real(*args))
         for g in (g2, unreached_positive_class()):
             assert simulate(g).converged
         no_stubborn = make(2, [Edge(1, 2, 1.0)], beta=[0.0, 0.0], x0=[1.0, 0.0])
         assert simulate(no_stubborn, max_iter=10).converged
+        assert len(searches) == 3
 
 
 class TestDenseAllocations:
@@ -499,7 +502,7 @@ class TestInfluenceMatrix:
         # floating point, and an LU of its block gives -1e-284 or -0.0095
         # where V holds 1.0.
         g = make(4, self.FAINT_ANCHOR, beta=[beta, 0.0, 0.0, 0.5], x0=[1.0, 0.0, 0.0, 0.0])
-        assert check_reachability(g).ok
+        assert not unreached_by_stubborn(g)
         unreached = unreached_by_closure(g, range(1, g.n + 1))
         if 1.0 - beta == 1.0:
             assert unreached == {1, 2, 3}
@@ -524,7 +527,7 @@ class TestInfluenceMatrix:
                   Edge(7, 6, 1.0), Edge(6, 7, 1.0)], beta=[0.5] + [0.0] * 6), [2, 3, 4]),
     ])
     def test_singular_component_is_named(self, g, agents):
-        assert check_reachability(g).ok
+        assert not unreached_by_stubborn(g)
         for solve in (influence_matrix, build_steady_state):
             with pytest.raises(SingularBlock, match=re.escape(f"agents {agents} form")):
                 solve(g)
@@ -603,7 +606,7 @@ class TestLevelSolve:
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
     def test_every_reachable_small_graph_matches(self, g):
-        if g.m and check_reachability(g).ok:
+        if g.m and not unreached_by_stubborn(g):
             assert_matches_dense(g)
 
     def test_components_match_networkx_and_come_after_what_they_reach(self):
@@ -728,13 +731,11 @@ class TestSteadyStateSystem:
         rng = np.random.default_rng(53)
         g = random_reachable_graph(rng)
         g = reweighted(g, [abs(w) for _, _, w in g.edges])
-        sysm = build_steady_state(g)
-        ones = np.ones(sysm.R.shape[0])
-        assert np.max(np.abs(sysm.R @ ones)) <= 1e-12
+        R = dense_steady(build_steady_state(g))
+        assert np.max(np.abs(R @ np.ones(R.shape[0]))) <= 1e-12
 
     def test_negative_in_edge_makes_row_sum_positive(self, g1):
-        sysm = build_steady_state(g1)
-        row_sums = sysm.R.sum(axis=1)
+        row_sums = dense_steady(build_steady_state(g1)).sum(axis=1)
         assert row_sums[1] > 1e-6  # agent 2 takes the antagonistic edge from 3
         for i in (0, 2, 3, 4, 5):
             assert row_sums[i] == pytest.approx(0.0, abs=1e-12)
@@ -742,14 +743,15 @@ class TestSteadyStateSystem:
     def test_block_shape_and_zero_tail(self, g2):
         sysm = build_steady_state(g2)
         n, m = g2.n, g2.m
-        assert sysm.R.shape == (n + m, n + m)
-        assert np.allclose(sysm.R[n:], 0.0)
+        R = dense_steady(sysm)
+        assert R.shape == (n + m, n + m)
+        assert np.allclose(R[n:], 0.0)
         assert sysm.stubborn_index == (7, 10)
 
     def test_steady_state_annihilates_y(self, g1, g2):
         for g in (g1, g2):
             sysm = build_steady_state(g)
-            assert np.max(np.abs(sysm.R @ sysm.y)) <= 1e-10
+            assert np.max(np.abs(dense_steady(sysm) @ sysm.y)) <= 1e-10
 
     def test_no_stubborn_agents_rejected(self):
         g = make(2, [Edge(1, 2, 1.0)], beta=[0.0, 0.0])
@@ -771,30 +773,17 @@ class TestSteadyStateSystem:
         assert sorted(calls) == ["_unreached", "normalize"]
 
     @pytest.mark.parametrize("n", [None, 200])
-    def test_solves_on_r_with_one_build_of_i_minus_m(self, g2, n, monkeypatch):
-        # R is built from one dense build of I - M when first read, never
-        # before, and then kept; y is influence_matrix's limit bit for bit,
-        # and the dense LU's within rounding.
+    def test_y_is_the_influence_limit(self, g2, n):
+        # y is influence_matrix's limit bit for bit, and the dense LU's
+        # within rounding.
         g = g2 if n is None else random_multiconsensus_graph(n, n // 8, seed=1)
         sysm = normalize(g)
-        rows, m = np.array(g.stubborn) - 1, g.m
-        R = np.zeros((g.n + m, g.n + m))
-        R[:g.n, :g.n] = sysm.system_matrix()
-        R[rows, g.n + np.arange(m)] = -sysm.beta[rows]
+        rows = np.array(g.stubborn) - 1
         x0 = np.array(g.x0)[rows]
         V = np.ascontiguousarray(influence_matrix(g)[:, rows])
         y = np.concatenate([V @ x0, x0])
-        dense = dense_influence_solve(sysm.system_matrix(), sysm.beta, rows) @ x0
-
-        builds = []
-        real = graph.NormalizedSystem.system_matrix
-        monkeypatch.setattr(graph.NormalizedSystem, "system_matrix",
-                            lambda self: builds.append(1) or real(self))
+        dense = dense_influence_solve(dense_system(sysm), sysm.beta, rows) @ x0
         steady = build_steady_state(g)
-        assert builds == []
-        assert steady.R.tobytes() == R.tobytes()
-        assert steady.R is steady.R and len(builds) == 1
-        assert not steady.R.flags.writeable
         assert steady.y.tobytes() == y.tobytes()
         assert np.abs(steady.y[:g.n] - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -854,8 +843,9 @@ class TestReduction:
         # of q on its support, exactly.
         sysm = build_steady_state(g1)
         (relation,) = reduce_persuaded_set(sysm, 5, {6})
-        assert relation.columns == tuple(np.flatnonzero(sysm.R[5]).tolist())
-        assert list(relation.values) == sysm.R[5, list(relation.columns)].tolist()
+        R = dense_steady(sysm)
+        assert relation.columns == tuple(np.flatnonzero(R[5]).tolist())
+        assert list(relation.values) == R[5, list(relation.columns)].tolist()
         assert relation.holds(tol=1e-10)
         assert sysm.y[4] == pytest.approx(sysm.y[5], abs=1e-9)
 
@@ -942,7 +932,7 @@ def cooperative_blocks(draw, max_n=7):
     edges = tuple(Edge(s, d, draw(st.floats(0.1, 10.0))) for s, d in pairs)
     stubborn = draw(st.sets(st.integers(1, n), min_size=1))
     g = make(n, edges, beta=[0.5 if i in stubborn else 0.0 for i in range(1, n + 1)])
-    stubborn |= check_reachability(g).unreachable
+    stubborn |= unreached_by_stubborn(g)
     g = make(n, edges, beta=[0.5 if i in stubborn else 0.0 for i in range(1, n + 1)])
     p = draw(st.integers(1, n))
     members = draw(st.sets(st.sampled_from([v for v in range(1, n + 1) if v != p]),
@@ -1135,7 +1125,6 @@ class TestSetReductionMatchesPairs:
         for p in cert.ltp_agents:
             for relation in self.assert_set_matches(sysm, p, cert.persuaded[p]):
                 assert relation.holds(tol=1e-10) and relation.solve_mismatch <= 1e-9
-        assert "R" not in vars(sysm)
 
     @settings(max_examples=400, deadline=None)
     @given(cooperative_blocks())
@@ -1146,7 +1135,8 @@ class TestSetReductionMatchesPairs:
             sysm = build_steady_state(g)
             self.assert_set_matches(sysm, p, members)
             elim = sorted(v - 1 for v in members)
-            assert np.array_equal(persuaded_block(sysm, members), sysm.R[np.ix_(elim, elim)])
+            assert np.array_equal(persuaded_block(sysm, members),
+                                  dense_steady(sysm)[np.ix_(elim, elim)])
 
 
 class TestExactReduction:

@@ -9,7 +9,8 @@ from sfj import (
     GraphFormatError,
     GraphValidationError,
     NoStubbornAgents,
-    check_reachability,
+    UnreachableNodes,
+    build_dominator_tree,
     graph_from_dict,
     graph_to_dict,
     influence_matrix,
@@ -17,10 +18,20 @@ from sfj import (
     normalize,
     save_graph,
 )
-from sfj.graph import ROW_SUM_TOL, Edge, SignedDigraph, _normalized, _postorder, _unreached
+from sfj.graph import Edge, SignedDigraph, _normalized, _postorder, _unreached
 
-from conftest import brute_force_reachable, graph_dicts, random_reachable_graph
-from oracles import loop_graph_from_dict, reweighted, text_load_graph, update_matrix
+from conftest import graph_dicts, random_reachable_graph
+from oracles import (
+    dense_system,
+    dense_weights,
+    loop_graph_from_dict,
+    reweighted,
+    text_load_graph,
+    unreached_by_stubborn,
+    update_matrix,
+)
+
+ROW_SUM_TOL = 1e-12  # double precision headroom for n up to ~1e4 accumulations
 
 
 def make(n, edges, stubborn=(1,), x0=None):
@@ -85,11 +96,12 @@ class TestNormalize:
     @given(signed_digraphs())
     def test_array_build_is_bit_identical_to_the_edge_loop(self, g):
         sysm = normalize(g)
-        assert sysm.W.tobytes() == loop_normalized_weights(g).tobytes()
+        W = dense_weights(sysm)
+        assert W.tobytes() == loop_normalized_weights(g).tobytes()
         assert sysm.beta.tobytes() == np.array(g.beta).tobytes()
-        assert np.max(np.abs(sysm.W - row_sum_normalized_weights(g))) <= ROW_SUM_TOL
+        assert np.max(np.abs(W - row_sum_normalized_weights(g))) <= ROW_SUM_TOL
         dense = np.eye(g.n) - update_matrix(sysm)
-        assert sysm.system_matrix().tobytes() == dense.tobytes()
+        assert dense_system(sysm).tobytes() == dense.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(signed_digraphs(), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -103,20 +115,18 @@ class TestNormalize:
             alone = _normalized(g.n, src, dst, w[t], beta[t])
             assert np.array_equal(stacked.rows, alone.rows)
             assert np.array_equal(stacked.cols, alone.cols)
-            for got, want in ((stacked.vals[t], alone.vals), (stacked.W[t], alone.W),
+            for got, want in ((stacked.vals[t], alone.vals),
+                              (dense_weights(stacked)[t], dense_weights(alone)),
                               (update_matrix(stacked)[t], update_matrix(alone)),
-                              (stacked.system_matrix()[t], alone.system_matrix())):
+                              (dense_system(stacked)[t], dense_system(alone))):
                 assert got.tobytes() == want.tobytes()
 
-    def test_arrays_are_read_only_and_w_is_built_on_first_read(self, g2):
+    def test_arrays_are_read_only(self, g2):
         sysm = normalize(g2)
-        assert "W" not in vars(sysm)
-        sysm.system_matrix(), sysm.update_entries()
-        assert "W" not in vars(sysm)
-        for array in (sysm.W, sysm.rows, sysm.cols, sysm.vals, sysm.beta):
+        sysm.update_entries()
+        for array in (sysm.rows, sysm.cols, sysm.vals, sysm.beta):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        assert sysm.W is sysm.W
 
     def test_edge_index_is_zero_based_in_edge_order(self):
         g = make(3, [Edge(3, 1, 2.0), Edge(2, 2, -1.0), Edge(1, 3, 0.5)])
@@ -127,13 +137,13 @@ class TestNormalize:
 
     def test_opposite_signs_split_evenly(self):
         g = make(3, [Edge(2, 1, 2.0), Edge(3, 1, -2.0)])
-        w = normalize(g).W
+        w = dense_weights(normalize(g))
         assert w[0, 1] == pytest.approx(0.5)
         assert w[0, 2] == pytest.approx(-0.5)
 
     def test_isolated_agent_gets_self_loop(self):
         g = make(2, [Edge(1, 2, 1.0)])
-        w = normalize(g).W
+        w = dense_weights(normalize(g))
         assert w[0, 0] == 1.0
         assert w[0, 1] == 0.0
 
@@ -141,7 +151,7 @@ class TestNormalize:
         rng = np.random.default_rng(11)
         for _ in range(50):
             g = random_reachable_graph(rng)
-            w = normalize(g).W
+            w = dense_weights(normalize(g))
             assert np.max(np.abs(np.abs(w).sum(axis=1) - 1.0)) <= ROW_SUM_TOL
 
     def test_invariant_under_positive_row_rescaling(self):
@@ -150,12 +160,13 @@ class TestNormalize:
             g = random_reachable_graph(rng)
             scales = {i: rng.uniform(0.1, 50.0) for i in range(1, g.n + 1)}
             rescaled = reweighted(g, [e.weight * scales[e.dst] for e in g.edges])
-            assert np.max(np.abs(normalize(g).W - normalize(rescaled).W)) <= ROW_SUM_TOL
+            gap = dense_weights(normalize(g)) - dense_weights(normalize(rescaled))
+            assert np.max(np.abs(gap)) <= ROW_SUM_TOL
 
     def test_sign_and_support_match_edges(self):
         rng = np.random.default_rng(13)
         g = random_reachable_graph(rng)
-        w = normalize(g).W
+        w = dense_weights(normalize(g))
         by_pair = {(e.dst, e.src): e.weight for e in g.edges}
         has_in = {e.dst for e in g.edges}
         for i in range(1, g.n + 1):
@@ -168,26 +179,35 @@ class TestNormalize:
                     assert w[i - 1, j - 1] == 0.0
 
 
+def unreached_by_detection(g):
+    """The agents build_dominator_tree names as unreached; empty if it builds."""
+    try:
+        build_dominator_tree(g)
+    except UnreachableNodes as exc:
+        return exc.nodes
+    return frozenset()
+
+
 class TestReachability:
+    """Detection's own reachability check: build_dominator_tree names every
+    non-stubborn agent no stubborn agent reaches."""
+
     def test_chain_reaches_everything(self):
         g = make(3, [Edge(1, 2, 1.0), Edge(2, 3, 1.0)])
-        report = check_reachability(g)
-        assert report.ok and g.m == 1
+        assert not unreached_by_detection(g) and g.m == 1
 
     def test_stubborn_free_component_reported(self):
         g = make(4, [Edge(1, 2, 1.0), Edge(3, 4, 1.0)])
-        report = check_reachability(g)
-        assert not report.ok
-        assert report.unreachable == {3, 4}
+        assert unreached_by_detection(g) == {3, 4}
 
     def test_all_stubborn_holds_vacuously(self):
         g = make(3, [], stubborn=(1, 2, 3))
-        assert check_reachability(g).ok
+        assert not unreached_by_detection(g)
 
     def test_no_stubborn_agents_rejected(self):
         g = SignedDigraph(2, (Edge(1, 2, 1.0),), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(NoStubbornAgents):
-            check_reachability(g)
+            build_dominator_tree(g)
 
     def test_matches_brute_force_closure(self):
         rng = np.random.default_rng(21)
@@ -204,7 +224,7 @@ class TestReachability:
                               replace=False)
             beta[stub - 1] = 1.0
             g = SignedDigraph(n, tuple(edges), tuple(beta), tuple(np.zeros(n)))
-            assert set(check_reachability(g).unreachable) == brute_force_reachable(g)
+            assert unreached_by_detection(g) == unreached_by_stubborn(g)
 
 
 @st.composite
@@ -311,7 +331,7 @@ class TestValidation:
             make(3, edges, stubborn=(1, 3))
         # At 1e300 the total fits, and agent 2 settles between its two leaders.
         g = make(3, [Edge(1, 2, 1e300), Edge(3, 2, 1e300)], stubborn=(1, 3), x0=[1, 0, 3])
-        assert np.array_equal(normalize(g).W[1], [0.5, 0.0, 0.5])
+        assert np.array_equal(dense_weights(normalize(g))[1], [0.5, 0.0, 0.5])
         assert influence_matrix(g)[1] @ np.array(g.x0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
