@@ -299,30 +299,28 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray,
 class _LevelPlan(NamedTuple):
     """_level_solve's gather indices, from the nonzero pattern of M alone.
 
-    Agents sit at slots: by level, then by SCC size, each SCC contiguous;
-    agent i at slot_of[i], and stubborn[j]'s beta anchors V's column j.
+    Agents sit at slots: by level, then by SCC size, then by SCC as found,
+    so a level's SCCs of one size fill a run of slots; agent i at
+    slot_of[i], and stubborn[j]'s beta anchors V's column j.
     ext lists M's entries between SCCs by the slot of their row, src the
-    slots of their columns. loops are (entries, slots) of the self-loops of
-    single-agent SCCs; blocks are (k, count, entries, flat): count SCCs of
-    k agents, whose entries of M land at flat in a (count, k, k) stack.
-    Each level is (start, stop, e0, e1, fed, heads, singles, spans): slots
-    start..stop-1, singles of them single-agent SCCs, hear through ext[e0:e1],
-    local slot fed[i]'s run starting at heads[i]; each span (k, c0, c1, at)
-    is blocks c0..c1-1 of size k's stack, from local slot at on.
+    slots of their columns. Each level is (start, stop, e0, e1, fed, heads,
+    loops, stacks): slots start..stop-1 hear through ext[e0:e1], slot
+    fed[i] through those from ext[e0 + heads[i]] on; loops are (entries, slots)
+    of the self-loops of its single-agent SCCs; each stack (at, k, count,
+    entries, flat) is the run of count SCCs of k > 1 agents from slot at on,
+    whose entries of M land at flat in a (count, k, k) stack.
     footprint bounds the values one trial holds at once, in the solve and
     while its caller reads V: V and one gathered copy of it (2 n m), a
     level's gathered rows and weighted terms (2 m times the most entries
-    any level hears through), the SCC stacks (sum of count k**2) and three
-    arrays of M's entries (its weights, the system's and M's own).
+    any level hears through), the SCC stacks (sum of count k**2, though
+    the solve holds one at a time) and three arrays of M's entries (its
+    weights, the system's and M's own).
     """
 
-    n: int
     slot_of: np.ndarray
     stubborn: np.ndarray
     ext: np.ndarray
     src: np.ndarray
-    loops: tuple
-    blocks: list
     levels: list
     footprint: int
 
@@ -340,69 +338,59 @@ def _level_plan(sysm: NormalizedSystem, stubborn: np.ndarray) -> _LevelPlan:
     n, rows, cols = sysm.n, sysm.rows, sysm.cols
     comp, level = _components(n, rows, cols)
     sizes = np.bincount(comp)
-    cross = comp[rows] != comp[cols]
-
-    ranked = np.lexsort((sizes, level))  # by level, then size, then as found
-    rank = np.empty_like(ranked)
-    rank[ranked] = np.arange(sizes.size)
-    agents = np.argsort(rank[comp], kind="stable")
+    agents = np.lexsort((comp, sizes[comp], level[comp]))  # by level, size, then SCC
     slot_of = np.empty(n, dtype=np.int64)
     slot_of[agents] = np.arange(n)
-    first = np.empty_like(ranked)  # each component's first slot
-    first[ranked] = np.cumsum(sizes[ranked]) - sizes[ranked]
-    starts = np.searchsorted(level[comp[agents]], np.arange(level.max() + 2)).tolist()
-    singles = np.bincount(level[comp], sizes[comp] == 1).astype(int).tolist()
+    lv, k = level[comp[agents]], sizes[comp[agents]]  # each slot's level and SCC size
+    starts = np.searchsorted(lv, np.arange(lv[-1] + 2)).tolist()
 
-    # Larger SCCs go in one stack per size, in rank order; a level's SCCs of
-    # one size are a run of their stack.
-    index = np.zeros_like(ranked)  # position in its size's stack
-    spans = [[] for _ in singles]
-    stacked: dict[int, int] = {}
-    for c in ranked[sizes[ranked] > 1].tolist():
-        k, lv = int(sizes[c]), int(level[c])
-        index[c] = i = stacked.get(k, 0)
-        stacked[k] = i + 1
-        if spans[lv] and spans[lv][-1][0] == k:
-            spans[lv][-1][2] += 1
-        else:
-            spans[lv].append([k, i, i + 1, int(first[c]) - starts[lv]])
-    owner = comp[rows]
-    inside = np.flatnonzero(~cross)
-    loops = inside[sizes[owner[inside]] == 1]
-    inside = inside[sizes[owner[inside]] > 1]
-    c = owner[inside]
-    k, base = sizes[c], first[c]
-    flat = (index[c] * k + slot_of[rows[inside]] - base) * k + slot_of[cols[inside]] - base
-    by_size = np.argsort(k, kind="stable")
-    ends = np.searchsorted(k[by_size], sorted(stacked), side="right").tolist()
-    blocks = [(size, stacked[size], inside[by_size[a:b]], flat[by_size[a:b]])
-              for size, a, b in zip(sorted(stacked), [0] + ends, ends)]
+    r, c = slot_of[rows], slot_of[cols]
+    by_row = np.argsort(r, kind="stable")
+    cross = (comp[rows] != comp[cols])[by_row]
+    big = k[r[by_row]] > 1
+    ext, inside, loops = by_row[cross], by_row[~cross & big], by_row[~cross & ~big]
 
-    ext = np.flatnonzero(cross)
-    ext = ext[np.argsort(slot_of[rows[ext]], kind="stable")]
-    ext_slot = slot_of[rows[ext]]
-    new = np.ones(ext.size, dtype=bool)
-    new[1:] = ext_slot[1:] != ext_slot[:-1]
-    runs = np.flatnonzero(new)  # where each fed slot's entries begin
+    # Each level's SCCs of one size k fill a run of slots. A run of count
+    # SCCs of k > 1 agents from slot at on is one (count, k, k) stack, where
+    # the entry at row slot i and column slot j of the SCC from slot f on
+    # lands at (i - at) k + j - f.
+    _, heads, spans = np.unique(lv * (n + 1) + k, return_index=True, return_counts=True)
+    stacked = k[heads] > 1
+    heads, spans = heads[stacked], spans[stacked]
+    i, j = r[inside], c[inside]
+    at = heads[np.searchsorted(heads, i, side="right") - 1]
+    size = k[i]
+    first = i - (i - at) % size
+    flat = (i - at) * size + j - first
+    bounds = np.searchsorted(i, heads).tolist() + [inside.size]
+    stacks = [(a, size, span // size, inside[e0:e1], flat[e0:e1])
+              for a, span, size, e0, e1 in zip(heads.tolist(), spans.tolist(), k[heads].tolist(),
+                                               bounds, bounds[1:])]
+
+    ext_slot, loop_slot = r[ext], r[loops]
+    fed, runs = np.unique(ext_slot, return_index=True)  # where each fed slot's entries begin
+    # Each level's first entry of ext, run of it, self-loop and stack.
     e = np.searchsorted(ext_slot, starts).tolist()
-    r = np.searchsorted(runs, e).tolist()
-    fed = ext_slot[runs]
+    f = np.searchsorted(runs, e).tolist()
+    lp = np.searchsorted(loop_slot, starts).tolist()
+    st = np.searchsorted(heads, starts).tolist()
     levels = [
-        (s0, s1, e0, e1, fed[r0:r1] - s0, runs[r0:r1] - e0, one, [tuple(x) for x in span])
-        for s0, s1, e0, e1, r0, r1, one, span in zip(
-            starts, starts[1:], e, e[1:], r, r[1:], singles, spans)
+        (a, b, e0, e1, fed[f0:f1], runs[f0:f1] - e0, (loops[l0:l1], loop_slot[l0:l1]),
+         stacks[t0:t1])
+        for a, b, e0, e1, f0, f1, l0, l1, t0, t1 in zip(
+            starts, starts[1:], e, e[1:], f, f[1:], lp, lp[1:], st, st[1:])
     ]
     heard = max(e1 - e0 for e0, e1 in zip(e, e[1:]))
     footprint = 2 * stubborn.size * (n + heard) + sum(
-        count * k * k for k, count in stacked.items()) + 3 * rows.size
-    return _LevelPlan(n, slot_of, stubborn, ext, slot_of[cols[ext]],
-                      (loops, slot_of[rows[loops]]), blocks, levels, footprint)
+        count * size * size for _, size, count, *_ in stacks) + 3 * rows.size
+    return _LevelPlan(slot_of, stubborn, ext, c[ext], levels, footprint)
 
 
 def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
     """V's columns at plan.stubborn from the system sysm, level by level: each
-    level gathers its terms from the levels below in one reduceat, divides on
-    its single-agent SCCs and solves its larger SCCs in one stack per size.
+    level gathers its terms from the levels below in one reduceat, divides
+    its single-agent SCCs with a self-loop by 1 - M_vv and solves each of its
+    stacks of larger SCCs at once.
     V is in slot order, slots first: agent i's row is slot_of[i], and a
     leading trial axis on sysm gives V (n, T, m), so each gather, reduceat
     and add moves whole rows of T m values; a caller gathers V's rows once,
@@ -411,37 +399,34 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
     Raises SingularBlock, naming the SCC's agents, when an SCC's block of
     I - M is singular in floating point: _unanchored's rule puts rho(M)
     below one, but a weight of 1e-20 next to 1 is lost in rounding."""
-    lead, m = sysm.beta.shape[:-1], plan.stubborn.size
-    beta = sysm.beta.reshape(-1, plan.n).T  # (n, T); no trial axis is T = 1
+    n, lead, m = plan.slot_of.size, sysm.beta.shape[:-1], plan.stubborn.size
+    beta = sysm.beta.reshape(-1, n).T  # (n, T); no trial axis is T = 1
     trials = beta.shape[1]
     mv = (1.0 - beta[sysm.rows]) * sysm.vals.reshape(trials, -1).T
-    V = np.zeros((plan.n, trials, m))
+    V = np.zeros((n, trials, m))
     V[plan.slot_of[plan.stubborn], :, np.arange(m)] = beta[plan.stubborn]
     weights = mv[plan.ext, :, None]
-    divisor = np.ones((plan.n, trials, 1))
-    divisor[plan.loops[1], :, 0] -= mv[plan.loops[0]]
-    if not divisor.all():
-        raise _singular(plan, np.flatnonzero(divisor == 0.0)[:1] // trials)
-    stacks = {}
-    for k, count, entries, flat in plan.blocks:
-        A = stacks[k] = np.zeros((trials, count, k, k))
-        A[:, :, np.arange(k), np.arange(k)] = 1.0
-        A.reshape(trials, -1)[:, flat] -= mv[entries].T
-    for start, stop, e0, e1, fed, heads, singles, spans in plan.levels:
-        here = V[start:stop]
+    for _, _, e0, e1, fed, heads, (loops, slots), stacks in plan.levels:
         if e1 > e0:
-            here[fed] += np.add.reduceat(weights[e0:e1] * V[plan.src[e0:e1]], heads)
-        here[:singles] /= divisor[start:start + singles]
-        for k, c0, c1, at in spans:
-            span = here[at:at + (c1 - c0) * k]
-            rhs = span.reshape(c1 - c0, k, trials, m).transpose(2, 0, 1, 3)
+            V[fed] += np.add.reduceat(weights[e0:e1] * V[plan.src[e0:e1]], heads)
+        if loops.size:
+            divisor = 1.0 - mv[loops]
+            if not divisor.all():
+                raise _singular(plan, slots[np.flatnonzero(divisor == 0.0)[:1] // trials])
+            V[slots] /= divisor[:, :, None]
+        for at, k, count, entries, flat in stacks:
+            A = np.zeros((trials, count, k, k))
+            A[:, :, np.arange(k), np.arange(k)] = 1.0
+            A.reshape(trials, -1)[:, flat] -= mv[entries].T
+            span = V[at:at + count * k]
+            rhs = span.reshape(count, k, trials, m).transpose(2, 0, 1, 3)
             try:
-                solved = np.linalg.solve(stacks[k][:, c0:c1], rhs)
+                solved = np.linalg.solve(A, rhs)
             except np.linalg.LinAlgError:
-                ranks = np.linalg.matrix_rank(stacks[k][:, c0:c1]).min(axis=0)
-                raise _singular(plan, start + at + k * np.argmax(ranks < k) + np.arange(k))
+                ranks = np.linalg.matrix_rank(A).min(axis=0)
+                raise _singular(plan, at + k * np.argmax(ranks < k) + np.arange(k))
             span[...] = solved.transpose(1, 2, 0, 3).reshape(span.shape)
-    return V.reshape((plan.n,) + lead + (m,))
+    return V.reshape((n,) + lead + (m,))
 
 
 def _singular(plan: _LevelPlan, slots: np.ndarray) -> SingularBlock:

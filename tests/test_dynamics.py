@@ -582,6 +582,17 @@ LEVEL_SOLVE_CASES = {
         [0.3 if v % 13 == 0 else 0.0 for v in range(1, 61)], [0.0] * 60),
     "loops-and-beta-one": lambda: with_loops_and_full_stubbornness(
         random_multiconsensus_graph(300, 15, seed=3), 40, seed=3),
+    # Level 0: stubborn agent 1 and the SCC {2, 3}. Level 1: {4, 5} and
+    # {10, 11}, one stack of two, and {6, 7, 8}. Level 2: agent 9 with a
+    # self-loop. Level 3: agent 12.
+    "mixed-sizes": lambda: make(12, [
+        Edge(2, 3, 1.0), Edge(3, 2, -1.0),
+        Edge(1, 4, 1.0), Edge(4, 5, 1.0), Edge(5, 4, 2.0),
+        Edge(3, 10, -1.0), Edge(10, 11, 1.0), Edge(11, 10, 1.0),
+        Edge(1, 6, 1.0), Edge(6, 7, 1.0), Edge(7, 8, -1.0), Edge(8, 6, 1.0),
+        Edge(4, 9, 1.0), Edge(9, 9, 0.5),
+        Edge(8, 12, 1.0), Edge(9, 12, -1.0),
+    ], beta=[0.5, 0.3] + [0.0] * 10),
 }
 
 
@@ -641,7 +652,8 @@ class TestLevelSolve:
         else:
             assert comp.tolist() == [0] * n and level.tolist() == [0]
 
-    @pytest.mark.parametrize("case", ["g2", "generated-200", "strongly-connected"])
+    @pytest.mark.parametrize("case", ["g2", "generated-200", "strongly-connected",
+                                      "mixed-sizes"])
     def test_each_level_hears_only_from_the_levels_below(self, case):
         g = LEVEL_SOLVE_CASES[case]()
         plan = _level_plan(normalize(g), np.array(g.stubborn) - 1)
@@ -651,6 +663,32 @@ class TestLevelSolve:
         assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
         for start, stop, e0, e1, *_ in plan.levels:
             assert np.all(plan.src[e0:e1] < start)
+
+    @pytest.mark.parametrize("case", LEVEL_SOLVE_CASES)
+    def test_each_stack_scatters_into_its_own_level(self, case):
+        # The solve's scatter -= needs distinct flat indices inside the
+        # (count, k, k) stack, and the stack's rows of V must be its level's.
+        g = LEVEL_SOLVE_CASES[case]()
+        plan = _level_plan(normalize(g), np.array(g.stubborn) - 1)
+        for start, stop, *_, stacks in plan.levels:
+            for at, k, count, entries, flat in stacks:
+                assert k > 1 and count >= 1 and entries.size == flat.size
+                assert start <= at and at + count * k <= stop
+                assert np.unique(flat).size == flat.size
+                assert flat.min() >= 0 and flat.max() < count * k * k
+
+    def test_mixed_sizes_plan_layout(self):
+        # (level, k, count) of each stack, and the agents of each level's
+        # self-loops: sizes 2 and 3 share level 1, size 2 is stacked on
+        # levels 0 and 1, and agent 9's self-loop divides on level 2 (agent
+        # 1 has no in-edge, so normalize gives it one).
+        g = LEVEL_SOLVE_CASES["mixed-sizes"]()
+        plan = _level_plan(normalize(g), np.array(g.stubborn) - 1)
+        agent_at = np.argsort(plan.slot_of) + 1
+        assert [(lv, k, count) for lv, (*_, stacks) in enumerate(plan.levels)
+                for _, k, count, *_ in stacks] == [(0, 2, 1), (1, 2, 2), (1, 3, 1)]
+        assert [agent_at[slots].tolist() for *_, (_, slots), _ in plan.levels] == [
+            [1], [], [9], []]
 
     def test_a_stack_of_trials_solves_each_as_alone(self):
         g = random_multiconsensus_graph(200, 10, seed=7)
