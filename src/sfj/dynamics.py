@@ -155,13 +155,19 @@ def simulate(
     reached from an agent whose 1 - beta rounds below one; otherwise the
     plain step criterion applies. An exact fixed point (a zero step) always
     stops. Raises NotConverged (carrying the trace) when max_iter is
-    exhausted.
+    exhausted, or at the first state (x, and z when swept) that repeats an
+    earlier one bit for bit: every later step would repeat one that failed
+    the stop rule (a rounding cycle). Brent's cycle detection saves the
+    state at steps 0, 1, 2, 4, 8, ... and compares each later step with the
+    last saved, so a cycle of p steps entered by step s ends the run by
+    step 2 max(s, p) + p.
 
     Steps go straight into a block of rows, row 0 the row above it, the
     others _TRACE_BLOCK // n steps (at least one); a row holds u = (x, z)
     when z is swept, so the block is twice as wide. They go in rounds of
-    at most _ROUND; after each, the first of its steps that meets the stop
-    rule ends the run, as one checked step at a time would.
+    at most _ROUND, none past a saved step; after each, the first of its
+    steps that meets the stop rule ends the run, as one checked step at a
+    time would, and failing that the first that repeats the saved state.
 
     With a text file out, the trace goes there as write_trace_csv would
     write it, a block at a time, the rest written on return or before
@@ -192,6 +198,7 @@ def simulate(
     block[1, :n], block[1, n:] = g.x0, 1.0
     kept, first, carry = [], 0, None  # rows kept; the k of block[1]; the row written above it
     j, k, residual, converged = 1, 0, np.inf, False  # block[j] holds u at step k
+    checkpoint, mark, repeat = block[1].view(np.int64).copy(), 1, None  # u's bits at step mark // 2
     if out is not None:
         _write_header(out, n)
     # Opinions of opposite sign near the float maximum can overflow a step's
@@ -205,7 +212,7 @@ def simulate(
                     carry = _write_rows(out, first, block[1:, :n], source, carry)
                 block[0] = block[-1]
                 first, j = first + per_block, 0
-            r = min(_ROUND, per_block - j, max_iter - k)
+            r = min(_ROUND, per_block - j, max_iter - k, mark - k)
             for i in range(j, j + r):
                 np.add(np.bincount(rows, vals * block[i][cols], anchor.size), anchor,
                        out=block[i + 1])
@@ -218,12 +225,21 @@ def simulate(
             j, k, residual = j + r, k + r, steps[r - 1]
             if converged:
                 break
+            same = (block[j - r + 1:j + 1].view(np.int64) == checkpoint).all(axis=1)
+            if same.any():
+                back = r - 1 - int(same.argmax())
+                j, k, residual, repeat = j - back, k - back, steps[r - 1 - back], mark // 2
+                break
+            if k == mark:
+                checkpoint, mark = block[j].view(np.int64).copy(), 2 * mark
     if out is None:
         states = np.concatenate(kept + [block[1:j + 1, :n]])
     else:
         _write_rows(out, first, block[1:j + 1, :n], source, carry)
         states = block[j:j + 1, :n].copy()
     trace = OpinionTrace(states=states, converged=converged, iterations=k, residual=residual)
+    if repeat is not None:
+        raise NotConverged(trace, f"no convergence: iteration {k} repeats iteration {repeat}")
     if not converged:
         raise NotConverged(trace, f"no convergence after {max_iter} iterations")
     return trace

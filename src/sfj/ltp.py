@@ -82,15 +82,20 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     dominates q exactly when every path from every stubborn agent to q
     traverses p. Computed by Cooper, Harvey & Kennedy, "A Simple, Fast
     Dominance Algorithm" (2001), on nodes renumbered in DFS postorder, where
-    a dominator has the larger number: sweep the nodes in reverse postorder
-    and set each idom to the nearest common ancestor, in the current tree, of
-    the predecessors seen so far, until a sweep changes nothing. A node with
-    one predecessor has it as its idom from the start, so the sweeps visit
-    only the nodes with several. Acyclic
-    graphs settle in one sweep and a second confirms it; cycles entered at
-    several points take a few more. Long ancestor walks and many sweeps make
-    the worst case superlinear, but on these networks the cost is near-linear
-    in n + edges, and memory is O(n + edges).
+    a dominator has the larger number. Each idom starts at the node's
+    highest-numbered predecessor (numbered above it, as its DFS parent is);
+    sweeps in reverse postorder then set it to the nearest common ancestor,
+    in the current tree, of all the node's predecessors, until a sweep
+    changes nothing. Nodes with one predecessor keep it and are not swept.
+    The result is exact: the start tree's root paths are graph paths, so a
+    node's ancestors hold all of its dominators; a sweep only moves an idom
+    up to one of its ancestors; and a sweep that changes nothing solves the
+    dominance equations, whose every solution lies inside the true dominator
+    sets (Kildall, POPL 1973). Acyclic graphs settle in one sweep and a
+    second confirms it; cycles entered at several points take a few more.
+    Long ancestor walks and many sweeps make the worst case superlinear, but
+    on these networks the cost is near-linear in n + edges, and memory is
+    O(n + edges).
 
     Raises UnreachableNodes if any non-stubborn agent has no path from a
     stubborn agent, and NoStubbornAgents when there is nothing to root at.
@@ -114,36 +119,24 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
     to, by = number[dst], number[src]
     bounds, preds = _csr(to, by, g.n)
     root = g.n  # the root's postorder number
-    # A node with one predecessor has it as its idom, set here by one gather;
-    # the sweeps visit only the nodes with several, in reverse postorder.
-    count = np.bincount(to, minlength=g.n + 1)
-    idom = np.full(g.n + 1, -1)  # -1: not yet processed in any sweep
-    one = count[to] == 1
-    idom[to[one]] = by[one]
+    idom = [preds[b - 1] for b in bounds[1:]]  # each node's highest predecessor
     idom[root] = root
-    idom = idom.tolist()
-    multi = np.flatnonzero(count > 1)[::-1].tolist()
-    # A node's last predecessor has the highest number, so a sweep has always
-    # processed it (the node's DFS parent is one such). The first sweep skips
-    # a predecessor numbered below v: it has not reached it, nor perhaps some
-    # node with several predecessors on its idom chain.
-    later, changed = False, True
+    multi = np.flatnonzero(np.bincount(to, minlength=g.n + 1) > 1)[::-1].tolist()
+    changed = True
     while changed:
         changed = False
         for v in multi:
             first, last = bounds[v], bounds[v + 1] - 1
             new = preds[last]
             for p in preds[first:last]:
-                if later or p > v:
-                    while p != new:  # walk both fingers up to where they meet
-                        while p < new:
-                            p = idom[p]
-                        while new < p:
-                            new = idom[new]
+                while p != new:  # walk both fingers up to where they meet
+                    while p < new:
+                        p = idom[p]
+                    while new < p:
+                        new = idom[new]
             if idom[v] != new:
                 idom[v] = new
                 changed = True
-        later = True
 
     rpo = range(root - 1, -1, -1)  # every node but the root, reverse postorder
     return DominatorTree(VIRTUAL_ROOT, {post[v]: post[idom[v]] for v in rpo})

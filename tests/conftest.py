@@ -89,6 +89,26 @@ def unreached_positive_class():
     )
 
 
+def g2_times_1e5():
+    """g2 with x(0) scaled by 1e5: simulate ends in a rounding cycle of 6
+    states, each step 2.9e-11, below the default tol, while step times the
+    contraction bound never is. Steps 128 and 134 are the same state."""
+    g = networks.g2()
+    return SignedDigraph(g.n, g.edges, g.beta, g.x0 * 1e5)
+
+
+def slow_spiral():
+    """x2(k+1) = 1e-5 x2(k) - (1 - 1e-5) x2(k-1), agent 3 copying agent 2's
+    last opinion: the pair turns by nearly a quarter turn a step and shrinks
+    by about 5e-6, so no state repeats and the steps stay far above any
+    tolerance for 200,000 steps: only max_iter stops a run. At most one
+    value a row is new to the trace writer, agent 3's being agent 2's from
+    the row above. Agent 1 is stubborn but feeds nobody, so the plain step
+    rule applies."""
+    edges = ((2, 2, 1e-5), (3, 2, -(1 - 1e-5)), (2, 3, 1.0))
+    return SignedDigraph(3, tuple(Edge(*e) for e in edges), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0))
+
+
 BAD_VALUES = st.one_of(
     st.booleans(),
     st.none(),

@@ -691,7 +691,9 @@ def stepwise_simulate(
     """dynamics.simulate one step per bincount, each checked as it is taken.
 
     The reference for simulate's rounds: the same iterates, stop step,
-    residual, final state and trace bytes. Every agent gets a source array,
+    residual, final state and trace bytes, and the same first repeated
+    state, found as Brent's cycle detection finds it: each step against u
+    at the last power of two below it, or at step 0 for step 1. Every agent gets a source array,
     so the writer gathers each row by source even where simulate passes
     None.
     """
@@ -718,7 +720,8 @@ def stepwise_simulate(
     block = np.empty((per_block, n))
     block[0] = x0
     u = np.concatenate((x0, np.ones(anchor.size - n)))
-    j, residual, converged = 1, np.inf, False
+    j, residual, converged, repeat = 1, np.inf, False, None
+    saved = 0, u.view(np.int64).copy()  # the step last saved and its bits
     if out is not None:
         dynamics._write_header(out, n)
     # Opinions of opposite sign near the float maximum can overflow a step's
@@ -741,6 +744,11 @@ def stepwise_simulate(
             ):
                 converged = True
                 break
+            if np.array_equal(u.view(np.int64), saved[1]):
+                repeat = saved[0]
+                break
+            if k & (k - 1) == 0:  # k is a power of two
+                saved = k, u.view(np.int64).copy()
     if out is None:
         states = np.concatenate(kept + [block[:j]])
     else:
@@ -748,8 +756,10 @@ def stepwise_simulate(
         states = u[None, :n]
     trace = OpinionTrace(
         states=states, converged=converged,
-        iterations=k if converged else max_iter, residual=residual,
+        iterations=k if converged or repeat is not None else max_iter, residual=residual,
     )
+    if repeat is not None:
+        raise NotConverged(trace, f"no convergence: iteration {k} repeats iteration {repeat}")
     if not converged:
         raise NotConverged(trace, f"no convergence after {max_iter} iterations")
     return trace

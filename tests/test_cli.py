@@ -48,7 +48,13 @@ from sfj.errors import (
 )
 from sfj.graph import Edge, SignedDigraph, graph_to_dict
 
-from conftest import graph_dicts, merge_when_agent_7_leads_agent_1, unreached_positive_class
+from conftest import (
+    g2_times_1e5,
+    graph_dicts,
+    merge_when_agent_7_leads_agent_1,
+    slow_spiral,
+    unreached_positive_class,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "networks"
 
@@ -415,9 +421,21 @@ class TestSimulate:
         code, _, err = run(
             capsys, "simulate", str(path), "--out", out_csv, "--max-iter", "40"
         )
+        # x(2) repeats x(0), but the state saved last is x(2): x(4) repeats it.
         assert code == EXIT_NOT_CONVERGED
-        assert "partial trace" in err
-        assert len(Path(out_csv).read_text().strip().splitlines()) == 42
+        assert "iteration 4 repeats iteration 2; partial trace" in err
+        assert len(Path(out_csv).read_text().strip().splitlines()) == 6
+
+    def test_rounding_cycle_exits_at_the_first_repeated_state(self, capsys, tmp_path):
+        # Without the repeat check this runs all million steps of the
+        # default --max-iter and writes a 209 MB trace.
+        path, out_csv = tmp_path / "g2e5.json", tmp_path / "partial.csv"
+        save_graph(g2_times_1e5(), path)
+        code, _, err = run(capsys, "simulate", str(path), "--out", str(out_csv))
+        assert code == EXIT_NOT_CONVERGED
+        assert "iteration 134 repeats iteration 128; partial trace" in err
+        rows = out_csv.read_text().splitlines()
+        assert len(rows) == 136 and rows[-1].split(",")[1:] == rows[-7].split(",")[1:]
 
     def test_unreached_class_converges_by_the_plain_step_rule(self, capsys, tmp_path):
         path = tmp_path / "closed.json"
@@ -444,13 +462,15 @@ def oscillator():
     return SignedDigraph(3, ((2, 3, 1.0), (3, 2, 1.0)), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0))
 
 
-# Each case with its --max-iter; the oscillator stops at it unconverged.
+# Each case with its --max-iter. The oscillator stops unconverged at its
+# first repeated state, the spiral at --max-iter.
 STREAMED_CASES = {
     "g1": (networks.g1, dynamics.DEFAULT_MAX_ITER),
     "g2": (networks.g2, dynamics.DEFAULT_MAX_ITER),
     "generated-500": (lambda: random_multiconsensus_graph(500, 25, seed=500),
                       dynamics.DEFAULT_MAX_ITER),
     "oscillator": (oscillator, 40),
+    "spiral": (slow_spiral, 40),
 }
 
 
@@ -482,7 +502,7 @@ class TestStreamedTrace:
         save_graph(g, path)
         code, _, _ = run(capsys, "simulate", str(path), "--out", str(out_csv),
                          "--max-iter", str(max_iter))
-        assert code == (EXIT_NOT_CONVERGED if case == "oscillator" else EXIT_OK)
+        assert code == (EXIT_NOT_CONVERGED if case in ("oscillator", "spiral") else EXIT_OK)
         assert out_csv.read_bytes() == expected.encode()
         assert in_memory_csv(g, max_iter) == expected  # kept in several blocks
 
@@ -492,8 +512,8 @@ class TestStreamedTrace:
     ):
         # Keeping every state would take 24 bytes per iteration here, and
         # more than that again in per-row objects: about 30 MB at 200,000.
-        path, out_csv = tmp_path / "osc.json", tmp_path / "partial.csv"
-        save_graph(oscillator(), path)
+        path, out_csv = tmp_path / "spiral.json", tmp_path / "partial.csv"
+        save_graph(slow_spiral(), path)
         tracemalloc.start()
         try:
             code, _, err = run(capsys, "simulate", str(path), "--out", str(out_csv),

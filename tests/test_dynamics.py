@@ -41,7 +41,7 @@ from sfj.dynamics import (
 )
 from sfj.graph import Edge, SignedDigraph, _normalized
 
-from conftest import random_reachable_graph, unreached_positive_class
+from conftest import g2_times_1e5, random_reachable_graph, slow_spiral, unreached_positive_class
 from oracles import (
     dense_contraction_certificate,
     dense_reduction,
@@ -138,9 +138,11 @@ class TestSimulate:
         )
         with pytest.raises(NotConverged) as err:
             simulate(g, max_iter=100)
+        # x(2) repeats x(0), but the state saved last is x(2): x(4) repeats it.
+        assert str(err.value) == "no convergence: iteration 4 repeats iteration 2"
         trace = err.value.trace
-        assert not trace.converged
-        assert trace.states.shape == (101, 3)
+        assert not trace.converged and trace.iterations == 4
+        assert trace.states.shape == (5, 3)
 
     def test_unreached_class_falls_back_to_the_plain_step_rule(self):
         # Without stubborn-reachability no contraction bound applies; the
@@ -1427,13 +1429,28 @@ class TestRounds:
 
     @pytest.mark.parametrize("plain", [True, False])
     def test_not_converged_over_several_rounds_and_blocks(self, monkeypatch, plain):
-        g = (SignedDigraph(3, ((2, 3, 1.0), (3, 2, 1.0)), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0))
-             if plain else random_multiconsensus_graph(60, 3, seed=6))
+        g = slow_spiral() if plain else random_multiconsensus_graph(60, 3, seed=6)
         monkeypatch.setattr(dynamics, "_TRACE_BLOCK", 7 * g.n)  # 7 rows a block
         max_iter = 4 * dynamics._ROUND + 5
         raised, iterations, *_, trace = run_both(g, max_iter=max_iter)
         assert raised and iterations == max_iter
         assert trace.count("\r\n") == max_iter + 2  # the header and x(0)..x(max_iter)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("make, stop, saved", [
+        (lambda: SignedDigraph(3, ((2, 3, 1.0), (3, 2, 1.0)), (1.0, 0.0, 0.0), (0.0, 1.0, -1.0)),
+         4, 2),
+        (g2_times_1e5, 134, 128),
+    ], ids=["oscillator", "g2-times-1e5"])
+    def test_first_repeated_state_stops_the_run(self, monkeypatch, make, stop, saved, rows):
+        g = make()
+        if rows:
+            monkeypatch.setattr(dynamics, "_TRACE_BLOCK", rows * g.n)
+        raised, iterations, *_, trace = run_both(g)
+        assert raised and iterations == stop
+        assert trace.count("\r\n") == stop + 2
+        with pytest.raises(NotConverged, match=f"iteration {stop} repeats iteration {saved}$"):
+            simulate(g)
 
     def test_plain_rule(self):
         raised, iterations, *_ = run_both(unreached_positive_class(), max_iter=100_000)

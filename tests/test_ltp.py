@@ -83,7 +83,7 @@ class TestDominatorOracle:
         idom.pop(VIRTUAL_ROOT, None)  # some networkx versions map start to itself
         return idom
 
-    @pytest.mark.parametrize("n", [1000, 5000])
+    @pytest.mark.parametrize("n", [1000, 5000, 20_000])
     def test_generated_networks_match_networkx(self, n):
         g = random_multiconsensus_graph(n, n // 20, seed=n)
         assert dict(build_dominator_tree(g).idom) == self.networkx_idom(g)
@@ -98,9 +98,10 @@ class TestDominatorOracle:
 
     def test_irreducible_loop_entered_from_two_stubborn_agents(self):
         # Cycle 3 -> 4 -> 5 -> 3, entered at 3 from stubborn 1 and at 5 from
-        # stubborn 2, with 6 hanging off 4. The first reverse-postorder sweep
-        # sees only 1 among the settled predecessors of 3 and sets idom(3) = 1;
-        # a second sweep must correct it to the root.
+        # stubborn 2, with 6 hanging off 4. 3 and 5 start at their
+        # highest-numbered predecessors, 1 and 2; the first sweep meets each
+        # one's other predecessor only at the root and moves both there, and
+        # a second sweep confirms it.
         edges = [
             Edge(1, 3, 1.0), Edge(2, 5, 1.0), Edge(3, 4, 1.0),
             Edge(4, 5, 1.0), Edge(5, 3, 1.0), Edge(4, 6, 1.0),
@@ -116,19 +117,31 @@ class TestDominatorOracle:
         assert cert.persuaded[3] == {4, 6}
         assert same_detection(cert, brute_force_ltp_oracle(g))
 
-    def test_first_sweep_skips_a_back_edge_predecessor(self):
-        # The search runs 1 -> 2 -> 3 -> 4 -> 5, so 2 comes before 5 in
-        # reverse postorder, and 5 -> 2 is a back edge. 5 has one
-        # predecessor, 4, whose idom is set before the sweeps; 4 has two, 3
-        # and 1, and comes after 2. Were 5 counted when the first sweep
-        # reaches 2, its idom chain would run into 4, not yet processed, and
-        # 2 and then 4 would settle on the root for good.
+    def test_back_edge_predecessor_walks_the_start_tree(self):
+        # The search runs 1 -> 2 -> 3 -> 4 -> 5, so 5 -> 2 is a back edge and
+        # 5 is numbered below 2. Walking up from 5 for 2 passes 4, which has
+        # two predecessors and comes after 2 in reverse postorder: its idom
+        # is already set, to 1, by the forward edge 1 -> 4.
         edges = [Edge(1, 2, 1.0), Edge(1, 4, 1.0), Edge(2, 3, 1.0), Edge(3, 4, 1.0),
                  Edge(4, 5, 1.0), Edge(5, 2, 1.0)]
         g = make(5, edges, stubborn=(1,))
-        tree = build_dominator_tree(g)
-        assert dict(tree.idom) == self.networkx_idom(g) == {
+        assert_matches_reference(g)
+        assert dict(build_dominator_tree(g).idom) == self.networkx_idom(g) == {
             1: VIRTUAL_ROOT, 2: 1, 3: 2, 4: 1, 5: 4}
+
+    @pytest.mark.parametrize("edges, idom", [
+        # 1 -> 3 is a forward edge: 3 starts at 1, which is above its DFS
+        # parent 2, and 1 is its idom.
+        ([(1, 2), (2, 3), (1, 3), (3, 4)], {1: VIRTUAL_ROOT, 2: 1, 3: 1, 4: 3}),
+        # 3 -> 4 is a cross edge: the search reaches 4 from 2, then 3 from 1,
+        # so 4 starts at 3, no ancestor of 4 in the DFS tree, and the sweep
+        # moves it up to 1.
+        ([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], {1: VIRTUAL_ROOT, 2: 1, 3: 1, 4: 1, 5: 4}),
+    ], ids=["forward-edge", "cross-edge"])
+    def test_highest_predecessor_off_the_dfs_parent(self, edges, idom):
+        g = make(max(map(max, edges)), [Edge(s, d, 1.0) for s, d in edges], stubborn=(1,))
+        assert_matches_reference(g)
+        assert dict(build_dominator_tree(g).idom) == self.networkx_idom(g) == idom
 
     def test_long_chain_neither_recurses_nor_goes_quadratic(self):
         # A set-based fixed point would hold n^2 / 2 = 2e8 dominator entries
