@@ -30,7 +30,6 @@ from .graph import (
     _csr,
     _normalized,
     _postorder,
-    _unreached,
     normalize,
 )
 
@@ -135,8 +134,13 @@ def _sweep_bound(z: np.ndarray, z_next: np.ndarray) -> float:
 
 def _unanchored(g: SignedDigraph) -> frozenset[int]:
     """Agents no agent whose 1 - beta rounds below one reaches: the one float
-    anchoring rule, read by simulate's stop rule and _influence's gate."""
-    return _unreached(g.n, g.src, g.dst, np.flatnonzero(1.0 - g.beta == 1.0) + 1)
+    anchoring rule, read by simulate's stop rule and _influence's gate. One
+    _postorder along the edges from those agents; what it leaves unseen is
+    unanchored. O(n + edges)."""
+    seen = [True] + [False] * g.n  # slot 0 is no agent
+    anchored = (np.flatnonzero(1.0 - g.beta < 1.0) + 1).tolist()
+    _postorder(*_csr(g.src, g.dst, g.n), anchored, seen)
+    return frozenset(np.flatnonzero(~np.array(seen)).tolist())
 
 
 def simulate(
@@ -563,9 +567,9 @@ def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
     repeats its own value once it has settled, and an agent that only hears
     source[i] copies its value (source None: each agent is its own). Which
     values repeat is decided by the bits, so 0.0 and -0.0 stay apart and a
-    wrong source costs only time. Each distinct bit pattern among the rest
-    is formatted once, by _reprs, and each row's strings are the row
-    above's gathered by source, with those written over.
+    wrong source costs only time. The rest, the fresh values, are formatted
+    by one _reprs call, and each row's strings are the row above's gathered
+    by source, with theirs written over.
     """
     bits = np.asarray(states, dtype=np.float64).view(np.int64)  # rows may be strided
     if not bits.size:
@@ -574,9 +578,8 @@ def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
     fresh = np.empty(bits.shape, dtype=bool)
     fresh[0] = True if carry is None else carry[0][pick] != bits[0]
     fresh[1:] = bits[:-1, pick] != bits[1:]
-    distinct, inverse = np.unique(bits[fresh], return_inverse=True)
+    text = np.array(_reprs(bits[fresh].view(np.float64)), dtype=object)
     fresh = np.flatnonzero(fresh)
-    text = np.array(_reprs(distinct.view(np.float64)), dtype=object)[inverse]
     n = bits.shape[1]
     cols, ends = fresh % n, np.searchsorted(fresh, np.arange(n, bits.size + 1, n)).tolist()
     row = np.empty(n, dtype=object) if carry is None else carry[1]

@@ -225,27 +225,6 @@ def _normalized(n: int, src, dst, w, beta: np.ndarray) -> NormalizedSystem:
     return NormalizedSystem(n, rows, cols, vals, beta)
 
 
-def _unreached(n: int, src: np.ndarray, dst: np.ndarray, block) -> frozenset[int]:
-    """Agents of block that no path from outside block, running inside it, reaches.
-
-    Agents are 1..n and edges run src -> dst; only edges into block count.
-    This is the package's one contraction argument. Let A be abs(W)
-    restricted to block; W's rows are normalized over all in-edges, so A's
-    rows sum to at most one, and a row falls short exactly when its agent has
-    an in-edge from outside block (a self-loop is not one). rho(A) < 1 iff
-    every agent of block is reached from such an agent along edges inside
-    block: an unreached set is a closed class whose rows sum to one, so then
-    rho(A) = 1. O(n + edges).
-    """
-    inside = np.zeros(n + 1, dtype=bool)
-    inside[np.fromiter(block, dtype=np.int64)] = True
-    src_in, dst_in = inside[src], inside[dst]
-    seen = [False] * (n + 1)
-    _postorder(*_csr(src[src_in & dst_in], dst[src_in & dst_in], n),
-               dst[dst_in & ~src_in].tolist(), seen)
-    return frozenset(np.flatnonzero(inside & ~np.array(seen)).tolist())
-
-
 def graph_to_dict(g: SignedDigraph) -> dict:
     return {
         "n": g.n,

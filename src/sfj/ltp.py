@@ -171,14 +171,14 @@ def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:
     C2 (cooperative): every in-edge of every persuaded agent has positive
     weight. In-edges of the persuasive agents themselves are exempt; they may
     be antagonistic without voiding the guarantee.
+    The violations are this call's, C1's then C2's; any on cert are replaced.
     """
     persuaded = np.zeros(g.n + 1, dtype=bool)
     persuaded[np.fromiter(chain.from_iterable(cert.persuaded.values()), np.int64)] = True
     uncovered = ~persuaded
     uncovered[[0, *cert.ltp_agents]] = False
-    violations = list(cert.violations)
-    violations += [Violation(node, "not covered by any persuasive cluster")
-                   for node in np.flatnonzero(uncovered).tolist()]
+    violations = [Violation(node, "not covered by any persuasive cluster")
+                  for node in np.flatnonzero(uncovered).tolist()]
     covered = not uncovered.any()
 
     negative = persuaded[g.dst] & (g.w < 0)

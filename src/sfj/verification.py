@@ -231,12 +231,13 @@ def robustness_harness(
     Each trial keeps the topology and every edge sign, draws fresh weight
     magnitudes uniformly from WEIGHT_RANGE and fresh stubbornness levels in
     (0, 1] for the stubborn agents, and solves for V's m stubborn columns
-    (the rest are zero). Their per-cluster boxes give the spread and, via
-    _partition_holds, the verdict; a trial they cannot settle goes to
-    clusters_from_influence on the same block. predict_clusters refuses up
-    front unless C1 and C2 hold (ConditionsNotMet); on inputs violating them
-    nothing is asserted either way, because the conditions are sufficient,
-    not necessary. Raises ValueError when trials < 1.
+    (the rest are zero). Their per-cluster boxes give the spread, each
+    trial's threshold and, via _partition_holds, the verdict; a trial they
+    cannot settle goes to clusters_from_influence on the same block.
+    predict_clusters refuses up front unless C1 and C2 hold
+    (ConditionsNotMet); on inputs violating them nothing is asserted either
+    way, because the conditions are sufficient, not necessary. Raises
+    ValueError when trials < 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -274,9 +275,10 @@ def robustness_harness(
         block = _level_solve(plan, sysm)
         mins, maxs = _cluster_boxes(block, rows, starts)
         worst = max(worst, *(maxs - mins).max(axis=0).max(axis=1).tolist())
-        # Each trial's extremes, over the slots first: whole rows at a time.
-        extremes = np.concatenate((block.max(axis=0), block.min(axis=0)), axis=1)
-        settled = _partition_holds(mins, maxs, _threshold(extremes, tau, axis=1))
+        # C1 holds, so the clusters cover every agent: the boxes hold each
+        # trial's extremes of V, and + 0.0 changes no positive scale.
+        settled = _partition_holds(
+            mins, maxs, _threshold(np.concatenate((mins, maxs)), tau, axis=(0, 2)))
         for t in np.flatnonzero(~np.broadcast_to(settled, count)).tolist():
             observed = clusters_from_influence(block[plan.slot_of, t], tau)
             if set(observed) != set(predicted):

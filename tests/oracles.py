@@ -34,7 +34,7 @@ from sfj import (
 )
 from sfj import dynamics
 from sfj.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, _sweep_bound
-from sfj.graph import _agent, _normalized, _unreached
+from sfj.graph import _agent, _csr, _normalized, _postorder
 
 
 class SizeLimit(SFJError):
@@ -168,6 +168,28 @@ def text_load_graph(path) -> SignedDigraph:
                 f"{exc.msg}"
             ) from exc
     return graph_from_dict(data)
+
+
+def unreached_in_block(n: int, src: np.ndarray, dst: np.ndarray, block) -> frozenset[int]:
+    """Agents of block that no path from outside block, running inside it, reaches.
+
+    Agents are 1..n and edges run src -> dst; only edges into block count.
+    The gate of the per-pair reduce_steady_state and of stepwise_simulate's
+    stop rule, and a reference for dynamics._unanchored. Let A be abs(W)
+    restricted to block; W's rows are normalized over all in-edges, so A's
+    rows sum to at most one, and a row falls short exactly when its agent has
+    an in-edge from outside block (a self-loop is not one). rho(A) < 1 iff
+    every agent of block is reached from such an agent along edges inside
+    block: an unreached set is a closed class whose rows sum to one, so then
+    rho(A) = 1. O(n + edges).
+    """
+    inside = np.zeros(n + 1, dtype=bool)
+    inside[np.fromiter(block, dtype=np.int64)] = True
+    src_in, dst_in = inside[src], inside[dst]
+    seen = [False] * (n + 1)
+    _postorder(*_csr(src[src_in & dst_in], dst[src_in & dst_in], n),
+               dst[dst_in & ~src_in].tolist(), seen)
+    return frozenset(np.flatnonzero(inside & ~np.array(seen)).tolist())
 
 
 def unreached_by_closure(g: SignedDigraph, block, beta: bool = True) -> frozenset[int]:
@@ -399,7 +421,7 @@ def reduce_steady_state(
     persuaded set is positive, W restricted to the block is nonnegative with
     rows summing to at most one, and its spectral radius is below one
     exactly when every eliminated agent is reached from outside the block
-    along edges inside it (graph._unreached); then D is invertible.
+    along edges inside it (unreached_in_block); then D is invertible.
     p dominates its persuaded set, so for a detected set this always holds.
     q's reduced row R[q, keep] - R[q, rest] D^{-1} R[rest, keep] is zero off
     the columns that R's rows of q and rest touch, so only those rows'
@@ -434,7 +456,7 @@ def reduce_steady_state(
     mine, k = slice(runs[0].size, None), rest.size  # rest's entries follow q's
     at = np.searchsorted(rest, cols[mine]).clip(max=k - 1)
     src = np.where(rest[at] == cols[mine], at + 1, 0)
-    local = _unreached(k, src, np.searchsorted(rest, rows[mine]) + 1, range(1, k + 1))
+    local = unreached_in_block(k, src, np.searchsorted(rest, rows[mine]) + 1, range(1, k + 1))
     closed = sorted(int(rest[i - 1]) + 1 for i in local)
     if closed:
         raise SingularBlock(f"agents {closed} have no path from outside the eliminated "
@@ -700,7 +722,7 @@ def stepwise_simulate(
     n, beta = g.n, np.array(g.beta)
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
     # An unreached agent leaves abs(M) a closed class of spectral radius one.
-    plain = bool(_unreached(n, g.src, g.dst, np.flatnonzero(1.0 - beta == 1.0) + 1))
+    plain = bool(unreached_in_block(n, g.src, g.dst, np.flatnonzero(1.0 - beta == 1.0) + 1))
     x0 = np.array(g.x0)
     anchor = beta * x0
     # An agent whose one term is 1.0 times agent j's opinion, with no

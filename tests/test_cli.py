@@ -566,24 +566,29 @@ class TestStreamedTrace:
         assert out_csv.read_bytes() == expected.encode()
         assert formatted == [4, 2, 0, 0, 0]  # one block per row, x(0)..x(4)
 
-    def test_no_block_formats_more_than_its_distinct_values(self, monkeypatch):
-        # Each block's np.unique count is what the writer formatted when it
-        # sorted whole blocks; over the whole trace it now formats fewer.
+    def test_each_block_formats_exactly_its_fresh_values(self, monkeypatch):
+        # A fresh value's bits differ from those of its source one row up
+        # (the carried row above a block's first); each block formats those
+        # alone, in row order, repeats within the block included.
         g = random_multiconsensus_graph(2000, 100, seed=1)  # sfj generate 2000 100 --seed 1
-        blocks, formatted = [], []
+        fresh, formatted = [], []
         write, reprs = dynamics._write_rows, dynamics._reprs
 
-        def writing(fh, start, states, *rest):
-            blocks.append(np.unique(states.view(np.int64)).size)
-            return write(fh, start, states, *rest)
+        def writing(fh, start, states, source, carry):
+            bits = states.view(np.int64)
+            if carry is None:  # the first row is fresh throughout
+                fresh.append(np.concatenate((bits[0], bits[1:][bits[:-1, source] != bits[1:]])))
+            else:
+                above = np.vstack((carry[0], bits[:-1]))
+                fresh.append(bits[above[:, source] != bits])
+            return write(fh, start, states, source, carry)
 
         monkeypatch.setattr(dynamics, "_write_rows", writing)
         monkeypatch.setattr(dynamics, "_reprs",
-                            lambda values: formatted.append(values.size) or reprs(values))
+                            lambda values: formatted.append(values.view(np.int64)) or reprs(values))
         dynamics.simulate(g, out=io.StringIO(newline=""))
-        assert len(formatted) == len(blocks) > 1
-        assert all(f <= b for f, b in zip(formatted, blocks))
-        assert sum(formatted) < sum(blocks)
+        assert len(formatted) == len(fresh) > 1
+        assert all(np.array_equal(f, e) for f, e in zip(formatted, fresh))
 
 
 JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(

@@ -61,6 +61,7 @@ from oracles import (
     stepwise_simulate,
     unreached_by_closure,
     unreached_by_stubborn,
+    unreached_in_block,
     update_matrix,
 )
 
@@ -376,8 +377,8 @@ class TestEdgeArrayUpdate:
 
     def test_simulate_runs_one_reachability_search(self, g2, monkeypatch):
         searches = []
-        real = dynamics._unreached
-        monkeypatch.setattr(dynamics, "_unreached",
+        real = dynamics._unanchored
+        monkeypatch.setattr(dynamics, "_unanchored",
                             lambda *args: searches.append(1) or real(*args))
         for g in (g2, unreached_positive_class()):
             assert simulate(g).converged
@@ -555,6 +556,37 @@ class TestInfluenceMatrix:
         assert np.max(np.abs(residual)) <= 1e-10
         open_minded = [i for i in range(n) if g.beta[i] == 0.0]
         assert not v[:, open_minded].any()
+
+
+@st.composite
+def faintly_anchored_graphs(draw):
+    """Graphs of up to 10 agents, self-loops included, whose betas straddle the
+    point where 1 - beta rounds to one: 1e-300 and 1e-17 anchor nothing,
+    2**-53 and 2**-52 do."""
+    n = draw(st.integers(1, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          unique=True, max_size=2 * n))
+    beta = draw(st.lists(st.sampled_from([0.0, 1e-300, 1e-17, 2.0**-53, 2.0**-52, 0.5, 1.0]),
+                         min_size=n, max_size=n))
+    return make(n, [Edge(u, v, 1.0) for u, v in pairs], beta)
+
+
+class TestUnanchored:
+    @settings(max_examples=500, deadline=None)
+    @given(faintly_anchored_graphs())
+    def test_matches_networkx_and_the_oracles(self, g):
+        nx = pytest.importorskip("networkx")
+        graph_ = nx.DiGraph()
+        graph_.add_nodes_from(range(1, g.n + 1))
+        graph_.add_edges_from(zip(g.src.tolist(), g.dst.tolist()))
+        anchored = [i for i in range(1, g.n + 1) if 1.0 - g.beta[i - 1] < 1.0]
+        reached = set(anchored).union(*(nx.descendants(graph_, v) for v in anchored))
+        unanchored = dynamics._unanchored(g)
+        assert unanchored == frozenset(range(1, g.n + 1)) - reached
+        assert unanchored == unreached_by_closure(g, range(1, g.n + 1))
+        others = set(range(1, g.n + 1)) - set(anchored)
+        assert unanchored == unreached_in_block(g.n, g.src, g.dst, others)
+        assert all(type(i) is int for i in unanchored)
 
 
 def with_loops_and_full_stubbornness(g, count, seed):
@@ -807,10 +839,10 @@ class TestSteadyStateSystem:
             real = getattr(dynamics, name)
             return lambda *args: calls.append(name) or real(*args)
 
-        for name in ("normalize", "_unreached"):
+        for name in ("normalize", "_unanchored"):
             monkeypatch.setattr(dynamics, name, counted(name))
         build_steady_state(g2)
-        assert sorted(calls) == ["_unreached", "normalize"]
+        assert sorted(calls) == ["_unanchored", "normalize"]
 
     @pytest.mark.parametrize("n", [None, 200])
     def test_y_is_the_influence_limit(self, g2, n):

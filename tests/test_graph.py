@@ -18,7 +18,7 @@ from sfj import (
     normalize,
     save_graph,
 )
-from sfj.graph import Edge, SignedDigraph, _normalized, _postorder, _unreached
+from sfj.graph import Edge, SignedDigraph, _normalized, _postorder
 
 from conftest import graph_dicts, random_reachable_graph
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     reweighted,
     text_load_graph,
     unreached_by_stubborn,
+    unreached_in_block,
     update_matrix,
 )
 
@@ -274,7 +275,7 @@ class TestUnreached:
         inner.add_edges_from((s, d) for s, d, _ in g.edges if s in block and d in block)
         entries = {d for s, d, _ in g.edges if d in block and s not in block}
         reached = entries.union(*(nx.descendants(inner, v) for v in entries))
-        assert _unreached(g.n, g.src, g.dst, block) == frozenset(block) - reached
+        assert unreached_in_block(g.n, g.src, g.dst, block) == frozenset(block) - reached
 
 
 class TestValidation:

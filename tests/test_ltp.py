@@ -16,7 +16,7 @@ from sfj import (
 )
 from sfj.generator import random_multiconsensus_graph
 from sfj.graph import Edge, SignedDigraph
-from sfj.ltp import VIRTUAL_ROOT
+from sfj.ltp import VIRTUAL_ROOT, Violation
 
 from conftest import random_reachable_graph
 from oracles import (
@@ -369,7 +369,7 @@ class TestConditions:
     def test_g1_coverage_fails_on_agent_one(self, g1):
         cert = analyze(g1)
         assert cert.covered is False
-        assert any(v.node == 1 and "covered" in v.reason for v in cert.violations)
+        assert cert.violations == (Violation(1, "not covered by any persuasive cluster"),)
         assert cert.covered_set() == {2, 3, 4, 5, 6}
 
     def test_g2_satisfies_both(self, g2):
@@ -390,6 +390,19 @@ class TestConditions:
         assert checked.violations == tuple(
             [(v, "not covered by any persuasive cluster") for v in uncovered]
             + [(d, f"negative in-edge from {s} at persuaded agent") for s, d in negative])
+
+    def test_rechecking_changes_nothing(self, g1, g2):
+        # flipped fails C1 and C2 both.
+        flipped = reweighted(g1, [-w if (s, d) == (2, 3) else w for s, d, w in g1.edges])
+        for g in (g1, g2, flipped):
+            cert = analyze(g)
+            assert check_conditions(g, cert) == cert
+
+    @settings(max_examples=200, deadline=None)
+    @given(reachable_networks())
+    def test_rechecking_drawn_networks_changes_nothing(self, g):
+        cert = analyze(g)
+        assert check_conditions(g, cert) == cert
 
 
 class TestPrediction:

@@ -33,6 +33,7 @@ from sfj.verification import (
     _cluster_layout,
     _group_rows,
     _partition_holds,
+    _threshold,
 )
 
 from conftest import merge_when_agent_7_leads_agent_1
@@ -303,6 +304,27 @@ class TestBoxCertificate:
             sweep_partition_holds(lo[:, t], hi[:, t], thresholds[t]) for t in range(trials)]
         with mock.patch.object(dynamics, "_TRACE_BLOCK", 1):  # one row's gaps at a time
             assert _partition_holds(lo, hi, thresholds).tolist() == per_slice
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_box_thresholds_equal_the_thresholds_of_v(self, data):
+        # The harness reads each trial's threshold off the boxes of a
+        # partition of every agent; V's own extremes give the same bits,
+        # signed zeros, ties, inf and NaN included.
+        n, trials, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+        value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, np.inf,
+                                           -np.inf, np.nan]), st.floats())
+        V = np.array(data.draw(st.lists(value, min_size=n * trials * m,
+                                        max_size=n * trials * m))).reshape(n, trials, m)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        partition = [frozenset(i + 1 for i, x in enumerate(labels) if x == label)
+                     for label in set(labels)]
+        mins, maxs = _cluster_boxes(V, *_cluster_layout(partition))
+        tau = data.draw(st.sampled_from([1e-8, 0.5, 2.0]))
+        from_boxes = _threshold(np.concatenate((mins, maxs)), tau, axis=(0, 2))
+        from_v = _threshold(np.concatenate((V.max(axis=0), V.min(axis=0)), axis=1), tau, axis=1)
+        assert from_boxes.shape == (trials,)
+        assert from_boxes.tobytes() == from_v.tobytes()
 
     def test_range_and_gap_at_thresh_are_certified(self):
         # {1, 2} spans exactly 0.7 and sits 0.8 below agent 3.
