@@ -3,7 +3,7 @@
 The package answers three questions about a signed, weighted digraph of
 stubborn and open-minded agents: which agents are topologically persuasive,
 which opinion clusters must therefore form under the stubborn-anchored signed
-update, and does the prediction survive both direct steady-state solution and
+update, and does the prediction survive both the direct influence solve and
 iterative simulation under arbitrary reweighting.
 """
 
@@ -11,7 +11,6 @@ from .errors import (
     ConditionsNotMet,
     GraphFormatError,
     GraphValidationError,
-    HypothesisViolated,
     InfeasibleParameters,
     NoStubbornAgents,
     NotConverged,
@@ -43,11 +42,7 @@ from .ltp import (
 )
 from .dynamics import (
     OpinionTrace,
-    ReducedRowRelation,
-    SteadyStateSystem,
-    build_steady_state,
     influence_matrix,
-    reduce_persuaded_set,
     simulate,
     write_trace_csv,
 )
@@ -72,25 +67,21 @@ __all__ = [
     "Edge",
     "GraphFormatError",
     "GraphValidationError",
-    "HypothesisViolated",
     "InfeasibleParameters",
     "LTPCertificate",
     "NormalizedSystem",
     "NoStubbornAgents",
     "NotConverged",
     "OpinionTrace",
-    "ReducedRowRelation",
     "RobustnessReport",
     "SFJError",
     "SignedDigraph",
     "SingularBlock",
-    "SteadyStateSystem",
     "TrialFailure",
     "UnreachableNodes",
     "Violation",
     "analyze",
     "build_dominator_tree",
-    "build_steady_state",
     "certificate_to_dict",
     "check_conditions",
     "cluster_spread",
@@ -105,7 +96,6 @@ __all__ = [
     "normalize",
     "predict_clusters",
     "random_multiconsensus_graph",
-    "reduce_persuaded_set",
     "refines",
     "robustness_harness",
     "save_graph",

@@ -2,7 +2,7 @@
 
 Subcommands: analyze, simulate, predict, verify, generate. All JSON outputs
 carry a "schema": 1 field. Exit codes are stable: 0 success, 1 usage,
-2 parse/validation, 3 conditions-not-met, 4 not-converged.
+2 parse/validation, 3 conditions-not-met or a singular block, 4 not-converged.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     GraphValidationError,
     InfeasibleParameters,
     NotConverged,
+    SingularBlock,
 )
 from .generator import random_multiconsensus_graph
 from .graph import _dumps, graph_to_dict, load_graph, save_graph
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphFormatError, GraphValidationError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    except ConditionsNotMet as exc:
+    except (ConditionsNotMet, SingularBlock) as exc:
         return _fail(EXIT_CONDITIONS, str(exc))
     except NotConverged as exc:
         return _fail(EXIT_NOT_CONVERGED, str(exc))

@@ -1,4 +1,4 @@
-"""Opinion dynamics: iteration, steady state, and block reduction.
+"""Opinion dynamics: iteration, the influence solve, and the trace writer.
 
 The update is x(k+1) = (I - B) W x(k) + B x(0) with B = diag(beta). Under
 stubborn-reachability the update matrix has spectral radius below one, the
@@ -9,24 +9,16 @@ agent i sits at row i-1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import orjson
 
-from .errors import (
-    HypothesisViolated,
-    NoStubbornAgents,
-    NotConverged,
-    SingularBlock,
-    UnreachableNodes,
-)
+from .errors import NoStubbornAgents, NotConverged, SingularBlock, UnreachableNodes
 from .graph import (
     NormalizedSystem,
     SignedDigraph,
-    _agent,
     _csr,
     _normalized,
     _postorder,
@@ -55,67 +47,6 @@ class OpinionTrace:
         return self.states[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class SteadyStateSystem:
-    """Homogeneous steady-state form R y = 0 of the converged dynamics.
-
-    R stacks [I - (I-B)W | -B_s] over m zero rows, where B_s holds the
-    stubborn columns of B (column n + j anchors agent stubborn_index[j]); y
-    stacks the final opinions over the stubborn agents' initial opinions.
-    Rows of agents whose in-edges are all positive sum to zero; a negative
-    in-edge makes the row sum strictly positive. R is never built: its rows
-    come from system's entries, read only where a reduction needs them.
-    reduce_persuaded_set assumes a system from build_steady_state, whose gate
-    makes every set's block of R nonsingular; on one built by hand, a singular
-    block raises SingularBlock only where its LU meets a zero pivot.
-    """
-
-    system: NormalizedSystem
-    y: np.ndarray
-    stubborn_index: tuple[int, ...]
-    graph: SignedDigraph
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @functools.cached_property
-    def _index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """(bounds, order, stubborn): W's entries in row i, in edge order, are
-        order[bounds[i]:bounds[i + 1]]; stubborn lists the anchored rows."""
-        rows = self.system.rows
-        return ([0] + np.cumsum(np.bincount(rows, minlength=self.n)).tolist(),
-                np.argsort(rows, kind="stable"), np.array(self.stubborn_index) - 1)
-
-
-@dataclass(frozen=True)
-class ReducedRowRelation:
-    """What is left of a persuaded agent's balance row after block elimination.
-
-    When every in-edge of the persuaded set is positive, the row keeps
-    exactly two nonzero entries, at the persuader's and the persuaded
-    agent's columns, and they cancel, which pins the two final opinions
-    together. The row is exactly zero off columns (R's 0-based column ids,
-    ascending), where it holds values.
-    """
-
-    persuader: int
-    persuaded: int
-    persuader_entry: float
-    persuaded_entry: float
-    max_off_support: float
-    solve_mismatch: float
-    columns: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def holds(self, tol: float = 1e-10) -> bool:
-        return (
-            self.max_off_support <= tol
-            and abs(self.persuader_entry + self.persuaded_entry) <= tol
-            and abs(self.persuaded_entry) > tol
-        )
-
-
 # Streamed traces and reweighting trials go in blocks of at most this many
 # values (at least one row or trial each), so memory stays bounded.
 _TRACE_BLOCK = 2**16
@@ -134,7 +65,7 @@ def _sweep_bound(z: np.ndarray, z_next: np.ndarray) -> float:
 
 def _unanchored(g: SignedDigraph) -> frozenset[int]:
     """Agents no agent whose 1 - beta rounds below one reaches: the one float
-    anchoring rule, read by simulate's stop rule and _influence's gate. One
+    anchoring rule, read by simulate's stop rule and influence_matrix's gate. One
     _postorder along the edges from those agents; what it leaves unseen is
     unanchored. O(n + edges)."""
     seen = [True] + [False] * g.n  # slot 0 is no agent
@@ -272,22 +203,16 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     the m stubborn columns alone, level by level, and they are scattered
     into the n x n result.
     """
-    V = np.zeros((g.n, g.n))
-    V[:, np.array(g.stubborn) - 1] = _influence(g)[1]
-    return V
-
-
-def _influence(g: SignedDigraph) -> tuple[NormalizedSystem, np.ndarray]:
-    """influence_matrix's normalized system and V's n x m stubborn block in
-    agent order, from one gate and one normalize: build_steady_state takes both."""
     if g.m == 0:
         raise NoStubbornAgents("network has no stubborn agent")
     unreached = _unanchored(g)
     if unreached:
         raise UnreachableNodes(unreached)
-    sysm = normalize(g)
-    plan = _level_plan(sysm, np.array(g.stubborn) - 1)
-    return sysm, _level_solve(plan, sysm)[plan.slot_of]
+    sysm, stubborn = normalize(g), np.array(g.stubborn) - 1
+    plan = _level_plan(sysm, stubborn)
+    V = np.zeros((g.n, g.n))
+    V[:, stubborn] = _level_solve(plan, sysm)[plan.slot_of]
+    return V
 
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +257,9 @@ class _LevelPlan(NamedTuple):
     footprint bounds the values one trial holds at once, in the solve and
     while its caller reads V: V and one gathered copy of it (2 n m), a
     level's gathered rows and weighted terms (2 m times the most entries
-    any level hears through), the SCC stacks (sum of count k**2, though
-    the solve holds one at a time) and three arrays of M's entries (its
-    weights, the system's and M's own).
+    any level hears through), the largest SCC stack (count k**2; the solve
+    holds one at a time) and three arrays of M's entries (its weights, the
+    system's and M's own).
     """
 
     slot_of: np.ndarray
@@ -401,8 +326,8 @@ def _level_plan(sysm: NormalizedSystem, stubborn: np.ndarray) -> _LevelPlan:
             starts, starts[1:], e, e[1:], f, f[1:], lp, lp[1:], st, st[1:])
     ]
     heard = max(e1 - e0 for e0, e1 in zip(e, e[1:]))
-    footprint = 2 * stubborn.size * (n + heard) + sum(
-        count * size * size for _, size, count, *_ in stacks) + 3 * rows.size
+    footprint = 2 * stubborn.size * (n + heard) + max(
+        (count * size * size for _, size, count, *_ in stacks), default=0) + 3 * rows.size
     return _LevelPlan(slot_of, stubborn, ext, c[ext], levels, footprint)
 
 
@@ -446,6 +371,7 @@ def _level_solve(plan: _LevelPlan, sysm: NormalizedSystem) -> np.ndarray:
                 ranks = np.linalg.matrix_rank(A).min(axis=0)
                 raise _singular(plan, at + k * np.argmax(ranks < k) + np.arange(k))
             span[...] = solved.transpose(1, 2, 0, 3).reshape(span.shape)
+            del A, solved  # freed before the next stack is built
     return V.reshape((n,) + lead + (m,))
 
 
@@ -453,90 +379,6 @@ def _singular(plan: _LevelPlan, slots: np.ndarray) -> SingularBlock:
     agents = sorted((np.argsort(plan.slot_of)[slots] + 1).tolist())
     return SingularBlock(f"agents {agents} form a strongly connected component whose "
                          "block of I - (I - B) W is singular in floating point")
-
-
-def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
-    """Assemble the homogeneous system R y = 0 satisfied by the final opinions.
-
-    The first n rows balance each agent's final opinion against its
-    neighbours and, for stubborn agents, their initial opinion; the last m
-    rows are zero and stand for the fixed initial opinions themselves.
-    Raises NoStubbornAgents / UnreachableNodes when the steady state is not
-    well defined in the first place. y comes from V's stubborn block.
-    """
-    sysm, block = _influence(g)
-    x0_stubborn = g.x0[np.array(g.stubborn) - 1]
-    return SteadyStateSystem(sysm, np.concatenate([block @ x0_stubborn, x0_stubborn]),
-                             g.stubborn, g)
-
-
-def reduce_persuaded_set(
-    sysm: SteadyStateSystem, p: int, persuaded: Iterable[int]
-) -> tuple[ReducedRowRelation, ...]:
-    """Eliminate p's persuaded set S from R y = 0: one relation per q of S,
-    ascending, each q's row once the rest of S is eliminated.
-
-    D = R[S, S] is I - (I-B)W restricted to S. Once every in-edge of S is
-    positive, D is a nonsingular M-matrix, G = D^{-1} >= 0 with G_qq > 0
-    (Berman & Plemmons 1994, ch. 6), on any system from build_steady_state:
-    a path to q from an agent whose 1 - beta rounds below one enters S from
-    outside or starts at such a member, whose row of D falls short, so D is
-    weakly chained diagonally dominant. With
-    C = R[S, out], out the other columns R's rows of S touch, q's row is
-    (1/G_qq) (e_q + (G C)_q): 1/G_qq is the Schur complement of
-    D[S - q, S - q] in D. So one LU of D, solved against [I | C], gives every
-    row, and the (n + m)^2 R is never built. Each relation records how far
-    S's opinions rebuilt from the others, -G C y_out, drift from y.
-
-    Raises ValueError if p or a persuaded agent is not an agent id of 1..n
-    (2.0 counts, a bool does not), or the set is empty or holds p;
-    HypothesisViolated if any persuaded agent has a negative in-edge, and
-    SingularBlock if D is singular in floating point.
-    """
-    n, norm, g = sysm.n, sysm.system, sysm.graph
-    p = _agent(p, n)
-    members = sorted({_agent(v, n) for v in persuaded})
-    if not members or p in members:
-        raise ValueError(f"the persuaded set of {p} must be nonempty and must not hold {p}")
-    bounds, order, stubborn = sysm._index
-    agents = np.array(members, dtype=np.int64) - 1
-    runs = [order[bounds[a]:bounds[a + 1]] for a in agents.tolist()]
-    entries = np.concatenate(runs)
-    bad = np.sort(entries[entries < g.w.size])  # entries of edges, in edge order
-    bad = bad[g.w[bad] < 0]
-    if bad.size:
-        raise HypothesisViolated(list(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
-
-    # R's rows of S on the columns they touch.
-    rows, cols, k = norm.rows[entries], norm.cols[entries], agents.size
-    anchored = np.flatnonzero(norm.beta[agents] > 0.0)
-    anchors = n + np.searchsorted(stubborn, agents[anchored])
-    columns = np.unique(np.concatenate((agents, cols, anchors, [p - 1])))
-    block = np.zeros((k, columns.size))
-    block[np.arange(k), np.searchsorted(columns, agents)] = 1.0
-    owner = np.repeat(np.arange(k), [run.size for run in runs])
-    block[owner, np.searchsorted(columns, cols)] -= (1.0 - norm.beta[rows]) * norm.vals[entries]
-    block[anchored, np.searchsorted(columns, anchors)] = -norm.beta[agents[anchored]]
-
-    out = np.setdiff1d(columns, agents)  # holds p - 1
-    try:
-        solved = np.linalg.solve(block[:, np.searchsorted(columns, agents)],
-                                 np.hstack((np.eye(k), block[:, np.searchsorted(columns, out)])))
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlock(f"persuaded block is singular: {exc}") from exc
-    scale = 1.0 / solved.diagonal()[:, None]  # 1 / G_qq
-    reduced = np.hstack((solved[:, k:] * scale, scale))  # q's row on out, then on q
-    ids = np.hstack((np.broadcast_to(out, (k, out.size)), agents[:, None]))
-    by_id = np.argsort(ids, axis=1)
-    at_p = int(np.searchsorted(out, p - 1))
-    stray = np.abs(np.delete(reduced[:, :-1], at_p, axis=1)).max(axis=1, initial=0.0)
-    mismatch = float(np.abs(solved[:, k:] @ sysm.y[out] + sysm.y[agents]).max())
-    return tuple(
-        ReducedRowRelation(p, q, pin, own, off, mismatch, tuple(c), tuple(v))
-        for q, pin, own, off, c, v in zip(
-            members, reduced[:, at_p].tolist(), scale[:, 0].tolist(), stray.tolist(),
-            np.take_along_axis(ids, by_id, 1).tolist(),
-            np.take_along_axis(reduced, by_id, 1).tolist()))
 
 
 def write_trace_csv(trace: OpinionTrace, fh) -> None:

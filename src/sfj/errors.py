@@ -31,15 +31,6 @@ class UnreachableNodes(ConditionsNotMet):
         super().__init__(f"agents unreachable from every stubborn agent: {sorted(self.nodes)}")
 
 
-class HypothesisViolated(ConditionsNotMet):
-    """A persuaded agent has a negative in-edge (C2 fails at one persuaded set)."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        detail = ", ".join(f"{src}->{dst}" for src, dst in self.violations)
-        super().__init__(f"negative in-edges at persuaded agents: {detail}")
-
-
 class NotConverged(SFJError):
     """Iteration hit its step budget; carries the partial trace."""
 
@@ -49,8 +40,8 @@ class NotConverged(SFJError):
 
 
 class SingularBlock(SFJError):
-    """A block of I - (I - B) W is singular in floating point: an SCC's in the
-    solve for V, or the persuaded set reduce_persuaded_set eliminates. Behind
+    """An SCC's block of I - (I - B) W is singular in floating point, in the
+    level solve behind influence_matrix and sfj verify (CLI exit 3). Behind
     the solve's gate only rounding does this (a weight of 1e-20 next to 1)."""
 
 

@@ -2,38 +2,39 @@
 
 None of this is part of the sfj package: each routine restates a result the
 package computes another way (by path enumeration, by a truncated series, by
-dense eigenvalues or by one explicit step) so a test can check one route
-against the other.
+dense eigenvalues, by one explicit step or by block elimination of the
+steady-state system) so a test can check one route against the other.
 """
 
+import functools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
 from sfj import (
+    ConditionsNotMet,
     DominatorTree,
     Edge,
     GraphFormatError,
     GraphValidationError,
-    HypothesisViolated,
     LTPCertificate,
+    NormalizedSystem,
     NoStubbornAgents,
     NotConverged,
     OpinionTrace,
-    ReducedRowRelation,
     SFJError,
     SignedDigraph,
     SingularBlock,
-    SteadyStateSystem,
     UnreachableNodes,
     graph_from_dict,
     normalize,
 )
 from sfj import dynamics
-from sfj.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, _sweep_bound
+from sfj.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, _level_plan, _level_solve, _sweep_bound
 from sfj.graph import _agent, _csr, _normalized, _postorder
 
 
@@ -358,6 +359,171 @@ def same_detection(a: LTPCertificate, b: LTPCertificate) -> bool:
     return a.ltp_agents == b.ltp_agents and dict(a.persuaded) == dict(b.persuaded)
 
 
+class HypothesisViolated(ConditionsNotMet):
+    """A persuaded agent has a negative in-edge (C2 fails at one persuaded set)."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        detail = ", ".join(f"{src}->{dst}" for src, dst in self.violations)
+        super().__init__(f"negative in-edges at persuaded agents: {detail}")
+
+
+@dataclass(frozen=True, eq=False)
+class SteadyStateSystem:
+    """Homogeneous steady-state form R y = 0 of the converged dynamics.
+
+    R stacks [I - (I-B)W | -B_s] over m zero rows, where B_s holds the
+    stubborn columns of B (column n + j anchors agent stubborn_index[j]); y
+    stacks the final opinions over the stubborn agents' initial opinions.
+    Rows of agents whose in-edges are all positive sum to zero; a negative
+    in-edge makes the row sum strictly positive. R is never built: its rows
+    come from system's entries, read only where a reduction needs them
+    (dense_steady builds it). reduce_persuaded_set assumes a system from
+    build_steady_state, whose gate makes every set's block of R
+    nonsingular; on one built by hand, a singular block raises
+    SingularBlock only where its LU meets a zero pivot.
+    """
+
+    system: NormalizedSystem
+    y: np.ndarray
+    stubborn_index: tuple[int, ...]
+    graph: SignedDigraph
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @functools.cached_property
+    def _index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """(bounds, order, stubborn): W's entries in row i, in edge order, are
+        order[bounds[i]:bounds[i + 1]]; stubborn lists the anchored rows."""
+        rows = self.system.rows
+        return ([0] + np.cumsum(np.bincount(rows, minlength=self.n)).tolist(),
+                np.argsort(rows, kind="stable"), np.array(self.stubborn_index) - 1)
+
+
+@dataclass(frozen=True)
+class ReducedRowRelation:
+    """What is left of a persuaded agent's balance row after block elimination.
+
+    When every in-edge of the persuaded set is positive, the row keeps
+    exactly two nonzero entries, at the persuader's and the persuaded
+    agent's columns, and they cancel, which pins the two final opinions
+    together. The row is exactly zero off columns (R's 0-based column ids,
+    ascending), where it holds values.
+    """
+
+    persuader: int
+    persuaded: int
+    persuader_entry: float
+    persuaded_entry: float
+    max_off_support: float
+    solve_mismatch: float
+    columns: tuple[int, ...]
+    values: tuple[float, ...]
+
+    def holds(self, tol: float = 1e-10) -> bool:
+        return (
+            self.max_off_support <= tol
+            and abs(self.persuader_entry + self.persuaded_entry) <= tol
+            and abs(self.persuaded_entry) > tol
+        )
+
+
+def build_steady_state(g: SignedDigraph) -> SteadyStateSystem:
+    """Assemble the homogeneous system R y = 0 satisfied by the final opinions.
+
+    The first n rows balance each agent's final opinion against its
+    neighbours and, for stubborn agents, their initial opinion; the last m
+    rows are zero and stand for the fixed initial opinions themselves.
+    Gates and solves as influence_matrix does (dynamics._unanchored, then
+    one normalize and the level solve), so it raises NoStubbornAgents /
+    UnreachableNodes / SingularBlock alike and y is bit for bit
+    influence_matrix(g)'s limit; y comes from V's n x m stubborn block, and
+    no n x n V is built.
+    """
+    if g.m == 0:
+        raise NoStubbornAgents("network has no stubborn agent")
+    unreached = dynamics._unanchored(g)
+    if unreached:
+        raise UnreachableNodes(unreached)
+    sysm, stubborn = normalize(g), np.array(g.stubborn) - 1
+    plan = _level_plan(sysm, stubborn)
+    block = _level_solve(plan, sysm)[plan.slot_of]
+    x0_stubborn = g.x0[stubborn]
+    return SteadyStateSystem(sysm, np.concatenate([block @ x0_stubborn, x0_stubborn]),
+                             g.stubborn, g)
+
+
+def reduce_persuaded_set(
+    sysm: SteadyStateSystem, p: int, persuaded: Iterable[int]
+) -> tuple[ReducedRowRelation, ...]:
+    """Eliminate p's persuaded set S from R y = 0: one relation per q of S,
+    ascending, each q's row once the rest of S is eliminated.
+
+    D = R[S, S] is I - (I-B)W restricted to S. Once every in-edge of S is
+    positive, D is a nonsingular M-matrix, G = D^{-1} >= 0 with G_qq > 0
+    (Berman & Plemmons 1994, ch. 6), on any system from build_steady_state:
+    a path to q from an agent whose 1 - beta rounds below one enters S from
+    outside or starts at such a member, whose row of D falls short, so D is
+    weakly chained diagonally dominant. With
+    C = R[S, out], out the other columns R's rows of S touch, q's row is
+    (1/G_qq) (e_q + (G C)_q): 1/G_qq is the Schur complement of
+    D[S - q, S - q] in D. So one LU of D, solved against [I | C], gives every
+    row, and the (n + m)^2 R is never built. Each relation records how far
+    S's opinions rebuilt from the others, -G C y_out, drift from y.
+
+    Raises ValueError if p or a persuaded agent is not an agent id of 1..n
+    (2.0 counts, a bool does not), or the set is empty or holds p;
+    HypothesisViolated if any persuaded agent has a negative in-edge, and
+    SingularBlock if D is singular in floating point.
+    """
+    n, norm, g = sysm.n, sysm.system, sysm.graph
+    p = _agent(p, n)
+    members = sorted({_agent(v, n) for v in persuaded})
+    if not members or p in members:
+        raise ValueError(f"the persuaded set of {p} must be nonempty and must not hold {p}")
+    bounds, order, stubborn = sysm._index
+    agents = np.array(members, dtype=np.int64) - 1
+    runs = [order[bounds[a]:bounds[a + 1]] for a in agents.tolist()]
+    entries = np.concatenate(runs)
+    bad = np.sort(entries[entries < g.w.size])  # entries of edges, in edge order
+    bad = bad[g.w[bad] < 0]
+    if bad.size:
+        raise HypothesisViolated(list(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
+
+    # R's rows of S on the columns they touch.
+    rows, cols, k = norm.rows[entries], norm.cols[entries], agents.size
+    anchored = np.flatnonzero(norm.beta[agents] > 0.0)
+    anchors = n + np.searchsorted(stubborn, agents[anchored])
+    columns = np.unique(np.concatenate((agents, cols, anchors, [p - 1])))
+    block = np.zeros((k, columns.size))
+    block[np.arange(k), np.searchsorted(columns, agents)] = 1.0
+    owner = np.repeat(np.arange(k), [run.size for run in runs])
+    block[owner, np.searchsorted(columns, cols)] -= (1.0 - norm.beta[rows]) * norm.vals[entries]
+    block[anchored, np.searchsorted(columns, anchors)] = -norm.beta[agents[anchored]]
+
+    out = np.setdiff1d(columns, agents)  # holds p - 1
+    try:
+        solved = np.linalg.solve(block[:, np.searchsorted(columns, agents)],
+                                 np.hstack((np.eye(k), block[:, np.searchsorted(columns, out)])))
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlock(f"persuaded block is singular: {exc}") from exc
+    scale = 1.0 / solved.diagonal()[:, None]  # 1 / G_qq
+    reduced = np.hstack((solved[:, k:] * scale, scale))  # q's row on out, then on q
+    ids = np.hstack((np.broadcast_to(out, (k, out.size)), agents[:, None]))
+    by_id = np.argsort(ids, axis=1)
+    at_p = int(np.searchsorted(out, p - 1))
+    stray = np.abs(np.delete(reduced[:, :-1], at_p, axis=1)).max(axis=1, initial=0.0)
+    mismatch = float(np.abs(solved[:, k:] @ sysm.y[out] + sysm.y[agents]).max())
+    return tuple(
+        ReducedRowRelation(p, q, pin, own, off, mismatch, tuple(c), tuple(v))
+        for q, pin, own, off, c, v in zip(
+            members, reduced[:, at_p].tolist(), scale[:, 0].tolist(), stray.tolist(),
+            np.take_along_axis(ids, by_id, 1).tolist(),
+            np.take_along_axis(reduced, by_id, 1).tolist()))
+
+
 def schur_complement(M, keep) -> np.ndarray:
     """Eliminate the complement of `keep` from M: M[k] - M[k,e] M[e]^{-1} M[e,k].
 
@@ -491,44 +657,81 @@ def reduce_steady_state(
         tuple(kept.tolist()), tuple(row.tolist()))
 
 
+def exact_system(n: int, edges, beta) -> list[list[Fraction]]:
+    """I - M in rationals, M = (I - B) W, W normalized as normalize does: each
+    agent's in-weights over the sum of their magnitudes, and w_ii = 1 for an
+    agent without in-edges. edges are (src, dst, w) triples; each w and beta
+    is taken as a Fraction, exact for a float. Checks no input."""
+    total = [Fraction(0)] * (n + 1)
+    for _, dst, w in edges:
+        total[dst] += abs(Fraction(w))
+    A = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(1, n + 1):
+        if total[i] == 0:
+            A[i - 1][i - 1] -= 1 - Fraction(beta[i - 1])
+    for src, dst, w in edges:
+        A[dst - 1][src - 1] -= (1 - Fraction(beta[dst - 1])) * Fraction(w) / total[dst]
+    return A
+
+
+def gauss_jordan(M: list[list[Fraction]], k: int, what: str) -> list[list[Fraction]]:
+    """Row-reduce the k rows of M, in place, until their first k columns are
+    the identity. Raises SingularBlock, naming what, when those columns are
+    singular."""
+    for j in range(k):
+        pivot = next((i for i in range(j, k) if M[i][j] != 0), None)
+        if pivot is None:
+            raise SingularBlock(f"{what} is singular")
+        M[j], M[pivot] = M[pivot], M[j]
+        inverse = 1 / M[j][j]
+        M[j] = row = [v * inverse if v else v for v in M[j]]
+        for i in range(k):
+            factor = M[i][j]
+            if i != j and factor:
+                M[i] = [a - factor * b if b else a for a, b in zip(M[i], row)]
+    return M
+
+
+def exact_influence(n: int, edges, beta) -> list[list[Fraction]]:
+    """influence_matrix in rational arithmetic: V = (I - M)^{-1} B by
+    Gauss-Jordan on [I - M | B_s], B_s the columns of B with beta > 0, with
+    exact_system's normalization, as n rows of n Fractions; every other
+    column is zero. Raises SingularBlock when I - M is singular. Checks no
+    input; small n only."""
+    stubborn = [j for j in range(n) if beta[j]]
+    B = [[Fraction(beta[i]) if i == j else Fraction(0) for j in stubborn] for i in range(n)]
+    M = gauss_jordan([a + b for a, b in zip(exact_system(n, edges, beta), B)], n, "I - M")
+    V = [[Fraction(0)] * n for _ in range(n)]
+    for row, solved in zip(V, M):
+        for j, v in zip(stubborn, solved[n:]):
+            row[j] = v
+    return V
+
+
 def exact_reduced_rows(g: SignedDigraph, persuaded) -> dict:
     """reduce_persuaded_set in rational arithmetic, with no float tolerance.
 
-    R's rows of S = persuaded are built from g's floats as Fractions (each is
-    exact as one), normalized as normalize does, with w_ii = 1 for an agent
-    without in-edges. Gauss-Jordan on [D | I | C] gives [I | G | G C], and q's
-    reduced row is (1/G_qq) (e_q + (G C)_q). Returns {q: {column: value}}
-    over every column of R outside S - {q}, 0-based as in
-    ReducedRowRelation; the rows do not depend on the persuader. Raises
-    SingularBlock when D is singular. Checks no input; small n only.
+    R's rows of S = persuaded are exact_system's rows of g's floats, each
+    stubborn agent's followed by its anchor. Gauss-Jordan on [D | I | C]
+    gives [I | G | G C], and q's reduced row is (1/G_qq) (e_q + (G C)_q).
+    Returns {q: {column: value}} over every column of R outside S - {q},
+    0-based as in ReducedRowRelation; the rows do not depend on the
+    persuader. Raises SingularBlock when D is singular. Checks no input;
+    small n only.
     """
     n, stubborn, members = g.n, list(g.stubborn), sorted(persuaded)
-    total = [Fraction(0)] * (n + 1)
-    for _, dst, w in g.edges:
-        total[dst] += abs(Fraction(w))
+    A = exact_system(n, g.edges, g.beta)
     rows = []
     for i in members:
-        row, open_ = [Fraction(0)] * (n + len(stubborn)), 1 - Fraction(g.beta[i - 1])
-        row[i - 1] = Fraction(1) - (open_ if total[i] == 0 else 0)
-        for src, dst, w in g.edges:
-            if dst == i:
-                row[src - 1] -= open_ * Fraction(w) / total[i]
+        row = A[i - 1] + [Fraction(0)] * len(stubborn)
         if i in stubborn:
             row[n + stubborn.index(i)] = -Fraction(g.beta[i - 1])
         rows.append(row)
     k, inside = len(members), [i - 1 for i in members]
     outside = [c for c in range(len(rows[0])) if c not in inside]
-    M = [[r[c] for c in inside] + [Fraction(int(a == b)) for b in range(k)]
-         + [r[c] for c in outside] for a, r in enumerate(rows)]
-    for j in range(k):
-        pivot = next((i for i in range(j, k) if M[i][j] != 0), None)
-        if pivot is None:
-            raise SingularBlock(f"persuaded block of {members} is singular")
-        M[j], M[pivot] = M[pivot], M[j]
-        M[j] = [v / M[j][j] for v in M[j]]
-        for i in range(k):
-            if i != j and M[i][j] != 0:
-                M[i] = [a - M[i][j] * b for a, b in zip(M[i], M[j])]
+    M = gauss_jordan([[r[c] for c in inside] + [Fraction(int(a == b)) for b in range(k)]
+                      + [r[c] for c in outside] for a, r in enumerate(rows)],
+                     k, f"persuaded block of {members}")
     reduced = {}
     for a, q in enumerate(members):
         scale = 1 / M[a][k + a]  # 1 / G_qq

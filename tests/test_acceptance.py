@@ -16,7 +16,6 @@ from sfj import (
     SignedDigraph,
     analyze,
     build_dominator_tree,
-    build_steady_state,
     clusters_from_trace,
     detect_ltp_agents,
     influence_matrix,
@@ -25,7 +24,6 @@ from sfj import (
     normalize,
     predict_clusters,
     random_multiconsensus_graph,
-    reduce_persuaded_set,
     robustness_harness,
     simulate,
 )
@@ -35,9 +33,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "networks"
 from conftest import random_reachable_graph
 from oracles import (
     brute_force_ltp_oracle,
+    build_steady_state,
     dense_reduction,
     neumann_influence,
     neumann_terms_for,
+    reduce_persuaded_set,
     same_detection,
     spectral_radius,
     update_matrix,

@@ -2,23 +2,33 @@ import pytest
 
 import sfj
 
-# Test oracles live in tests/oracles.py; abs_matrix and cluster_report were
-# deleted outright (np.abs, and clusters_from_influence with cluster_spread),
-# as were check_reachability and its ReachabilityReport (build_dominator_tree
-# and the influence solve's gate each raise UnreachableNodes).
+from oracles import build_steady_state
+
+# Test oracles live in tests/oracles.py, among them the steady-state
+# reduction (build_steady_state, reduce_persuaded_set and their classes), as
+# the package checks clusters through V's equal rows; abs_matrix and
+# cluster_report were deleted outright (np.abs, and clusters_from_influence
+# with cluster_spread), as were check_reachability and its
+# ReachabilityReport (build_dominator_tree and the influence solve's gate
+# each raise UnreachableNodes).
 NOT_EXPORTED = (
     "ClusterReport",
+    "HypothesisViolated",
     "ReachabilityReport",
+    "ReducedRowRelation",
     "SingularSystem",
     "SizeLimit",
+    "SteadyStateSystem",
     "abs_matrix",
     "brute_force_ltp_oracle",
+    "build_steady_state",
     "check_reachability",
     "cluster_report",
     "dense_reduction",
     "neumann_influence",
     "neumann_tail_bound",
     "neumann_terms_for",
+    "reduce_persuaded_set",
     "reduce_steady_state",
     "schur_complement",
     "sfj_step",
@@ -43,14 +53,14 @@ def test_reweighting_is_not_a_graph_method():
 
 
 def test_no_dense_view_of_a_system():
-    # W, I - M and R are rebuilt densely only in tests/oracles.py.
+    # W and I - M are rebuilt densely only in tests/oracles.py.
     assert not hasattr(sfj.NormalizedSystem, "W")
     assert not hasattr(sfj.NormalizedSystem, "system_matrix")
-    assert not hasattr(sfj.SteadyStateSystem, "R")
 
 
 # Two graphs the guarantee does not cover: one with no stubborn agent, and
-# one whose agent 3 has no in-edge.
+# one whose agent 3 has no in-edge. The oracle build_steady_state gates as
+# influence_matrix does.
 FAILED_HYPOTHESES = {
     "no-stubborn": (
         sfj.SignedDigraph(2, ((1, 2, 1.0),), (0.0, 0.0), (0.0, 1.0)),
@@ -65,7 +75,7 @@ FAILED_HYPOTHESES = {
 
 @pytest.mark.parametrize(
     "call",
-    [sfj.influence_matrix, sfj.build_steady_state, sfj.analyze, sfj.robustness_harness],
+    [sfj.influence_matrix, build_steady_state, sfj.analyze, sfj.robustness_harness],
     ids=lambda call: call.__name__,
 )
 @pytest.mark.parametrize("kind", FAILED_HYPOTHESES)

@@ -38,7 +38,6 @@ from sfj.errors import (
     ConditionsNotMet,
     GraphFormatError,
     GraphValidationError,
-    HypothesisViolated,
     InfeasibleParameters,
     NoStubbornAgents,
     NotConverged,
@@ -840,14 +839,12 @@ class TestExitCodeTable:
         "no-stubborn": (lambda: NoStubbornAgents("no stubborn agent"), EXIT_CONDITIONS),
         "unreachable": (lambda: UnreachableNodes({3}), EXIT_CONDITIONS),
         "conditions": (lambda: ConditionsNotMet("C1 fails"), EXIT_CONDITIONS),
-        "hypothesis": (lambda: HypothesisViolated([(2, 3)]), EXIT_CONDITIONS),
+        "singular": (lambda: SingularBlock("agents [2, 3] form a singular block"),
+                     EXIT_CONDITIONS),
         "not-converged": (_not_converged, EXIT_NOT_CONVERGED),
         "infeasible": (lambda: InfeasibleParameters("no such network"), EXIT_USAGE),
         "value": (lambda: ValueError("bad value"), EXIT_USAGE),
     }
-    # Package errors that no subcommand can raise, so main maps them to nothing.
-    LIBRARY_ONLY = {SingularBlock}
-
     def run_raising(self, capsys, monkeypatch, tmp_path, g2_path, command, exc):
         def raise_it(*args, **kwargs):
             raise exc
@@ -887,7 +884,7 @@ class TestExitCodeTable:
         # the package's.
         package = {c for c in walk(SFJError) if c.__module__.startswith("sfj.")}
         raised = {type(make()) for make, _ in self.RAISED.values()}
-        assert package - self.LIBRARY_ONLY <= raised
+        assert package <= raised
 
     @pytest.mark.parametrize("command", ["simulate", "generate"])
     def test_os_error_names_the_out_path(

@@ -12,17 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfj import (
-    HypothesisViolated,
     NoStubbornAgents,
     NotConverged,
     SingularBlock,
     UnreachableNodes,
     analyze,
-    build_steady_state,
     influence_matrix,
     normalize,
     random_multiconsensus_graph,
-    reduce_persuaded_set,
     robustness_harness,
     save_graph,
     simulate,
@@ -33,7 +30,6 @@ from sfj.cli import EXIT_NOT_CONVERGED, EXIT_OK, main
 from sfj.dynamics import (
     DEFAULT_TOL,
     OpinionTrace,
-    SteadyStateSystem,
     _components,
     _level_plan,
     _level_solve,
@@ -42,7 +38,11 @@ from sfj.dynamics import (
 from sfj.graph import Edge, SignedDigraph, _normalized
 
 from conftest import g2_times_1e5, random_reachable_graph, slow_spiral, unreached_positive_class
+import oracles
 from oracles import (
+    HypothesisViolated,
+    SteadyStateSystem,
+    build_steady_state,
     dense_contraction_certificate,
     dense_reduction,
     dense_influence,
@@ -53,6 +53,7 @@ from oracles import (
     neumann_influence,
     neumann_tail_bound,
     neumann_terms_for,
+    reduce_persuaded_set,
     reduce_steady_state,
     reweighted,
     schur_complement,
@@ -724,6 +725,26 @@ class TestLevelSolve:
         assert [agent_at[slots].tolist() for *_, (_, slots), _ in plan.levels] == [
             [1], [], [9], []]
 
+    def test_the_solve_holds_one_stack_at_a_time(self):
+        # Two cycles of k agents on two levels, each a (1, k, k) stack of
+        # 40,000 values: the solve frees the first before it builds the
+        # second, so it peaks near one stack, as footprint counts it.
+        k = 200
+        edges = [(base + v, base + v % k + 1, 1.0) for base in (0, k) for v in range(1, k + 1)]
+        g = make(2 * k, edges + [Edge(1, k + 1, 1.0)], beta=[0.5] + [0.0] * (2 * k - 1))
+        sysm = normalize(g)
+        plan = _level_plan(sysm, np.array(g.stubborn) - 1)
+        assert [(k_, count) for *_, stacks in plan.levels
+                for _, k_, count, *_ in stacks] == [(k, 1), (k, 1)]
+        assert plan.footprint < 1.1 * k * k
+        tracemalloc.start()
+        try:
+            _level_solve(plan, sysm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * k * k
+
     def test_a_stack_of_trials_solves_each_as_alone(self):
         g = random_multiconsensus_graph(200, 10, seed=7)
         src, dst = g.edge_index
@@ -835,12 +856,13 @@ class TestSteadyStateSystem:
         # from influence_matrix, which would run both calls again.
         calls = []
 
-        def counted(name):
-            real = getattr(dynamics, name)
-            return lambda *args: calls.append(name) or real(*args)
+        def counted(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
 
-        for name in ("normalize", "_unanchored"):
-            monkeypatch.setattr(dynamics, name, counted(name))
+        for module, name in ((oracles, "normalize"), (dynamics, "normalize"),
+                             (dynamics, "_unanchored")):
+            counted(module, name)
         build_steady_state(g2)
         assert sorted(calls) == ["_unanchored", "normalize"]
 

@@ -803,8 +803,9 @@ def scc_capped_graph():
 def four_cycles(dense):
     """Four cycles of 16 agents: 1..16 (agent 1 stubborn) leads 33..48, and
     17..32 (agent 17 stubborn) leads 49..64, through one edge each or, dense,
-    with every follower hearing every leader. Four stacked 16 x 16 blocks
-    (1024 values) outweigh n * m = 128; dense, so do a level's 512 entries."""
+    with every follower hearing every leader. Each level's stack of two
+    16 x 16 blocks (512 values) outweighs n * m = 128; dense, so do a
+    level's 512 entries."""
     edges = [(base + v, base + v % 16 + 1, 1.0)
              for base in (0, 16, 32, 48) for v in range(1, 17)]
     lead = [(a, b) for a in range(1, 17) for b in range(1, 17)] if dense else [(16, 1)]
@@ -832,17 +833,17 @@ def block_values(g, per_block):
 class TestTrialBlocks:
     """A block holds max(1, _TRACE_BLOCK // footprint) trials, footprint
     counting what one trial holds at once (_LevelPlan): V and a gathered
-    copy, a level's terms, the SCC stacks and M's entries. So a block stays
+    copy, a level's terms, the largest SCC stack and M's entries. So a block stays
     near _TRACE_BLOCK values unless one trial does not."""
 
     @pytest.mark.parametrize("n, trials, sizes", [
-        (12, 1000, [504, 496]), (64, 20, [20]), (256, 3, [3]), (300, 2, [2]),
-        pytest.param(256, 20, [18, 2], id="256-20"),  # footprint 3622
-        pytest.param(300, 20, [7, 7, 6], id="300-20"),  # 9251
-        pytest.param(2000, 2, [1, 1], id="2000-2"),  # 355,539
-        pytest.param("scc-capped", 100, [32, 32, 32, 4], id="scc-capped"),  # 1986: 1681 the SCC
-        pytest.param("four-cycles", 100, [44, 44, 12], id="four-cycles"),  # 1486: 1024 the SCCs
-        pytest.param("four-cycles-dense", 30, [12, 12, 6], id="four-cycles-dense"),  # 5056
+        (12, 1000, [541, 459]), (64, 20, [20]), (256, 3, [3]), (300, 2, [2]),
+        pytest.param(256, 20, [18, 2], id="256-20"),  # footprint 3458
+        pytest.param(300, 20, [7, 7, 6], id="300-20"),  # 9087
+        pytest.param(2000, 2, [1, 1], id="2000-2"),  # 353,838
+        pytest.param("scc-capped", 100, [33, 33, 33, 1], id="scc-capped"),  # 1982: 1681 the SCC
+        pytest.param("four-cycles", 100, [67, 33], id="four-cycles"),  # 974: 512 a stack
+        pytest.param("four-cycles-dense", 30, [14, 14, 2], id="four-cycles-dense"),  # 4544
     ])
     def test_block_sizes(self, g2, n, trials, sizes, monkeypatch):
         g = (BLOCK_GRAPHS[n]() if isinstance(n, str) else g2 if n == 12
