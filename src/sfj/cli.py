@@ -2,16 +2,21 @@
 
 Subcommands: analyze, simulate, predict, verify, generate. All JSON outputs
 carry a "schema": 1 field. Exit codes are stable: 0 success, 1 usage,
-2 parse/validation, 3 conditions-not-met or a singular block, 4 not-converged.
+2 parse/validation, 3 conditions-not-met or a singular block, 4 not-converged,
+5 out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
+from itertools import chain
+
+import orjson
 
 from . import dynamics, verification
 from .errors import (
@@ -23,7 +28,7 @@ from .errors import (
     SingularBlock,
 )
 from .generator import random_multiconsensus_graph
-from .graph import _dumps, graph_to_dict, load_graph, save_graph
+from .graph import graph_to_dict, load_graph, save_graph
 from .ltp import analyze, certificate_to_dict, predict_clusters
 from .verification import robustness_report_to_dict
 
@@ -32,6 +37,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_CONDITIONS = 3
 EXIT_NOT_CONVERGED = 4
+EXIT_MEMORY = 5
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +48,56 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+_PLAIN = frozenset({int, str, bool, type(None), list, tuple, dict})
+
+
+def _printable(text: str) -> bool:
+    """Whether every character of text is one of ' '..'~'."""
+    return text.isascii() and text.isprintable()
+
+
+def _plain(value) -> bool:
+    """Whether orjson writes value, a list, tuple or dict, as json.dumps does:
+    whether all it holds, at any depth, is ints, strs of characters ' '..'~',
+    bools, None, and lists, tuples and dicts keyed by such strs (exact types).
+    orjson writes floats and other characters its own way. Each level's types
+    are read before anything below it, so a float ends the walk at its level."""
+    items = value.values() if type(value) is dict else value
+    types = set(map(type, items))
+    if not types <= _PLAIN:
+        return False
+    if type(value) is dict and not (set(map(type, value)) <= {str} and _printable("".join(value))):
+        return False
+    if str in types and not _printable("".join(v for v in items if type(v) is str)):
+        return False
+    if types.isdisjoint((list, tuple, dict)):
+        return True
+    if types <= {list, tuple}:  # a list of lists is plain iff their items are
+        return _plain(list(chain.from_iterable(items)))
+    for v in items:  # a loop, not all(), so each level costs one frame
+        if type(v) in (list, tuple, dict) and not _plain(v):
+            return False
+    return True
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for a reply: a scalar by
+    json's C encoder, a plain value (see _plain) by orjson, a str-keyed dict
+    one item per line (no JSON string holds a raw newline; map keeps a level
+    to one frame), and the rest by json.dumps' own pure-Python encoder."""
+    if type(value) in (int, float, str, bool, type(None)):
+        return json.dumps(value)
+    if _plain(value):
+        try:
+            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
+        except orjson.JSONEncodeError:  # an int beyond 64 bits, or nested too deep
+            pass
+    if type(value) is dict and set(map(type, value)) == {str}:
+        items = ",\n".join(map("{}: {}".format, map(json.dumps, value), map(_dumps, value.values())))
+        return "{\n  " + items.replace("\n", "\n  ") + "\n}"
+    return json.dumps(value, indent=2)
 
 
 def _emit(payload: dict) -> None:
@@ -240,6 +296,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONDITIONS, str(exc))
     except NotConverged as exc:
         return _fail(EXIT_NOT_CONVERGED, str(exc))
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        return _fail(EXIT_MEMORY, str(exc) or "out of memory")
     except OSError as exc:  # _load turned read errors into GraphFormatError
         out = getattr(args, "out", "-")  # "-" is stdout, as for generate
         return _fail(EXIT_USAGE, f"cannot write {out}: {exc.strerror}")

@@ -14,8 +14,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -359,69 +357,7 @@ def load_graph(path) -> SignedDigraph:
     return graph_from_dict(data)
 
 
-# json's C encoder without indent, built once (JSONEncoder.encode builds one
-# per call); it writes each scalar as json.dumps does.
-_encode_scalar = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ", ",
-                                False, False, True)
-_PLAIN = frozenset({int, str, bool, type(None), list, tuple, dict})
-
-
-def _printable(text: str) -> bool:
-    """Whether every character of text is one of ' '..'~'."""
-    return text.isascii() and text.isprintable()
-
-
-def _plain(value) -> bool:
-    """Whether orjson writes value, a list, tuple or dict, as json.dumps does:
-    whether all it holds, at any depth, is ints, strs of characters ' '..'~',
-    bools, None, and lists, tuples and dicts keyed by such strs (exact
-    types). orjson writes floats and other characters in its own way, and
-    refuses ints beyond 64 bits, which _dumps then lays out itself. Each
-    level's types are read before anything below it, so a float ends the
-    walk at its level."""
-    items = value.values() if type(value) is dict else value
-    types = set(map(type, items))
-    if not types <= _PLAIN:
-        return False
-    if type(value) is dict and not (set(map(type, value)) <= {str} and _printable("".join(value))):
-        return False
-    if str in types and not _printable("".join(v for v in items if type(v) is str)):
-        return False
-    if types.isdisjoint((list, tuple, dict)):
-        return True
-    if types <= {list, tuple}:  # a list of lists is plain iff their items are
-        return _plain(list(chain.from_iterable(items)))
-    for v in items:  # a loop, not all(), so each level costs one frame
-        if type(v) in (list, tuple, dict) and not _plain(v):
-            return False
-    return True
-
-
-def _dumps(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte, each line after the first
-    led by pad (no JSON string holds a raw newline). json's C encoder writes
-    scalars (exact types), and orjson's OPT_INDENT_2 plain containers (see
-    _plain), empty ones among them. Other str-keyed dicts, lists and tuples
-    are laid out here, item by item; the rest are json.dumps' own."""
-    if type(value) in (int, float, str, bool, type(None)):
-        return "".join(_encode_scalar(value, 0))
-    if _plain(value):
-        try:
-            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode().replace(
-                "\n", "\n" + pad)
-        except orjson.JSONEncodeError:  # an int beyond 64 bits, or nested too deep
-            pass
-    inner = pad + "  "
-    if type(value) is dict and set(map(type, value)) == {str}:
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in value.items()]
-        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if type(value) in (list, tuple):
-        items = [_dumps(v, inner) for v in value]
-        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-
-
 def save_graph(g: SignedDigraph, path) -> None:
-    """Write g as indented JSON, the bytes of json.dumps(..., indent=2)."""
+    """Write g as json.dumps(graph_to_dict(g), indent=2) and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(graph_to_dict(g)) + "\n")
+        fh.write(json.dumps(graph_to_dict(g), indent=2) + "\n")

@@ -28,6 +28,7 @@ from sfj import (
 )
 from sfj.cli import (
     EXIT_CONDITIONS,
+    EXIT_MEMORY,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_PARSE,
@@ -844,6 +845,10 @@ class TestExitCodeTable:
         "not-converged": (_not_converged, EXIT_NOT_CONVERGED),
         "infeasible": (lambda: InfeasibleParameters("no such network"), EXIT_USAGE),
         "value": (lambda: ValueError("bad value"), EXIT_USAGE),
+        "memory": (MemoryError, EXIT_MEMORY),
+        # numpy's MemoryError names the allocation it refused.
+        "memory-sized": (lambda: MemoryError("Unable to allocate 11.9 GiB for an array "
+                                             "with shape (40000, 40000)"), EXIT_MEMORY),
     }
     def run_raising(self, capsys, monkeypatch, tmp_path, g2_path, command, exc):
         def raise_it(*args, **kwargs):
@@ -868,7 +873,7 @@ class TestExitCodeTable:
         code, err, out_path = self.run_raising(
             capsys, monkeypatch, tmp_path, g2_path, command, exc
         )
-        message = str(exc)
+        message = str(exc) or "out of memory"  # MemoryError() has no message
         if command == "simulate" and kind == "not-converged":
             message += f"; partial trace written to {out_path}"
         assert code == expected

@@ -1,18 +1,22 @@
-"""The paper's claim, checked exactly on every signed network of three agents.
+"""The paper's claim, checked exactly on signed networks of a few agents.
 
-Each of the 6 ordered pairs of distinct agents is absent, +1 or -1, and the
-stubborn set is any nonempty set of agents: 3**6 * 7 = 5,103 networks. Each
-takes one seeded draw of rational weight magnitudes in [1/97, 97] and
-stubbornness levels in (0, 1]. Wherever analyze reports C1 and C2, each
-predicted cluster's rows of V are exactly equal in rationals, and rows of
-different clusters differ. Wherever influence_matrix accepts the network, C1
-and C2 or not, its float clusters equal the exact partition of V's rows
-computed from the same float inputs.
+Each ordered pair of distinct agents is absent, +1 or -1, and the stubborn
+set is any nonempty set of agents: 3**6 * 7 = 5,103 networks at n = 3 and
+3**12 * 15 = 7,971,615 at n = 4. Each takes one seeded draw of rational
+weight magnitudes in [1/97, 97] and stubbornness levels in (0, 1]. Wherever
+analyze reports C1 and C2, each predicted cluster's rows of V are exactly
+equal in rationals, and rows of different clusters differ. Wherever
+influence_matrix accepts the network, C1 and C2 or not, its float clusters
+equal the exact partition of V's rows computed from the same float inputs.
+
+The tests run every network at n = 3. A CI step runs a seeded sample at
+n = 4 through exact_claim(4, sampled_networks(4, count, rng), rng).
 
 Run with `pytest tests/test_exact_claim.py -s` to see the counts.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,23 +33,37 @@ from sfj import (
 
 from oracles import exact_influence
 
-N = 3
-PAIRS = [(s, d) for s in range(1, N + 1) for d in range(1, N + 1) if s != d]
+
+def ordered_pairs(n):
+    return [(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
 
 
-def signed_networks():
-    """Every (edge signs, stubborn set): a sign of 0 leaves the pair out."""
-    stubborn_sets = [set(c) for k in range(1, N + 1)
-                     for c in itertools.combinations(range(1, N + 1), k)]
-    return itertools.product(itertools.product((0, 1, -1), repeat=len(PAIRS)), stubborn_sets)
+def stubborn_sets(n):
+    return [set(c) for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
 
 
-def draw(signs, stubborn, weights, levels):
+def signed_networks(n):
+    """Every (edge signs, stubborn set) on n agents: a sign of 0 leaves the pair out."""
+    return itertools.product(itertools.product((0, 1, -1), repeat=n * (n - 1)),
+                             stubborn_sets(n))
+
+
+def sampled_networks(n, count, rng):
+    """count distinct networks of signed_networks(n), drawn by rng, in the
+    order of their positions there."""
+    sets, r = stubborn_sets(n), n * (n - 1)
+    for k in np.sort(rng.choice(3 ** r * len(sets), size=count, replace=False)).tolist():
+        signing, stubborn = divmod(k, len(sets))
+        digits = [signing // 3 ** (r - 1 - j) % 3 for j in range(r)]
+        yield tuple((0, 1, -1)[d] for d in digits), sets[stubborn]
+
+
+def draw(pairs, signs, stubborn, weights, levels):
     """Rational weights a/b from weights' pairs (a, b) of integers in 1..97,
     so in [1/97, 97], and stubbornness lo/hi from levels' sorted pairs, so
     in (0, 1]."""
     edges = [(s, d, sign * Fraction(a, b))
-             for (s, d), sign, (a, b) in zip(PAIRS, signs, weights) if sign]
+             for (s, d), sign, (a, b) in zip(pairs, signs, weights) if sign]
     beta = [Fraction(lo, hi) if i in stubborn else Fraction(0)
             for i, (lo, hi) in enumerate(levels, start=1)]
     return edges, beta
@@ -59,36 +77,58 @@ def partition(V):
     return {frozenset(group) for group in groups.values()}
 
 
-def test_every_three_agent_network():
-    rng = np.random.default_rng(3)
-    count = 3 ** len(PAIRS) * (2 ** N - 1)
-    weights = rng.integers(1, 98, size=(count, len(PAIRS), 2)).tolist()
-    levels = np.sort(rng.integers(1, 98, size=(count, N, 2)), axis=2).tolist()
-    total = refused = both = pairs = 0
-    for (signs, stubborn), ws, bs in zip(signed_networks(), weights, levels):
-        total += 1
-        edges, beta = draw(signs, stubborn, ws, bs)
+def exact_claim(n, networks, rng):
+    """Check every network of networks, (signs, stubborn) pairs on n agents,
+    under one draw each from rng, taken for all of them at once; fails on an
+    inexact cluster or a float clustering unequal to the exact partition.
+
+    Returns the counts: "networks"; "refused" for reachability; "both", the
+    networks that meet C1 and C2; "float", the float clusterings checked;
+    and the C2 census, an observation the claim does not make: "c1_only",
+    the networks where C1 holds and C2 fails, and "c1_only_exact", those of
+    them whose would-be clusters {p} | N_p all had exactly equal rows."""
+    pairs, networks = ordered_pairs(n), list(networks)
+    weights = rng.integers(1, 98, size=(len(networks), len(pairs), 2)).tolist()
+    levels = np.sort(rng.integers(1, 98, size=(len(networks), n, 2)), axis=2).tolist()
+    counts = Counter(networks=len(networks))
+    for (signs, stubborn), ws, bs in zip(networks, weights, levels):
+        edges, beta = draw(pairs, signs, stubborn, ws, bs)
         floats = [(s, d, float(w)) for s, d, w in edges], [float(b) for b in beta]
-        g = SignedDigraph(N, *floats, [0.0] * N)
+        g = SignedDigraph(n, *floats, [0.0] * n)
         try:
             cert = analyze(g)
         except UnreachableNodes:
-            refused += 1
+            counts["refused"] += 1
             with pytest.raises(UnreachableNodes):
                 influence_matrix(g)
             continue
-        if cert.covered and cert.cooperative:
-            both += 1
-            clusters = predict_clusters(cert).clusters
-            V = exact_influence(N, edges, beta)
+        if cert.covered:
+            V = exact_influence(n, edges, beta)
+            clusters = [frozenset({p}) | cert.persuaded[p] for p in cert.ltp_agents]
             rows = [{tuple(V[i - 1]) for i in cluster} for cluster in clusters]
-            assert all(len(r) == 1 for r in rows), (edges, beta)
-            assert len(set().union(*rows)) == len(clusters), (edges, beta)
+            exact = all(len(r) == 1 for r in rows)
+            if cert.cooperative:
+                counts["both"] += 1
+                assert clusters == list(predict_clusters(cert).clusters)
+                assert exact, (edges, beta)
+                assert len(set().union(*rows)) == len(clusters), (edges, beta)
+            else:
+                counts["c1_only"] += 1
+                counts["c1_only_exact"] += exact
         # The exact partition from the floats the solve reads.
         assert set(clusters_from_influence(influence_matrix(g))) == partition(
-            exact_influence(N, *floats)), (edges, beta)
-        pairs += 1
-    print(f"\nexact claim, n = {N}: {total} networks, {refused} refused for reachability, "
-          f"{both} meet C1 and C2 with exactly equal rows per cluster, "
-          f"{pairs} float clusterings equal the exact partition")
-    assert (total, refused, both, pairs) == (5103, 810, 216, 4293)
+            exact_influence(n, *floats)), (edges, beta)
+        counts["float"] += 1
+    return counts
+
+
+def test_every_three_agent_network():
+    counts = exact_claim(3, signed_networks(3), np.random.default_rng(3))
+    print(f"\nexact claim, n = 3: {counts['networks']} networks, {counts['refused']} refused "
+          f"for reachability, {counts['both']} meet C1 and C2 with exactly equal rows per "
+          f"cluster, {counts['float']} float clusterings equal the exact partition; "
+          f"C1 without C2: {counts['c1_only']}, of which {counts['c1_only_exact']} had "
+          f"every would-be cluster exactly equal")
+    assert (counts["networks"], counts["refused"], counts["both"], counts["float"]) == (
+        5103, 810, 216, 4293)
+    assert counts["c1_only"] == 1404
