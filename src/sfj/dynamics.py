@@ -116,11 +116,6 @@ def simulate(
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
     plain = bool(_unanchored(g))
     anchor = beta * g.x0
-    # An agent whose one term is 1.0 times agent j's opinion, with no
-    # anchor, copies j's last value: j is its source in the trace writer.
-    copy = (np.bincount(rows, minlength=n)[rows] == 1) & (vals == 1.0) & (anchor[rows] == 0.0)
-    source = np.arange(n)
-    source[rows[copy]] = cols[copy]
     if not plain:
         # One bincount steps u = (x, z): x in bins 0..n-1, each summing the
         # same weights in the same order as a step of x alone, and z in bins
@@ -131,7 +126,7 @@ def simulate(
     per_block = max(1, _TRACE_BLOCK // n)
     block = np.empty((per_block + 1, anchor.size))
     block[1, :n], block[1, n:] = g.x0, 1.0
-    kept, first, carry = [], 0, None  # rows kept; the k of block[1]; the row written above it
+    kept, first = [], 0  # rows kept; the k of block[1]
     j, k, residual, converged = 1, 0, np.inf, False  # block[j] holds u at step k
     checkpoint, mark, repeat = block[1].view(np.int64).copy(), 1, None  # u's bits at step mark // 2
     if out is not None:
@@ -144,7 +139,7 @@ def simulate(
                 if out is None:
                     kept.append(block[1:, :n].copy())
                 else:
-                    carry = _write_rows(out, first, block[1:, :n], source, carry)
+                    _write_rows(out, first, block[1:, :n])
                 block[0] = block[-1]
                 first, j = first + per_block, 0
             r = min(_ROUND, per_block - j, max_iter - k, mark - k)
@@ -170,7 +165,7 @@ def simulate(
     if out is None:
         states = np.concatenate(kept + [block[1:j + 1, :n]])
     else:
-        _write_rows(out, first, block[1:j + 1, :n], source, carry)
+        _write_rows(out, first, block[1:j + 1, :n])
         states = block[j:j + 1, :n].copy()
     trace = OpinionTrace(states=states, converged=converged, iterations=k, residual=residual)
     if repeat is not None:
@@ -388,10 +383,9 @@ def write_trace_csv(trace: OpinionTrace, fh) -> None:
     then x(k). Each value is the shortest round-trip repr of its float
     (0.1, -0.0, 1e-300, inf, nan), fields are comma-separated and never
     quoted, and every line ends in CRLF ("\\r\\n"): byte for byte what
-    csv.writer writes. simulate(g, out=fh) streams the same bytes. The
-    values are formatted by _reprs.
+    csv.writer writes. simulate(g, out=fh) streams the same bytes.
     """
-    states = np.asarray(trace.states, dtype=np.float64)
+    states = np.ascontiguousarray(trace.states, dtype=np.float64)  # as orjson reads it
     _write_header(fh, states.shape[1])
     _write_rows(fh, 0, states)
 
@@ -400,53 +394,45 @@ def _write_header(fh, n: int) -> None:
     fh.write("k" + "".join(f",x_{i}" for i in range(1, n + 1)) + "\r\n")
 
 
-def _write_rows(fh, start: int, states: np.ndarray, source=None, carry=None):
-    """write_trace_csv's rows for states, the first numbered start; returns
-    the carry for the rows after them: the last row's bits and strings.
+def _write_rows(fh, start: int, states: np.ndarray) -> None:
+    """write_trace_csv's rows for states, the first numbered start.
 
-    A value whose bits equal those of its agent's source one row above (the
-    row carry holds, above the first) takes that value's string: an agent
-    repeats its own value once it has settled, and an agent that only hears
-    source[i] copies its value (source None: each agent is its own). Which
-    values repeat is decided by the bits, so 0.0 and -0.0 stay apart and a
-    wrong source costs only time. The rest, the fresh values, are formatted
-    by one _reprs call, and each row's strings are the row above's gathered
-    by source, with theirs written over.
+    Each row is one orjson call, its brackets cut off, so each must be
+    contiguous native float64, as simulate's are. A row holding a value
+    _unlike_repr flags is ",".join(_reprs(row)) instead, which is the same
+    string on a row without one. Rows are written one at a time, so the
+    text held at once is one row's.
     """
-    bits = np.asarray(states, dtype=np.float64).view(np.int64)  # rows may be strided
-    if not bits.size:
-        return carry
-    pick = ... if source is None else source  # Ellipsis: each row as it is, no gather
-    fresh = np.empty(bits.shape, dtype=bool)
-    fresh[0] = True if carry is None else carry[0][pick] != bits[0]
-    fresh[1:] = bits[:-1, pick] != bits[1:]
-    text = np.array(_reprs(bits[fresh].view(np.float64)), dtype=object)
-    fresh = np.flatnonzero(fresh)
-    n = bits.shape[1]
-    cols, ends = fresh % n, np.searchsorted(fresh, np.arange(n, bits.size + 1, n)).tolist()
-    row = np.empty(n, dtype=object) if carry is None else carry[1]
-    for k, a, b in zip(range(start, start + bits.shape[0]), [0] + ends, ends):
-        row = row[pick]  # under Ellipsis a view: the row above is written over
-        row[cols[a:b]] = text[a:b]
-        fh.write(f"{k},{','.join(row.tolist())}\r\n")
-    return bits[-1].copy(), row
+    odd = _unlike_repr(states).any(axis=1).tolist()
+    for k, row, slow in zip(range(start, start + len(odd)), states, odd):
+        text = ",".join(_reprs(row)) if slow else orjson.dumps(
+            row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        fh.write(f"{k},{text}\r\n")
+
+
+def _unlike_repr(values: np.ndarray) -> np.ndarray:
+    """Where orjson writes a float64 unlike repr: NaN and inf, which it
+    writes as null, and nonzero values outside 1e-4 <= |v| < 1e16, which it
+    writes as 1e16 or 0.00001 where repr writes 1e+16 or 1e-05. Compares
+    values with no abs, so the temporaries are bools, not floats."""
+    return ~((values == 0) | ((values >= 1e-4) & (values < 1e16))
+             | ((values <= -1e-4) & (values > -1e16)))
 
 
 def _reprs(values) -> list[str]:
     """repr(v) for each v of a float64 array, byte for byte.
 
-    orjson writes the shortest round-trip digits, as repr does, and in the
-    same form for zeros and for 1e-4 <= |v| < 1e16. Every other value takes
-    repr: orjson writes NaN and inf as null, and 1e16 or 0.00001 where repr
-    writes 1e+16 or 1e-05. orjson refuses a strided array, misreads a
-    byte-swapped one and splits [] into [""], so values are first made
-    contiguous native float64, and an empty array gives [].
+    orjson writes the shortest round-trip digits, as repr does, and in
+    repr's form for every value _unlike_repr does not flag; those it flags
+    take repr.
+    orjson refuses a strided array, misreads a byte-swapped one and splits
+    [] into [""], so values are first made contiguous native float64, and
+    an empty array gives [].
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not values.size:
         return []
     text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    mag = np.abs(values)
-    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (values != 0)).tolist():
+    for i in np.flatnonzero(_unlike_repr(values)).tolist():
         text[i] = repr(float(values[i]))
     return text

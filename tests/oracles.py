@@ -918,9 +918,7 @@ def stepwise_simulate(
     The reference for simulate's rounds: the same iterates, stop step,
     residual, final state and trace bytes, and the same first repeated
     state, found as Brent's cycle detection finds it: each step against u
-    at the last power of two below it, or at step 0 for step 1. Every agent gets a source array,
-    so the writer gathers each row by source even where simulate passes
-    None.
+    at the last power of two below it, or at step 0 for step 1.
     """
     n, beta = g.n, np.array(g.beta)
     rows, cols, vals = _normalized(n, *g.edge_index, g.w, beta).update_entries()
@@ -928,11 +926,6 @@ def stepwise_simulate(
     plain = bool(unreached_in_block(n, g.src, g.dst, np.flatnonzero(1.0 - beta == 1.0) + 1))
     x0 = np.array(g.x0)
     anchor = beta * x0
-    # An agent whose one term is 1.0 times agent j's opinion, with no
-    # anchor, copies j's last value: j is its source in the trace writer.
-    copy = (np.bincount(rows, minlength=n)[rows] == 1) & (vals == 1.0) & (anchor[rows] == 0.0)
-    source = np.arange(n)
-    source[rows[copy]] = cols[copy]
     if not plain:
         # One bincount steps u = (x, z): x in bins 0..n-1, each summing the
         # same weights in the same order as a step of x alone, and z in bins
@@ -941,7 +934,7 @@ def stepwise_simulate(
         vals = np.concatenate((vals, np.abs(vals)))
         anchor = np.concatenate((anchor, np.ones(n)))
     per_block = max(1, dynamics._TRACE_BLOCK // n)
-    kept, first, carry = [], 0, None  # blocks kept; the k of block[0]; the row written above it
+    kept, first = [], 0  # blocks kept; the k of block[0]
     block = np.empty((per_block, n))
     block[0] = x0
     u = np.concatenate((x0, np.ones(anchor.size - n)))
@@ -957,7 +950,7 @@ def stepwise_simulate(
                 if out is None:
                     kept.append(block)
                 else:
-                    carry = dynamics._write_rows(out, first, block, source, carry)
+                    dynamics._write_rows(out, first, block)
                 first, block, j = first + per_block, np.empty((per_block, n)), 0
             u_next = np.bincount(rows, weights=vals * u[cols], minlength=anchor.size) + anchor
             residual = float(np.abs(u_next[:n] - u[:n]).max())
@@ -977,7 +970,7 @@ def stepwise_simulate(
     if out is None:
         states = np.concatenate(kept + [block[:j]])
     else:
-        dynamics._write_rows(out, first, block[:j], source, carry)
+        dynamics._write_rows(out, first, block[:j])
         states = u[None, :n]
     trace = OpinionTrace(
         states=states, converged=converged,

@@ -545,50 +545,20 @@ class TestStreamedTrace:
         self, capsys, monkeypatch, tmp_path
     ):
         # Agent 1 settles at 2.0 in one step; agent 2 copies agent 1 and
-        # agent 3 copies agent 2, each a step later. x(0) holds -0.0 for
-        # agent 2, which agent 3 copies as 0.0 (0.0 + -0.0 is 0.0), so that
-        # value must be formatted. Blocks of one row carry each row into the
-        # next, so once the chain has settled a block formats nothing.
+        # agent 3 copies agent 2, each a step later, so the settled value
+        # passes down the chain across blocks of one row each. x(0) holds
+        # -0.0 for agent 2, which agent 3 copies as 0.0 (0.0 + -0.0 is 0.0).
         g = SignedDigraph(4, ((4, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)),
                           (0.5, 0.0, 0.0, 0.5), (1.0, -0.0, 5.0, 3.0))
         expected = in_memory_csv(g, dynamics.DEFAULT_MAX_ITER)
         assert expected.split("\r\n")[1:4] == ["0,1.0,-0.0,5.0,3.0", "1,2.0,1.0,0.0,3.0",
                                                 "2,2.0,2.0,1.0,3.0"]
-        formatted = []
-        reprs = dynamics._reprs
-        monkeypatch.setattr(dynamics, "_reprs",
-                            lambda values: formatted.append(values.size) or reprs(values))
         monkeypatch.setattr(dynamics, "_TRACE_BLOCK", 1)
         path, out_csv = tmp_path / "g.json", tmp_path / "trace.csv"
         save_graph(g, path)
         code, _, _ = run(capsys, "simulate", str(path), "--out", str(out_csv))
         assert code == EXIT_OK
         assert out_csv.read_bytes() == expected.encode()
-        assert formatted == [4, 2, 0, 0, 0]  # one block per row, x(0)..x(4)
-
-    def test_each_block_formats_exactly_its_fresh_values(self, monkeypatch):
-        # A fresh value's bits differ from those of its source one row up
-        # (the carried row above a block's first); each block formats those
-        # alone, in row order, repeats within the block included.
-        g = random_multiconsensus_graph(2000, 100, seed=1)  # sfj generate 2000 100 --seed 1
-        fresh, formatted = [], []
-        write, reprs = dynamics._write_rows, dynamics._reprs
-
-        def writing(fh, start, states, source, carry):
-            bits = states.view(np.int64)
-            if carry is None:  # the first row is fresh throughout
-                fresh.append(np.concatenate((bits[0], bits[1:][bits[:-1, source] != bits[1:]])))
-            else:
-                above = np.vstack((carry[0], bits[:-1]))
-                fresh.append(bits[above[:, source] != bits])
-            return write(fh, start, states, source, carry)
-
-        monkeypatch.setattr(dynamics, "_write_rows", writing)
-        monkeypatch.setattr(dynamics, "_reprs",
-                            lambda values: formatted.append(values.view(np.int64)) or reprs(values))
-        dynamics.simulate(g, out=io.StringIO(newline=""))
-        assert len(formatted) == len(fresh) > 1
-        assert all(np.array_equal(f, e) for f, e in zip(formatted, fresh))
 
 
 JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
@@ -638,8 +608,8 @@ class TestEmit:
     def test_edge_value_alone_and_nested(self, value):
         for v in (value, [value], [1, [value]], {"k": value}, (value, "b")):
             assert cli._dumps(v) == json.dumps(v, indent=2)
-        # A float beside it keeps the payload off orjson, so value is laid
-        # out under a pad.
+        # A float beside it keeps the payload off orjson, so the payload is
+        # laid out one item per line, value written by _dumps on its own.
         payload = {"x": 0.5, "value": value, "nested": {"list": [value, [value]]}}
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -659,7 +629,8 @@ class TestEmit:
         assert len(calls) == 1  # the whole reply is one plain value
 
     def test_generated_graph_payload(self, capsys):
-        # Edges are dicts of scalar leaves, each written by the C encoder.
+        # Agents and edges are lists of dicts that hold floats: the payload
+        # is laid out one item per line, each list by json.dumps(indent=2).
         code, out, _ = run(capsys, "generate", "400", "20", "--seed", "3")
         assert code == EXIT_OK
         payload = {"schema": cli.SCHEMA_VERSION,

@@ -1324,6 +1324,22 @@ def trace_states(draw):
 
 
 @st.composite
+def mixed_blocks(draw):
+    """Rows of fixed-form values, some of them holding ±1e-5, ±1e16 or one
+    of SPECIAL_VALUES at drawn places: most of those send their row to
+    _reprs."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    fixed = st.floats(1e-4, 1e16, exclude_max=True).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+    states = np.array(draw(st.lists(fixed, min_size=rows * cols, max_size=rows * cols)),
+                      dtype=np.float64).reshape(rows, cols)
+    for _ in range(draw(st.integers(0, rows))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        states[i, j] = draw(st.sampled_from([1e-5, -1e-5, 1e16, -1e16] + SPECIAL_VALUES))
+    return states
+
+
+@st.composite
 def bit_pattern_states(draw):
     """States of arbitrary 64-bit patterns: every exponent, sign and NaN payload."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -1361,16 +1377,16 @@ class TestTraceWriterMatchesCsvWriter:
         assert fast == oracle
 
 
-class TestSourceReuse:
-    """_write_rows reuses the string of a value whose bits equal its
-    source's one row above; the bits decide, the source is only a guess."""
+class TestStreamedRows:
+    """_write_rows writes each row by itself, so a trace cut into blocks at
+    any row gives the bytes of the whole trace."""
 
     def test_a_copied_negative_zero_is_formatted_again(self):
         # Agent 2 follows agent 1: its 0.0 under agent 1's -0.0 is equal as
         # a float but not as bits, and so is agent 1's 0.0 under its -0.0.
         states = np.array([[-0.0, 1.0], [-0.0, 0.0], [0.0, -0.0]])
         buf = io.StringIO()
-        dynamics._write_rows(buf, 0, states, np.array([0, 0]))
+        dynamics._write_rows(buf, 0, states)
         assert buf.getvalue() == "0,-0.0,1.0\r\n1,-0.0,0.0\r\n2,0.0,-0.0\r\n"
 
     def test_negative_zero_through_a_follower_chain(self):
@@ -1390,17 +1406,61 @@ class TestSourceReuse:
 
     @settings(max_examples=200, deadline=None)
     @given(trace_states(), st.data())
-    def test_any_source_and_any_split_give_the_same_bytes(self, states, data):
-        n = states.shape[1]
-        source = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    def test_any_split_gives_the_same_bytes(self, states, data):
         cut = data.draw(st.integers(0, states.shape[0]))
         whole, parts = io.StringIO(), io.StringIO()
-        dynamics._write_rows(whole, 0, states, source)
-        carry = dynamics._write_rows(parts, 0, states[:cut], source)
-        dynamics._write_rows(parts, cut, states[cut:], source, carry)
+        dynamics._write_rows(whole, 0, states)
+        dynamics._write_rows(parts, 0, states[:cut])
+        dynamics._write_rows(parts, cut, states[cut:])
         fast, oracle = both_writers(states)
         assert whole.getvalue() == parts.getvalue() == fast.split("\r\n", 1)[1]
         assert fast == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_blocks(), st.data())
+    def test_fallback_rows_among_fixed_form_rows(self, states, data):
+        cut = data.draw(st.integers(0, states.shape[0]))
+        parts = io.StringIO()
+        dynamics._write_rows(parts, 0, states[:cut])
+        dynamics._write_rows(parts, cut, states[cut:])
+        fast, oracle = both_writers(states)
+        assert fast == oracle
+        assert parts.getvalue() == fast.split("\r\n", 1)[1]
+
+    @pytest.mark.parametrize("layout", ["fortran", "every other row", "every other column",
+                                        "big-endian"])
+    def test_any_memory_layout_gives_the_same_bytes(self, layout):
+        # orjson refuses a row that is not contiguous and reads a
+        # byte-swapped one as native.
+        states = np.random.default_rng(7).uniform(-2.0, 2.0, (12, 10))
+        states[3, 4], states[5, 6] = 1e-5, np.nan
+        states = {"fortran": np.asfortranarray(states), "every other row": states[::2],
+                  "every other column": states[:, ::2],
+                  "big-endian": states.astype(">f8")}[layout]
+        trace = OpinionTrace(states=states, converged=True, iterations=0, residual=0.0)
+        fast, oracle = io.StringIO(), io.StringIO()
+        write_trace_csv(trace, fast)
+        csv_writer_trace(trace, oracle)
+        assert fast.getvalue() == oracle.getvalue()
+
+    def test_memory_stays_near_one_row_of_text(self):
+        # One block of _TRACE_BLOCK values, 16 rows of 4096: its text is
+        # about 1.3 MB, a row's about 80 KB. Nothing keeps what is written.
+        # While orjson writes a row it holds 64 bytes a value, about three
+        # rows of text, beside the row before it.
+        n = 4096
+        states = np.random.default_rng(3).uniform(-1.0, 1.0, (dynamics._TRACE_BLOCK // n, n))
+        row = len(",".join(map(repr, states[0].tolist())))
+        lines = []
+        sink = type("Sink", (), {"write": lambda self, text: lines.append(len(text))})()
+        tracemalloc.start()
+        try:
+            dynamics._write_rows(sink, 0, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lines) == 16
+        assert peak < 8 * row  # half the block's text
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(), st.sampled_from([1, 7, 2**16]))
