@@ -398,15 +398,21 @@ def _write_rows(fh, start: int, states: np.ndarray) -> None:
     """write_trace_csv's rows for states, the first numbered start.
 
     Each row is one orjson call, its brackets cut off, so each must be
-    contiguous native float64, as simulate's are. A row holding a value
-    _unlike_repr flags is ",".join(_reprs(row)) instead, which is the same
-    string on a row without one. Rows are written one at a time, so the
-    text held at once is one row's.
+    contiguous native float64, as simulate's are. orjson writes the
+    shortest round-trip digits, as repr does, and in repr's form for every
+    value _unlike_repr does not flag; in a row holding one it flags, the
+    text is split at its commas and each flagged value takes repr. Rows
+    are written one at a time, so the text held at once is one row's,
+    beside about 64 bytes a value orjson holds while it writes the row.
     """
     odd = _unlike_repr(states).any(axis=1).tolist()
     for k, row, slow in zip(range(start, start + len(odd)), states, odd):
-        text = ",".join(_reprs(row)) if slow else orjson.dumps(
-            row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        if slow:
+            text = text.split(",")  # the row's string is freed before the join
+            for i in np.flatnonzero(_unlike_repr(row)).tolist():
+                text[i] = repr(float(row[i]))
+            text = ",".join(text)
         fh.write(f"{k},{text}\r\n")
 
 
@@ -417,22 +423,3 @@ def _unlike_repr(values: np.ndarray) -> np.ndarray:
     values with no abs, so the temporaries are bools, not floats."""
     return ~((values == 0) | ((values >= 1e-4) & (values < 1e16))
              | ((values <= -1e-4) & (values > -1e16)))
-
-
-def _reprs(values) -> list[str]:
-    """repr(v) for each v of a float64 array, byte for byte.
-
-    orjson writes the shortest round-trip digits, as repr does, and in
-    repr's form for every value _unlike_repr does not flag; those it flags
-    take repr.
-    orjson refuses a strided array, misreads a byte-swapped one and splits
-    [] into [""], so values are first made contiguous native float64, and
-    an empty array gives [].
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if not values.size:
-        return []
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    for i in np.flatnonzero(_unlike_repr(values)).tolist():
-        text[i] = repr(float(values[i]))
-    return text

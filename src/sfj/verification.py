@@ -63,17 +63,7 @@ def _box_components(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.nd
     monotone, so no pair across a cut is close), until m columns in a row
     cut nothing. After each round of columns a group whose largest lo less
     smallest hi is at most thresh in every column is a clique; each pair in
-    the other groups takes the exact test.
-
-    At m = 1, a group of finite boxes that a pass leaves, with thresh >= 0,
-    is connected, so it is settled too. In sorted order, each box a after
-    the first is close to an earlier box b of its group that holds the
-    running maximum of hi before it: lo[a] - hi[b] is the subtraction the
-    cut tested, and lo[b] - hi[a] <= 0, as lo[b] <= lo[a] <= hi[a]. (Were b
-    before the group's first box c, hi[b] would be that maximum before c as
-    well, and as lo[a] >= lo[c] and subtraction is monotone, the cut at c
-    would have cut at a too.) A group is finite when its least lo and its
-    largest hi are."""
+    the other groups takes the exact test."""
     k, T, m = lo.shape
     lo, hi = lo.reshape(k * T, m), hi.reshape(k * T, m)
     root = np.arange(k * T)
@@ -97,10 +87,6 @@ def _box_components(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.nd
             starts = np.cumsum(sizes) - sizes
             spread = np.maximum.reduceat(lo[live], starts) - np.minimum.reduceat(hi[live], starts)
             keep = ~(spread <= limit[live[starts], None]).all(axis=1)
-            if m == 1:  # settle the chains: finite groups, with thresh >= 0
-                extent = (np.minimum.reduceat(lo[live, 0], starts),
-                          np.maximum.reduceat(hi[live, 0], starts))
-                keep &= ~((limit[live[starts]] >= 0) & np.isfinite(extent).all(axis=0))
             root[live[~keep[group]]] = live[starts][group[~keep[group]]]
         live, group = live[keep[group]], (np.cumsum(keep) - 1)[group[keep[group]]]
     close, ends = [], np.cumsum(np.bincount(group)).tolist()
@@ -122,18 +108,30 @@ def _box_components(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.nd
 
 
 def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
-    """Transitive closure of pairwise max-norm closeness; 1-based ids. Rows
-    are _box_components's boxes lo = hi, whose gaps are |differences|. A run of
-    identical rows (close unless thresh < 0) goes in as one row."""
+    """Transitive closure of pairwise max-norm closeness; 1-based ids. A run
+    of identical rows (close unless thresh < 0) goes in as one row.
+
+    One column is cut where the next sorted value is neither identical nor
+    within thresh of the one before. Rounded subtraction is monotone, so no
+    pair across a cut is close, and each value is close to the one before
+    it within its group: the cuts give the closure exactly. More columns
+    go to _box_components as boxes lo = hi, whose gaps are |differences|."""
     order = np.lexsort(rows.T)
     ordered = rows[order]
     first = np.ones(rows.shape[0], dtype=bool)
     first[1:] = ~(np.all(ordered[1:] == ordered[:-1], axis=1) & (thresh >= 0))
-    distinct = ordered[first][:, None]
-    with np.errstate(over="ignore"):  # a difference past the float range: inf, a cut
-        components = _box_components(distinct, distinct, np.array([thresh]))
+    if rows.shape[1] == 1:
+        # A difference past the float range is inf, one of two infinities NaN: a cut.
+        with np.errstate(over="ignore", invalid="ignore"):
+            first[1:] &= ~(np.diff(ordered[:, 0]) <= thresh)
+        label = np.cumsum(first) - 1
+    else:
+        distinct = ordered[first][:, None]
+        with np.errstate(over="ignore"):  # a difference past the float range: inf, a cut
+            components = _box_components(distinct, distinct, np.array([thresh]))
+        label = components[np.cumsum(first) - 1, 0]
     root = np.empty(rows.shape[0], dtype=np.int64)
-    root[order] = components[np.cumsum(first) - 1, 0]
+    root[order] = label
     groups: dict[int, list[int]] = {}  # in order of each group's smallest id
     for i, r in enumerate(root.tolist(), start=1):
         groups.setdefault(r, []).append(i)
@@ -157,7 +155,8 @@ def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int]
     transitive, so borderline rows can chain into one group; cluster_spread
     exposes the resulting diameters. Only V's nonzero columns are compared:
     the rest are zero in every row and add nothing to any distance. The
-    groups are _box_components's, found by splitting the rows column by column.
+    groups are _group_rows's: one column is cut between sorted values, more
+    go to _box_components.
     """
     V = np.asarray(V, dtype=float)
     nonzero = np.flatnonzero(V.any(axis=0))
@@ -279,7 +278,7 @@ def robustness_harness(
         # trial's extremes of V, and + 0.0 changes no positive scale.
         settled = _partition_holds(
             mins, maxs, _threshold(np.concatenate((mins, maxs)), tau, axis=(0, 2)))
-        for t in np.flatnonzero(~np.broadcast_to(settled, count)).tolist():
+        for t in np.flatnonzero(~settled).tolist():
             observed = clusters_from_influence(block[plan.slot_of, t], tau)
             if set(observed) != set(predicted):
                 failures += 1

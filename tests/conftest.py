@@ -65,6 +65,12 @@ def merge_when_agent_7_leads_agent_1(V, tau=DEFAULT_TAU):
     return (frozenset().union(*clusters),) if V[0, agent_7] > 0.3 else clusters
 
 
+def settle_nothing(lo, hi, thresh):
+    """A _partition_holds that settles no trial: one False verdict per
+    trial, so the harness clusters every trial's V."""
+    return np.zeros(thresh.shape, dtype=bool)
+
+
 def unreached_positive_class():
     """Agent 1 (stubborn) feeds only agent 2; agents 3..7 form a positive
     class that nothing outside reaches. abs(M) is then not contracting, yet

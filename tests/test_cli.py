@@ -52,6 +52,7 @@ from conftest import (
     g2_times_1e5,
     graph_dicts,
     merge_when_agent_7_leads_agent_1,
+    settle_nothing,
     slow_spiral,
     unreached_positive_class,
 )
@@ -659,7 +660,7 @@ class TestVerify:
         monkeypatch.setattr(
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
-        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
+        monkeypatch.setattr(verification, "_partition_holds", settle_nothing)
         code, out, err = run(capsys, "verify", g2_path, "--trials", "12", "--seed", "3")
         assert code == EXIT_CONDITIONS
         data = json.loads(out)

@@ -7,6 +7,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1326,8 +1327,8 @@ def trace_states(draw):
 @st.composite
 def mixed_blocks(draw):
     """Rows of fixed-form values, some of them holding ±1e-5, ±1e16 or one
-    of SPECIAL_VALUES at drawn places: most of those send their row to
-    _reprs."""
+    of SPECIAL_VALUES at drawn places: most of those are flagged, and the
+    writer patches their rows there."""
     rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 6))
     fixed = st.floats(1e-4, 1e16, exclude_max=True).flatmap(
         lambda v: st.sampled_from([v, -v]))
@@ -1428,14 +1429,15 @@ class TestStreamedRows:
         assert parts.getvalue() == fast.split("\r\n", 1)[1]
 
     @pytest.mark.parametrize("layout", ["fortran", "every other row", "every other column",
-                                        "big-endian"])
+                                        "reversed", "big-endian"])
     def test_any_memory_layout_gives_the_same_bytes(self, layout):
         # orjson refuses a row that is not contiguous and reads a
-        # byte-swapped one as native.
+        # byte-swapped one as native (1.0 as 3.03865e-319).
         states = np.random.default_rng(7).uniform(-2.0, 2.0, (12, 10))
         states[3, 4], states[5, 6] = 1e-5, np.nan
+        states[4, :8] = states[8, 1:9] = [1.0, -0.0, 0.1, 1e-5, 2.5e300, np.nan, -np.inf, 1e16]
         states = {"fortran": np.asfortranarray(states), "every other row": states[::2],
-                  "every other column": states[:, ::2],
+                  "every other column": states[:, ::2], "reversed": states[::-1, ::-1],
                   "big-endian": states.astype(">f8")}[layout]
         trace = OpinionTrace(states=states, converged=True, iterations=0, residual=0.0)
         fast, oracle = io.StringIO(), io.StringIO()
@@ -1447,20 +1449,46 @@ class TestStreamedRows:
         # One block of _TRACE_BLOCK values, 16 rows of 4096: its text is
         # about 1.3 MB, a row's about 80 KB. Nothing keeps what is written.
         # While orjson writes a row it holds 64 bytes a value, about three
-        # rows of text, beside the row before it.
+        # rows of text, beside the row before it. A tenth of the values in
+        # [-1e-3, 1e-3] lie below 1e-4, so every row of that block is
+        # patched, its text split into one string a value once orjson's is
+        # freed.
         n = 4096
-        states = np.random.default_rng(3).uniform(-1.0, 1.0, (dynamics._TRACE_BLOCK // n, n))
-        row = len(",".join(map(repr, states[0].tolist())))
-        lines = []
-        sink = type("Sink", (), {"write": lambda self, text: lines.append(len(text))})()
-        tracemalloc.start()
-        try:
-            dynamics._write_rows(sink, 0, states)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(lines) == 16
-        assert peak < 8 * row  # half the block's text
+        for scale in (1.0, 1e-3):
+            states = np.random.default_rng(3).uniform(-scale, scale,
+                                                       (dynamics._TRACE_BLOCK // n, n))
+            row = len(",".join(map(repr, states[0].tolist())))
+            lines = []
+            sink = type("Sink", (), {"write": lambda self, text: lines.append(len(text))})()
+            tracemalloc.start()
+            try:
+                dynamics._write_rows(sink, 0, states)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(lines) == 16
+            assert peak < 8 * row, scale  # half the block's text
+
+    def test_a_patched_row_takes_repr_at_its_flagged_values_alone(self, monkeypatch):
+        # Six flagged values over four of six rows: six calls to repr and one
+        # orjson call a row, where repr of every value of a flagged row
+        # would cost five times as much.
+        states = np.random.default_rng(5).uniform(0.5, 2.0, (6, 50))
+        flagged = [1e-5, np.nan, -np.inf, 1e16, -2e-300, 5e-324]
+        for (i, j), v in zip([(0, 3), (0, 40), (2, 0), (3, 49), (3, 10), (5, 7)], flagged):
+            states[i, j] = v
+        reprs, dumps = [], []
+        monkeypatch.setattr(dynamics, "repr", lambda v: reprs.append(v) or repr(v),
+                            raising=False)
+        monkeypatch.setattr(orjson, "dumps", lambda *a, _dumps=orjson.dumps, **kw:
+                            dumps.append(a[0].size) or _dumps(*a, **kw))
+        fast = io.StringIO()
+        write_trace_csv(OpinionTrace(states, True, 5, 0.0), fast)
+        monkeypatch.undo()
+        assert len(reprs) == len(flagged) and set(map(repr, reprs)) == set(map(repr, flagged))
+        assert dumps == [50] * 6
+        fast, oracle = both_writers(states)
+        assert fast == oracle
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(), st.sampled_from([1, 7, 2**16]))
@@ -1602,15 +1630,27 @@ def fixed_form_values():
 
 
 class TestShortestReprs:
-    """dynamics._reprs against repr where shortest-digit algorithms go wrong:
-    the ends of binades and decades, subnormals, the switch between fixed
-    and exponent form, and values that are not finite or are zero. They pin
-    orjson's digits, which _reprs takes in fixed form, to repr's."""
+    """The writer against csv.writer where shortest-digit algorithms go
+    wrong: the ends of binades and decades, subnormals, the switch between
+    fixed and exponent form, and values that are not finite or are zero.
+    They pin orjson's digits, which the writer takes in fixed form, to
+    repr's."""
 
     @staticmethod
     def check(values):
+        """Writes the fixed-form values in rows of their own, which orjson
+        writes whole, and the flagged ones in rows that alternate them with
+        fixed-form values, which the writer patches."""
+        width = 256  # flagged values a row
         values = np.asarray(values, dtype=np.float64)
-        assert dynamics._reprs(values) == [repr(v) for v in values.tolist()]
+        odd = dynamics._unlike_repr(values)
+        fixed, flagged = values[~odd], values[odd]
+        mixed = np.resize(np.append(fixed, 0.5), (-(-flagged.size // width), 2 * width))
+        mixed[:, ::2] = np.append(flagged, np.full(-flagged.size % width, np.nan)).reshape(
+            -1, width)
+        whole = np.append(fixed, np.full(-fixed.size % (2 * width), 0.5)).reshape(-1, 2 * width)
+        fast, oracle = both_writers(np.concatenate((whole, mixed)))
+        assert fast.split("\r\n") == oracle.split("\r\n")  # line by line: a short report
 
     def test_random_bit_patterns_of_both_signs(self):
         rng = np.random.default_rng(20)
@@ -1640,16 +1680,6 @@ class TestShortestReprs:
                           0xFFF0000000000001, 0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF])
         self.check([0.0, -0.0, np.inf, -np.inf, *nans.tolist(), 1.0, -0.0])
 
-    def test_empty(self):
-        # orjson writes an empty array as "[]", which would split into [""].
-        assert dynamics._reprs(np.array([])) == []
-
-    def test_strided_and_byte_swapped_arrays(self):
-        # orjson refuses the first and misreads the second (1.0 as 3.03865e-319).
-        values = np.array([1.0, -0.0, 0.1, 1e-5, 2.5e300, np.nan, -np.inf, 1e16])
-        for view in (values[::2], values[::-1], values.astype(">f8")):
-            assert dynamics._reprs(view) == [repr(v) for v in view.tolist()]
-
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.floats(), max_size=50))
     def test_any_floats(self, values):
@@ -1673,18 +1703,3 @@ class TestShortestReprs:
         values = np.array(values) * rng.choice([-1.0, 1.0], len(values))
         self.check(np.concatenate(
             (values, np.nextafter(values, 0.0), np.nextafter(values, np.inf))))
-
-    def test_temporaries_of_one_block(self):
-        # The writer formats at most one block's values in one call. What
-        # stays is the returned list and its strings; the rest is the text
-        # orjson writes, which peak_rss_mb pays for in every simulate.
-        values = fixed_form_values()[:dynamics._TRACE_BLOCK]
-        dynamics._reprs(values[:1])
-        tracemalloc.start()
-        try:
-            out = dynamics._reprs(values)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(out) == values.size
-        assert peak - kept < 2.5 * 2**20

@@ -4,7 +4,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfj import (
@@ -36,19 +36,24 @@ from sfj.verification import (
     _threshold,
 )
 
-from conftest import merge_when_agent_7_leads_agent_1
+from conftest import merge_when_agent_7_leads_agent_1, settle_nothing
 from oracles import reweighted
 
 
 def pairwise_group_rows(rows, thresh):
     """Reference grouping: test every pair, then take the transitive closure.
-    The pairs (i, j) go a few rows i at a time, about 2**18 gaps each."""
+    Identical rows are close unless thresh < 0, rows of infinities too, whose
+    differences are NaN. The pairs (i, j) go a few rows i at a time, about
+    2**18 gaps each."""
     k = rows.shape[0]
     graph = nx.Graph()
     graph.add_nodes_from(range(1, k + 1))
     step = max(1, 2**18 // rows.size)
     for a in range(0, k, step):
-        i, j = np.nonzero(np.abs(rows[a:a + step, None] - rows).max(axis=2) <= thresh)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.abs(rows[a:a + step, None] - rows).max(axis=2)
+        same = (rows[a:a + step, None] == rows).all(axis=2) & (thresh >= 0)
+        i, j = np.nonzero((gaps <= thresh) | same)
         i += a
         graph.add_edges_from(zip((i[i < j] + 1).tolist(), (j[i < j] + 1).tolist()))
     return tuple(sorted(map(frozenset, nx.connected_components(graph)), key=min))
@@ -211,6 +216,40 @@ class TestSortAndSweepGrouping:
         assert rows[1, 0] > rows[0, 0] + 0.7
         assert rows[1, 0] - rows[0, 0] <= 0.7
         assert _group_rows(rows, 0.7) == (frozenset({1, 2}),)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=30),
+           st.sampled_from(THRESHOLDS + (np.inf,)))
+    @example([1.7e308, -1.7e308, 0.0], np.inf)
+    @example([1.7e308, -1.7e308, 0.0], 0.7)
+    @example([np.inf, np.inf, -np.inf, np.nan, np.nan], 0.0)
+    @example([np.inf, np.inf, -np.inf, np.nan, np.nan], -0.1)
+    @example([-0.0, 0.0, 5e-324, -5e-324, 1e-8, 2e-8], 1e-8)
+    def test_one_column_equals_the_pairwise_closure(self, values, thresh):
+        # st.floats() draws NaN, infinities, both zeros, subnormals and
+        # values near the float maximum, whose differences overflow.
+        x = np.array(values)
+        assert _group_rows(x[:, None], thresh) == pairwise_group_rows(x[:, None], thresh)
+
+    def test_only_rows_of_two_or_more_columns_reach_the_boxes(self, monkeypatch):
+        calls = []
+
+        def recording(lo, hi, thresh):
+            calls.append(lo.shape)
+            return _box_components(lo, hi, thresh)
+
+        monkeypatch.setattr(verification, "_box_components", recording)
+        x = np.array([1.0, 0.0, 1.02, 5.0, 0.05, 0.0])
+        expected = (frozenset({1, 3}), frozenset({2, 5, 6}), frozenset({4}))
+        trace = OpinionTrace(states=x[None], converged=True, iterations=0, residual=0.0)
+        assert clusters_from_trace(trace, 0.02) == expected
+        v = np.zeros((6, 3))
+        v[:, 1] = x
+        assert clusters_from_influence(v, 0.02) == expected
+        assert _group_rows(x[:, None], 0.1) == expected
+        assert calls == []
+        assert _group_rows(np.column_stack((x, -x)), 0.1) == expected
+        assert calls == [(5, 1, 2)]
 
     def test_one_row_per_run_of_identical_rows_is_swept(self, monkeypatch):
         sizes = []
@@ -399,8 +438,9 @@ def box_sets(draw):
 
 
 class TestComponents:
-    """_box_components, the one routine behind both _group_rows and the box
-    verdict, against the pairwise oracles."""
+    """_box_components, the routine behind the box verdict and _group_rows
+    on two or more columns, against the pairwise oracles; one column,
+    which _group_rows cuts between sorted values, alongside."""
 
     def test_projection_chain(self):
         # Agents 2 and 3 are within 1 of each other in both columns, agent 1
@@ -433,8 +473,8 @@ class TestComponents:
 
     def test_long_one_column_chains(self):
         # Steps of 0.5 to 0.65 at thresh 0.6: 10,000 rows in long chains,
-        # each row within thresh of its neighbours only. At m = 1 the split
-        # settles every chain, so no pair is tested.
+        # each row within thresh of its neighbours only. Sorted, each chain
+        # is a run of values no cut splits, so no pair is tested.
         rng = np.random.default_rng(0)
         rows = np.cumsum(0.5 + rng.uniform(0.0, 0.15, 10_000))[rng.permutation(10_000), None]
         groups = _group_rows(rows, 0.6)
@@ -663,7 +703,7 @@ class TestRobustnessHarness:
         monkeypatch.setattr(
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
-        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
+        monkeypatch.setattr(verification, "_partition_holds", settle_nothing)
         report = robustness_harness(g2, trials=12, seed=3)
         assert report.passes == 7
         failure = report.first_failure
@@ -725,7 +765,7 @@ class TestHarnessMatchesTheLoop:
         monkeypatch.setattr(
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
-        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
+        monkeypatch.setattr(verification, "_partition_holds", settle_nothing)
         report = robustness_harness(g2, trials=12, seed=3)
         assert report.first_failure is not None
         assert report == loop_harness(g2, trials=12, seed=3)
@@ -746,7 +786,7 @@ class TestHarnessMatchesTheLoop:
         monkeypatch.setattr(
             verification, "clusters_from_influence", merge_when_agent_7_leads_agent_1
         )
-        monkeypatch.setattr(verification, "_partition_holds", lambda *args: False)
+        monkeypatch.setattr(verification, "_partition_holds", settle_nothing)
         monkeypatch.setattr(dynamics, "_TRACE_BLOCK", block_values(g2, per_block))
         report = robustness_harness(g2, trials=12, seed=3)
         assert report.first_failure.trial == 4
