@@ -1378,6 +1378,26 @@ class TestTraceWriterMatchesCsvWriter:
         assert fast == oracle
 
 
+def assert_block_peak_below_half_its_text(scale):
+    """Writes one block of _TRACE_BLOCK values drawn uniform in [-scale,
+    scale], 16 rows of 4096, to a sink that keeps only the lengths, bounds
+    tracemalloc's peak by eight rows of text and returns the block."""
+    n = 4096
+    states = np.random.default_rng(3).uniform(-scale, scale, (dynamics._TRACE_BLOCK // n, n))
+    row = len(",".join(map(repr, states[0].tolist())))
+    lines = []
+    sink = type("Sink", (), {"write": lambda self, text: lines.append(len(text))})()
+    tracemalloc.start()
+    try:
+        dynamics._write_rows(sink, 0, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 16
+    assert peak < 8 * row  # half the block's text
+    return states
+
+
 class TestStreamedRows:
     """_write_rows writes each row by itself, so a trace cut into blocks at
     any row gives the bytes of the whole trace."""
@@ -1449,25 +1469,8 @@ class TestStreamedRows:
         # One block of _TRACE_BLOCK values, 16 rows of 4096: its text is
         # about 1.3 MB, a row's about 80 KB. Nothing keeps what is written.
         # While orjson writes a row it holds 64 bytes a value, about three
-        # rows of text, beside the row before it. A tenth of the values in
-        # [-1e-3, 1e-3] lie below 1e-4, so every row of that block is
-        # patched, its text split into one string a value once orjson's is
-        # freed.
-        n = 4096
-        for scale in (1.0, 1e-3):
-            states = np.random.default_rng(3).uniform(-scale, scale,
-                                                       (dynamics._TRACE_BLOCK // n, n))
-            row = len(",".join(map(repr, states[0].tolist())))
-            lines = []
-            sink = type("Sink", (), {"write": lambda self, text: lines.append(len(text))})()
-            tracemalloc.start()
-            try:
-                dynamics._write_rows(sink, 0, states)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert len(lines) == 16
-            assert peak < 8 * row, scale  # half the block's text
+        # rows of text, beside the row before it.
+        assert_block_peak_below_half_its_text(1.0)
 
     def test_a_patched_row_takes_repr_at_its_flagged_values_alone(self, monkeypatch):
         # Six flagged values over four of six rows: six calls to repr and one
@@ -1703,3 +1706,11 @@ class TestShortestReprs:
         values = np.array(values) * rng.choice([-1.0, 1.0], len(values))
         self.check(np.concatenate(
             (values, np.nextafter(values, 0.0), np.nextafter(values, np.inf))))
+
+    def test_temporaries_of_one_block(self):
+        # A tenth of the values in [-1e-3, 1e-3] lie below 1e-4, so every row
+        # of the block is patched, its text split into one string a value
+        # once orjson's is freed. Its peak is held to the bound of a block of
+        # fixed-form rows.
+        states = assert_block_peak_below_half_its_text(1e-3)
+        assert dynamics._unlike_repr(states).any(axis=1).all()
