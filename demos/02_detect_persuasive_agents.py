@@ -20,7 +20,7 @@ g1 = networks.g1()
 tree = build_dominator_tree(g1)
 print("immediate dominators (0 = virtual root):")
 for node in range(1, g1.n + 1):
-    print(f"  agent {node}: idom = {tree.idom[node]}")
+    print(f"  agent {node}: idom = {tree[node]}")
 
 cert = analyze(g1)
 print("\npersuasive agents:", cert.ltp_agents)

@@ -30,7 +30,6 @@ from .graph import (
 )
 from .ltp import (
     ClusterPrediction,
-    DominatorTree,
     LTPCertificate,
     Violation,
     analyze,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterPrediction",
     "ConditionsNotMet",
-    "DominatorTree",
     "Edge",
     "GraphFormatError",
     "GraphValidationError",

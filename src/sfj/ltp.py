@@ -25,19 +25,6 @@ from .graph import SignedDigraph, _csr, _postorder
 VIRTUAL_ROOT = 0  # agents are 1..n, so 0 is free for the synthetic root
 
 
-@dataclass(frozen=True)
-class DominatorTree:
-    """Immediate dominators over the stubborn-rooted search graph.
-
-    idom maps each reachable agent to its immediate dominator (VIRTUAL_ROOT
-    for agents no single other agent can cut off). Its keys run in reverse
-    postorder, so every agent comes after all of its dominators.
-    """
-
-    virtual_root: int
-    idom: Mapping[int, int]
-
-
 class Violation(NamedTuple):
     node: int
     reason: str
@@ -52,7 +39,6 @@ class LTPCertificate:
     Both are None until check_conditions has run.
     """
 
-    n: int
     stubborn: frozenset[int]
     ltp_agents: tuple[int, ...]
     persuaded: Mapping[int, frozenset[int]]
@@ -75,12 +61,15 @@ class ClusterPrediction:
     flagged_singletons: frozenset[int]
 
 
-def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
-    """Dominators of the unsigned digraph rooted at a virtual super-source.
+def build_dominator_tree(g: SignedDigraph) -> dict[int, int]:
+    """Immediate dominators of the unsigned digraph rooted at a virtual super-source.
 
     The virtual root gets an edge to every stubborn agent, so a node p
     dominates q exactly when every path from every stubborn agent to q
-    traverses p. Computed by Cooper, Harvey & Kennedy, "A Simple, Fast
+    traverses p. Returns idom: each agent mapped to its immediate dominator,
+    VIRTUAL_ROOT for agents that no single other agent can cut off. Its keys
+    run in reverse postorder, so every agent comes after all of its
+    dominators. Computed by Cooper, Harvey & Kennedy, "A Simple, Fast
     Dominance Algorithm" (2001), on nodes renumbered in DFS postorder, where
     a dominator has the larger number. Each idom starts at the node's
     highest-numbered predecessor (numbered above it, as its DFS parent is);
@@ -139,28 +128,29 @@ def build_dominator_tree(g: SignedDigraph) -> DominatorTree:
                 changed = True
 
     rpo = range(root - 1, -1, -1)  # every node but the root, reverse postorder
-    return DominatorTree(VIRTUAL_ROOT, {post[v]: post[idom[v]] for v in rpo})
+    return {post[v]: post[idom[v]] for v in rpo}
 
 
-def detect_ltp_agents(g: SignedDigraph, tree: DominatorTree) -> LTPCertificate:
+def detect_ltp_agents(g: SignedDigraph, idom: Mapping[int, int]) -> LTPCertificate:
     """Read the persuasive agents and their persuaded sets off the dominator tree.
 
-    p qualifies iff no single agent dominates it (idom(p) is the virtual
-    root; automatic for stubborn agents) and it strictly dominates at least
-    one agent. Its persuaded set is exactly its dominator subtree, gathered in
+    idom is build_dominator_tree's mapping, keys in reverse postorder. p
+    qualifies iff no single agent dominates it (idom[p] is VIRTUAL_ROOT;
+    automatic for stubborn agents) and it strictly dominates at least one
+    agent. Its persuaded set is exactly its dominator subtree, gathered in
     one pass: top[v] is the ancestor of v just below the root.
     """
     top = [0] * (g.n + 1)
     members: dict[int, list[int]] = {}
-    for v, d in tree.idom.items():  # reverse postorder: d precedes v
-        if d == tree.virtual_root:
+    for v, d in idom.items():  # reverse postorder: d precedes v
+        if d == VIRTUAL_ROOT:
             top[v] = v
             members[v] = []
         else:
             top[v] = t = top[d]
             members[t].append(v)
     ltp = tuple(sorted(p for p, below in members.items() if below))
-    return LTPCertificate(n=g.n, stubborn=frozenset(g.stubborn), ltp_agents=ltp,
+    return LTPCertificate(stubborn=frozenset(g.stubborn), ltp_agents=ltp,
                           persuaded={p: frozenset(members[p]) for p in ltp})
 
 
@@ -197,8 +187,7 @@ def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:
 
 def analyze(g: SignedDigraph) -> LTPCertificate:
     """Detect persuasive agents and evaluate C1/C2 in one call."""
-    tree = build_dominator_tree(g)
-    return check_conditions(g, detect_ltp_agents(g, tree))
+    return check_conditions(g, detect_ltp_agents(g, build_dominator_tree(g)))
 
 
 def predict_clusters(cert: LTPCertificate, mode: str = "strict") -> ClusterPrediction:

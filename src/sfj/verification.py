@@ -53,10 +53,13 @@ class RobustnessReport:
         return self.passes == self.trials
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _box_components(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     """Components of boxes lo, hi (k, T, m), boxes a and b of trial t being
     close when max(lo[b] - hi[a], lo[a] - hi[b]) <= thresh[t] in every
-    column: the flat index a * T + t of box (a, t)'s component's root.
+    column: the flat index a * T + t of box (a, t)'s component's root. A gap
+    past the float range is inf; one between like infinities is NaN, which
+    is never close and never cuts.
 
     Sorted by lo in one column, a group splits wherever the next lo exceeds
     the running maximum of hi by over thresh (rounded subtraction is
@@ -127,8 +130,7 @@ def _group_rows(rows: np.ndarray, thresh: float) -> tuple[frozenset[int], ...]:
         label = np.cumsum(first) - 1
     else:
         distinct = ordered[first][:, None]
-        with np.errstate(over="ignore"):  # a difference past the float range: inf, a cut
-            components = _box_components(distinct, distinct, np.array([thresh]))
+        components = _box_components(distinct, distinct, np.array([thresh]))
         label = components[np.cumsum(first) - 1, 0]
     root = np.empty(rows.shape[0], dtype=np.int64)
     root[order] = label

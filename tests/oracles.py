@@ -17,7 +17,6 @@ import numpy as np
 
 from sfj import (
     ConditionsNotMet,
-    DominatorTree,
     Edge,
     GraphFormatError,
     GraphValidationError,
@@ -233,7 +232,7 @@ def _grouped(keys: np.ndarray, vals: np.ndarray, n: int) -> list[list[int]]:
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def reference_dominator_tree(g: SignedDigraph) -> DominatorTree:
+def reference_dominator_tree(g: SignedDigraph) -> dict[int, int]:
     """build_dominator_tree by Cooper, Harvey & Kennedy on agent ids: iterator
     DFS, reverse-postorder lookups in every ancestor walk, and every agent in
     every sweep. Same idom dict, key order included, and same exceptions."""
@@ -292,7 +291,7 @@ def reference_dominator_tree(g: SignedDigraph) -> DominatorTree:
             if idom[v] != new:
                 idom[v] = new
                 changed = True
-    return DominatorTree(virtual_root=0, idom={v: idom[v] for v in rpo[1:]})
+    return {v: idom[v] for v in rpo[1:]}
 
 
 def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
@@ -347,7 +346,6 @@ def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
             ltp.append(p)
             persuaded[p] = members
     return LTPCertificate(
-        n=g.n,
         stubborn=stubborn,
         ltp_agents=tuple(sorted(ltp)),
         persuaded=persuaded,

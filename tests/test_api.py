@@ -10,9 +10,11 @@ from oracles import build_steady_state
 # cluster_report were deleted outright (np.abs, and clusters_from_influence
 # with cluster_spread), as were check_reachability and its
 # ReachabilityReport (build_dominator_tree and the influence solve's gate
-# each raise UnreachableNodes).
+# each raise UnreachableNodes). DominatorTree was deleted too:
+# build_dominator_tree returns its idom dict.
 NOT_EXPORTED = (
     "ClusterReport",
+    "DominatorTree",
     "HypothesisViolated",
     "ReachabilityReport",
     "ReducedRowRelation",

@@ -207,6 +207,12 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert "must be an integer" in err and out == ""
 
+    def test_top_level_array_exits_parse(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert run(capsys, "analyze", str(path)) == (
+            EXIT_PARSE, "", "sfj: error: expected a JSON object, got list\n")
+
     def test_deeply_nested_json_exits_parse(self, capsys, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100_000)

@@ -295,6 +295,10 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="stubbornness"):
             SignedDigraph(1, (), (1.5,), (0.0,))
 
+    def test_no_agents_rejected(self):
+        with pytest.raises(GraphValidationError, match="^need at least one agent, got n=0$"):
+            SignedDigraph(0, (), (), ())
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(GraphValidationError, match="length"):
             SignedDigraph(2, (), (0.5,), (0.0, 0.0))
@@ -460,6 +464,8 @@ class TestJsonIO:
     @given(graph_dicts())
     @example({"n": 1, "agents": [{"id": 1, "beta": 0.5, "x0": 0.0}],
               "edges": [{"from": 10**400, "to": 1, "w": 0.0}]})
+    @example([])  # not an object
+    @example({"n": 1, "agents": {"1": {"beta": 0.5, "x0": 0.0}}, "edges": []})
     def test_matches_the_per_entry_loader(self, data):
         try:
             expected = loop_graph_from_dict(data)

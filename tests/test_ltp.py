@@ -39,27 +39,27 @@ def make(n, edges, stubborn, x0=None):
 class TestDominatorTree:
     def test_chain_domination(self):
         g = make(3, [Edge(1, 2, 1.0), Edge(2, 3, 1.0)], stubborn=(1,))
-        tree = build_dominator_tree(g)
-        assert tree.idom[2] == 1
-        assert tree.idom[3] == 2
+        idom = build_dominator_tree(g)
+        assert idom[2] == 1
+        assert idom[3] == 2
 
     def test_two_disjoint_paths_leave_no_dominator(self):
         g = make(3, [Edge(1, 3, 1.0), Edge(2, 3, 1.0)], stubborn=(1, 2))
-        tree = build_dominator_tree(g)
-        assert tree.idom[3] == VIRTUAL_ROOT
+        idom = build_dominator_tree(g)
+        assert idom[3] == VIRTUAL_ROOT
 
     def test_stubborn_agents_hang_off_the_root(self):
         g = make(3, [Edge(1, 2, 1.0), Edge(2, 3, 1.0)], stubborn=(1, 3))
-        tree = build_dominator_tree(g)
-        assert tree.idom[1] == VIRTUAL_ROOT
-        assert tree.idom[3] == VIRTUAL_ROOT
+        idom = build_dominator_tree(g)
+        assert idom[1] == VIRTUAL_ROOT
+        assert idom[3] == VIRTUAL_ROOT
 
     def test_g1_immediate_dominators(self, g1):
-        tree = build_dominator_tree(g1)
-        assert tree.idom[3] == 2
-        assert tree.idom[4] == 3
-        assert tree.idom[5] == VIRTUAL_ROOT
-        assert tree.idom[6] == 5
+        idom = build_dominator_tree(g1)
+        assert idom[3] == 2
+        assert idom[4] == 3
+        assert idom[5] == VIRTUAL_ROOT
+        assert idom[6] == 5
 
     def test_unreachable_nodes_rejected(self):
         g = make(4, [Edge(1, 2, 1.0), Edge(3, 4, 1.0)], stubborn=(1,))
@@ -86,15 +86,15 @@ class TestDominatorOracle:
     @pytest.mark.parametrize("n", [1000, 5000, 20_000])
     def test_generated_networks_match_networkx(self, n):
         g = random_multiconsensus_graph(n, n // 20, seed=n)
-        assert dict(build_dominator_tree(g).idom) == self.networkx_idom(g)
+        assert build_dominator_tree(g) == self.networkx_idom(g)
 
     def test_sparse_cyclic_network_matches_networkx(self):
         g = random_reachable_graph(
             np.random.default_rng(7), n=1000, density=0.002, m=4
         )
-        tree = build_dominator_tree(g)
-        assert dict(tree.idom) == self.networkx_idom(g)
-        assert any(d != VIRTUAL_ROOT for d in tree.idom.values())
+        idom = build_dominator_tree(g)
+        assert idom == self.networkx_idom(g)
+        assert any(d != VIRTUAL_ROOT for d in idom.values())
 
     def test_irreducible_loop_entered_from_two_stubborn_agents(self):
         # Cycle 3 -> 4 -> 5 -> 3, entered at 3 from stubborn 1 and at 5 from
@@ -107,12 +107,12 @@ class TestDominatorOracle:
             Edge(4, 5, 1.0), Edge(5, 3, 1.0), Edge(4, 6, 1.0),
         ]
         g = make(6, edges, stubborn=(1, 2))
-        tree = build_dominator_tree(g)
-        assert dict(tree.idom) == {
+        idom = build_dominator_tree(g)
+        assert idom == {
             1: VIRTUAL_ROOT, 2: VIRTUAL_ROOT, 3: VIRTUAL_ROOT,
             4: 3, 5: VIRTUAL_ROOT, 6: 4,
         }
-        cert = detect_ltp_agents(g, tree)
+        cert = detect_ltp_agents(g, idom)
         assert cert.ltp_agents == (3,)
         assert cert.persuaded[3] == {4, 6}
         assert same_detection(cert, brute_force_ltp_oracle(g))
@@ -126,7 +126,7 @@ class TestDominatorOracle:
                  Edge(4, 5, 1.0), Edge(5, 2, 1.0)]
         g = make(5, edges, stubborn=(1,))
         assert_matches_reference(g)
-        assert dict(build_dominator_tree(g).idom) == self.networkx_idom(g) == {
+        assert build_dominator_tree(g) == self.networkx_idom(g) == {
             1: VIRTUAL_ROOT, 2: 1, 3: 2, 4: 1, 5: 4}
 
     @pytest.mark.parametrize("edges, idom", [
@@ -141,17 +141,17 @@ class TestDominatorOracle:
     def test_highest_predecessor_off_the_dfs_parent(self, edges, idom):
         g = make(max(map(max, edges)), [Edge(s, d, 1.0) for s, d in edges], stubborn=(1,))
         assert_matches_reference(g)
-        assert dict(build_dominator_tree(g).idom) == self.networkx_idom(g) == idom
+        assert build_dominator_tree(g) == self.networkx_idom(g) == idom
 
     def test_long_chain_neither_recurses_nor_goes_quadratic(self):
         # A set-based fixed point would hold n^2 / 2 = 2e8 dominator entries
         # here, and a recursive DFS would exceed Python's recursion limit.
         n = 20_000
         g = make(n, [Edge(i, i + 1, 1.0) for i in range(1, n)], stubborn=(1,))
-        tree = build_dominator_tree(g)
-        assert tree.idom[1] == VIRTUAL_ROOT
-        assert all(tree.idom[v] == v - 1 for v in range(2, n + 1))
-        cert = detect_ltp_agents(g, tree)
+        idom = build_dominator_tree(g)
+        assert idom[1] == VIRTUAL_ROOT
+        assert all(idom[v] == v - 1 for v in range(2, n + 1))
+        cert = detect_ltp_agents(g, idom)
         assert cert.ltp_agents == (1,)
         assert cert.persuaded[1] == frozenset(range(2, n + 1))
 
@@ -159,17 +159,17 @@ class TestDominatorOracle:
 def tree_or_error(build, g):
     """build(g)'s idom items in key order, or the type and nodes of its error."""
     try:
-        return list(build(g).idom.items())
+        return list(build(g).items())
     except (NoStubbornAgents, UnreachableNodes) as exc:
         return type(exc), getattr(exc, "nodes", None)
 
 
 def assert_matches_reference(g):
-    tree = build_dominator_tree(g)
-    assert list(tree.idom.items()) == list(reference_dominator_tree(g).idom.items())
-    position = {v: k for k, v in enumerate(tree.idom)}
+    idom = build_dominator_tree(g)
+    assert list(idom.items()) == list(reference_dominator_tree(g).items())
+    position = {v: k for k, v in enumerate(idom)}
     position[VIRTUAL_ROOT] = -1
-    assert all(position[d] < position[v] for v, d in tree.idom.items())
+    assert all(position[d] < position[v] for v, d in idom.items())
 
 
 def with_self_loops(g, agents):
@@ -231,7 +231,7 @@ class TestDominatorReference:
     def test_all_stubborn_network_hangs_off_the_root(self):
         g = random_reachable_graph(np.random.default_rng(5), n=30, density=0.2, m=30)
         assert_matches_reference(g)
-        assert set(build_dominator_tree(g).idom.values()) == {VIRTUAL_ROOT}
+        assert set(build_dominator_tree(g).values()) == {VIRTUAL_ROOT}
 
     def test_long_chain_matches_the_reference(self):
         n = 5000
@@ -438,6 +438,10 @@ class TestPrediction:
         cert = detect_ltp_agents(g2, build_dominator_tree(g2))
         with pytest.raises(ValueError, match="condition flags"):
             predict_clusters(cert)
+
+    def test_unknown_mode_rejected(self, g2):
+        with pytest.raises(ValueError, match="^mode must be 'strict' or 'relaxed', got 'loose'$"):
+            predict_clusters(analyze(g2), mode="loose")
 
 
 class TestSerialization:

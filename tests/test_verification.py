@@ -231,6 +231,20 @@ class TestSortAndSweepGrouping:
         x = np.array(values)
         assert _group_rows(x[:, None], thresh) == pairwise_group_rows(x[:, None], thresh)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda m: st.lists(
+               st.lists(st.floats(), min_size=m, max_size=m), min_size=1, max_size=20)),
+           st.sampled_from(THRESHOLDS + (np.inf,)))
+    @example([[np.inf, 0.0], [np.inf, 1.0]], 0.5)
+    @example([[-np.inf, 0.0, 1.0], [-np.inf, 0.0, 1.0], [-np.inf, 0.5, 1.0]], np.inf)
+    @example([[1.7e308, 0.0], [-1.7e308, 0.0], [0.0, 5e-324]], np.inf)
+    @example([[np.nan, 0.0], [np.nan, 0.0], [np.inf, np.nan]], 0.7)
+    def test_boxes_equal_the_pairwise_closure_on_any_floats(self, values, thresh):
+        # Rows of two or more columns go to _box_components as boxes; a
+        # shared infinity makes a NaN gap there, and NaN is never close.
+        rows = np.array(values)
+        assert _group_rows(rows, thresh) == pairwise_group_rows(rows, thresh)
+
     def test_only_rows_of_two_or_more_columns_reach_the_boxes(self, monkeypatch):
         calls = []
 
