@@ -34,12 +34,13 @@ for cluster in clusters_from_trace(trace):
 # The influence matrix maps initial to final opinions: x* = V x(0). Agents
 # whose rows of V are equal end with equal opinions for EVERY initial
 # condition, which is the stronger, initial-condition-free notion.
+# Only stubborn agents' columns of V are nonzero: the limit forgets everyone
+# else, so influence_matrix returns those columns alone, one per stubborn agent.
 V = influence_matrix(g)
+stubborn = np.array(g.stubborn) - 1
 print("\ninfluence-matrix clusters:", [sorted(c) for c in clusters_from_influence(V)])
-print("limit check |x_final - V x0| =", np.max(np.abs(trace.final - V @ np.array(g.x0))))
-
-# Only stubborn agents' columns are nonzero: the limit forgets everyone else.
-print("nonzero columns of V:", [int(j) + 1 for j in np.flatnonzero(np.abs(V).sum(axis=0))])
+print("limit check |x_final - V x0| =", np.max(np.abs(trace.final - V @ g.x0[stubborn])))
+print("columns of V, by stubborn agent:", list(g.stubborn))
 
 with open("g2_trace.csv", "w", newline="") as fh:
     write_trace_csv(trace, fh)

@@ -29,17 +29,17 @@ print((1.0 - norm.beta) * (1.0 - np.bincount(norm.rows, norm.vals, g.n)))
 
 def gaps(V):
     """For each persuaded agent q: max |V[q] - V[p]| over the stubborn columns."""
-    return {q: float(np.abs(V[q - 1, stubborn] - V[p - 1, stubborn]).max())
+    return {q: float(np.abs(V[q - 1] - V[p - 1]).max())
             for p in cert.ltp_agents for q in sorted(cert.persuaded[p])}
 
 
 V = influence_matrix(g)
 gap = gaps(V)
-print(f"\nV's nonzero columns are the stubborn agents {list(g.stubborn)}")
+print(f"\nV's columns, the only nonzero ones, are the stubborn agents {list(g.stubborn)}")
 for p in cert.ltp_agents:
-    print(f"\npersuader {p}: row {V[p - 1, stubborn]}")
+    print(f"\npersuader {p}: row {V[p - 1]}")
     for q in sorted(cert.persuaded[p]):
-        print(f"  persuaded {q}: row {V[q - 1, stubborn]}, "
+        print(f"  persuaded {q}: row {V[q - 1]}, "
               f"largest gap {gap[q]:.1e}")
 assert max(gap.values()) <= 1e-10
 

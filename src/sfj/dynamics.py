@@ -3,8 +3,9 @@
 The update is x(k+1) = (I - B) W x(k) + B x(0) with B = diag(beta). Under
 stubborn-reachability the update matrix has spectral radius below one, the
 iteration contracts, and the final opinions are x* = V x(0) with
-V = (I - (I - B) W)^{-1} B. Everything here works in 0-based matrix indices;
-agent i sits at row i-1.
+V = (I - (I - B) W)^{-1} B. V is zero outside the stubborn agents' columns,
+so influence_matrix returns those m columns alone, n x m. Everything here
+works in 0-based matrix indices; agent i sits at row i-1.
 """
 
 from __future__ import annotations
@@ -176,7 +177,10 @@ def simulate(
 
 
 def influence_matrix(g: SignedDigraph) -> np.ndarray:
-    """Map from initial to final opinions: V = (I - (I-B)W)^{-1} B.
+    """Map from initial to final opinions, V = (I - (I-B)W)^{-1} B, as its
+    stubborn columns, the only nonzero ones: an (n, m) float array whose
+    column j belongs to agent g.stubborn[j], so the limit is
+    V @ g.x0[g.beta > 0].
 
     The limit, and with it the solve, exists when the update matrix
     M = (I-B)W has spectral radius below one. _unanchored certifies that in
@@ -193,10 +197,6 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
     closed class heard only from agent 1, whose exact rows of V are 1.0 at
     agent 1's column, read 3.636 at beta_1 = 2**-53, 1.0031 at 2**-50,
     1.00014 at 2**-40 and 1 + 2.9e-12 at 2**-20.
-
-    Columns of non-stubborn agents are exactly zero, so _level_solve yields
-    the m stubborn columns alone, level by level, and they are scattered
-    into the n x n result.
     """
     if g.m == 0:
         raise NoStubbornAgents("network has no stubborn agent")
@@ -205,9 +205,7 @@ def influence_matrix(g: SignedDigraph) -> np.ndarray:
         raise UnreachableNodes(unreached)
     sysm, stubborn = normalize(g), np.array(g.stubborn) - 1
     plan = _level_plan(sysm, stubborn)
-    V = np.zeros((g.n, g.n))
-    V[:, stubborn] = _level_solve(plan, sysm)[plan.slot_of]
-    return V
+    return _level_solve(plan, sysm)[plan.slot_of]
 
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -155,15 +155,11 @@ def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int]
 
     tau is relative to the largest entry magnitude of V. Closeness is not
     transitive, so borderline rows can chain into one group; cluster_spread
-    exposes the resulting diameters. Only V's nonzero columns are compared:
-    the rest are zero in every row and add nothing to any distance. The
-    groups are _group_rows's: one column is cut between sorted values, more
-    go to _box_components.
+    exposes the resulting diameters. The groups are _group_rows's: one
+    column is cut between sorted values, more go to _box_components.
     """
     V = np.asarray(V, dtype=float)
-    nonzero = np.flatnonzero(V.any(axis=0))
-    rows = V[:, nonzero] if nonzero.size else V[:, :1]  # all zero: keep one
-    return _group_rows(rows, _threshold(V, tau))
+    return _group_rows(V, _threshold(V, tau))
 
 
 def clusters_from_trace(

@@ -57,12 +57,11 @@ def random_reachable_graph(rng, n_max=10, n=None, density=None, m=None):
 def merge_when_agent_7_leads_agent_1(V, tau=DEFAULT_TAU):
     """Clusters of V, merged into one whenever agent 7's weight in agent 1's
     limit exceeds 0.3: a failure that depends on the trial's draw alone.
-    On g2, stubborn {7, 10}, agent 7's column is V's first nonzero one, both
-    in the n x n matrix and in its n x m stubborn block. With seed 3 the
-    merge happens first at trial 4 (0.343; trial 3 reads 0.256)."""
+    On g2, stubborn {7, 10}, agent 7's column is the first of V's n x m
+    stubborn block. With seed 3 the merge happens first at trial 4 (0.343;
+    trial 3 reads 0.256)."""
     clusters = clusters_from_influence(V, tau)
-    agent_7 = np.flatnonzero(np.any(V, axis=0))[0]
-    return (frozenset().union(*clusters),) if V[0, agent_7] > 0.3 else clusters
+    return (frozenset().union(*clusters),) if V[0, 0] > 0.3 else clusters
 
 
 def settle_nothing(lo, hi, thresh):

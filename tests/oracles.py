@@ -828,7 +828,8 @@ def dense_influence_solve(A: np.ndarray, beta: np.ndarray, stubborn: np.ndarray)
 
 
 def dense_influence(g: SignedDigraph) -> np.ndarray:
-    """influence_matrix(g) by dense_influence_solve on normalize(g), ungated."""
+    """V in full, n x n, by dense_influence_solve on normalize(g), ungated:
+    influence_matrix(g) is its stubborn columns, and the rest are zero."""
     sysm = normalize(g)
     stubborn = np.array(g.stubborn, dtype=int) - 1
     V = np.zeros((g.n, g.n))

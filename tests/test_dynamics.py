@@ -115,8 +115,9 @@ class TestSimulate:
             x0=[4.0, -1.0, 7.0],
         )
         v = influence_matrix(g)
-        assert np.allclose(v[1], [1.0, 0.0, 0.0])
-        assert np.allclose(v[2], [1.0, 0.0, 0.0])
+        assert v.shape == (3, 1)
+        assert np.allclose(v[1], [1.0])
+        assert np.allclose(v[2], [1.0])
         trace = simulate(g)
         assert np.allclose(trace.final, [4.0, 4.0, 4.0], atol=1e-9)
 
@@ -129,7 +130,7 @@ class TestSimulate:
         for g in (g1, g2):
             tol = 1e-10
             trace = simulate(g, tol=tol)
-            limit = influence_matrix(g) @ np.array(g.x0)
+            limit = influence_matrix(g) @ g.x0[g.beta > 0]
             assert np.max(np.abs(trace.final - limit)) <= 10 * tol
 
     def test_nonconvergent_oscillator_raises_with_partial_trace(self):
@@ -176,7 +177,7 @@ class TestSimulate:
         g = random_multiconsensus_graph(n, n // 20, seed=n)
         tol = 1e-10
         trace = simulate(g, tol=tol)
-        limit = influence_matrix(g) @ np.array(g.x0)
+        limit = influence_matrix(g) @ g.x0[g.beta > 0]
         assert trace.converged
         assert np.max(np.abs(trace.final - limit)) <= 10 * tol
 
@@ -283,7 +284,7 @@ class TestEdgeArrayUpdate:
         trace = simulate(g, tol=tol)
         kappa = dense_contraction_certificate(g)
         assert trace.residual * kappa <= tol * (1 + 1e-12)
-        limit = influence_matrix(g) @ np.array(g.x0)
+        limit = influence_matrix(g) @ g.x0[g.beta > 0]
         rounding = 2 * g.n * kappa * np.finfo(float).eps * np.abs(g.x0).max()
         assert np.abs(trace.final - limit).max() <= tol + rounding
 
@@ -471,10 +472,29 @@ class TestInfluenceMatrix:
         assert np.allclose(influence_matrix(g), np.eye(3))
 
     def test_non_stubborn_columns_vanish(self, g2):
-        v = influence_matrix(g2)
-        for j in range(g2.n):
-            if g2.beta[j] == 0.0:
-                assert np.allclose(v[:, j], 0.0)
+        # So the solve returns the stubborn columns alone, in g.stubborn order.
+        v, dense = influence_matrix(g2), dense_influence(g2)
+        stubborn = np.array(g2.stubborn) - 1
+        assert v.shape == (g2.n, g2.m)
+        assert not np.delete(dense, stubborn, axis=1).any()
+        assert np.abs(v - dense[:, stubborn]).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_stubborn_columns_alone_fit_in_the_plans_footprint(self):
+        # n x n, V would take 128 MB here; its m = 189 stubborn columns,
+        # gathered into agent order, take 6 MB.
+        g = random_multiconsensus_graph(4000, 500, seed=1)
+        stubborn = np.array(g.stubborn) - 1
+        plan = _level_plan(normalize(g), stubborn)
+        tracemalloc.start()
+        try:
+            V = influence_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * plan.footprint
+        assert V.shape == (g.n, g.m)
+        dense = dense_influence(g)[:, stubborn]
+        assert np.abs(V - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_row_sums_are_one_when_fully_cooperative(self):
         rng = np.random.default_rng(43)
@@ -554,10 +574,10 @@ class TestInfluenceMatrix:
         g = random_multiconsensus_graph(n, n // 20, seed=n)
         sysm = normalize(g)
         v = influence_matrix(g)
-        residual = (np.eye(n) - update_matrix(sysm)) @ v - np.diag(sysm.beta)
+        assert v.shape == (n, g.m)
+        stubborn = np.array(g.stubborn) - 1
+        residual = (np.eye(n) - update_matrix(sysm)) @ v - np.diag(sysm.beta)[:, stubborn]
         assert np.max(np.abs(residual)) <= 1e-10
-        open_minded = [i for i in range(n) if g.beta[i] == 0.0]
-        assert not v[:, open_minded].any()
 
 
 @st.composite
@@ -633,9 +653,8 @@ LEVEL_SOLVE_CASES = {
 
 
 def assert_matches_dense(g):
-    V, dense = influence_matrix(g), dense_influence(g)
+    V, dense = influence_matrix(g), dense_influence(g)[:, np.array(g.stubborn) - 1]
     assert np.abs(V - dense).max() <= 1e-12 * np.abs(dense).max()
-    assert not V[:, np.array(g.beta) == 0.0].any()
 
 
 class TestLevelSolve:
@@ -768,8 +787,7 @@ class TestLevelSolve:
         linalg = pytest.importorskip("scipy.sparse.linalg")
         g = random_multiconsensus_graph(20_000, 1_000, seed=20_000)
         sysm, stubborn = normalize(g), np.array(g.stubborn) - 1
-        plan = _level_plan(sysm, stubborn)
-        V = _level_solve(plan, sysm)[plan.slot_of]
+        V = influence_matrix(g)
         rows, cols, vals = sysm.update_entries()
         A = sparse.identity(g.n, format="csc") - sparse.csc_matrix(
             (vals, (rows, cols)), shape=(g.n, g.n))
@@ -806,17 +824,18 @@ class TestNeumannSeries:
         rng = np.random.default_rng(48)
         for _ in range(25):
             g = random_reachable_graph(rng)
-            v = influence_matrix(g)
+            v, stubborn = influence_matrix(g), np.array(g.stubborn) - 1
             for depth in (1, 4, 9):
-                gap = np.abs(v - neumann_influence(g, depth))
-                assert np.all(gap <= neumann_tail_bound(g, depth) + 1e-11)
+                gap = np.abs(v - neumann_influence(g, depth)[:, stubborn])
+                assert np.all(gap <= neumann_tail_bound(g, depth)[:, stubborn] + 1e-11)
 
     def test_agrees_with_direct_solve_at_derived_depth(self):
         rng = np.random.default_rng(47)
         for _ in range(50):
             g = random_reachable_graph(rng)
             depth = neumann_terms_for(g, 1e-8)
-            diff = np.abs(influence_matrix(g) - neumann_influence(g, depth))
+            stubborn = np.array(g.stubborn) - 1
+            diff = np.abs(influence_matrix(g) - neumann_influence(g, depth)[:, stubborn])
             assert np.max(diff) <= 1e-8
 
 
@@ -875,7 +894,7 @@ class TestSteadyStateSystem:
         sysm = normalize(g)
         rows = np.array(g.stubborn) - 1
         x0 = np.array(g.x0)[rows]
-        V = np.ascontiguousarray(influence_matrix(g)[:, rows])
+        V = influence_matrix(g)
         y = np.concatenate([V @ x0, x0])
         dense = dense_influence_solve(dense_system(sysm), sysm.beta, rows) @ x0
         steady = build_steady_state(g)

@@ -4,10 +4,14 @@ Each ordered pair of distinct agents is absent, +1 or -1, and the stubborn
 set is any nonempty set of agents: 3**6 * 7 = 5,103 networks at n = 3 and
 3**12 * 15 = 7,971,615 at n = 4. Each takes one seeded draw of rational
 weight magnitudes in [1/97, 97] and stubbornness levels in (0, 1]. Wherever
-analyze reports C1 and C2, each predicted cluster's rows of V are exactly
-equal in rationals, and rows of different clusters differ. Wherever
-influence_matrix accepts the network, C1 and C2 or not, its float clusters
-equal the exact partition of V's rows computed from the same float inputs.
+influence_matrix accepts the network, C1 and C2 or not:
+- each persuasive agent p whose persuaded set N_p has only positive
+  in-edges forms its cluster: the rows of V at {p} | N_p are exactly equal
+  in rationals. Every in-neighbour of N_p is p or in N_p, so those rows
+  solve a subsystem of their own, which x = x_p satisfies;
+- where analyze reports C1 and C2, rows of different clusters differ;
+- its float clusters equal the exact partition of V's rows computed from
+  the same float inputs.
 
 The tests run every network at n = 3. A CI step runs a seeded sample at
 n = 4 through exact_claim(4, sampled_networks(4, count, rng), rng).
@@ -84,9 +88,12 @@ def exact_claim(n, networks, rng):
 
     Returns the counts: "networks"; "refused" for reachability; "both", the
     networks that meet C1 and C2; "float", the float clusterings checked;
-    and the C2 census, an observation the claim does not make: "c1_only",
-    the networks where C1 holds and C2 fails, and "c1_only_exact", those of
-    them whose would-be clusters {p} | N_p all had exactly equal rows."""
+    and per cluster {p} | N_p of an accepted network, "cooperative", those
+    whose N_p has only positive in-edges, each exact, of them
+    "cooperative_without_c1" and "cooperative_without_c2" those in a network
+    where C1 fails or C2 fails elsewhere; "other", the clusters with a
+    negative in-edge into N_p, and "other_exact", an observation the claim
+    does not make: those of them whose rows were exactly equal anyway."""
     pairs, networks = ordered_pairs(n), list(networks)
     weights = rng.integers(1, 98, size=(len(networks), len(pairs), 2)).tolist()
     levels = np.sort(rng.integers(1, 98, size=(len(networks), n, 2)), axis=2).tolist()
@@ -102,19 +109,24 @@ def exact_claim(n, networks, rng):
             with pytest.raises(UnreachableNodes):
                 influence_matrix(g)
             continue
-        if cert.covered:
+        if cert.ltp_agents:
             V = exact_influence(n, edges, beta)
             clusters = [frozenset({p}) | cert.persuaded[p] for p in cert.ltp_agents]
             rows = [{tuple(V[i - 1]) for i in cluster} for cluster in clusters]
-            exact = all(len(r) == 1 for r in rows)
-            if cert.cooperative:
+            for p, cluster_rows in zip(cert.ltp_agents, rows):
+                exact = len(cluster_rows) == 1
+                if all(w > 0 for _, d, w in edges if d in cert.persuaded[p]):
+                    counts["cooperative"] += 1
+                    counts["cooperative_without_c1"] += not cert.covered
+                    counts["cooperative_without_c2"] += not cert.cooperative
+                    assert exact, (edges, beta, p)
+                else:
+                    counts["other"] += 1
+                    counts["other_exact"] += exact
+            if cert.covered and cert.cooperative:
                 counts["both"] += 1
                 assert clusters == list(predict_clusters(cert).clusters)
-                assert exact, (edges, beta)
                 assert len(set().union(*rows)) == len(clusters), (edges, beta)
-            else:
-                counts["c1_only"] += 1
-                counts["c1_only_exact"] += exact
         # The exact partition from the floats the solve reads.
         assert set(clusters_from_influence(influence_matrix(g))) == partition(
             exact_influence(n, *floats)), (edges, beta)
@@ -122,13 +134,19 @@ def exact_claim(n, networks, rng):
     return counts
 
 
+SUMMARY = (
+    "{networks} networks, {refused} refused for reachability, {both} meet C1 and C2, "
+    "{float} float clusterings equal the exact partition; {cooperative} clusters with only "
+    "positive in-edges into the persuaded set, all exact, {cooperative_without_c1} of them "
+    "where C1 fails and {cooperative_without_c2} where C2 fails elsewhere; {other_exact} "
+    "of {other} clusters with a negative in-edge exact")
+
+
 def test_every_three_agent_network():
     counts = exact_claim(3, signed_networks(3), np.random.default_rng(3))
-    print(f"\nexact claim, n = 3: {counts['networks']} networks, {counts['refused']} refused "
-          f"for reachability, {counts['both']} meet C1 and C2 with exactly equal rows per "
-          f"cluster, {counts['float']} float clusterings equal the exact partition; "
-          f"C1 without C2: {counts['c1_only']}, of which {counts['c1_only_exact']} had "
-          f"every would-be cluster exactly equal")
+    print("\nexact claim, n = 3: " + SUMMARY.format_map(counts))
     assert (counts["networks"], counts["refused"], counts["both"], counts["float"]) == (
         5103, 810, 216, 4293)
-    assert counts["c1_only"] == 1404
+    assert (counts["cooperative"], counts["cooperative_without_c1"],
+            counts["cooperative_without_c2"], counts["other"], counts["other_exact"]) == (
+        702, 486, 0, 1890, 0)

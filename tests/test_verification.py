@@ -37,7 +37,7 @@ from sfj.verification import (
 )
 
 from conftest import merge_when_agent_7_leads_agent_1, settle_nothing
-from oracles import reweighted
+from oracles import dense_influence, reweighted
 
 
 def pairwise_group_rows(rows, thresh):
@@ -257,13 +257,15 @@ class TestSortAndSweepGrouping:
         expected = (frozenset({1, 3}), frozenset({2, 5, 6}), frozenset({4}))
         trace = OpinionTrace(states=x[None], converged=True, iterations=0, residual=0.0)
         assert clusters_from_trace(trace, 0.02) == expected
+        assert _group_rows(x[:, None], 0.1) == expected
+        assert calls == []
+        # Zero columns are columns too: they reach the boxes, and cut nothing.
         v = np.zeros((6, 3))
         v[:, 1] = x
         assert clusters_from_influence(v, 0.02) == expected
-        assert _group_rows(x[:, None], 0.1) == expected
-        assert calls == []
+        assert calls == [(5, 1, 3)]
         assert _group_rows(np.column_stack((x, -x)), 0.1) == expected
-        assert calls == [(5, 1, 2)]
+        assert calls == [(5, 1, 3), (5, 1, 2)]
 
     def test_one_row_per_run_of_identical_rows_is_swept(self, monkeypatch):
         sizes = []
@@ -285,6 +287,15 @@ class TestSortAndSweepGrouping:
         v = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0]])
         assert clusters_from_influence(v) == (frozenset({1, 2}), frozenset({3}))
         assert clusters_from_influence(np.zeros((3, 3))) == (frozenset({1, 2, 3}),)
+
+    @pytest.mark.parametrize("size", [None, (300, 15), (2000, 100)], ids=["g2", "300", "2000"])
+    def test_zero_columns_leave_the_clusters_unchanged(self, g2, size):
+        # dense_influence is V in full, with its n - m zero columns, which
+        # clusters_from_influence compares as it does the others: a zero
+        # column adds 0 to every gap and changes no threshold.
+        g = g2 if size is None else random_multiconsensus_graph(*size, seed=1)
+        assert clusters_from_influence(dense_influence(g)) == clusters_from_influence(
+            influence_matrix(g))
 
     def test_influence_clusters_match_the_oracle_on_a_generated_network(self):
         v = influence_matrix(random_multiconsensus_graph(300, 15, seed=4))
