@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 
 import orjson
 
@@ -50,59 +49,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_PLAIN = frozenset({int, str, bool, type(None), list, tuple, dict})
-
-
-def _printable(text: str) -> bool:
-    """Whether every character of text is one of ' '..'~'."""
-    return text.isascii() and text.isprintable()
-
-
-def _plain(value) -> bool:
-    """Whether orjson writes value, a list, tuple or dict, as json.dumps does:
-    whether all it holds, at any depth, is ints, strs of characters ' '..'~',
-    bools, None, and lists, tuples and dicts keyed by such strs (exact types).
-    orjson writes floats and other characters its own way. Each level's types
-    are read before anything below it, so a float ends the walk at its level."""
-    items = value.values() if type(value) is dict else value
-    types = set(map(type, items))
-    if not types <= _PLAIN:
-        return False
-    if type(value) is dict and not (set(map(type, value)) <= {str} and _printable("".join(value))):
-        return False
-    if str in types and not _printable("".join(v for v in items if type(v) is str)):
-        return False
-    if types.isdisjoint((list, tuple, dict)):
-        return True
-    if types <= {list, tuple}:  # a list of lists is plain iff their items are
-        return _plain(list(chain.from_iterable(items)))
-    for v in items:  # a loop, not all(), so each level costs one frame
-        if type(v) in (list, tuple, dict) and not _plain(v):
-            return False
-    return True
-
-
-def _dumps(value) -> str:
-    """json.dumps(value, indent=2), byte for byte, for a reply: a scalar by
-    json's C encoder, a plain value (see _plain) by orjson, a str-keyed dict
-    one item per line (no JSON string holds a raw newline; map keeps a level
-    to one frame), and the rest by json.dumps' own pure-Python encoder."""
-    if type(value) in (int, float, str, bool, type(None)):
-        return json.dumps(value)
-    if _plain(value):
-        try:
-            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
-        except orjson.JSONEncodeError:  # an int beyond 64 bits, or nested too deep
-            pass
-    if type(value) is dict and set(map(type, value)) == {str}:
-        items = ",\n".join(map("{}: {}".format, map(json.dumps, value), map(_dumps, value.values())))
-        return "{\n  " + items.replace("\n", "\n  ") + "\n}"
-    return json.dumps(value, indent=2)
-
-
 def _emit(payload: dict) -> None:
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    sys.stdout.write(_dumps(payload) + "\n")
+    """Write {"schema": 1, **payload} as json.dumps(..., indent=2) does, one
+    item per line: a list or dict by orjson, the rest by json.dumps with no
+    indent, which takes json's C encoder. orjson writes the same bytes only
+    for ints from -2**63 to 2**64 - 1, bools, None, strings of the characters
+    ' '..'~', lists, and dicts keyed by such strings, at most 255 levels
+    deep; so floats and user text may come only as top-level scalars. The
+    analyze, predict, verify and simulate replies hold nothing else: agent
+    ids are at most 2**53 by validation, and violation reasons are f-strings
+    of ints."""
+    items = ",\n".join(
+        f"{json.dumps(key)}: "
+        + (orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
+           if isinstance(value, (list, dict)) else json.dumps(value))
+        for key, value in {"schema": SCHEMA_VERSION, **payload}.items()
+    )
+    sys.stdout.write("{\n  " + items.replace("\n", "\n  ") + "\n}\n")
 
 
 def _fail(code: int, message: str) -> int:
@@ -126,9 +89,9 @@ def _seed(args) -> int:
     if env_seed is None:
         return args.seed
     try:
-        return int(env_seed)
-    except ValueError:
-        raise ValueError(f"SFJ_SEED must be an integer, got {env_seed!r}") from None
+        return _seed_type(env_seed)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"SFJ_SEED {exc}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -201,8 +164,9 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     g = random_multiconsensus_graph(args.n, args.z, seed=_seed(args))
-    if args.out == "-":
-        _emit(graph_to_dict(g))
+    if args.out == "-":  # a graph holds floats in its lists: not a reply for _emit
+        payload = {"schema": SCHEMA_VERSION, **graph_to_dict(g)}
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         save_graph(g, args.out)
     return EXIT_OK
@@ -223,6 +187,18 @@ def _positive(kind):
     return parse
 
 
+def _seed_type(text):
+    """--seed's argparse type, and SFJ_SEED's parser: a non-negative int, as
+    numpy's seeding takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 # Each subcommand takes only the flags it reads.
 _FLAGS = {
     "--tol": dict(type=_positive(float), default=dynamics.DEFAULT_TOL,
@@ -231,7 +207,7 @@ _FLAGS = {
     "--tau": dict(type=_positive(float), default=verification.DEFAULT_TAU,
                   help="cluster-equality tolerance, relative"),
     "--trials": dict(type=_positive(int), default=200),
-    "--seed": dict(type=int, default=0, help="RNG seed; env var SFJ_SEED overrides"),
+    "--seed": dict(type=_seed_type, default=0, help="RNG seed; env var SFJ_SEED overrides"),
     "--mode": dict(choices=("strict", "relaxed"), default="strict"),
 }
 

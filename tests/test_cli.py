@@ -12,7 +12,6 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -568,76 +567,89 @@ class TestStreamedTrace:
         assert out_csv.read_bytes() == expected.encode()
 
 
-JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
-    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]))
-JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
-    ["a, b", ", ", '"', "\\", "\n", "caf\u00e9", "\u65e5\u672c", '", "']))
-JSON_NUMBERS = st.lists(st.one_of(st.integers(), JSON_FLOATS))
-JSON_VALUES = st.recursive(
-    st.one_of(st.integers(), JSON_FLOATS, st.booleans(), st.none(), JSON_STRINGS,
-              JSON_NUMBERS, JSON_NUMBERS.map(tuple)),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(JSON_STRINGS, inner, max_size=4),
-        st.dictionaries(st.one_of(JSON_STRINGS, st.integers(), st.booleans()), inner,
-                        max_size=3),
-    ),
+# What cli._emit's contract lets a reply hold. A top-level item may be any
+# scalar json.dumps writes: floats and text of every kind, ints of any size.
+SCALARS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16]),
+    st.text(), st.sampled_from(["caf\u00e9", "\u65e5\u672c", "\x00", "\x1f", "\x7f", "\n"]),
+    st.integers(), st.sampled_from([2**64, -2**63 - 1, 10**100]), st.booleans(), st.none(),
+)
+# A list or dict holds ints in [-2**63, 2**64), bools, None, strings of the
+# characters ' '..'~', and lists and dicts keyed by such strings.
+PRINTABLE = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))
+ITEMS = st.recursive(
+    st.one_of(st.integers(-2**63, 2**64 - 1), st.sampled_from([-2**63, 2**63 - 1, 2**63, 2**64 - 1]),
+              st.booleans(), st.none(), PRINTABLE, st.sampled_from(['"', "\\", ", "])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(PRINTABLE, inner, max_size=4)),
     max_leaves=25,
 )
+CONTAINERS = st.one_of(st.lists(ITEMS, max_size=4), st.dictionaries(PRINTABLE, ITEMS, max_size=4))
+
+
+def _c2_fails(path):
+    """Agent 1 persuades agent 2 through a negative edge: C2 fails."""
+    path.write_text(json.dumps({
+        "n": 2,
+        "agents": [{"id": 1, "beta": 0.5, "x0": 1}, {"id": 2, "beta": 0, "x0": 0}],
+        "edges": [{"from": 1, "to": 2, "w": -1}],
+    }))
+    return str(path)
 
 
 class TestEmit:
-    """cli._emit's layout against json.dumps(payload, indent=2): floats of
-    every kind, bools, None, strings that hold ", ", quotes, backslashes,
-    newlines or non-ASCII, tuples, and keys that are not strings."""
+    """cli._emit against json.dumps(payload, indent=2), on what its contract
+    lets a reply hold, and on every reply shape the subcommands print."""
 
     @settings(max_examples=500, deadline=None)
-    @given(JSON_VALUES)
-    def test_layout_is_json_dumps_with_indent_2(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.dictionaries(JSON_STRINGS, JSON_VALUES, max_size=5))
-    def test_emit_writes_the_payload_after_the_schema(self, payload):
+    @given(st.dictionaries(st.text(), st.one_of(SCALARS, CONTAINERS), max_size=6))
+    def test_layout_is_json_dumps_with_indent_2(self, payload):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit(payload)
         expected = json.dumps({"schema": cli.SCHEMA_VERSION, **payload}, indent=2)
         assert out.getvalue() == expected + "\n"
 
-    # Values at the edges of what orjson writes as json.dumps does: ints at
-    # the 64-bit bounds, DEL, a control character, non-ASCII, quote and
-    # backslash, a float below plain lists, and empty containers.
-    EDGE_VALUES = [2**63 - 1, 2**63, -2**63, -2**63 - 1, "\x7f", "\x1f", "\u00e9", '"',
-                   "\\", [[1, [2, 1e-05], 3], "a"], [], {}, (), [[], {}, ()]]
+    # An input for each reply shape: a verify whose first_failure is a dict,
+    # a simulate whose prediction fails C2 ("predicted": null), and a
+    # non-ASCII --out path, the one user text a reply holds.
+    @pytest.mark.parametrize("argv, exit_code, key, value", [
+        ("analyze {g2}", EXIT_OK, "C1", True),
+        ("analyze {g1}", EXIT_OK, "C1", False),
+        ("predict {g2}", EXIT_OK, "mode", "strict"),
+        ("predict {g1} --mode relaxed", EXIT_OK, "mode", "relaxed"),
+        ("verify {g2} --trials 3", EXIT_OK, "first_failure", None),
+        ("verify {g2} --trials 3 --tau 1e-300", EXIT_CONDITIONS, "passes", 0),
+        ("simulate {g2} --out {tmp}/t.csv", EXIT_OK, "match", True),
+        ("simulate {c2} --out {tmp}/t.csv", EXIT_OK, "predicted", None),
+        ("simulate {g2} --out {tmp}/\u00e9.csv", EXIT_OK, "trace", "{tmp}/\u00e9.csv"),
+    ], ids=["analyze", "analyze-violations", "predict", "predict-relaxed", "verify",
+            "verify-failure", "simulate", "simulate-c2-fails", "simulate-non-ascii-out"])
+    def test_reply_is_json_dumps_by_the_c_encoder(self, capsys, monkeypatch, tmp_path,
+                                                  g1_path, g2_path, argv, exit_code, key,
+                                                  value):
+        paths = dict(g1=g1_path, g2=g2_path, c2=_c2_fails(tmp_path / "c2.json"), tmp=tmp_path)
 
-    @pytest.mark.parametrize("value", EDGE_VALUES)
-    def test_edge_value_alone_and_nested(self, value):
-        for v in (value, [value], [1, [value]], {"k": value}, (value, "b")):
-            assert cli._dumps(v) == json.dumps(v, indent=2)
-        # A float beside it keeps the payload off orjson, so the payload is
-        # laid out one item per line, value written by _dumps on its own.
-        payload = {"x": 0.5, "value": value, "nested": {"list": [value, [value]]}}
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli._emit(payload)
-        assert out.getvalue() == json.dumps({"schema": cli.SCHEMA_VERSION, **payload},
-                                            indent=2) + "\n"
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("a reply ran json's pure-Python encoder")
 
-    def test_analyze_payload_at_n_1000(self, capsys, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+            code, out, _ = run(capsys, *argv.format(**paths).split())
+        assert code == exit_code
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)[key] == (value.format(**paths) if type(value) is str else value)
+
+    def test_analyze_payload_at_n_1000(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         save_graph(random_multiconsensus_graph(1000, 50, seed=1), path)
-        calls = []
-        dumps = orjson.dumps
-        monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == EXIT_OK
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert len(calls) == 1  # the whole reply is one plain value
 
     def test_generated_graph_payload(self, capsys):
-        # Agents and edges are lists of dicts that hold floats: the payload
-        # is laid out one item per line, each list by json.dumps(indent=2).
+        # Agents and edges hold floats, so generate writes the graph with
+        # json.dumps(indent=2) itself, not through _emit.
         code, out, _ = run(capsys, "generate", "400", "20", "--seed", "3")
         assert code == EXIT_OK
         payload = {"schema": cli.SCHEMA_VERSION,
@@ -764,6 +776,21 @@ class TestSeedPlumbing:
         code, out, err = run(capsys, "verify", g2_path, "--trials", "1")
         assert code == EXIT_USAGE and out == ""
         assert err == "sfj: error: SFJ_SEED must be an integer, got 'abc'\n"
+
+    def test_negative_env_seed_names_the_variable(self, capsys, monkeypatch, g2_path):
+        monkeypatch.setenv("SFJ_SEED", "-5")
+        code, out, err = run(capsys, "verify", g2_path, "--trials", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "sfj: error: SFJ_SEED must be non-negative, got '-5'\n"
+
+    @pytest.mark.parametrize("argv", [("generate", "4", "2", "--seed", "-1"),
+                                      ("verify", "{g2}", "--seed", "-5")])
+    def test_negative_seed_flag_is_a_usage_error_naming_it(self, capsys, monkeypatch, g2_path,
+                                                           argv):
+        monkeypatch.delenv("SFJ_SEED", raising=False)
+        code, out, err = run(capsys, *(arg.format(g2=g2_path) for arg in argv))
+        assert code == EXIT_USAGE and out == ""
+        assert f"error: argument --seed: must be non-negative, got '{argv[-1]}'" in err
 
 
 class TestParserCache:
