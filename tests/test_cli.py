@@ -597,18 +597,50 @@ def _c2_fails(path):
     return str(path)
 
 
+def _emitted(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload)
+    return out.getvalue()
+
+
+def _expected(payload):
+    return json.dumps({"schema": cli.SCHEMA_VERSION, **payload}, indent=2) + "\n"
+
+
 class TestEmit:
     """cli._emit against json.dumps(payload, indent=2), on what its contract
     lets a reply hold, and on every reply shape the subcommands print."""
 
     @settings(max_examples=500, deadline=None)
+    @given(st.one_of(SCALARS, CONTAINERS))
+    def test_layout_is_json_dumps_with_indent_2(self, value):
+        assert _emitted({"value": value}) == _expected({"value": value})
+
+    @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(st.text(), st.one_of(SCALARS, CONTAINERS), max_size=6))
-    def test_layout_is_json_dumps_with_indent_2(self, payload):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli._emit(payload)
-        expected = json.dumps({"schema": cli.SCHEMA_VERSION, **payload}, indent=2)
-        assert out.getvalue() == expected + "\n"
+    def test_emit_writes_the_payload_after_the_schema(self, payload):
+        assert _emitted(payload) == _expected(payload)
+
+    # Values at the edges of what the contract lets a container hold: a
+    # quote, a backslash, ints at the 64-bit bounds and empty containers.
+    # Each is given the id its case had when the list also held floats,
+    # tuples and text the contract now excludes.
+    @pytest.mark.parametrize("value", [
+        pytest.param(2**63 - 1, id="9223372036854775807"),
+        pytest.param(2**63, id="9223372036854775808"),
+        pytest.param(-2**63, id="-9223372036854775808"),
+        pytest.param('"', id='"'),
+        pytest.param("\\", id="\\"),
+        pytest.param([], id="value11"),
+        pytest.param({}, id="value12"),
+    ])
+    def test_edge_value_alone_and_nested(self, value):
+        for v in (value, [value], [1, [value]], {"k": value}, [[], {}, value]):
+            assert _emitted({"value": v}) == _expected({"value": v})
+        # A float beside it is a top-level scalar, laid out by json.dumps.
+        payload = {"x": 0.5, "value": value, "nested": {"list": [value, [value]]}}
+        assert _emitted(payload) == _expected(payload)
 
     # An input for each reply shape: a verify whose first_failure is a dict,
     # a simulate whose prediction fails C2 ("predicted": null), and a
