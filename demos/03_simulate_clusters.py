@@ -15,7 +15,6 @@ from sfj import (
     influence_matrix,
     networks,
     simulate,
-    write_trace_csv,
 )
 
 g = networks.g2()
@@ -43,5 +42,5 @@ print("limit check |x_final - V x0| =", np.max(np.abs(trace.final - V @ g.x0[stu
 print("columns of V, by stubborn agent:", list(g.stubborn))
 
 with open("g2_trace.csv", "w", newline="") as fh:
-    write_trace_csv(trace, fh)
+    simulate(g, tol=1e-12, out=fh)
 print("\nwrote g2_trace.csv (k, x_1..x_n) for external plotting")

@@ -43,12 +43,10 @@ from .dynamics import (
     OpinionTrace,
     influence_matrix,
     simulate,
-    write_trace_csv,
 )
 from .verification import (
     RobustnessReport,
     TrialFailure,
-    cluster_spread,
     clusters_from_influence,
     clusters_from_trace,
     refines,
@@ -82,7 +80,6 @@ __all__ = [
     "build_dominator_tree",
     "certificate_to_dict",
     "check_conditions",
-    "cluster_spread",
     "clusters_from_influence",
     "clusters_from_trace",
     "detect_ltp_agents",
@@ -98,5 +95,4 @@ __all__ = [
     "robustness_harness",
     "save_graph",
     "simulate",
-    "write_trace_csv",
 ]

@@ -105,10 +105,14 @@ def simulate(
     steps that meets the stop rule ends the run, as one checked step at a
     time would, and failing that the first that repeats the saved state.
 
-    With a text file out, the trace goes there as write_trace_csv would
-    write it, a block at a time, the rest written on return or before
-    NotConverged is raised, and the returned or carried trace holds the
-    final state alone. Without out, it holds every state.
+    With a text file out, the trace goes there a block at a time, the rest
+    written on return or before NotConverged is raised, and the returned or
+    carried trace holds the final state alone. Without out, it holds every
+    state. The file gets a header k,x_1,...,x_n and then, for each k, a row
+    of k and x(k). Each value is the shortest round-trip repr of its float
+    (0.1, -0.0, 1e-300, inf, nan), fields are comma-separated and never
+    quoted, and every line ends in CRLF ("\\r\\n"): byte for byte what
+    csv.writer writes.
 
     Each step reads only the nonzeros of the update matrix, one per edge:
     memory is O(n + edges), plus one block.
@@ -374,26 +378,12 @@ def _singular(plan: _LevelPlan, slots: np.ndarray) -> SingularBlock:
                          "block of I - (I - B) W is singular in floating point")
 
 
-def write_trace_csv(trace: OpinionTrace, fh) -> None:
-    """Write a trace as rows k, x_1, ..., x_n.
-
-    The header is k,x_1,...,x_n and the row after it for each k is k and
-    then x(k). Each value is the shortest round-trip repr of its float
-    (0.1, -0.0, 1e-300, inf, nan), fields are comma-separated and never
-    quoted, and every line ends in CRLF ("\\r\\n"): byte for byte what
-    csv.writer writes. simulate(g, out=fh) streams the same bytes.
-    """
-    states = np.ascontiguousarray(trace.states, dtype=np.float64)  # as orjson reads it
-    _write_header(fh, states.shape[1])
-    _write_rows(fh, 0, states)
-
-
 def _write_header(fh, n: int) -> None:
     fh.write("k" + "".join(f",x_{i}" for i in range(1, n + 1)) + "\r\n")
 
 
 def _write_rows(fh, start: int, states: np.ndarray) -> None:
-    """write_trace_csv's rows for states, the first numbered start.
+    """simulate's trace rows for states, the first numbered start.
 
     Each row is one orjson call, its brackets cut off, so each must be
     contiguous native float64, as simulate's are. orjson writes the

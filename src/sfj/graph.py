@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -305,17 +304,6 @@ def _raise_format_error(n: int, agents: list, raw_edges: list):
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"bad edge entry {entry!r}: {exc}") from exc
     raise AssertionError("graph_from_dict rejected a file with no malformed entry")
-
-
-def _agent(v, n: int) -> int:
-    """v as an agent id of 1..n, else ValueError; 2.0 counts, a bool, a
-    string, None or a complex number does not."""
-    real = isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
-    if real and not 1 <= v <= n:
-        raise ValueError(f"agent {v} outside 1..{n}")
-    if not real or not float(v).is_integer():
-        raise ValueError(f"agent {v!r} is not an integer")
-    return int(v)
 
 
 def _number(v, integral: bool = False):

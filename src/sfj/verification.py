@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import OpinionTrace, _level_plan, _level_solve
 from .errors import NotConverged
-from .graph import SignedDigraph, _agent, _normalized
+from .graph import SignedDigraph, _normalized
 from .ltp import analyze, predict_clusters
 
 DEFAULT_TAU = 1e-8
@@ -154,9 +154,10 @@ def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int]
     """Group agents whose influence-matrix rows agree entrywise within tau.
 
     tau is relative to the largest entry magnitude of V. Closeness is not
-    transitive, so borderline rows can chain into one group; cluster_spread
-    exposes the resulting diameters. The groups are _group_rows's: one
-    column is cut between sorted values, more go to _box_components.
+    transitive, so borderline rows can chain into one group; the harness's
+    worst_spread reports the resulting diameters. The groups are
+    _group_rows's: one column is cut between sorted values, more go to
+    _box_components.
     """
     V = np.asarray(V, dtype=float)
     return _group_rows(V, _threshold(V, tau))
@@ -185,22 +186,6 @@ def _cluster_boxes(V: np.ndarray, order: np.ndarray, starts: np.ndarray):
     V (n, ..., m), rows first as _level_solve leaves it, gives boxes (k, ..., m)."""
     rows = V[order]  # + 0.0: a tie of 0.0 and -0.0 is +0, however rows lie in memory
     return np.minimum.reduceat(rows, starts) + 0.0, np.maximum.reduceat(rows, starts) + 0.0
-
-
-def cluster_spread(V, clusters) -> float:
-    """Largest max-norm diameter of V's rows over the given clusters.
-
-    Within a cluster the widest pair in any column is that column's maximum
-    and minimum, so the diameter is the largest column range, exactly.
-    Raises ValueError for an agent that is not an integer (2.0 counts, a
-    bool does not) or lies outside 1..n, n being V's row count.
-    """
-    V = np.asarray(V, dtype=float)
-    n = V.shape[0]
-    for v in (v for c in clusters for v in c):
-        _agent(v, n)
-    lo, hi = _cluster_boxes(V, *_cluster_layout(clusters))
-    return float((hi - lo).max(initial=0.0))
 
 
 def _partition_holds(lo: np.ndarray, hi: np.ndarray, thresh: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ steady-state system) so a test can check one route against the other.
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -34,7 +35,7 @@ from sfj import (
 )
 from sfj import dynamics
 from sfj.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, _level_plan, _level_solve, _sweep_bound
-from sfj.graph import _agent, _csr, _normalized, _postorder
+from sfj.graph import _csr, _normalized, _postorder
 
 
 class SizeLimit(SFJError):
@@ -64,6 +65,17 @@ def in_neighbours(g: SignedDigraph) -> dict[int, list[int]]:
     for src, dst, _ in g.edges:
         inn[dst].append(src)
     return inn
+
+
+def _agent(v, n: int) -> int:
+    """v as an agent id of 1..n, else ValueError; 2.0 counts, a bool, a
+    string, None or a complex number does not."""
+    real = isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+    if real and not 1 <= v <= n:
+        raise ValueError(f"agent {v} outside 1..{n}")
+    if not real or not float(v).is_integer():
+        raise ValueError(f"agent {v!r} is not an integer")
+    return int(v)
 
 
 def _loop_int(v) -> int:

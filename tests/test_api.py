@@ -7,11 +7,12 @@ from oracles import build_steady_state
 # Test oracles live in tests/oracles.py, among them the steady-state
 # reduction (build_steady_state, reduce_persuaded_set and their classes), as
 # the package checks clusters through V's equal rows; abs_matrix and
-# cluster_report were deleted outright (np.abs, and clusters_from_influence
-# with cluster_spread), as were check_reachability and its
-# ReachabilityReport (build_dominator_tree and the influence solve's gate
-# each raise UnreachableNodes). DominatorTree was deleted too:
-# build_dominator_tree returns its idom dict.
+# cluster_report were deleted outright (np.abs, and clusters_from_influence),
+# as were check_reachability and its ReachabilityReport (build_dominator_tree
+# and the influence solve's gate each raise UnreachableNodes). DominatorTree
+# was deleted too: build_dominator_tree returns its idom dict. So were
+# cluster_spread, a second route to verify's worst_spread, and
+# write_trace_csv: simulate(g, out=fh) writes the same trace.
 NOT_EXPORTED = (
     "ClusterReport",
     "DominatorTree",
@@ -26,6 +27,7 @@ NOT_EXPORTED = (
     "build_steady_state",
     "check_reachability",
     "cluster_report",
+    "cluster_spread",
     "dense_reduction",
     "neumann_influence",
     "neumann_tail_bound",
@@ -35,6 +37,7 @@ NOT_EXPORTED = (
     "schur_complement",
     "sfj_step",
     "spectral_radius",
+    "write_trace_csv",
 )
 
 

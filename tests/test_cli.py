@@ -481,13 +481,14 @@ STREAMED_CASES = {
 
 
 def in_memory_csv(g, max_iter) -> str:
-    """write_trace_csv over the trace simulate keeps when it streams nothing."""
+    """The trace writer over the states simulate keeps when it streams nothing."""
     try:
         trace = dynamics.simulate(g, max_iter=max_iter)
     except NotConverged as exc:
         trace = exc.trace
     buf = io.StringIO(newline="")
-    dynamics.write_trace_csv(trace, buf)
+    dynamics._write_header(buf, g.n)
+    dynamics._write_rows(buf, 0, trace.states)
     return buf.getvalue()
 
 

@@ -24,13 +24,11 @@ from sfj import (
     robustness_harness,
     save_graph,
     simulate,
-    write_trace_csv,
 )
 from sfj import dynamics, graph, networks
 from sfj.cli import EXIT_NOT_CONVERGED, EXIT_OK, main
 from sfj.dynamics import (
     DEFAULT_TOL,
-    OpinionTrace,
     _components,
     _level_plan,
     _level_solve,
@@ -1288,31 +1286,31 @@ class TestExactReduction:
 
 class TestCsvExport:
     def test_trace_header_and_rows(self, g1):
-        trace = simulate(g1)
         buf = io.StringIO()
-        write_trace_csv(trace, buf)
+        trace = simulate(g1, out=buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "k,x_1,x_2,x_3,x_4,x_5,x_6"
-        assert len(lines) == trace.states.shape[0] + 1
+        assert len(lines) == trace.iterations + 2
         first = lines[1].split(",")
         assert first[0] == "0"
         assert [float(v) for v in first[1:]] == list(g1.x0)
 
 
-def csv_writer_trace(trace, fh):
+def csv_writer_trace(states, fh):
     """The straightforward writer: csv.writer over repr(float(v)) of every entry."""
-    n = trace.states.shape[1]
     writer = csv.writer(fh)
-    writer.writerow(["k"] + [f"x_{i}" for i in range(1, n + 1)])
-    for k, row in enumerate(trace.states):
+    writer.writerow(["k"] + [f"x_{i}" for i in range(1, states.shape[1] + 1)])
+    for k, row in enumerate(states):
         writer.writerow([k] + [repr(float(v)) for v in row])
 
 
 def both_writers(states):
-    trace = OpinionTrace(states=states, converged=True, iterations=0, residual=0.0)
+    """simulate's trace writer and csv_writer_trace over states, whose rows
+    must be contiguous."""
     fast, oracle = io.StringIO(), io.StringIO()
-    write_trace_csv(trace, fast)
-    csv_writer_trace(trace, oracle)
+    dynamics._write_header(fast, states.shape[1])
+    dynamics._write_rows(fast, 0, states)
+    csv_writer_trace(states, oracle)
     return fast.getvalue(), oracle.getvalue()
 
 
@@ -1467,22 +1465,17 @@ class TestStreamedRows:
         assert fast == oracle
         assert parts.getvalue() == fast.split("\r\n", 1)[1]
 
-    @pytest.mark.parametrize("layout", ["fortran", "every other row", "every other column",
-                                        "reversed", "big-endian"])
-    def test_any_memory_layout_gives_the_same_bytes(self, layout):
-        # orjson refuses a row that is not contiguous and reads a
-        # byte-swapped one as native (1.0 as 3.03865e-319).
-        states = np.random.default_rng(7).uniform(-2.0, 2.0, (12, 10))
-        states[3, 4], states[5, 6] = 1e-5, np.nan
-        states[4, :8] = states[8, 1:9] = [1.0, -0.0, 0.1, 1e-5, 2.5e300, np.nan, -np.inf, 1e16]
-        states = {"fortran": np.asfortranarray(states), "every other row": states[::2],
-                  "every other column": states[:, ::2], "reversed": states[::-1, ::-1],
-                  "big-endian": states.astype(">f8")}[layout]
-        trace = OpinionTrace(states=states, converged=True, iterations=0, residual=0.0)
-        fast, oracle = io.StringIO(), io.StringIO()
-        write_trace_csv(trace, fast)
-        csv_writer_trace(trace, oracle)
-        assert fast.getvalue() == oracle.getvalue()
+    def test_a_column_prefix_of_a_wider_block_gives_the_same_bytes(self):
+        # simulate writes x from blocks of rows u = (x, z), as block[:, :n]:
+        # each row is contiguous, the block is not. orjson refuses a row
+        # that is not contiguous.
+        block = np.random.default_rng(7).uniform(-2.0, 2.0, (12, 20))
+        block[3, 4], block[5, 6] = 1e-5, np.nan
+        block[4, :8] = block[8, 1:9] = [1.0, -0.0, 0.1, 1e-5, 2.5e300, np.nan, -np.inf, 1e16]
+        states = block[:, :10]
+        assert not states.flags.c_contiguous
+        fast, oracle = both_writers(states)
+        assert fast == oracle
 
     def test_memory_stays_near_one_row_of_text(self):
         # One block of _TRACE_BLOCK values, 16 rows of 4096: its text is
@@ -1505,7 +1498,7 @@ class TestStreamedRows:
         monkeypatch.setattr(orjson, "dumps", lambda *a, _dumps=orjson.dumps, **kw:
                             dumps.append(a[0].size) or _dumps(*a, **kw))
         fast = io.StringIO()
-        write_trace_csv(OpinionTrace(states, True, 5, 0.0), fast)
+        dynamics._write_rows(fast, 0, states)
         monkeypatch.undo()
         assert len(reprs) == len(flagged) and set(map(repr, reprs)) == set(map(repr, flagged))
         assert dumps == [50] * 6

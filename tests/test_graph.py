@@ -466,6 +466,9 @@ class TestJsonIO:
               "edges": [{"from": 10**400, "to": 1, "w": 0.0}]})
     @example([])  # not an object
     @example({"n": 1, "agents": {"1": {"beta": 0.5, "x0": 0.0}}, "edges": []})
+    @example({"n": 2, "agents": [{"id": 1, "beta": 0.5, "x0": 0.0},
+                                 {"id": 1, "beta": 0.5, "x0": 0.0},
+                                 {"id": 2, "beta": 0.0, "x0": 1.0}], "edges": []})
     def test_matches_the_per_entry_loader(self, data):
         try:
             expected = loop_graph_from_dict(data)

@@ -13,7 +13,6 @@ from sfj import (
     normalize,
     NotConverged,
     analyze,
-    cluster_spread,
     clusters_from_influence,
     clusters_from_trace,
     influence_matrix,
@@ -107,7 +106,7 @@ def spread_ratios(g, trials, seed):
     """Each loop_influence trial's predicted-cluster spread over its largest
     magnitude, sorted: a tau between two of them splits the trials."""
     predicted = predict_clusters(analyze(g), mode="strict").clusters
-    return sorted(cluster_spread(V, predicted) / np.abs(V).max()
+    return sorted(pairwise_cluster_spread(V, predicted) / np.abs(V).max()
                   for V in loop_influence(g, trials, seed))
 
 
@@ -117,7 +116,7 @@ def loop_harness(g, trials, seed, tau=verification.DEFAULT_TAU):
     passes, worst, first_failure = 0, 0.0, None
     for trial, V in enumerate(loop_influence(g, trials, seed)):
         observed = verification.clusters_from_influence(V, tau)
-        worst = max(worst, cluster_spread(V, predicted))
+        worst = max(worst, pairwise_cluster_spread(V, predicted))
         if set(observed) == set(predicted):
             passes += 1
         elif first_failure is None:
@@ -177,22 +176,7 @@ class TestInfluenceClusters:
         v = np.array([[0.0, 1.0], [0.9e-8, 1.0], [1.8e-8, 1.0]])
         clusters = clusters_from_influence(v, tau=1e-8)
         assert clusters == (frozenset({1, 2, 3}),)
-        assert cluster_spread(v, clusters) == pytest.approx(1.8e-8)
-
-    @pytest.mark.parametrize("cluster, agent", [({12, 0}, 0), ({1, 13}, 13), ({-3}, -3),
-                                                ({4.5, 5}, 4.5), ({True, 5}, True),
-                                                ({"4", 5}, "4"), ({None, 5}, None)])
-    def test_spread_rejects_an_agent_outside_the_network(self, g2, cluster, agent):
-        # Agent 0 would read row -1, agent 12's own, and agent 13 none at all;
-        # 4.5 would read agent 4's row and True agent 1's; "4" and None would
-        # fail to compare with the other ids.
-        problem = "outside 1\\.\\.12" if type(agent) is int else "is not an integer"
-        with pytest.raises(ValueError, match=rf"^agent {agent!r} {problem}$"):
-            cluster_spread(influence_matrix(g2), [{1, 2, 3}, cluster])
-
-    def test_spread_takes_integral_floats_and_numpy_ints(self, g2):
-        V = influence_matrix(g2)
-        assert cluster_spread(V, [{4.0, np.int64(5), 6}]) == cluster_spread(V, [{4, 5, 6}])
+        assert pairwise_cluster_spread(v, clusters) == pytest.approx(1.8e-8)
 
 
 class TestSortAndSweepGrouping:
@@ -207,7 +191,8 @@ class TestSortAndSweepGrouping:
     def test_spread_equals_the_pairwise_maximum_exactly(self, case):
         rows, thresh = case
         clusters = pairwise_group_rows(rows, thresh + 0.5)
-        assert cluster_spread(rows, clusters) == pairwise_cluster_spread(rows, clusters)
+        lo, hi = _cluster_boxes(rows, *_cluster_layout(clusters))
+        assert float((hi - lo).max()) == pairwise_cluster_spread(rows, clusters)
 
     def test_gap_that_rounds_to_thresh_still_joins(self):
         # 0.7 below the second key lies one ulp above first + 0.7, yet the
@@ -697,7 +682,7 @@ class TestClusterReport:
         V = influence_matrix(g2)
         observed = clusters_from_influence(V)
         assert refines(predicted, observed)
-        assert cluster_spread(V, predicted) <= 1e-10
+        assert pairwise_cluster_spread(V, predicted) <= 1e-10
         assert set(observed) == set(predicted)
 
     def test_observed_partitions_all_agents(self, g2):
