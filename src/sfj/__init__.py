@@ -35,7 +35,6 @@ from .ltp import (
     analyze,
     build_dominator_tree,
     certificate_to_dict,
-    check_conditions,
     detect_ltp_agents,
     predict_clusters,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "analyze",
     "build_dominator_tree",
     "certificate_to_dict",
-    "check_conditions",
     "clusters_from_influence",
     "clusters_from_trace",
     "detect_ltp_agents",

@@ -389,19 +389,20 @@ def _write_rows(fh, start: int, states: np.ndarray) -> None:
     contiguous native float64, as simulate's are. orjson writes the
     shortest round-trip digits, as repr does, and in repr's form for every
     value _unlike_repr does not flag; in a row holding one it flags, the
-    text is split at its commas and each flagged value takes repr. Rows
-    are written one at a time, so the text held at once is one row's,
-    beside about 64 bytes a value orjson holds while it writes the row.
+    text is split at its commas and each flagged value takes repr, found
+    in the block's flag mask. Rows are written one at a time, so the text
+    held at once is one row's, beside that mask (a byte a value) and about
+    64 bytes a value orjson holds while it writes the row.
     """
-    odd = _unlike_repr(states).any(axis=1).tolist()
-    for k, row, slow in zip(range(start, start + len(odd)), states, odd):
+    flags = _unlike_repr(states)
+    for j, (row, slow) in enumerate(zip(states, flags.any(axis=1).tolist())):
         text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
         if slow:
             text = text.split(",")  # the row's string is freed before the join
-            for i in np.flatnonzero(_unlike_repr(row)).tolist():
+            for i in np.flatnonzero(flags[j]).tolist():
                 text[i] = repr(float(row[i]))
             text = ",".join(text)
-        fh.write(f"{k},{text}\r\n")
+        fh.write(f"{start + j},{text}\r\n")
 
 
 def _unlike_repr(values: np.ndarray) -> np.ndarray:

@@ -8,14 +8,13 @@ immediate-dominator queries on the digraph augmented with a virtual root that
 points at every stubborn agent, which is how this module computes them.
 
 Edge weights and signs play no role in detection; signs enter only through
-the cooperativity condition C2 checked by check_conditions.
+the cooperativity condition C2, which detection evaluates from the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Mapping, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,21 +35,17 @@ class LTPCertificate:
 
     covered (C1): the persuasive clusters {p} | N_p cover every agent.
     cooperative (C2): every in-edge of every persuaded agent is positive.
-    Both are None until check_conditions has run.
+    In-edges of the persuasive agents themselves are exempt; they may be
+    antagonistic without voiding the guarantee.
+    violations: C1's failures by agent id, then C2's in edge order.
     """
 
     stubborn: frozenset[int]
     ltp_agents: tuple[int, ...]
     persuaded: Mapping[int, frozenset[int]]
-    covered: Optional[bool] = None
-    cooperative: Optional[bool] = None
-    violations: tuple[Violation, ...] = ()
-
-    def covered_set(self) -> frozenset[int]:
-        nodes = set(self.ltp_agents)
-        for members in self.persuaded.values():
-            nodes |= members
-        return frozenset(nodes)
+    covered: bool
+    cooperative: bool
+    violations: tuple[Violation, ...]
 
 
 @dataclass(frozen=True)
@@ -132,13 +127,16 @@ def build_dominator_tree(g: SignedDigraph) -> dict[int, int]:
 
 
 def detect_ltp_agents(g: SignedDigraph, idom: Mapping[int, int]) -> LTPCertificate:
-    """Read the persuasive agents and their persuaded sets off the dominator tree.
+    """Read the persuasive agents, their persuaded sets and C1/C2 off the dominator tree.
 
     idom is build_dominator_tree's mapping, keys in reverse postorder. p
     qualifies iff no single agent dominates it (idom[p] is VIRTUAL_ROOT;
     automatic for stubborn agents) and it strictly dominates at least one
     agent. Its persuaded set is exactly its dominator subtree, gathered in
-    one pass: top[v] is the ancestor of v just below the root.
+    one pass: top[v] is the ancestor of v just below the root. The same pass
+    gives both conditions: the uncovered agents (C1) are the root's children
+    that dominate nobody, and v is persuaded iff top[v] != v, so C2 reads
+    that mask at every edge's head.
     """
     top = [0] * (g.n + 1)
     members: dict[int, list[int]] = {}
@@ -150,44 +148,23 @@ def detect_ltp_agents(g: SignedDigraph, idom: Mapping[int, int]) -> LTPCertifica
             top[v] = t = top[d]
             members[t].append(v)
     ltp = tuple(sorted(p for p, below in members.items() if below))
-    return LTPCertificate(stubborn=frozenset(g.stubborn), ltp_agents=ltp,
-                          persuaded={p: frozenset(members[p]) for p in ltp})
-
-
-def check_conditions(g: SignedDigraph, cert: LTPCertificate) -> LTPCertificate:
-    """Evaluate the two multiconsensus conditions on a detection certificate.
-
-    C1 (covered): the clusters {p} | N_p exhaust the agent set.
-    C2 (cooperative): every in-edge of every persuaded agent has positive
-    weight. In-edges of the persuasive agents themselves are exempt; they may
-    be antagonistic without voiding the guarantee.
-    The violations are this call's, C1's then C2's; any on cert are replaced.
-    """
-    persuaded = np.zeros(g.n + 1, dtype=bool)
-    persuaded[np.fromiter(chain.from_iterable(cert.persuaded.values()), np.int64)] = True
-    uncovered = ~persuaded
-    uncovered[[0, *cert.ltp_agents]] = False
-    violations = [Violation(node, "not covered by any persuasive cluster")
-                  for node in np.flatnonzero(uncovered).tolist()]
-    covered = not uncovered.any()
-
+    uncovered = sorted(p for p, below in members.items() if not below)
+    persuaded = np.array(top) != np.arange(g.n + 1)
     negative = persuaded[g.dst] & (g.w < 0)
-    cooperative = not negative.any()
+    violations = [Violation(v, "not covered by any persuasive cluster") for v in uncovered]
     violations += [
         Violation(dst, f"negative in-edge from {src} at persuaded agent")
         for src, dst in zip(g.src[negative].tolist(), g.dst[negative].tolist())
     ]
-    return replace(
-        cert,
-        covered=covered,
-        cooperative=cooperative,
-        violations=tuple(violations),
-    )
+    return LTPCertificate(stubborn=frozenset(g.stubborn), ltp_agents=ltp,
+                          persuaded={p: frozenset(members[p]) for p in ltp},
+                          covered=not uncovered, cooperative=not negative.any(),
+                          violations=tuple(violations))
 
 
 def analyze(g: SignedDigraph) -> LTPCertificate:
     """Detect persuasive agents and evaluate C1/C2 in one call."""
-    return check_conditions(g, detect_ltp_agents(g, build_dominator_tree(g)))
+    return detect_ltp_agents(g, build_dominator_tree(g))
 
 
 def predict_clusters(cert: LTPCertificate, mode: str = "strict") -> ClusterPrediction:
@@ -202,8 +179,6 @@ def predict_clusters(cert: LTPCertificate, mode: str = "strict") -> ClusterPredi
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    if cert.covered is None or cert.cooperative is None:
-        raise ValueError("certificate lacks condition flags; run check_conditions")
     if not cert.cooperative:
         raise ConditionsNotMet("cooperativity condition C2 fails")
     if mode == "strict" and not cert.covered:
@@ -212,7 +187,7 @@ def predict_clusters(cert: LTPCertificate, mode: str = "strict") -> ClusterPredi
     clusters = [frozenset({p}) | cert.persuaded[p] for p in cert.ltp_agents]
     flagged = frozenset()
     if mode == "relaxed":
-        flagged = cert.stubborn - cert.covered_set()
+        flagged = cert.stubborn.difference(cert.ltp_agents)  # stubborn: never persuaded
         clusters.extend(frozenset({s}) for s in sorted(flagged))
     return ClusterPrediction(clusters=tuple(clusters), flagged_singletons=flagged)
 

@@ -153,6 +153,9 @@ def _threshold(values, tau: float, axis=None):
 def clusters_from_influence(V, tau: float = DEFAULT_TAU) -> tuple[frozenset[int], ...]:
     """Group agents whose influence-matrix rows agree entrywise within tau.
 
+    V is (n, m), V's stubborn columns as influence_matrix returns them. A
+    zero column is not skipped: each costs _box_components one column sweep,
+    so V scattered to n×n gives the same groups at several times the cost.
     tau is relative to the largest entry magnitude of V. Closeness is not
     transitive, so borderline rows can chain into one group; the harness's
     worst_spread reports the resulting diameters. The groups are

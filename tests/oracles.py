@@ -30,6 +30,7 @@ from sfj import (
     SignedDigraph,
     SingularBlock,
     UnreachableNodes,
+    Violation,
     graph_from_dict,
     normalize,
 )
@@ -310,8 +311,9 @@ def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
     """Literal restatement of the persuasive-agent conditions by path enumeration.
 
     Enumerates every simple path from every stubborn agent to every other
-    agent and intersects the node sets. Exponential; refuses n > max_n.
-    Exists purely as an independent check of detect_ltp_agents.
+    agent and intersects the node sets, then reads C1 and C2 off those sets.
+    Exponential; refuses n > max_n. Exists purely as an independent check
+    of detect_ltp_agents.
     """
     if g.n > max_n:
         raise SizeLimit(f"path enumeration limited to n <= {max_n}, got {g.n}")
@@ -357,16 +359,40 @@ def brute_force_ltp_oracle(g: SignedDigraph, max_n: int = 12) -> LTPCertificate:
         if members:
             ltp.append(p)
             persuaded[p] = members
+    covered, cooperative, violations = conditions_from_sets(g, ltp, persuaded)
     return LTPCertificate(
         stubborn=stubborn,
         ltp_agents=tuple(sorted(ltp)),
         persuaded=persuaded,
+        covered=covered,
+        cooperative=cooperative,
+        violations=violations,
     )
+
+
+def conditions_from_sets(g: SignedDigraph, ltp, persuaded) -> tuple[bool, bool, tuple]:
+    """C1, C2 and their violations by Python sets: every agent must be a
+    persuader or persuaded, and no edge into a persuaded agent (persuaders
+    exempt) may be negative. Violations run C1's by id, then C2's in edge
+    order."""
+    inside = set().union(*persuaded.values())
+    uncovered = sorted(set(range(1, g.n + 1)) - inside - set(ltp))
+    negative = [(s, d) for s, d, w in g.edges if d in inside and w < 0]
+    return not uncovered, not negative, tuple(
+        [Violation(v, "not covered by any persuasive cluster") for v in uncovered]
+        + [Violation(d, f"negative in-edge from {s} at persuaded agent") for s, d in negative])
 
 
 def same_detection(a: LTPCertificate, b: LTPCertificate) -> bool:
     """Equality of the topology-only part (agents and persuaded sets)."""
     return a.ltp_agents == b.ltp_agents and dict(a.persuaded) == dict(b.persuaded)
+
+
+def same_certificate(a: LTPCertificate, b: LTPCertificate) -> bool:
+    """Equality of the whole certificate: detection, both flags and every
+    violation in order."""
+    return same_detection(a, b) and (a.stubborn, a.covered, a.cooperative, a.violations) == (
+        b.stubborn, b.covered, b.cooperative, b.violations)
 
 
 class HypothesisViolated(ConditionsNotMet):

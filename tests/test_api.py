@@ -12,7 +12,8 @@ from oracles import build_steady_state
 # and the influence solve's gate each raise UnreachableNodes). DominatorTree
 # was deleted too: build_dominator_tree returns its idom dict. So were
 # cluster_spread, a second route to verify's worst_spread, and
-# write_trace_csv: simulate(g, out=fh) writes the same trace.
+# write_trace_csv: simulate(g, out=fh) writes the same trace. check_conditions
+# went too: detect_ltp_agents evaluates C1 and C2 in its own pass.
 NOT_EXPORTED = (
     "ClusterReport",
     "DominatorTree",
@@ -25,6 +26,7 @@ NOT_EXPORTED = (
     "abs_matrix",
     "brute_force_ltp_oracle",
     "build_steady_state",
+    "check_conditions",
     "check_reachability",
     "cluster_report",
     "cluster_spread",
